@@ -29,7 +29,7 @@ Packages
 ``repro.obs``       observability: metrics, tracing, provenance (off by default)
 """
 
-from repro.core import CaceEngine, CoupledHdbn, SingleUserHdbn
+from repro.core import CaceEngine, SingleUserHdbn
 from repro.core.loosely_coupled import NChainHdbn
 from repro.core.smoother import OnlineSmoother
 from repro.datasets import (
@@ -52,7 +52,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CaceEngine",
-    "CoupledHdbn",
     "SingleUserHdbn",
     "NChainHdbn",
     "OnlineSmoother",

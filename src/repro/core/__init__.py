@@ -4,9 +4,10 @@ The paper's contribution, assembled from the substrates:
 
 * :class:`~repro.core.state_space.StateSpaceBuilder` — per-step candidate
   state creation from observations (pipeline step 3);
-* :class:`~repro.core.chdbn.CoupledHdbn` — the coupled two-level model with
-  end-of-sequence-marker semantics (Eqns 3-6, Augmentations 1-4) and
-  vectorised joint Viterbi over pruned candidate trellises;
+* :class:`~repro.core.loosely_coupled.NChainHdbn` — the coupled two-level
+  model with end-of-sequence-marker semantics (Eqns 3-6, Augmentations
+  1-4) over any number of resident chains (the paper's pairs are N=2),
+  with vectorised joint Viterbi over pruned candidate trellises;
 * :class:`~repro.core.hdbn.SingleUserHdbn` — the single-inhabitant model
   (Eqn 1), also used by the NCR strategy;
 * :mod:`~repro.core.pruning` — the four strategies of §VII-G
@@ -18,7 +19,6 @@ The paper's contribution, assembled from the substrates:
 """
 
 from repro.core.api import DecodeStats, Recognizer, StepFilter, TrellisPiece
-from repro.core.chdbn import CoupledHdbn
 from repro.core.duration import duration_error, extract_segments, match_segments
 from repro.core.engine import CaceEngine
 from repro.core.hdbn import SingleUserHdbn
@@ -28,7 +28,6 @@ from repro.core.smoother import OnlineSmoother
 from repro.core.state_space import StateSpaceBuilder, UserState
 
 __all__ = [
-    "CoupledHdbn",
     "DecodeStats",
     "Recognizer",
     "StepFilter",

@@ -1,26 +1,30 @@
 """The model-layer contract every CACE recogniser implements.
 
-The four model families (:class:`~repro.core.chdbn.CoupledHdbn`,
-:class:`~repro.core.hdbn.SingleUserHdbn`,
-:class:`~repro.core.loosely_coupled.NChainHdbn`,
-:class:`~repro.models.hmm.MacroHmm`) expose one shared surface —
-:class:`Recognizer` — so the engine, the serving layer, and the CLI can
-treat them interchangeably instead of dispatching on concrete types:
+The three model families (:class:`~repro.core.hdbn.SingleUserHdbn`,
+:class:`~repro.core.loosely_coupled.NChainHdbn` — the coupled HDBN for
+two or more residents — and :class:`~repro.models.hmm.MacroHmm`) expose
+one shared surface — :class:`Recognizer` — so the engine, the serving
+layer, and the CLI can treat them interchangeably instead of dispatching
+on concrete types:
 
 * ``decode`` / ``posterior_marginals`` — offline inference;
-* ``trellis_sessions`` — the incremental-forward adapter the generic
-  fixed-lag :class:`~repro.core.smoother.OnlineSmoother` runs on;
+* ``trellis_sessions`` — the per-chain trellis adapters that both the
+  offline driver (:func:`repro.core.kernels.decode`) and the generic
+  fixed-lag :class:`~repro.core.smoother.OnlineSmoother` run on;
 * ``step_filter`` — a ready-to-stream smoother bound to the model;
 * ``last_stats`` — the :class:`DecodeStats` work accounting of the most
-  recent inference call;
+  recent offline inference call;
 * ``describe`` — a one-line human-readable summary for logs and CLIs.
 
 A recogniser's trellis decomposes into one or more *sessions* (independent
-chains): the coupled pair and N-chain models expose a single joint
-session, the per-user models one session per resident.  Each session
-yields per-step :class:`TrellisPiece` objects and the transition blocks
-between consecutive pieces; the smoother's forward/backward recursions are
-written once against that interface.
+chains): the coupled model exposes a single joint session, the per-user
+models one session per resident.  Each session yields per-step
+:class:`TrellisPiece` objects and the transition blocks between
+consecutive pieces; the Viterbi and forward/backward recursions are
+written once against that interface.  Sessions count the work only they
+see (rule-pruned and capped joint states) into the :class:`DecodeStats`
+they were built with, so sessions over one shared model never touch each
+other's counters.
 
 This module sits below the rest of :mod:`repro.core` (it imports none of
 it), so every model family can depend on it without import cycles.
@@ -29,11 +33,23 @@ it), so every model family can depend on it without import cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 import numpy as np
 
 from repro.datasets.trace import Dataset, LabeledSequence
+
+if TYPE_CHECKING:
+    from repro.models.distributions import LabelIndex
 
 
 @dataclass
@@ -44,10 +60,10 @@ class DecodeStats:
     these, so they count *actual* work, never hypothetical work):
 
     ``steps``
-        Time steps whose candidate trellis was built — incremented once
-        per step in both the offline (e.g.
-        :meth:`~repro.core.chdbn.CoupledHdbn._prepare`) and streaming
-        (:meth:`~repro.core.smoother.OnlineSmoother.push`) paths.
+        Time steps whose candidate trellis was built — counted once per
+        step in both the offline (:func:`repro.core.kernels.decode`) and
+        streaming (:meth:`~repro.core.smoother.OnlineSmoother.push`)
+        paths.
     ``joint_states``
         Total surviving joint candidates summed over steps and chains
         (after rule pruning *and* the score cap) — what the trellis
@@ -92,14 +108,12 @@ class TrellisPiece:
 
     ``scores`` are the per-candidate log evidence terms added after the
     transition in the forward recursion; ``enc`` is the session's own
-    dense encoding of the candidates (opaque to the smoother, consumed by
-    :meth:`TrellisSession.transition` / :meth:`TrellisSession.labels`);
-    ``extra`` carries whatever else the session needs (candidate sets).
+    dense encoding of the candidates (opaque to the recursions, consumed
+    by :meth:`TrellisSession.transition` / :meth:`TrellisSession.macros`).
     """
 
     scores: np.ndarray
     enc: object = None
-    extra: object = None
 
     def __len__(self) -> int:
         return int(self.scores.shape[0])
@@ -108,14 +122,23 @@ class TrellisPiece:
 class TrellisSession(Protocol):
     """One independent chain of a recogniser's trellis.
 
-    The generic :class:`~repro.core.smoother.OnlineSmoother` drives its
-    forward recursion and lag-window backward sweeps entirely through this
-    interface; implementations own the model-specific candidate building,
-    encodings, and transition blocks.
+    The offline driver (:mod:`repro.core.kernels`) and the generic
+    :class:`~repro.core.smoother.OnlineSmoother` drive their recursions
+    entirely through this interface; implementations own the
+    model-specific candidate building, encodings, and transition blocks,
+    and count the joint states their pruning removes into the
+    :class:`DecodeStats` they were built with.
     """
 
     #: Residents this session labels (a commit dict merges all sessions).
     rids: Tuple[str, ...]
+    #: Label space of the macro codes :meth:`macros` returns.
+    macro_index: "LabelIndex"
+
+    def prepare(self, t0: int, t1: int) -> None:
+        """Batch-build evidence for steps ``[t0, t1)`` ahead of the
+        per-step :meth:`piece` calls (an optimisation only)."""
+        ...
 
     def piece(self, t: int) -> TrellisPiece:
         """Build step *t*'s candidates and evidence scores."""
@@ -127,11 +150,13 @@ class TrellisSession(Protocol):
 
     def transition(self, prev: TrellisPiece, cur: TrellisPiece) -> Optional[np.ndarray]:
         """``(|prev|, |cur|)`` log transition block, or ``None`` when the
-        chain has no temporal coupling (frame-wise models)."""
+        chain has no temporal coupling (frame-wise models, whose scores
+        then carry the prior and stand alone)."""
         ...
 
-    def labels(self, piece: TrellisPiece, gamma: np.ndarray) -> Dict[str, str]:
-        """Per-resident argmax macro labels under posterior *gamma*."""
+    def macros(self, piece: TrellisPiece) -> Sequence[np.ndarray]:
+        """Per resident (in ``rids`` order), the macro code of each of
+        the piece's candidates."""
         ...
 
 
@@ -176,8 +201,11 @@ class Recognizer(Protocol):
         """Per-resident posterior macro marginals ``(T, M)``."""
         ...
 
-    def trellis_sessions(self, seq: LabeledSequence) -> List[TrellisSession]:
-        """Independent-chain adapters for incremental decoding."""
+    def trellis_sessions(
+        self, seq: LabeledSequence, stats: Optional[DecodeStats] = None
+    ) -> List[TrellisSession]:
+        """Independent-chain adapters counting into *stats* (a fresh
+        :class:`DecodeStats` when omitted)."""
         ...
 
     def step_filter(self, lag: int = 0) -> StepFilter:

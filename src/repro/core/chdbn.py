@@ -1,7 +1,11 @@
-"""Coupled Hierarchical Dynamic Bayesian Network (the CACE model).
+"""Building blocks of the Coupled Hierarchical Dynamic Bayesian Network.
 
-Implements the loosely-coupled HDBN of §IV/§VI over the hidden joint state
-``(m1, l1, m2, l2)`` (macro activity + sub-location per resident), with:
+The CACE model of §IV/§VI is a loosely-coupled HDBN over the hidden joint
+state ``(m_i, l_i)`` (macro activity + sub-location) of every resident,
+implemented for any number of residents by
+:class:`~repro.core.loosely_coupled.NChainHdbn` (two residents are its
+N=2 case).  This module holds the pieces that model and the single-user
+:class:`~repro.core.hdbn.SingleUserHdbn` share:
 
 * **End-of-sequence-marker semantics (Eqns 3-6).**  A macro state may only
   change when its micro sequence terminates (blocking), and a micro
@@ -9,70 +13,41 @@ Implements the loosely-coupled HDBN of §IV/§VI over the hidden joint state
   within a macro, the sub-location chain evolves by the mined per-macro
   micro transition with per-step end probability; on a macro change the
   micro chain *resets* from the new macro's prior (Augmentations 1-3).
+  :func:`build_transition_tables` precomputes both branches as log tables
+  and :func:`chain_block` gathers one chain's ``(P, C)`` block from them.
 * **Coupled macro transitions** ``P(m' | m, partner_m)`` (Augmentation 3),
   shrunk toward the uncoupled table where data is sparse.
 * **Gaussian-mixture emissions** per macro over the continuous feature
   vector, with components discovered by deterministic annealing
   (Augmentation 4), alongside CPTs for the observed postural/gestural
   micro context, iBeacon soft location evidence, and PIR room
-  compatibility.
-* **Correlation pruning.**  When a rule set is supplied, per-user candidate
-  states are filtered by single-user rules and joint candidates by
-  cross-user rules/exclusions — the paper's state-space reduction, and the
-  source of its ~16x overhead gain.
+  compatibility (:func:`fit_emission_tables`).
+* **Per-resident candidates** (:func:`build_candidate_set`): memoised
+  encoded candidate lists, single-user rule pruning, and emission scores
+  indexed from the per-sequence tables of
+  :class:`~repro.core.kernels.SequenceKernel`.
 
-Decoding is exact joint Viterbi over the per-step candidate trellis with
-numpy-vectorised transition blocks; posterior marginals use the same
-machinery with sum-product.
-
-The per-step hot path is fully vectorised: candidate lists arrive from the
-builder with their dense ``(macro, subloc)`` encodings precomputed (no
-per-pair label lookups), correlation rules are evaluated as boolean
-vectors over candidate lists (:mod:`repro.core.rule_kernel`) with the
-per-step evidence shared between the cross-prune mask, the soft-exclusion
-penalty and per-user pruning, and object evidence comes from a
-precomputed all-off baseline plus a fired-object correction
-(:class:`~repro.core.emissions.ObjectEvidenceTable`).  The seed's
-straight-line implementation is preserved in :mod:`repro.core.reference`
-as the executable specification; equivalence is asserted by
-``tests/test_decode_stats.py`` and ``benchmarks/bench_decode_hotpath.py``.
+The seed's straight-line implementation is preserved in
+:mod:`repro.core.reference` as the executable specification; equivalence
+is asserted by ``tests/test_kernels.py``, ``tests/test_decode_stats.py``
+and ``benchmarks/bench_decode_hotpath.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.api import DecodeStats, TrellisPiece, make_step_filter
-from repro.core.emissions import ObjectEvidenceTable, user_state_emissions
-from repro.obs import runtime as obs
-from repro.core.kernels import (
-    SequenceKernel,
-    _lse,
-    backward_betas,
-    forward_alphas,
-    viterbi_path,
-)
-from repro.core.rule_kernel import (
-    CompiledRules,
-    CrossRulePruner,
-    SingleRulePruner,
-    StepItems,
-    soft_exclusion_matrix,
-)
-from repro.core.state_space import CandidateSet, StateSpaceBuilder
+from repro.core.emissions import ObjectEvidenceTable
+from repro.core.kernels import SequenceKernel
+from repro.core.state_space import CandidateSet
 from repro.datasets.trace import Dataset, LabeledSequence
 from repro.micro.annealing import DeterministicAnnealing
 from repro.mining.constraint_miner import ConstraintModel
-from repro.mining.correlation_miner import CorrelationRuleSet
-from repro.util.rng import RandomState, ensure_rng
 
 _TINY = 1e-12
-#: Log penalty for hypothesising a sub-location whose room shows no PIR
-#: activity while other rooms do (PIRs miss stationary residents).
-_PIR_MISS_PENALTY = -1.5
 
 
 def chain_block(
@@ -89,15 +64,12 @@ def chain_block(
 
     Two gathers from the precomputed log tables plus one branch on the
     macro-change mask — no per-step transcendentals on (P, C) blocks.
-    Shared by the pair and N-chain models.
     """
     macro_term = macro_table[m_prev[:, None], partner_prev[:, None], m_cur[None, :]]
     same = m_prev[:, None] == m_cur[None, :]
     cont = loc_table[m_cur[None, :], l_prev[:, None], l_cur[None, :]]
     reset = log_subloc_prior[m_cur, l_cur][None, :]
     return macro_term + np.where(same, cont, reset)
-
-
 
 
 @dataclass
@@ -167,8 +139,7 @@ class GmmBank:
         One einsum over all steps and components; each row reduces with
         the same slicing and log-sum-exp order as :meth:`log_pdfs`, so
         every entry is bit-identical to the per-step result.  Columns of
-        macros without a fitted mixture stay 0.0 (the scalar path adds
-        nothing for them either).
+        macros without a fitted mixture stay 0.0 (they add no evidence).
         """
         out = np.zeros((x_rows.shape[0], n_macro))
         if not self._slices:
@@ -307,43 +278,33 @@ def build_candidate_set(
     seq: LabeledSequence,
     rid: str,
     t: int,
-    prune_per_user: bool = True,
-    kern: Optional[SequenceKernel] = None,
+    kern: SequenceKernel,
 ) -> CandidateSet:
     """One resident's evidence-truncated candidates for one step.
 
-    Shared by the coupled pair model and the N-chain model: fetch the
-    memoised encoded list, apply single-user rule pruning (the rules are
+    Shared by the per-user and the coupled model: fetch the memoised
+    encoded list, apply single-user rule pruning (the rules are
     canonicalised to slot u1 by ``CorrelationRuleSet.single_user()``, so
     the same matrix is correct for every resident — slot-invariance is
-    regression-tested in ``tests/test_decode_stats.py``), score
-    emissions, and keep the best ``max_states_per_user``.  When a
-    :class:`~repro.core.kernels.SequenceKernel` is supplied, rule gates
-    and emission scores come from its precomputed per-sequence tables.
+    regression-tested in ``tests/test_decode_stats.py``), score emissions,
+    and keep the best ``max_states_per_user``.  Rule gates and emission
+    scores come from *kern*'s precomputed per-sequence tables.
     """
-    step = seq.steps[t]
-    obs = step.observations[rid]
+    obs = seq.steps[t].observations[rid]
     key = obs.subloc_candidates
     full_states, full_m, full_l = model.builder.candidate_states_encoded(obs)
     states, m, l = full_states, full_m, full_l
     idx = np.arange(len(full_states))
-    if model._single_pruner is not None and prune_per_user:
-        if kern is not None:
-            amb = kern.step_items(t)
-            gates = kern.single_gates(rid, t)
-        else:
-            amb = StepItems(step)
-            gates = None
-        keep = model._single_pruner.keep(key, full_m, full_l, obs, amb, gates)
+    if model._single_pruner is not None:
+        keep = model._single_pruner.keep(
+            key, full_m, full_l, obs, kern.step_items(t), kern.single_gates(rid, t)
+        )
         if keep.any() and not keep.all():
             idx = np.flatnonzero(keep)
             states = [states[i] for i in idx]
             m = m[idx]
             l = l[idx]
-    if kern is not None:
-        emissions = kern.emissions(rid, t, m, l)
-    else:
-        emissions = user_state_emissions(model, seq, rid, t, states, m, l)
+    emissions = kern.emissions(rid, t, m, l)
     candidates = CandidateSet(
         states=states, m=m, l=l, emissions=emissions, obs=obs,
         src_key=key, src_idx=idx, src_m=full_m, src_l=full_l,
@@ -352,438 +313,3 @@ def build_candidate_set(
         top = np.argsort(emissions)[::-1][: model.max_states_per_user]
         candidates = candidates.take(top)
     return candidates
-
-
-class _PairTrellis:
-    """Incremental-forward adapter over the coupled pair trellis.
-
-    One joint session covering both residents; pieces carry the pruned
-    joint candidates, their evidence scores and dense encodings, so the
-    generic smoother reproduces ``_prepare``/``posterior_marginals``
-    numerics exactly.
-    """
-
-    def __init__(self, model: "CoupledHdbn", seq: LabeledSequence, rids: Tuple[str, str]):
-        self.model = model
-        self.seq = seq
-        self.rids = rids
-        self._kern = model._make_kernel(seq, rids)
-
-    def prepare(self, t0: int, t1: int) -> None:
-        """Batch-build the per-sequence evidence tables for ``[t0, t1)``
-        ahead of the per-step ``piece`` calls (used by bulk pushes)."""
-        if self._kern is not None:
-            self._kern.ensure(t0, t1)
-
-    def piece(self, t: int) -> TrellisPiece:
-        model, seq, rids = self.model, self.seq, self.rids
-        kern = self._kern
-        if kern is not None:
-            kern.ensure(0, t + 1)
-        c1 = model._user_candidates(seq, rids[0], t, kern)
-        c2 = model._user_candidates(seq, rids[1], t, kern)
-        i1, i2, scores = model._joint_candidates(seq, t, c1, c2, rids, kern)
-        enc = model._encode(c1, c2, i1, i2)
-        return TrellisPiece(scores=scores, enc=enc, extra=(c1, c2, i1, i2))
-
-    def initial_alpha(self, piece: TrellisPiece) -> np.ndarray:
-        model = self.model
-        cm = model.constraint_model
-        enc = piece.enc
-        return (
-            np.log(cm.macro_prior[enc[0]] + _TINY)
-            + model._log_subloc_prior[enc[0], enc[1]]
-            + np.log(cm.macro_prior[enc[2]] + _TINY)
-            + model._log_subloc_prior[enc[2], enc[3]]
-            + piece.scores
-        )
-
-    def transition(self, prev: TrellisPiece, cur: TrellisPiece) -> np.ndarray:
-        return self.model._transition_block(prev.enc, cur.enc)
-
-    def labels(self, piece: TrellisPiece, gamma: np.ndarray) -> Dict[str, str]:
-        cm = self.model.constraint_model
-        enc = piece.enc
-        out: Dict[str, str] = {}
-        for rid, m_enc in ((self.rids[0], enc[0]), (self.rids[1], enc[2])):
-            marg = np.zeros(cm.n_macro)
-            np.add.at(marg, m_enc, gamma)
-            out[rid] = cm.macro_index.label(int(np.argmax(marg)))
-        return out
-
-
-@dataclass
-class CoupledHdbn:
-    """The loosely-coupled HDBN recogniser for a resident pair.
-
-    Parameters
-    ----------
-    constraint_model:
-        Output of the constraint miner (probabilistic structure).
-    rule_set:
-        Output of the correlation miner; ``None`` disables correlation
-        pruning (the paper's NCS strategy).
-    prune_per_user / prune_cross:
-        Which rule classes to apply (NCR uses per-user only).
-    gmm_components:
-        Deterministic-annealing codebook size per macro.
-    max_joint_states:
-        Safety cap per step; candidates beyond it are dropped by emission
-        score (logged in :class:`DecodeStats`).
-    """
-
-    constraint_model: ConstraintModel
-    rule_set: Optional[CorrelationRuleSet] = None
-    prune_per_user: bool = True
-    prune_cross: bool = True
-    gmm_components: int = 4
-    max_states_per_user: int = 36
-    max_joint_states: int = 2000
-    #: When correlation pruning is active, surviving joint candidates are
-    #: further capped to the best-scoring K — the paper's probabilistic
-    #: pruning of "very unlikely state sequences" that buys the 16x.
-    #: Accuracy is flat down to ~70 on the CACE corpus (the rules really do
-    #: isolate the plausible joint states); 100 leaves safety margin.
-    max_joint_states_pruned: int = 100
-    min_change_prob: float = 1e-4
-    use_feature_gmm: bool = True
-    pir_miss_penalty: float = _PIR_MISS_PENALTY
-    #: Joint explaining-away: log cost of a fired area-motion sensor that
-    #: *neither* resident's hypothesis covers (~log of the per-window false
-    #: alarm probability).  This is where multiple occupancy becomes an
-    #: asset: "partner is in the kitchen" explains the kitchen firing, so I
-    #: don't have to be there — and an area nobody claims votes against the
-    #: whole joint assignment, not against either resident alone.
-    unexplained_subloc_penalty: float = -4.5
-    #: Same idea at room granularity for PIR fleets (milder: rooms keep
-    #: firing briefly after the occupant walks out of a 15 s window).
-    unexplained_room_penalty: float = -2.5
-    #: Log penalty per violated *soft* exclusion.  Defaults to 0: the
-    #: coupled transition CPTs already carry behavioural negative
-    #: correlation, and an extra per-step penalty double-counts it (it cost
-    #: 1-5 accuracy points in ablations).  Exposed for experimentation.
-    soft_exclusion_penalty: float = 0.0
-    #: Decode through the per-sequence batched evidence tables
-    #: (:class:`repro.core.kernels.SequenceKernel`).  Bit-identical to the
-    #: per-step path; disabled by the reference models.
-    use_sequence_kernels: bool = True
-    seed: RandomState = None
-    builder: StateSpaceBuilder = field(default=None, init=False, repr=False)
-    gmms_: Dict[int, _MacroGmm] = field(default_factory=dict, init=False, repr=False)
-    last_stats: DecodeStats = field(default_factory=DecodeStats, init=False)
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._rng = ensure_rng(self.seed)
-        # The builder over-generates; emission evidence picks the survivors.
-        self.builder = StateSpaceBuilder(
-            constraint_model=self.constraint_model,
-            max_states_per_user=4 * self.max_states_per_user,
-        )
-        self._single_rules = self.rule_set.single_user() if self.rule_set else None
-        self._cross_rules = self.rule_set.cross_user() if self.rule_set else None
-        cm = self.constraint_model
-        # Rules are compiled once per model into per-(rule, candidate-list)
-        # boolean matrices with per-step scalar gates (repro.core.rule_kernel).
-        self._single_pruner = (
-            SingleRulePruner(CompiledRules(self._single_rules), cm, self.builder.room_of_l)
-            if self._single_rules is not None
-            else None
-        )
-        self._compiled_cross = (
-            CompiledRules(self._cross_rules) if self._cross_rules is not None else None
-        )
-        self._cross_pruner = (
-            CrossRulePruner(self._compiled_cross, cm, self.builder.room_of_l)
-            if self._compiled_cross is not None
-            else None
-        )
-        # macro_end_prob is counted per step, so it already reflects the
-        # blocking constraint (macro segments end only at micro boundaries);
-        # multiplying in micro_end_prob again would double-count.
-        self._p_change = np.clip(cm.macro_end_prob, self.min_change_prob, 0.5)
-        # Off-diagonal renormalised coupled transition: given a change
-        # happens, where does the macro go (conditioned on the partner)?
-        coupled = cm.macro_trans_coupled.copy()
-        n_m = cm.n_macro
-        coupled[np.arange(n_m), :, np.arange(n_m)] = 0.0
-        row = coupled.sum(axis=2, keepdims=True)
-        self._change_trans = coupled / np.maximum(row, _TINY)
-        # Evidence terms use the per-step *occupancy* tables: segment-start
-        # priors see one count per segment and smooth to near-uniform,
-        # which silently removes the posture/gesture/location channels.
-        self._log_posture = np.log(cm.posture_occupancy + _TINY)
-        self._log_gesture = (
-            np.log(cm.gesture_occupancy + _TINY)
-            if cm.gesture_occupancy is not None
-            else None
-        )
-        self._log_subloc_prior = np.log(cm.subloc_prior + _TINY)
-        self._log_subloc_occ = np.log(cm.subloc_occupancy + _TINY)
-        self._subloc_trans = cm.subloc_trans
-        self._micro_end = cm.micro_end_prob
-        self._macro_block_table, self._loc_block_table = build_transition_tables(
-            self._p_change, self._change_trans, self._micro_end, self._subloc_trans
-        )
-
-    # -- training -----------------------------------------------------------------
-
-    def fit(self, train: Dataset) -> "CoupledHdbn":
-        """Fit emissions: DA Gaussian mixtures + object-evidence CPT."""
-        fit_emission_tables(self, train)
-        return self
-
-    # -- per-step machinery ----------------------------------------------------------
-
-    def _make_kernel(
-        self, seq: LabeledSequence, rids: Tuple[str, ...]
-    ) -> Optional[SequenceKernel]:
-        """Per-sequence batched evidence tables (None when disabled)."""
-        if not self.use_sequence_kernels:
-            return None
-        return SequenceKernel(self, seq, rids)
-
-    def _user_candidates(
-        self,
-        seq: LabeledSequence,
-        rid: str,
-        t: int,
-        kern: Optional[SequenceKernel] = None,
-    ) -> CandidateSet:
-        """Candidate states with encodings and emissions, evidence-truncated."""
-        return build_candidate_set(self, seq, rid, t, self.prune_per_user, kern)
-
-    def _joint_candidates(
-        self,
-        seq: LabeledSequence,
-        t: int,
-        c1: CandidateSet,
-        c2: CandidateSet,
-        rids: Tuple[str, str],
-        kern: Optional[SequenceKernel] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index pairs (i1, i2) into c1 x c2 after cross-user pruning."""
-        step = seq.steps[t]
-        n1, n2 = len(c1), len(c2)
-        pairs = np.indices((n1, n2)).reshape(2, -1).T  # (n1*n2, 2)
-        prune_active = self._cross_pruner is not None and self.prune_cross
-        if prune_active:
-            gates = (
-                kern.cross_gates(rids[0], rids[1], t) if kern is not None else None
-            )
-            keep = self._cross_prune_mask(step, c1, c2, gates)
-            mask = keep[pairs[:, 0], pairs[:, 1]]
-            if mask.any():
-                # Count only pairs actually removed: when every pair fails
-                # the rules the pruner keeps them all, and reporting the
-                # would-be removals would inflate the Fig 11 overhead
-                # metric.
-                self.last_stats.pruned_joint_states += int((~mask).sum())
-                pairs = pairs[mask]
-        scores = c1.emissions[pairs[:, 0]] + c2.emissions[pairs[:, 1]]
-        scores = scores + self._coverage_penalty(step, c1, c2, pairs)
-        if prune_active:
-            penalty = soft_exclusion_matrix(
-                self._compiled_cross,
-                self.constraint_model,
-                self.builder.room_of_l,
-                c1,
-                c2,
-                self.soft_exclusion_penalty,
-            )
-            if penalty is not None:
-                scores = scores + penalty[pairs[:, 0], pairs[:, 1]]
-        cap = self.max_joint_states
-        if self.rule_set is not None and self.prune_cross:
-            cap = min(cap, self.max_joint_states_pruned)
-        if pairs.shape[0] > cap:
-            self.last_stats.capped_joint_states += pairs.shape[0] - cap
-            top = np.argsort(scores)[::-1][:cap]
-            pairs = pairs[top]
-            scores = scores[top]
-        return pairs[:, 0], pairs[:, 1], scores
-
-    def _cross_prune_mask(
-        self, step, c1: CandidateSet, c2: CandidateSet, gates=None
-    ) -> np.ndarray:
-        """(|c1|, |c2|) boolean mask of joint states consistent with the
-        cross-user rules (precomputed rule matrices + per-step gates; see
-        repro.core.rule_kernel).  ``gates`` short-circuits the per-step
-        gate evaluation with a precomputed vector."""
-        return self._cross_pruner.keep(StepItems(step), c1, c2, gates)
-
-    def _coverage_penalty(
-        self,
-        step,
-        c1: CandidateSet,
-        c2: CandidateSet,
-        pairs: np.ndarray,
-    ) -> np.ndarray:
-        """Per-pair log penalty for fired areas no hypothesis explains."""
-        cm = self.constraint_model
-        l1 = c1.l[pairs[:, 0]]
-        l2 = c2.l[pairs[:, 1]]
-        out = np.zeros(pairs.shape[0])
-        for fired in step.sublocs_fired:
-            if fired in cm.subloc_index:
-                f = cm.subloc_index.index(fired)
-                covered = (l1 == f) | (l2 == f)
-                out += np.where(covered, 0.0, self.unexplained_subloc_penalty)
-            else:
-                out += self.unexplained_subloc_penalty
-        if not step.sublocs_fired and step.rooms_fired:
-            room_of_l = self.builder.room_of_l
-            room1 = room_of_l[l1]
-            room2 = room_of_l[l2]
-            for fired in step.rooms_fired:
-                covered = (room1 == fired) | (room2 == fired)
-                out += np.where(covered, 0.0, self.unexplained_room_penalty)
-        return out
-
-    def _transition_block(
-        self,
-        prev: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        cur: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ) -> np.ndarray:
-        """(P, C) joint log transition between candidate sets."""
-        m1p, l1p, m2p, l2p = prev
-        m1c, l1c, m2c, l2c = cur
-        log_t = self._chain_block(m1p, l1p, m2p, m1c, l1c)
-        log_t += self._chain_block(m2p, l2p, m1p, m2c, l2c)
-        return log_t
-
-    def _chain_block(
-        self,
-        m_prev: np.ndarray,
-        l_prev: np.ndarray,
-        partner_prev: np.ndarray,
-        m_cur: np.ndarray,
-        l_cur: np.ndarray,
-    ) -> np.ndarray:
-        return chain_block(
-            self._macro_block_table, self._loc_block_table, self._log_subloc_prior,
-            m_prev, l_prev, partner_prev, m_cur, l_cur,
-        )
-
-    def _encode(
-        self, c1: CandidateSet, c2: CandidateSet, i1: np.ndarray, i2: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Joint-candidate index tuples, by fancy-indexing the candidate
-        sets' precomputed dense encodings (no per-pair label lookups)."""
-        return c1.m[i1], c1.l[i1], c2.m[i2], c2.l[i2]
-
-    # -- Recognizer surface --------------------------------------------------------
-
-    def trellis_sessions(self, seq: LabeledSequence) -> List[_PairTrellis]:
-        """One joint session over the resident pair."""
-        rids = tuple(seq.resident_ids[:2])
-        if len(rids) < 2:
-            raise ValueError("CoupledHdbn expects two residents (use SingleUserHdbn)")
-        return [_PairTrellis(self, seq, rids)]
-
-    def step_filter(self, lag: int = 0):
-        """Fixed-lag smoother bound to this model."""
-        return make_step_filter(self, lag)
-
-    def describe(self) -> str:
-        """One-line summary for logs and CLIs."""
-        pruning = "rule-pruned" if self.rule_set is not None else "unpruned"
-        return (
-            f"coupled 2-chain HDBN ({pruning}, "
-            f"<= {self.max_states_per_user} states/user)"
-        )
-
-    # -- decoding -----------------------------------------------------------------------
-
-    def _prepare(self, seq: LabeledSequence):
-        rids = tuple(seq.resident_ids[:2])
-        if len(rids) < 2:
-            raise ValueError("CoupledHdbn expects two residents (use SingleUserHdbn)")
-        self.last_stats = DecodeStats()
-        stats = self.last_stats
-        kern = self._make_kernel(seq, rids)
-        if kern is not None:
-            kern.ensure(0, len(seq))
-        per_step = []
-        for t in range(len(seq)):
-            c1 = self._user_candidates(seq, rids[0], t, kern)
-            c2 = self._user_candidates(seq, rids[1], t, kern)
-            i1, i2, scores = self._joint_candidates(seq, t, c1, c2, rids, kern)
-            enc = self._encode(c1, c2, i1, i2)
-            per_step.append((c1, c2, i1, i2, scores, enc))
-            stats.steps += 1
-            stats.joint_states += len(i1)
-        return rids, per_step
-
-    def decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:
-        """Joint Viterbi macro labels per resident."""
-        with obs.timed_span(
-            "decode",
-            metric="decode.coupled.seconds",
-            counts={"decode.coupled.steps": len(seq)},
-            family="coupled",
-        ):
-            return self._decode(seq)
-
-    def _decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:
-        rids, per_step = self._prepare(seq)
-        cm = self.constraint_model
-
-        c1, c2, i1, i2, scores, enc = per_step[0]
-        log_prior = (
-            np.log(cm.macro_prior[enc[0]] + _TINY)
-            + self._log_subloc_prior[enc[0], enc[1]]
-            + np.log(cm.macro_prior[enc[2]] + _TINY)
-            + self._log_subloc_prior[enc[2], enc[3]]
-        )
-        per_scores = [p[4] for p in per_step]
-
-        def transition(t: int) -> np.ndarray:
-            return self._transition_block(per_step[t - 1][5], per_step[t][5])
-
-        with obs.timed_span(
-            "trellis_sweep", metric="decode.coupled.sweep_seconds", family="coupled"
-        ):
-            path = viterbi_path(
-                log_prior + scores, per_scores, transition, self.last_stats
-            )
-
-        out1: List[str] = []
-        out2: List[str] = []
-        for t, j in enumerate(path):
-            c1, c2, i1, i2, _, _ = per_step[t]
-            out1.append(c1.states[i1[j]].macro)
-            out2.append(c2.states[i2[j]].macro)
-        return {rids[0]: out1, rids[1]: out2}
-
-    def posterior_marginals(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
-        """Per-resident posterior macro marginals ``(T, M)``."""
-        rids, per_step = self._prepare(seq)
-        cm = self.constraint_model
-        n_m = cm.n_macro
-
-        c1, c2, i1, i2, scores, enc = per_step[0]
-        initial = (
-            np.log(cm.macro_prior[enc[0]] + _TINY)
-            + self._log_subloc_prior[enc[0], enc[1]]
-            + np.log(cm.macro_prior[enc[2]] + _TINY)
-            + self._log_subloc_prior[enc[2], enc[3]]
-            + scores
-        )
-        per_scores = [p[4] for p in per_step]
-
-        def transition(t: int) -> np.ndarray:
-            return self._transition_block(per_step[t - 1][5], per_step[t][5])
-
-        alphas = forward_alphas(initial, per_scores, transition)
-        betas = backward_betas(per_scores, transition)
-
-        out = {rids[0]: np.zeros((len(per_step), n_m)), rids[1]: np.zeros((len(per_step), n_m))}
-        for t in range(len(per_step)):
-            log_gamma = alphas[t] + betas[t]
-            log_gamma -= _lse(log_gamma, axis=0)
-            gamma = np.exp(log_gamma)
-            enc = per_step[t][5]
-            np.add.at(out[rids[0]][t], enc[0], gamma)
-            np.add.at(out[rids[1]][t], enc[2], gamma)
-        return out

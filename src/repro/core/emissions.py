@@ -1,8 +1,8 @@
-"""Shared per-state emission scoring for the HDBN family.
+"""Object-sensor evidence for the HDBN family's emission model.
 
-All three recognisers (single-user HDBN, coupled pair HDBN, N-chain HDBN)
-score a hypothesised ``(macro, subloc)`` state against one resident's
-step evidence in exactly the same way:
+Every recogniser (single-user HDBN, coupled N-chain HDBN) scores a
+hypothesised ``(macro, subloc)`` state against one resident's step
+evidence in exactly the same way:
 
 * observed postural / oral-gestural micro context via per-macro occupancy
   CPTs (the tier-1 wearable classifiers' outputs);
@@ -18,35 +18,19 @@ given step (``posture=None``, ``gesture=None``, NaNs in the feature
 vector) — the corresponding term is simply dropped, which is exact
 marginalisation under the model's factorised emission.
 
-Hot path: the object channel is scored from a precomputed per-macro
-"all sensors off" baseline (:class:`ObjectEvidenceTable`) corrected for
-the objects that actually fired, and the per-state loop is replaced by
-fancy-indexing over the candidate list's dense ``(m, l)`` encodings.
+The per-sequence tables of :class:`repro.core.kernels.SequenceKernel`
+compute these scores; the seed's per-state loop is
+:func:`repro.core.reference.reference_user_state_emissions`.  This module
+holds the object channel: a precomputed per-macro "all sensors off"
+baseline corrected for the objects that actually fired
+(:class:`ObjectEvidenceTable`), and the seed's per-object loop it replaces.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol
+from typing import Dict
 
 import numpy as np
-
-from repro.core.state_space import UserState, _ROOM_OF
-from repro.datasets.trace import LabeledSequence
-from repro.models.chmm import soft_location_log_evidence
-
-
-class EmissionScorer(Protocol):
-    """What a recogniser must expose for :func:`user_state_emissions`.
-
-    ``CoupledHdbn``, ``SingleUserHdbn`` and ``NChainHdbn`` all satisfy this
-    protocol structurally; the attributes are filled during construction /
-    ``fit``.
-    """
-
-    constraint_model: object
-    use_feature_gmm: bool
-    pir_miss_penalty: float
-    gmms_: Dict[int, object]
 
 
 def object_log_evidence(
@@ -109,98 +93,3 @@ class ObjectEvidenceTable:
             self._memo.clear()
         self._memo[objects_fired] = out
         return out
-
-
-def user_state_emissions(
-    model: EmissionScorer,
-    seq: LabeledSequence,
-    rid: str,
-    t: int,
-    states: List[UserState],
-    m: Optional[np.ndarray] = None,
-    l: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Log emission score of each candidate state for one resident/step.
-
-    ``m`` / ``l`` are the candidates' dense macro / sub-location indices;
-    when omitted they are resolved from *states* (compatibility path).
-    """
-    cm = model.constraint_model
-    step = seq.steps[t]
-    obs = step.observations[rid]
-    if m is None:
-        m = np.array([cm.macro_index.index(s.macro) for s in states], dtype=int)
-    if l is None:
-        l = np.array([cm.subloc_index.index(s.subloc) for s in states], dtype=int)
-    x = np.asarray(obs.features, dtype=float)
-    features_ok = model.use_feature_gmm and x.size > 0 and not np.isnan(x).any()
-    p_idx = (
-        cm.posture_index.index(obs.posture)
-        if (obs.posture is not None and obs.posture in cm.posture_index)
-        else None
-    )
-    g_idx = (
-        cm.gesture_index.index(obs.gesture)
-        if (
-            cm.gesture_index is not None
-            and obs.gesture is not None
-            and obs.gesture in cm.gesture_index
-        )
-        else None
-    )
-    loc_weight = soft_location_log_evidence(
-        cm.subloc_index, obs.position_estimate, obs.subloc_candidates
-    )
-
-    obj_table: Optional[ObjectEvidenceTable] = getattr(model, "_obj_evidence", None)
-    obj_vec = obj_table.macro_vector(step.objects_fired) if obj_table is not None else None
-    gmm_bank = getattr(model, "_gmm_bank", None) if features_ok else None
-    gmm_lp = gmm_bank.log_pdfs(x) if gmm_bank is not None else None
-
-    # Per-macro score (posture / gesture / features / objects), computed
-    # once per distinct macro in the candidate list.
-    macro_score = np.zeros(cm.n_macro)
-    for mi in np.unique(m):
-        score = 0.0
-        if p_idx is not None:
-            score += model._log_posture[mi, p_idx]
-        if g_idx is not None and model._log_gesture is not None:
-            score += model._log_gesture[mi, g_idx]
-        if features_ok:
-            if gmm_lp is not None:
-                lp = gmm_lp.get(int(mi))
-                if lp is not None:
-                    score += lp
-            else:
-                gmm = model.gmms_.get(int(mi))
-                if gmm is not None:
-                    score += gmm.log_pdf(x)
-        if obj_vec is not None:
-            score += obj_vec[mi]
-        else:
-            score += object_log_evidence(
-                getattr(model, "_object_index", {}),
-                getattr(model, "_log_obj", np.zeros((0, 0, 2))),
-                int(mi),
-                step.objects_fired,
-            )
-        macro_score[mi] = score
-
-    # log P(subloc | macro) occupancy couples the hypothesised location
-    # to the macro at every step (product-of-experts strengthening of
-    # the boundary-only reset coupling; without it, macro-location
-    # agreement enters once per segment and is drowned by accumulated
-    # per-step feature noise).
-    out = macro_score[m] + loc_weight[l] + model._log_subloc_occ[m, l]
-    if step.rooms_fired:
-        # PIRs miss stationary residents: penalise states whose enclosing
-        # room is silent while other rooms fire.
-        room_of_l = getattr(getattr(model, "builder", None), "room_of_l", None)
-        if room_of_l is None:
-            room_of_l = np.array(
-                [_ROOM_OF.get(lbl, "unknown") for lbl in cm.subloc_index.labels],
-                dtype=object,
-            )
-        fired_by_l = np.array([r in step.rooms_fired for r in room_of_l], dtype=bool)
-        out[~fired_by_l[l]] += model.pir_miss_penalty
-    return out

@@ -9,7 +9,7 @@ overhead metric (Fig 11b, "total time required to build entire model").
 Batched decoding: ``predict_dataset(dataset, workers=N)`` fans whole
 sessions across worker processes (sessions are independent given a fitted
 model, so this is embarrassingly parallel) and merges each session's
-:class:`~repro.core.chdbn.DecodeStats` into ``batch_stats_`` — the
+:class:`~repro.core.api.DecodeStats` into ``batch_stats_`` — the
 aggregate the throughput benchmarks and capacity planning read.
 ``posterior_marginals`` is available for every strategy, including NCR's
 frame-wise posteriors, so ROC/PRC sweeps cover all four.
@@ -35,9 +35,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.api import DecodeStats, Recognizer, StepFilter
-from repro.core.chdbn import CoupledHdbn
 from repro.core.hdbn import SingleUserHdbn
-from repro.core.loosely_coupled import NChainHdbn
+from repro.core.loosely_coupled import PAIR_CAPS, NChainHdbn
 from repro.core.pruning import PruningStrategy
 from repro.datasets.trace import Dataset, LabeledSequence
 from repro.mining.constraint_miner import ConstraintMiner
@@ -230,21 +229,21 @@ class CaceEngine:
                     temporal=False,
                     seed=self._rng.integers(0, 2**31),
                 )
-            elif n_residents > 2:
-                # The paper's 3-4 occupant conjecture: the N-chain model.
+            else:
+                # ncs / c2: the coupled HDBN over every resident chain.  A
+                # pair runs with the paper testbed's caps; 3-4 occupants
+                # (the paper's conjecture) with the N-chain defaults.
+                caps = (
+                    {**PAIR_CAPS, "max_states_per_user": self.max_states_per_user}
+                    if n_residents <= 2
+                    else {}
+                )
                 model = NChainHdbn(
                     constraint_model=constraint_model,
                     rule_set=rule_set if strategy.name == "c2" else None,
                     gmm_components=self.gmm_components,
                     seed=self._rng.integers(0, 2**31),
-                )
-            else:  # ncs / c2 on a resident pair
-                model = CoupledHdbn(
-                    constraint_model=constraint_model,
-                    rule_set=rule_set if strategy.name == "c2" else None,
-                    gmm_components=self.gmm_components,
-                    max_states_per_user=self.max_states_per_user,
-                    seed=self._rng.integers(0, 2**31),
+                    **caps,
                 )
             model.fit(train)
             self.model_ = model

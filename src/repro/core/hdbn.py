@@ -14,17 +14,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.api import DecodeStats, TrellisPiece, make_step_filter
-from repro.core.kernels import (
-    SequenceKernel,
-    _lse,
-    backward_betas,
-    forward_alphas,
-    viterbi_path,
+from repro.core.chdbn import (
+    build_candidate_set,
+    build_transition_tables,
+    fit_emission_tables,
 )
+from repro.core.kernels import SequenceKernel
 from repro.core.rule_kernel import CompiledRules, SingleRulePruner
 from repro.core.state_space import StateSpaceBuilder
-from repro.obs import runtime as obs
 from repro.datasets.trace import Dataset, LabeledSequence
 from repro.mining.constraint_miner import ConstraintModel
 from repro.mining.correlation_miner import CorrelationRuleSet
@@ -48,9 +47,6 @@ class SingleUserHdbn:
     #: NCR runs frame-wise (the paper's two-fold rule-prune-then-classify
     #: approach has no temporal chaining); set True for a true 1-chain HDBN.
     temporal: bool = True
-    #: Decode through the per-sequence batched evidence tables
-    #: (:class:`repro.core.kernels.SequenceKernel`); bit-identical.
-    use_sequence_kernels: bool = True
     seed: RandomState = None
     builder: StateSpaceBuilder = field(default=None, init=False, repr=False)
     gmms_: Dict[int, object] = field(default_factory=dict, init=False, repr=False)
@@ -79,8 +75,8 @@ class SingleUserHdbn:
         trans = cm.macro_trans.copy()
         np.fill_diagonal(trans, 0.0)
         self._change_trans = trans / np.maximum(trans.sum(axis=1, keepdims=True), _TINY)
-        # Per-step occupancy tables for evidence (see CoupledHdbn: the
-        # segment-start priors are far too flat to act as evidence).
+        # Per-step occupancy tables for evidence (the segment-start priors
+        # are far too flat to act as evidence).
         self._log_posture = np.log(cm.posture_occupancy + _TINY)
         self._log_gesture = (
             np.log(cm.gesture_occupancy + _TINY)
@@ -90,10 +86,8 @@ class SingleUserHdbn:
         self._log_subloc_prior = np.log(cm.subloc_prior + _TINY)
         self._log_subloc_occ = np.log(cm.subloc_occupancy + _TINY)
         # Precomputed transition log tables: the per-step chain blocks are
-        # pure gathers (shared with the coupled models; the uncoupled
-        # macro table is 2-D).
-        from repro.core.chdbn import build_transition_tables  # avoid a cycle
-
+        # pure gathers (shared with the coupled model; the uncoupled macro
+        # table is 2-D).
         self._macro_block_table, self._loc_block_table = build_transition_tables(
             self._p_change, self._change_trans, cm.micro_end_prob, cm.subloc_trans
         )
@@ -102,8 +96,6 @@ class SingleUserHdbn:
 
     def fit(self, train: Dataset) -> "SingleUserHdbn":
         """Fit per-macro Gaussian mixtures via deterministic annealing."""
-        from repro.core.chdbn import fit_emission_tables  # avoid a cycle
-
         fit_emission_tables(self, train)
         return self
 
@@ -118,90 +110,28 @@ class SingleUserHdbn:
         reset = self._log_subloc_prior[m_cur, l_cur][None, :]
         return macro_term + np.where(same, cont, reset)
 
-    def _make_kernel(
-        self, seq: LabeledSequence, rids: Tuple[str, ...]
-    ) -> Optional[SequenceKernel]:
-        """Per-sequence batched evidence tables (None when disabled)."""
-        if not self.use_sequence_kernels:
-            return None
-        return SequenceKernel(self, seq, rids)
-
-    def _per_step(
-        self, seq: LabeledSequence, rid: str, kern: Optional[SequenceKernel] = None
-    ):
-        """Truncated per-step candidate tuples ``(states, e, m, l)``.
-
-        Accounts surviving candidates into ``last_stats.joint_states``
-        (callers reset the stats object and stamp ``steps``).
-        """
-        from repro.core.chdbn import build_candidate_set  # avoid a cycle
-
-        per_step = []
-        for t in range(len(seq)):
-            c = build_candidate_set(self, seq, rid, t, kern=kern)
-            self.last_stats.joint_states += len(c)
-            per_step.append((c.states, c.emissions, c.m, c.l))
-        return per_step
-
-    def decode_user(
-        self, seq: LabeledSequence, rid: str, kern: Optional[SequenceKernel] = None
-    ) -> List[str]:
-        """Macro labels for one resident's chain (Viterbi or frame-wise)."""
-        cm = self.constraint_model
-        if kern is None:
-            kern = self._make_kernel(seq, (rid,))
-            if kern is not None:
-                kern.ensure(0, len(seq))
-        per_step = self._per_step(seq, rid, kern)
-
-        if not self.temporal:
-            # NCR: rule-pruned frame-wise MAP, no temporal model.  The class
-            # prior is the macro step-occupancy; the emission already carries
-            # the per-step location coupling.
-            out = []
-            for states, e, m, _l in per_step:
-                score = e + np.log(cm.macro_occupancy[m] + _TINY)
-                out.append(states[int(np.argmax(score))].macro)
-            return out
-
-        states, e, m, l = per_step[0]
-        initial = np.log(cm.macro_prior[m] + _TINY) + self._log_subloc_prior[m, l] + e
-        per_scores = [p[1] for p in per_step]
-
-        def transition(t: int) -> np.ndarray:
-            pm, pl = per_step[t - 1][2], per_step[t - 1][3]
-            return self._chain_block(pm, pl, per_step[t][2], per_step[t][3])
-
-        with obs.timed_span(
-            "trellis_sweep",
-            metric="decode.single_user.sweep_seconds",
-            family="single_user",
-        ):
-            path = viterbi_path(initial, per_scores, transition, self.last_stats)
-        return [per_step[t][0][j].macro for t, j in enumerate(path)]
-
     def decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:
-        """Decode every resident independently (no coupling)."""
-        with obs.timed_span(
-            "decode",
-            metric="decode.single_user.seconds",
-            counts={"decode.single_user.steps": len(seq)},
-            family="single_user",
-        ):
-            self.last_stats = DecodeStats()
-            kern = self._make_kernel(seq, tuple(seq.resident_ids))
-            if kern is not None:
-                kern.ensure(0, len(seq))
-            out = {rid: self.decode_user(seq, rid, kern) for rid in seq.resident_ids}
-            # One trellis step per time step, however many chains it spans
-            # (matching the coupled models' accounting).
-            self.last_stats.steps = len(seq)
-            return out
+        """Decode every resident independently (no coupling): Viterbi per
+        chain, or the frame-wise MAP when ``temporal`` is off."""
+        return kernels.decode(self, seq, "single_user")
+
+    def posterior_marginals(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
+        """Per-resident posterior macro marginals ``(T, M)``.
+
+        ``temporal=False`` (the NCR strategy) yields frame-wise posteriors
+        under the macro-occupancy prior; ``temporal=True`` runs
+        forward-backward over the same trellis Viterbi decodes.
+        """
+        return kernels.posterior_marginals(self, seq)
 
     # -- Recognizer surface --------------------------------------------------------
 
-    def trellis_sessions(self, seq: LabeledSequence) -> List["_UserTrellis"]:
-        """One independent session per resident."""
+    def trellis_sessions(
+        self, seq: LabeledSequence, stats: Optional[DecodeStats] = None
+    ) -> List["_UserTrellis"]:
+        """One independent session per resident (single-user pruning
+        removes no joint states, so there is nothing to count into
+        *stats*)."""
         return [_UserTrellis(self, seq, rid) for rid in seq.resident_ids]
 
     def step_filter(self, lag: int = 0):
@@ -214,90 +144,37 @@ class SingleUserHdbn:
         pruning = "rule-pruned" if self.rule_set is not None else "unpruned"
         return f"per-user {chain} ({pruning}, <= {self.max_states_per_user} states/user)"
 
-    # -- marginals (ROC/PRC scores for the NH/NCR comparisons) --------------------
-
-    def _user_marginals(
-        self, seq: LabeledSequence, rid: str, kern: Optional[SequenceKernel] = None
-    ) -> np.ndarray:
-        """(T, M) posterior macro marginals for one resident's chain.
-
-        ``temporal=False`` (the NCR strategy) yields frame-wise posteriors
-        under the macro-occupancy prior; ``temporal=True`` runs
-        forward-backward over the same trellis Viterbi decodes.
-        """
-        cm = self.constraint_model
-        n_m = cm.n_macro
-        per_step = self._per_step(seq, rid, kern)
-
-        out = np.zeros((len(per_step), n_m))
-        if not self.temporal:
-            for t, (_, e, m, _) in enumerate(per_step):
-                log_gamma = e + np.log(cm.macro_occupancy[m] + _TINY)
-                log_gamma -= _lse(log_gamma, axis=0)
-                np.add.at(out[t], m, np.exp(log_gamma))
-            return out
-
-        _, e, m, l = per_step[0]
-        initial = np.log(cm.macro_prior[m] + _TINY) + self._log_subloc_prior[m, l] + e
-        per_scores = [p[1] for p in per_step]
-
-        def transition(t: int) -> np.ndarray:
-            _, _, pm, pl = per_step[t - 1]
-            return self._chain_block(pm, pl, per_step[t][2], per_step[t][3])
-
-        alphas = forward_alphas(initial, per_scores, transition)
-        betas = backward_betas(per_scores, transition)
-
-        for t in range(len(per_step)):
-            log_gamma = alphas[t] + betas[t]
-            log_gamma -= _lse(log_gamma, axis=0)
-            _, _, m, _ = per_step[t]
-            np.add.at(out[t], m, np.exp(log_gamma))
-        return out
-
-    def posterior_marginals(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
-        """Per-resident posterior macro marginals ``(T, M)``."""
-        self.last_stats = DecodeStats()
-        kern = self._make_kernel(seq, tuple(seq.resident_ids))
-        if kern is not None:
-            kern.ensure(0, len(seq))
-        out = {rid: self._user_marginals(seq, rid, kern) for rid in seq.resident_ids}
-        self.last_stats.steps = len(seq)
-        return out
-
 
 class _UserTrellis:
-    """Incremental-forward adapter over one resident's chain.
+    """Trellis adapter over one resident's chain.
 
-    ``temporal=False`` (the NCR strategy) exposes no transition: the
-    smoother then reduces to frame-wise filtering over the occupancy-prior
-    posteriors, exactly :meth:`SingleUserHdbn._user_marginals`' path.
+    ``temporal=False`` (the NCR strategy) exposes no transition: each
+    step's scores carry the macro-occupancy prior and stand alone, so
+    offline decoding is the frame-wise MAP and the smoother reduces to
+    filtering.
     """
 
     def __init__(self, model: SingleUserHdbn, seq: LabeledSequence, rid: str):
         self.model = model
         self.seq = seq
         self.rids: Tuple[str, ...] = (rid,)
-        self._kern = model._make_kernel(seq, self.rids)
+        self.macro_index = model.constraint_model.macro_index
+        self._kern = SequenceKernel(model, seq, self.rids)
 
     def prepare(self, t0: int, t1: int) -> None:
         """Batch-build the per-sequence evidence tables for ``[t0, t1)``
-        ahead of the per-step ``piece`` calls (used by bulk pushes)."""
-        if self._kern is not None:
-            self._kern.ensure(t0, t1)
+        ahead of the per-step ``piece`` calls."""
+        self._kern.ensure(t0, t1)
 
     def piece(self, t: int) -> TrellisPiece:
-        from repro.core.chdbn import build_candidate_set  # avoid a cycle
-
         model = self.model
-        if self._kern is not None:
-            self._kern.ensure(0, t + 1)
-        c = build_candidate_set(model, self.seq, self.rids[0], t, kern=self._kern)
+        self._kern.ensure(0, t + 1)
+        c = build_candidate_set(model, self.seq, self.rids[0], t, self._kern)
         scores = c.emissions
         if not model.temporal:
             cm = model.constraint_model
             scores = scores + np.log(cm.macro_occupancy[c.m] + _TINY)
-        return TrellisPiece(scores=scores, enc=(c.m, c.l), extra=c.states)
+        return TrellisPiece(scores=scores, enc=(c.m, c.l))
 
     def initial_alpha(self, piece: TrellisPiece) -> np.ndarray:
         model = self.model
@@ -314,8 +191,5 @@ class _UserTrellis:
         m, l = cur.enc
         return self.model._chain_block(pm, pl, m, l)
 
-    def labels(self, piece: TrellisPiece, gamma: np.ndarray) -> Dict[str, str]:
-        cm = self.model.constraint_model
-        marg = np.zeros(cm.n_macro)
-        np.add.at(marg, piece.enc[0], gamma)
-        return {self.rids[0]: cm.macro_index.label(int(np.argmax(marg)))}
+    def macros(self, piece: TrellisPiece) -> Tuple[np.ndarray]:
+        return piece.enc[:1]

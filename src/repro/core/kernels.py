@@ -1,14 +1,19 @@
-"""Sequence-level decode kernels shared by the HDBN recogniser family.
+"""Sequence-level decode kernels and the offline driver of every recogniser.
 
-Two layers live here:
+Three layers live here:
 
 * **Trellis recursions** — :func:`viterbi_path`, :func:`forward_alphas`
   and :func:`backward_betas` are the broadcast max-plus / sum-product
-  updates over encoded candidate lists.  All four ``Recognizer`` families
-  and the ``TrellisSession`` adapters run the same update ops (the loops
-  previously copy-pasted across ``chdbn``/``hdbn``/``loosely_coupled``),
-  so Viterbi paths and marginals are bit-identical to the per-family
-  implementations they replace.
+  updates over encoded candidate lists; :func:`forward_step` and
+  :func:`backward_step` are their one-step updates, which the fixed-lag
+  :class:`~repro.core.smoother.OnlineSmoother` runs as well.
+* **The offline driver** — :func:`decode` and :func:`posterior_marginals`
+  run those recursions over a recogniser's ``trellis_sessions`` pieces and
+  are the ``decode`` / ``posterior_marginals`` body of every family.
+  Offline decoding and the smoother therefore share one recursion and one
+  read-out (:func:`posterior`, :func:`macro_marginals`): at
+  ``lag >= len(seq)`` the smoother commits exactly the argmax of the
+  offline marginals.
 * **:class:`SequenceKernel`** — per-sequence batched evidence.  A
   session's feature rows are stacked into a ``(T, d)`` matrix and scored
   against the stacked GMM bank with one einsum, posture/gesture CPT
@@ -17,13 +22,13 @@ Two layers live here:
   correlation-rule scalar gates are evaluated once per step per resident.
   The per-step trellis machinery then only *indexes* precomputed rows.
 
-Bit-identity contract: every row is assembled with the same elementary
-float operations, in the same association order, as the per-step path in
-:func:`repro.core.emissions.user_state_emissions` — batching an
-elementwise op over rows does not change any individual result, and the
-einsum contractions used here are the batched forms of the exact
-contractions the scalar path dispatches.  Equivalence against
-:mod:`repro.core.reference` is asserted per strategy in
+Equivalence contract: every evidence row is assembled from the same
+elementary float operations as the seed's per-state loop
+(:func:`repro.core.reference.reference_user_state_emissions`) — batching
+an elementwise op over rows does not change any individual result — except
+the object channel, which sums a precomputed baseline and fired-object
+corrections and can differ from the seed in the last ulp.  Equivalence
+against :mod:`repro.core.reference` is asserted per strategy in
 ``tests/test_kernels.py`` and ``benchmarks/bench_decode_hotpath.py``.
 """
 
@@ -34,10 +39,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.api import DecodeStats
-from repro.core.emissions import object_log_evidence
+from repro.core.api import DecodeStats, TrellisPiece
 from repro.core.rule_kernel import StepItems
-from repro.core.state_space import _ROOM_OF
 from repro.datasets.trace import LabeledSequence
 from repro.home.layout import SUB_REGIONS
 from repro.models.chmm import LOCATION_KERNEL_SIGMA_M
@@ -47,8 +50,7 @@ _MEMO_LIMIT = 8192
 
 
 def _lse(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Numerically stable log-sum-exp along *axis* (shared by the HDBN
-    family's sum-product recursions and the online smoother)."""
+    """Numerically stable log-sum-exp along *axis*."""
     m = arr.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     return np.squeeze(m, axis=axis) + np.log(np.exp(arr - m).sum(axis=axis))
@@ -57,7 +59,7 @@ def _lse(arr: np.ndarray, axis: int) -> np.ndarray:
 def viterbi_path(
     initial: np.ndarray,
     per_scores: Sequence[np.ndarray],
-    transition: Callable[[int], np.ndarray],
+    transition: Callable[[int], Optional[np.ndarray]],
     stats: Optional[DecodeStats] = None,
 ) -> List[int]:
     """Max-plus forward pass + backtrace over a ragged candidate trellis.
@@ -65,12 +67,18 @@ def viterbi_path(
     ``initial`` is the step-0 delta (prior + scores, already combined by
     the caller); ``per_scores[t]`` the per-candidate evidence at step t;
     ``transition(t)`` the (P, C) log transition block between steps t-1
-    and t.  Returns the argmax index path (one index per step).
+    and t, or None for a chain without temporal coupling (step t then
+    stands alone on its own scores).  Returns the argmax index path (one
+    index per step).
     """
     delta = initial
     backs: List[np.ndarray] = [np.zeros(len(delta), dtype=int)]
     for t in range(1, len(per_scores)):
         log_t = transition(t)
+        if log_t is None:
+            backs.append(np.full(len(per_scores[t]), int(np.argmax(delta))))
+            delta = per_scores[t]
+            continue
         if stats is not None:
             stats.transition_entries += log_t.size
         total = delta[:, None] + log_t
@@ -86,22 +94,45 @@ def viterbi_path(
     return path
 
 
+def forward_step(
+    alpha_prev: np.ndarray, log_t: Optional[np.ndarray], scores: np.ndarray
+) -> np.ndarray:
+    """One sum-product forward update (``log_t`` None: no temporal
+    coupling, the step stands alone on its own scores)."""
+    if log_t is None:
+        return scores
+    return scores + _lse(alpha_prev[:, None] + log_t, axis=0)
+
+
+def backward_step(
+    beta_next: np.ndarray,
+    log_t: Optional[np.ndarray],
+    scores_next: np.ndarray,
+    n_cur: int,
+) -> np.ndarray:
+    """One sum-product backward update onto a step with *n_cur*
+    candidates (``log_t`` is the block into the next step; None: future
+    evidence is independent of this step)."""
+    if log_t is None:
+        return np.zeros(n_cur)
+    return _lse(log_t + (scores_next + beta_next)[None, :], axis=1)
+
+
 def forward_alphas(
     initial: np.ndarray,
     per_scores: Sequence[np.ndarray],
-    transition: Callable[[int], np.ndarray],
+    transition: Callable[[int], Optional[np.ndarray]],
 ) -> List[np.ndarray]:
     """Sum-product forward recursion over a ragged candidate trellis."""
     alphas: List[np.ndarray] = [initial]
     for t in range(1, len(per_scores)):
-        log_t = transition(t)
-        alphas.append(per_scores[t] + _lse(alphas[-1][:, None] + log_t, axis=0))
+        alphas.append(forward_step(alphas[-1], transition(t), per_scores[t]))
     return alphas
 
 
 def backward_betas(
     per_scores: Sequence[np.ndarray],
-    transition: Callable[[int], np.ndarray],
+    transition: Callable[[int], Optional[np.ndarray]],
 ) -> List[np.ndarray]:
     """Sum-product backward recursion (``transition(t)`` is the block
     between steps t-1 and t, matching :func:`forward_alphas`)."""
@@ -109,9 +140,111 @@ def backward_betas(
     betas: List[Optional[np.ndarray]] = [None] * n
     betas[-1] = np.zeros(per_scores[-1].shape[0])
     for t in range(n - 2, -1, -1):
-        log_t = transition(t + 1)
-        betas[t] = _lse(log_t + (per_scores[t + 1] + betas[t + 1])[None, :], axis=1)
+        betas[t] = backward_step(
+            betas[t + 1], transition(t + 1), per_scores[t + 1], per_scores[t].shape[0]
+        )
     return betas
+
+
+def posterior(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Normalised posterior over one piece's candidates."""
+    log_gamma = alpha + beta
+    return np.exp(log_gamma - _lse(log_gamma, axis=0))
+
+
+def macro_marginals(sess, piece: TrellisPiece, gamma: np.ndarray) -> Dict[str, np.ndarray]:
+    """Per-resident ``(M,)`` macro marginals of one piece under the
+    candidate posterior *gamma*."""
+    n_macro = len(sess.macro_index)
+    out: Dict[str, np.ndarray] = {}
+    for rid, codes in zip(sess.rids, sess.macros(piece)):
+        marg = np.zeros(n_macro)
+        np.add.at(marg, codes, gamma)
+        out[rid] = marg
+    return out
+
+
+# -- offline driver ------------------------------------------------------------------
+
+
+def _session_pieces(sess, n_steps: int, stats: DecodeStats) -> List[TrellisPiece]:
+    """Every step's piece of one session, after one batched evidence build."""
+    sess.prepare(0, n_steps)
+    pieces = [sess.piece(t) for t in range(n_steps)]
+    stats.joint_states += sum(len(p) for p in pieces)
+    return pieces
+
+
+def _blocks(sess, pieces: List[TrellisPiece]) -> Callable[[int], Optional[np.ndarray]]:
+    """``transition(t)`` callback: the block between pieces t-1 and t."""
+    return lambda t: sess.transition(pieces[t - 1], pieces[t])
+
+
+def decode(model, seq: LabeledSequence, family: str) -> Dict[str, List[str]]:
+    """Offline Viterbi macro labels for every resident of *seq*.
+
+    The ``decode`` body of every recogniser family: each trellis session's
+    pieces are built, the max-plus recursion runs over them, and each
+    step's labels are read from the encoding of the path state.  The
+    call's :class:`DecodeStats` become ``model.last_stats``.
+    """
+    n_steps = len(seq)
+    with _obs.timed_span(
+        "decode",
+        metric=f"decode.{family}.seconds",
+        counts={f"decode.{family}.steps": n_steps},
+        family=family,
+    ):
+        stats = DecodeStats(steps=n_steps)
+        out: Dict[str, List[str]] = {}
+        for sess in model.trellis_sessions(seq, stats):
+            pieces = _session_pieces(sess, n_steps, stats)
+            if not pieces:
+                out.update({rid: [] for rid in sess.rids})
+                continue
+            with _obs.timed_span(
+                "trellis_sweep", metric=f"decode.{family}.sweep_seconds", family=family
+            ):
+                path = viterbi_path(
+                    sess.initial_alpha(pieces[0]),
+                    [p.scores for p in pieces],
+                    _blocks(sess, pieces),
+                    stats,
+                )
+            names = sess.macro_index.labels
+            codes = [sess.macros(p) for p in pieces]
+            for u, rid in enumerate(sess.rids):
+                out[rid] = [names[c[u][j]] for c, j in zip(codes, path)]
+        model.last_stats = stats
+        return out
+
+
+def posterior_marginals(model, seq: LabeledSequence) -> Dict[str, np.ndarray]:
+    """Per-resident posterior macro marginals ``(T, M)`` of *seq*.
+
+    The ``posterior_marginals`` body of every recogniser family:
+    forward-backward over the same pieces :func:`decode` runs on.  The
+    call's :class:`DecodeStats` become ``model.last_stats``.
+    """
+    n_steps = len(seq)
+    stats = DecodeStats(steps=n_steps)
+    out: Dict[str, np.ndarray] = {}
+    for sess in model.trellis_sessions(seq, stats):
+        pieces = _session_pieces(sess, n_steps, stats)
+        for rid in sess.rids:
+            out[rid] = np.zeros((n_steps, len(sess.macro_index)))
+        if not pieces:
+            continue
+        scores = [p.scores for p in pieces]
+        transition = _blocks(sess, pieces)
+        alphas = forward_alphas(sess.initial_alpha(pieces[0]), scores, transition)
+        betas = backward_betas(scores, transition)
+        for t, piece in enumerate(pieces):
+            gamma = posterior(alphas[t], betas[t])
+            for rid, marg in macro_marginals(sess, piece, gamma).items():
+                out[rid][t] = marg
+    model.last_stats = stats
+    return out
 
 
 class SequenceKernel:
@@ -131,8 +264,7 @@ class SequenceKernel:
         cm = model.constraint_model
         self._n_macro = cm.n_macro
         self._n_loc = len(cm.subloc_index)
-        # Sub-region centres resolved once per kernel (the per-step path
-        # rebuilds this mapping on every call).
+        # Sub-region centres resolved once per kernel.
         idx: List[int] = []
         cx: List[float] = []
         cy: List[float] = []
@@ -144,13 +276,7 @@ class SequenceKernel:
         self._center_idx = np.array(idx, dtype=int)
         self._center_x = np.array(cx)
         self._center_y = np.array(cy)
-        room_of_l = getattr(getattr(model, "builder", None), "room_of_l", None)
-        if room_of_l is None:
-            room_of_l = np.array(
-                [_ROOM_OF.get(lbl, "unknown") for lbl in cm.subloc_index.labels],
-                dtype=object,
-            )
-        self._room_of_l = room_of_l
+        self._room_of_l = model.builder.room_of_l
         # Observability handles are resolved once per kernel; None when
         # metrics are off, so the hot path pays one pointer check.
         reg = _obs.registry_if_enabled()
@@ -193,7 +319,7 @@ class SequenceKernel:
     def _build(self, start: int, t1: int) -> None:
         """Extend every per-sequence table from ``start`` to ``t1``."""
         steps = self.seq.steps[start:t1]
-        single = getattr(self.model, "_single_pruner", None)
+        single = self.model._single_pruner
 
         for step in steps:
             self._step_items.append(StepItems(step))
@@ -269,7 +395,7 @@ class SequenceKernel:
         columns gathered for all steps at once, the feature channel scored
         through the stacked GMM bank with one einsum, and the object
         channel from the precomputed baseline+delta table.  Term order
-        (posture, gesture, features, objects) matches the scalar path."""
+        (posture, gesture, features, objects) matches the seed's loop."""
         model = self.model
         cm = model.constraint_model
         rows = np.zeros((len(steps), self._n_macro))
@@ -309,45 +435,28 @@ class SequenceKernel:
             if ok.any():
                 self._add_gmm_rows(rows, feats, np.flatnonzero(ok))
 
-        obj_table = getattr(model, "_obj_evidence", None)
-        if obj_table is not None:
-            for i, step in enumerate(steps):
-                rows[i] += obj_table.macro_vector(step.objects_fired)
-        else:
-            object_index = getattr(model, "_object_index", {})
-            log_obj = getattr(model, "_log_obj", np.zeros((0, 0, 2)))
-            for i, step in enumerate(steps):
-                for mi in range(self._n_macro):
-                    rows[i, mi] += object_log_evidence(
-                        object_index, log_obj, mi, step.objects_fired
-                    )
+        obj_table = model._obj_evidence
+        for i, step in enumerate(steps):
+            rows[i] += obj_table.macro_vector(step.objects_fired)
         return list(rows)
 
     def _add_gmm_rows(self, rows: np.ndarray, feats, idx: np.ndarray) -> None:
-        model = self.model
-        bank = getattr(model, "_gmm_bank", None)
-        if bank is not None:
-            if not bank._slices:
-                return
-            if len({feats[i].shape[0] for i in idx}) == 1:
-                x_mat = np.stack([feats[i] for i in idx])
-                rows[idx] += bank.log_pdf_rows(x_mat, self._n_macro)
-                return
-            # Ragged feature dims: fall back to per-step bank evaluation.
-            for i in idx:
-                for mi, lp in bank.log_pdfs(feats[i]).items():
-                    rows[i, mi] += lp
+        bank = self.model._gmm_bank
+        if not bank._slices:
             return
-        gmms = getattr(model, "gmms_", None) or {}
+        if len({feats[i].shape[0] for i in idx}) == 1:
+            x_mat = np.stack([feats[i] for i in idx])
+            rows[idx] += bank.log_pdf_rows(x_mat, self._n_macro)
+            return
+        # Ragged feature dims: evaluate the bank step by step.
         for i in idx:
-            for mi, gmm in gmms.items():
-                rows[i, int(mi)] += gmm.log_pdf(feats[i])
+            for mi, lp in bank.log_pdfs(feats[i]).items():
+                rows[i, mi] += lp
 
     # -- lookups ------------------------------------------------------------------
 
     def emissions(self, rid: str, t: int, m: np.ndarray, l: np.ndarray) -> np.ndarray:
-        """Candidate emission scores by indexing the precomputed rows
-        (bit-identical to :func:`~repro.core.emissions.user_state_emissions`)."""
+        """Candidate emission scores by indexing the precomputed rows."""
         model = self.model
         out = (
             self._macro_rows[rid][t][m]
@@ -367,16 +476,13 @@ class SequenceKernel:
         """Single-user rule gate vector for (rid, t), or None if unruled."""
         return self._single_gates[rid][t]
 
-    def cross_gates(self, rid_a: str, rid_b: str, t: int) -> Optional[np.ndarray]:
+    def cross_gates(self, rid_a: str, rid_b: str, t: int) -> np.ndarray:
         """Cross-user rule gate vector for the ordered pair at step t."""
-        pruner = getattr(self.model, "_cross_pruner", None)
-        if pruner is None:
-            return None
         per_pair = self._cross_gates.setdefault((rid_a, rid_b), {})
         gates = per_pair.get(t)
         if gates is None:
             step = self.seq.steps[t]
-            gates = pruner._gates(
+            gates = self.model._cross_pruner._gates(
                 self._step_items[t],
                 step.observations[rid_a],
                 step.observations[rid_b],

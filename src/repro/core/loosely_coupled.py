@@ -1,12 +1,14 @@
-"""N-chain loosely-coupled HDBN (beyond the paper's two-resident testbed).
+"""Loosely-coupled HDBN over N resident chains — the CACE model.
 
-The paper's conclusion conjectures that "our generic CACE framework can
-handle 3-4 occupants as well"; this module makes the conjecture concrete.
-:class:`NChainHdbn` generalises the pair-wise :class:`~repro.core.chdbn.
-CoupledHdbn` to any number of resident chains:
+The paper builds its coupled HDBN for the two-resident testbed and
+conjectures in its conclusion that "our generic CACE framework can handle
+3-4 occupants as well".  :class:`NChainHdbn` is that model for any number
+of resident chains; a resident pair is its N=2 case, run with the
+testbed's caps (:data:`PAIR_CAPS`):
 
-* per-user candidate states and emissions are identical to the pair model
-  (shared via :mod:`repro.core.emissions`);
+* per-user candidate states and emissions come from
+  :func:`~repro.core.chdbn.build_candidate_set`, shared with the
+  single-user model;
 * deterministic cross-user correlations prune every *pair* of chains —
   rules are mined on symmetrised two-user slots, so a rule that forbids
   ``(u1, u2)`` joint states applies to every ordered chain pair;
@@ -16,9 +18,13 @@ CoupledHdbn` to any number of resident chains:
   (chain ``i`` on chain ``(i+1) mod N``), which keeps the transition
   tensor pairwise — exactly the "loose" coupling that makes N chains
   tractable — while every pairing still appears somewhere in the ring.
+  For N=2 the ring is the paper's pair coupling: each chain conditions on
+  the other.
 
 The joint trellis width is capped by emission score, so decoding remains
 polynomial even though the raw product space grows exponentially in N.
+Joint candidates are encoded as ``(N, J)`` arrays: one contiguous row of
+macro (and sub-location) codes per chain.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.api import DecodeStats, TrellisPiece, make_step_filter
 from repro.core.chdbn import (
     build_candidate_set,
@@ -35,36 +42,46 @@ from repro.core.chdbn import (
     chain_block,
     fit_emission_tables,
 )
-from repro.core.kernels import (
-    SequenceKernel,
-    _lse,
-    backward_betas,
-    forward_alphas,
-    viterbi_path,
-)
+from repro.core.kernels import SequenceKernel
 from repro.core.rule_kernel import (
     CompiledRules,
     CrossRulePruner,
     SingleRulePruner,
-    StepItems,
     soft_exclusion_matrix,
 )
 from repro.core.state_space import CandidateSet, StateSpaceBuilder
 from repro.datasets.trace import Dataset, LabeledSequence
-from repro.obs import runtime as obs
 from repro.mining.constraint_miner import ConstraintModel
 from repro.mining.correlation_miner import CorrelationRuleSet
 from repro.util.rng import RandomState, ensure_rng
 
 _TINY = 1e-12
 
+#: Per-user and joint caps of the paper's two-resident testbed.  The engine
+#: builds every resident pair with them (``max_states_per_user`` comes from
+#: the engine); 3+ chains keep the class defaults.
+PAIR_CAPS = {"max_states_per_user": 36, "max_joint_states": 2000, "max_joint_states_pruned": 100}
+
 
 @dataclass
 class NChainHdbn:
-    """Loosely-coupled HDBN over N resident chains.
+    """Loosely-coupled HDBN over N >= 2 resident chains.
 
-    Parameters mirror :class:`~repro.core.chdbn.CoupledHdbn`; the joint
-    caps apply to the full N-way product space.
+    Parameters
+    ----------
+    constraint_model:
+        Output of the constraint miner (probabilistic structure).
+    rule_set:
+        Output of the correlation miner; ``None`` disables correlation
+        pruning (the paper's NCS strategy).
+    prune_cross:
+        Apply the cross-user rules (single-user rules always apply).
+    gmm_components:
+        Deterministic-annealing codebook size per macro.
+    max_states_per_user / max_joint_states:
+        Per-user and per-step joint caps; candidates beyond them are
+        dropped by emission score (logged in :class:`DecodeStats`).  The
+        joint caps apply to the full N-way product space.
     """
 
     constraint_model: ConstraintModel
@@ -73,16 +90,33 @@ class NChainHdbn:
     gmm_components: int = 4
     max_states_per_user: int = 24
     max_joint_states: int = 1200
+    #: When correlation pruning is active, surviving joint candidates are
+    #: further capped to the best-scoring K — the paper's probabilistic
+    #: pruning of "very unlikely state sequences" that buys the 16x.  On
+    #: the pair corpus accuracy is flat down to ~70 (the rules really do
+    #: isolate the plausible joint states); the pair cap of 100 leaves
+    #: safety margin.
     max_joint_states_pruned: int = 300
     min_change_prob: float = 1e-4
     use_feature_gmm: bool = True
+    #: Log penalty for hypothesising a sub-location whose room shows no PIR
+    #: activity while other rooms do (PIRs miss stationary residents).
     pir_miss_penalty: float = -1.5
+    #: Joint explaining-away: log cost of a fired area-motion sensor that
+    #: *no* resident's hypothesis covers (~log of the per-window false
+    #: alarm probability).  This is where multiple occupancy becomes an
+    #: asset: "partner is in the kitchen" explains the kitchen firing, so I
+    #: don't have to be there — and an area nobody claims votes against the
+    #: whole joint assignment, not against any resident alone.
     unexplained_subloc_penalty: float = -4.5
+    #: Same idea at room granularity for PIR fleets (milder: rooms keep
+    #: firing briefly after the occupant walks out of a 15 s window).
     unexplained_room_penalty: float = -2.5
+    #: Log penalty per violated *soft* exclusion.  Defaults to 0: the
+    #: coupled transition CPTs already carry behavioural negative
+    #: correlation, and an extra per-step penalty double-counts it (it cost
+    #: 1-5 accuracy points in ablations).  Exposed for experimentation.
     soft_exclusion_penalty: float = 0.0
-    #: Decode through the per-sequence batched evidence tables
-    #: (:class:`repro.core.kernels.SequenceKernel`); bit-identical.
-    use_sequence_kernels: bool = True
     seed: RandomState = None
     builder: StateSpaceBuilder = field(default=None, init=False, repr=False)
     gmms_: Dict[int, object] = field(default_factory=dict, init=False, repr=False)
@@ -91,6 +125,7 @@ class NChainHdbn:
 
     def __post_init__(self) -> None:
         self._rng = ensure_rng(self.seed)
+        # The builder over-generates; emission evidence picks the survivors.
         self.builder = StateSpaceBuilder(
             constraint_model=self.constraint_model,
             max_states_per_user=4 * self.max_states_per_user,
@@ -98,6 +133,8 @@ class NChainHdbn:
         self._single_rules = self.rule_set.single_user() if self.rule_set else None
         self._cross_rules = self.rule_set.cross_user() if self.rule_set else None
         cm = self.constraint_model
+        # Rules are compiled once per model into per-(rule, candidate-list)
+        # boolean matrices with per-step scalar gates (repro.core.rule_kernel).
         self._single_pruner = (
             SingleRulePruner(CompiledRules(self._single_rules), cm, self.builder.room_of_l)
             if self._single_rules is not None
@@ -111,12 +148,20 @@ class NChainHdbn:
             if self._compiled_cross is not None
             else None
         )
+        # macro_end_prob is counted per step, so it already reflects the
+        # blocking constraint (macro segments end only at micro boundaries);
+        # multiplying in micro_end_prob again would double-count.
         self._p_change = np.clip(cm.macro_end_prob, self.min_change_prob, 0.5)
+        # Off-diagonal renormalised coupled transition: given a change
+        # happens, where does the macro go (conditioned on the partner)?
         coupled = cm.macro_trans_coupled.copy()
         n_m = cm.n_macro
         coupled[np.arange(n_m), :, np.arange(n_m)] = 0.0
         row = coupled.sum(axis=2, keepdims=True)
         self._change_trans = coupled / np.maximum(row, _TINY)
+        # Evidence terms use the per-step *occupancy* tables: segment-start
+        # priors see one count per segment and smooth to near-uniform,
+        # which silently removes the posture/gesture/location channels.
         self._log_posture = np.log(cm.posture_occupancy + _TINY)
         self._log_gesture = (
             np.log(cm.gesture_occupancy + _TINY)
@@ -140,22 +185,14 @@ class NChainHdbn:
 
     # -- per-step machinery ----------------------------------------------------------
 
-    def _make_kernel(
-        self, seq: LabeledSequence, rids: Tuple[str, ...]
-    ) -> Optional[SequenceKernel]:
-        """Per-sequence batched evidence tables (None when disabled)."""
-        if not self.use_sequence_kernels:
-            return None
+    def _make_kernel(self, seq: LabeledSequence, rids: Tuple[str, ...]) -> SequenceKernel:
+        """Per-sequence batched evidence tables for one trellis session."""
         return SequenceKernel(self, seq, rids)
 
     def _user_candidates(
-        self,
-        seq: LabeledSequence,
-        rid: str,
-        t: int,
-        kern: Optional[SequenceKernel] = None,
+        self, seq: LabeledSequence, rid: str, t: int, kern: SequenceKernel
     ) -> CandidateSet:
-        return build_candidate_set(self, seq, rid, t, kern=kern)
+        return build_candidate_set(self, seq, rid, t, kern)
 
     def _joint_candidates(
         self,
@@ -163,95 +200,89 @@ class NChainHdbn:
         t: int,
         per_user: List[CandidateSet],
         rids: Sequence[str],
-        kern: Optional[SequenceKernel] = None,
+        kern: SequenceKernel,
+        stats: DecodeStats,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(J, N) index tuples into the per-user candidate lists + scores."""
+        """Joint candidates as (N, J) index rows into the per-user lists,
+        and their scores; rule-pruned and capped joint states are counted
+        into *stats*."""
         step = seq.steps[t]
         n = len(per_user)
-        sizes = [len(c) for c in per_user]
-        grids = np.indices(sizes).reshape(n, -1).T  # (prod, N)
+        grids = np.indices([len(c) for c in per_user]).reshape(n, -1)
 
         prune_active = self._cross_pruner is not None and self.prune_cross
         if prune_active:
             # The pairwise rule matrices are cached per candidate list, so
             # every ordered chain pair reuses the same per-rule rows.
-            amb = kern.step_items(t) if kern is not None else StepItems(step)
-            mask = np.ones(grids.shape[0], dtype=bool)
+            amb = kern.step_items(t)
+            mask = np.ones(grids.shape[1], dtype=bool)
             for a in range(n):
                 for b in range(a + 1, n):
-                    gates = (
-                        kern.cross_gates(rids[a], rids[b], t)
-                        if kern is not None
-                        else None
-                    )
                     pair_keep = self._cross_pruner.keep(
-                        amb, per_user[a], per_user[b], gates
+                        amb, per_user[a], per_user[b], kern.cross_gates(rids[a], rids[b], t)
                     )
-                    mask &= pair_keep[grids[:, a], grids[:, b]]
+                    mask &= pair_keep[grids[a], grids[b]]
             if mask.any():
-                # Count only joint states actually removed (the all-pruned
-                # fallback keeps every pair and must report zero).
-                self.last_stats.pruned_joint_states += int((~mask).sum())
-                grids = grids[mask]
+                # Count only joint states actually removed: when every one
+                # fails the rules the pruner keeps them all, and reporting
+                # the would-be removals would inflate the Fig 11 overhead
+                # metric.
+                stats.pruned_joint_states += int((~mask).sum())
+                grids = grids[:, mask]
 
-        scores = np.zeros(grids.shape[0])
+        scores = np.zeros(grids.shape[1])
         for u, c in enumerate(per_user):
-            scores += c.emissions[grids[:, u]]
+            scores += c.emissions[grids[u]]
 
+        cm = self.constraint_model
+        room_of_l = self.builder.room_of_l
         if prune_active:
-            cm_ = self.constraint_model
-            room_of_l = self.builder.room_of_l
             for a in range(n):
                 for b in range(a + 1, n):
                     pen = soft_exclusion_matrix(
                         self._compiled_cross,
-                        cm_,
+                        cm,
                         room_of_l,
                         per_user[a],
                         per_user[b],
                         self.soft_exclusion_penalty,
                     )
                     if pen is not None:
-                        scores += pen[grids[:, a], grids[:, b]]
+                        scores += pen[grids[a], grids[b]]
 
         # Joint explaining-away over all chains.
-        cm = self.constraint_model
         for fired in step.sublocs_fired:
-            covered = np.zeros(grids.shape[0], dtype=bool)
+            covered = np.zeros(grids.shape[1], dtype=bool)
             if fired in cm.subloc_index:
                 f = cm.subloc_index.index(fired)
                 for u, c in enumerate(per_user):
-                    covered |= c.l[grids[:, u]] == f
+                    covered |= c.l[grids[u]] == f
             scores += np.where(covered, 0.0, self.unexplained_subloc_penalty)
         if not step.sublocs_fired and step.rooms_fired:
-            room_of_l = self.builder.room_of_l
             rooms = [room_of_l[c.l] for c in per_user]
             for fired in step.rooms_fired:
-                covered = np.zeros(grids.shape[0], dtype=bool)
+                covered = np.zeros(grids.shape[1], dtype=bool)
                 for u in range(n):
-                    covered |= rooms[u][grids[:, u]] == fired
+                    covered |= rooms[u][grids[u]] == fired
                 scores += np.where(covered, 0.0, self.unexplained_room_penalty)
 
         cap = self.max_joint_states
         if self.rule_set is not None and self.prune_cross:
             cap = min(cap, self.max_joint_states_pruned)
-        if grids.shape[0] > cap:
-            self.last_stats.capped_joint_states += grids.shape[0] - cap
+        if grids.shape[1] > cap:
+            stats.capped_joint_states += grids.shape[1] - cap
             top = np.argsort(scores)[::-1][:cap]
-            grids = grids[top]
+            grids = grids[:, top]
             scores = scores[top]
         return grids, scores
 
     def _encode(
         self, per_user: List[CandidateSet], grids: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Macro and subloc index arrays of shape (J, N)."""
-        n = len(per_user)
-        m = np.empty((grids.shape[0], n), dtype=int)
-        l = np.empty((grids.shape[0], n), dtype=int)
-        for u, c in enumerate(per_user):
-            m[:, u] = c.m[grids[:, u]]
-            l[:, u] = c.l[grids[:, u]]
+        """Macro and sub-location codes as (N, J) arrays, one contiguous
+        row per chain."""
+        m = np.stack([c.m[g] for c, g in zip(per_user, grids)])
+        l = np.stack([c.l[g] for c, g in zip(per_user, grids)])
         return m, l
 
     def _chain_block(
@@ -272,26 +303,37 @@ class NChainHdbn:
         prev: Tuple[np.ndarray, np.ndarray],
         cur: Tuple[np.ndarray, np.ndarray],
     ) -> np.ndarray:
-        """(P, C) joint log transition; chain i conditions on chain i+1."""
+        """(P, C) joint log transition; chain i conditions on chain
+        (i+1) mod N.  Chain 0's block is the accumulator (a fresh array)."""
         m_prev, l_prev = prev
         m_cur, l_cur = cur
-        n = m_prev.shape[1]
-        total = np.zeros((m_prev.shape[0], m_cur.shape[0]))
-        for u in range(n):
-            partner = (u + 1) % n if n > 1 else u
+        n = m_prev.shape[0]
+        total = self._chain_block(m_prev[0], l_prev[0], m_prev[1 % n], m_cur[0], l_cur[0])
+        for u in range(1, n):
             total += self._chain_block(
-                m_prev[:, u], l_prev[:, u], m_prev[:, partner], m_cur[:, u], l_cur[:, u]
+                m_prev[u], l_prev[u], m_prev[(u + 1) % n], m_cur[u], l_cur[u]
             )
         return total
 
     # -- Recognizer surface --------------------------------------------------------
 
-    def trellis_sessions(self, seq: LabeledSequence) -> List["_NChainTrellis"]:
-        """One joint session over all resident chains."""
+    def trellis_sessions(
+        self, seq: LabeledSequence, stats: Optional[DecodeStats] = None
+    ) -> List["_NChainTrellis"]:
+        """One joint session over all resident chains, counting its pruned
+        and capped joint states into *stats*."""
         rids = tuple(seq.resident_ids)
         if len(rids) < 2:
             raise ValueError("NChainHdbn expects >= 2 residents (use SingleUserHdbn)")
-        return [_NChainTrellis(self, seq, rids)]
+        return [_NChainTrellis(self, seq, rids, stats if stats is not None else DecodeStats())]
+
+    def decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:
+        """Joint Viterbi macro labels for every resident."""
+        return kernels.decode(self, seq, "nchain")
+
+    def posterior_marginals(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
+        """Per-resident posterior macro marginals ``(T, M)``."""
+        return kernels.posterior_marginals(self, seq)
 
     def step_filter(self, lag: int = 0):
         """Fixed-lag smoother bound to this model."""
@@ -305,139 +347,47 @@ class NChainHdbn:
             f"<= {self.max_states_per_user} states/user)"
         )
 
-    # -- decoding -----------------------------------------------------------------------
-
-    def _prepare(self, seq: LabeledSequence):
-        rids = tuple(seq.resident_ids)
-        if len(rids) < 2:
-            raise ValueError("NChainHdbn expects >= 2 residents (use SingleUserHdbn)")
-        self.last_stats = DecodeStats()
-        stats = self.last_stats
-        kern = self._make_kernel(seq, rids)
-        if kern is not None:
-            kern.ensure(0, len(seq))
-        per_step = []
-        for t in range(len(seq)):
-            per_user = [self._user_candidates(seq, rid, t, kern) for rid in rids]
-            grids, scores = self._joint_candidates(seq, t, per_user, rids, kern)
-            enc = self._encode(per_user, grids)
-            per_step.append((per_user, grids, scores, enc))
-            stats.steps += 1
-            stats.joint_states += grids.shape[0]
-        return rids, per_step
-
-    def decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:
-        """Joint Viterbi macro labels for every resident."""
-        with obs.timed_span(
-            "decode",
-            metric="decode.nchain.seconds",
-            counts={"decode.nchain.steps": len(seq)},
-            family="nchain",
-        ):
-            return self._decode(seq)
-
-    def _decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:
-        rids, per_step = self._prepare(seq)
-        cm = self.constraint_model
-
-        per_user, grids, scores, (m_enc, l_enc) = per_step[0]
-        initial = scores + np.sum(
-            np.log(cm.macro_prior[m_enc] + _TINY)
-            + self._log_subloc_prior[m_enc, l_enc],
-            axis=1,
-        )
-        per_scores = [p[2] for p in per_step]
-
-        def transition(t: int) -> np.ndarray:
-            return self._transition_block(per_step[t - 1][3], per_step[t][3])
-
-        with obs.timed_span(
-            "trellis_sweep", metric="decode.nchain.sweep_seconds", family="nchain"
-        ):
-            path = viterbi_path(initial, per_scores, transition, self.last_stats)
-
-        out: Dict[str, List[str]] = {rid: [] for rid in rids}
-        for t, j in enumerate(path):
-            per_user, grids, _, _ = per_step[t]
-            for u, rid in enumerate(rids):
-                out[rid].append(per_user[u].states[grids[j, u]].macro)
-        return out
-
-    def posterior_marginals(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
-        """Per-resident posterior macro marginals ``(T, M)``."""
-        rids, per_step = self._prepare(seq)
-        cm = self.constraint_model
-        n_m = cm.n_macro
-
-        _, _, scores, (m_enc, l_enc) = per_step[0]
-        initial = scores + np.sum(
-            np.log(cm.macro_prior[m_enc] + _TINY)
-            + self._log_subloc_prior[m_enc, l_enc],
-            axis=1,
-        )
-        per_scores = [p[2] for p in per_step]
-
-        def transition(t: int) -> np.ndarray:
-            return self._transition_block(per_step[t - 1][3], per_step[t][3])
-
-        alphas = forward_alphas(initial, per_scores, transition)
-        betas = backward_betas(per_scores, transition)
-
-        out = {rid: np.zeros((len(per_step), n_m)) for rid in rids}
-        for t in range(len(per_step)):
-            log_gamma = alphas[t] + betas[t]
-            log_gamma -= _lse(log_gamma, axis=0)
-            gamma = np.exp(log_gamma)
-            m_enc, _ = per_step[t][3]
-            for u, rid in enumerate(rids):
-                np.add.at(out[rid][t], m_enc[:, u], gamma)
-        return out
-
 
 class _NChainTrellis:
-    """Incremental-forward adapter over the joint N-chain trellis."""
+    """Trellis adapter over the joint N-chain trellis."""
 
-    def __init__(self, model: NChainHdbn, seq: LabeledSequence, rids: Tuple[str, ...]):
+    def __init__(
+        self,
+        model: NChainHdbn,
+        seq: LabeledSequence,
+        rids: Tuple[str, ...],
+        stats: DecodeStats,
+    ):
         self.model = model
         self.seq = seq
         self.rids = rids
+        self.stats = stats
+        self.macro_index = model.constraint_model.macro_index
         self._kern = model._make_kernel(seq, rids)
 
     def prepare(self, t0: int, t1: int) -> None:
         """Batch-build the per-sequence evidence tables for ``[t0, t1)``
-        ahead of the per-step ``piece`` calls (used by bulk pushes)."""
-        if self._kern is not None:
-            self._kern.ensure(t0, t1)
+        ahead of the per-step ``piece`` calls."""
+        self._kern.ensure(t0, t1)
 
     def piece(self, t: int) -> TrellisPiece:
-        model, seq, rids = self.model, self.seq, self.rids
-        kern = self._kern
-        if kern is not None:
-            kern.ensure(0, t + 1)
+        model, seq, rids, kern = self.model, self.seq, self.rids, self._kern
+        kern.ensure(0, t + 1)
         per_user = [model._user_candidates(seq, rid, t, kern) for rid in rids]
-        grids, scores = model._joint_candidates(seq, t, per_user, rids, kern)
-        enc = model._encode(per_user, grids)
-        return TrellisPiece(scores=scores, enc=enc, extra=(per_user, grids))
+        grids, scores = model._joint_candidates(seq, t, per_user, rids, kern, self.stats)
+        return TrellisPiece(scores=scores, enc=model._encode(per_user, grids))
 
     def initial_alpha(self, piece: TrellisPiece) -> np.ndarray:
         model = self.model
-        cm = model.constraint_model
-        m_enc, l_enc = piece.enc
-        return piece.scores + np.sum(
-            np.log(cm.macro_prior[m_enc] + _TINY)
-            + model._log_subloc_prior[m_enc, l_enc],
-            axis=1,
+        m, l = piece.enc
+        prior = (
+            np.log(model.constraint_model.macro_prior[m] + _TINY)
+            + model._log_subloc_prior[m, l]
         )
+        return piece.scores + prior.sum(axis=0)
 
     def transition(self, prev: TrellisPiece, cur: TrellisPiece) -> np.ndarray:
         return self.model._transition_block(prev.enc, cur.enc)
 
-    def labels(self, piece: TrellisPiece, gamma: np.ndarray) -> Dict[str, str]:
-        cm = self.model.constraint_model
-        m_enc, _ = piece.enc
-        out: Dict[str, str] = {}
-        for u, rid in enumerate(self.rids):
-            marg = np.zeros(cm.n_macro)
-            np.add.at(marg, m_enc[:, u], gamma)
-            out[rid] = cm.macro_index.label(int(np.argmax(marg)))
-        return out
+    def macros(self, piece: TrellisPiece) -> np.ndarray:
+        return piece.enc[0]

@@ -1,18 +1,21 @@
 """Seed (pre-optimisation) implementation of the coupled decode hot path.
 
-The optimised hot path in :mod:`repro.core.chdbn`, :mod:`repro.core.
-rule_kernel`, :mod:`repro.core.emissions` and :mod:`repro.core.kernels`
-replaces per-pair label lookups, per-state ``frozenset`` algebra, the
-per-object Python loop and per-step evidence dispatch with precomputed
-encodings, boolean/float vectors and per-sequence batched tables.  This
-module keeps the original straight-line implementation as the
-*executable specification*: :class:`ReferenceCoupledHdbn` and
-:class:`ReferenceNChainHdbn` override exactly the per-step machinery
-that was rewritten, so
+The optimised hot path in :mod:`repro.core.chdbn`,
+:mod:`repro.core.loosely_coupled`, :mod:`repro.core.rule_kernel`,
+:mod:`repro.core.emissions` and :mod:`repro.core.kernels` replaces
+per-pair label lookups, per-state ``frozenset`` algebra, the per-object
+Python loop and per-step evidence dispatch with precomputed encodings,
+boolean/float vectors and per-sequence batched tables.  This module keeps
+the original straight-line implementation as the *executable
+specification*: :func:`reference_user_candidates` specifies every HDBN
+family's per-resident candidates, and :class:`ReferenceNChainHdbn`
+overrides exactly the per-step machinery of the coupled model that was
+rewritten (built with :data:`~repro.core.loosely_coupled.PAIR_CAPS` it is
+the spec of the c2 pair decode), so
 
-* ``tests/test_decode_stats.py`` / ``tests/test_kernels.py`` assert the
-  optimised ``decode`` labels are identical and ``posterior_marginals``
-  agree to 1e-10, and
+* ``tests/test_kernels.py`` / ``tests/test_decode_stats.py`` assert the
+  optimised candidates match, ``decode`` labels and DecodeStats are
+  identical, and ``posterior_marginals`` agree to 1e-10, and
 * ``benchmarks/bench_decode_hotpath.py`` measures the steps/sec gain.
 
 Do not "optimise" this file — its value is being slow and obviously
@@ -32,7 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.chdbn import CoupledHdbn
+from repro.core.api import DecodeStats
 from repro.core.emissions import object_log_evidence
 from repro.core.loosely_coupled import NChainHdbn
 from repro.core.state_space import CandidateSet, UserState, _ROOM_OF
@@ -138,7 +141,7 @@ def reference_user_candidates(
     per-state emission loop, label-based encodings resolved at the end."""
     obs = seq.steps[t].observations[rid]
     states = model.builder.candidate_states(obs)
-    if model._single_rules is not None and getattr(model, "prune_per_user", True):
+    if model._single_rules is not None:
         amb = model.builder.ambient_item_set(seq.steps[t])
         kept = [
             s
@@ -235,124 +238,26 @@ def reference_soft_exclusion_penalty(
     return penalty
 
 
-class ReferenceCoupledHdbn(CoupledHdbn):
-    """`CoupledHdbn` with the seed's per-step hot path.
+class _NoKernel:
+    """Stands in for the per-sequence evidence tables: the reference
+    scores every step itself, so there is nothing to precompute."""
 
-    The Viterbi / sum-product recursions are inherited unchanged; the
-    candidate / pruning / emission machinery and the per-step transition
-    blocks are the original implementations.  ``kern`` parameters are
-    accepted and ignored (the reference always scores per step).
-    """
-
-    _TINY = _TINY
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        # The reference path scores per step by construction.
-        self.use_sequence_kernels = False
-
-    def _chain_block(
-        self,
-        m_prev: np.ndarray,
-        l_prev: np.ndarray,
-        partner_prev: np.ndarray,
-        m_cur: np.ndarray,
-        l_cur: np.ndarray,
-    ) -> np.ndarray:
-        return reference_chain_block(self, m_prev, l_prev, partner_prev, m_cur, l_cur)
-
-    def _user_candidates(
-        self, seq: LabeledSequence, rid: str, t: int, kern=None
-    ) -> CandidateSet:
-        return reference_user_candidates(self, seq, rid, t)
-
-    def _joint_candidates(
-        self,
-        seq: LabeledSequence,
-        t: int,
-        c1: CandidateSet,
-        c2: CandidateSet,
-        rids: Tuple[str, str],
-        kern=None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        s1, s2 = c1.states, c2.states
-        e1, e2 = c1.emissions, c2.emissions
-        n1, n2 = len(s1), len(s2)
-        pairs = np.indices((n1, n2)).reshape(2, -1).T  # (n1*n2, 2)
-        if self._cross_rules is not None and self.prune_cross:
-            keep = self._reference_cross_prune_mask(seq, t, s1, s2, rids)
-            mask = keep[pairs[:, 0], pairs[:, 1]]
-            if mask.any():
-                self.last_stats.pruned_joint_states += int((~mask).sum())
-                pairs = pairs[mask]
-        scores = e1[pairs[:, 0]] + e2[pairs[:, 1]]
-        scores = scores + self._reference_coverage_penalty(seq.steps[t], s1, s2, pairs)
-        if self._cross_rules is not None and self.prune_cross:
-            step = seq.steps[t]
-            penalty = reference_soft_exclusion_penalty(
-                self, s1, step.observations[rids[0]], s2, step.observations[rids[1]]
-            )
-            scores = scores + penalty[pairs[:, 0], pairs[:, 1]]
-        cap = self.max_joint_states
-        if self.rule_set is not None and self.prune_cross:
-            cap = min(cap, self.max_joint_states_pruned)
-        if pairs.shape[0] > cap:
-            self.last_stats.capped_joint_states += pairs.shape[0] - cap
-            top = np.argsort(scores)[::-1][:cap]
-            pairs = pairs[top]
-            scores = scores[top]
-        return pairs[:, 0], pairs[:, 1], scores
-
-    def _reference_coverage_penalty(
-        self,
-        step,
-        s1: List[UserState],
-        s2: List[UserState],
-        pairs: np.ndarray,
-    ) -> np.ndarray:
-        loc1 = np.array([s.subloc for s in s1], dtype=object)
-        loc2 = np.array([s.subloc for s in s2], dtype=object)
-        out = np.zeros(pairs.shape[0])
-        for fired in step.sublocs_fired:
-            covered = (loc1[pairs[:, 0]] == fired) | (loc2[pairs[:, 1]] == fired)
-            out += np.where(covered, 0.0, self.unexplained_subloc_penalty)
-        if not step.sublocs_fired and step.rooms_fired:
-            room1 = np.array([_ROOM_OF.get(s.subloc) for s in s1], dtype=object)
-            room2 = np.array([_ROOM_OF.get(s.subloc) for s in s2], dtype=object)
-            for fired in step.rooms_fired:
-                covered = (room1[pairs[:, 0]] == fired) | (room2[pairs[:, 1]] == fired)
-                out += np.where(covered, 0.0, self.unexplained_room_penalty)
-        return out
-
-    def _reference_cross_prune_mask(
-        self,
-        seq: LabeledSequence,
-        t: int,
-        s1: List[UserState],
-        s2: List[UserState],
-        rids: Tuple[str, str],
-    ) -> np.ndarray:
-        step = seq.steps[t]
-        return reference_cross_prune_mask(
-            self, step, s1, step.observations[rids[0]], s2, step.observations[rids[1]]
-        )
+    def ensure(self, t0: int, t1: int) -> None:
+        pass
 
 
 class ReferenceNChainHdbn(NChainHdbn):
     """`NChainHdbn` with the seed-style per-step hot path.
 
-    Mirrors the fast N-chain model's operation order exactly (pairwise
-    prune, emissions, soft exclusions, joint coverage, cap) while
-    computing every term the seed way: frozenset item-set algebra,
-    per-state emission loops, label-string comparisons, and per-step
-    transcendental chain blocks.
+    Mirrors the fast model's operation order exactly (pairwise prune,
+    emissions, soft exclusions, joint coverage, cap) while computing every
+    term the seed way: frozenset item-set algebra, per-state emission
+    loops, label-string comparisons, and per-step transcendental chain
+    blocks.  The trellis session and the recursions are inherited.
     """
 
-    _TINY = _TINY
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.use_sequence_kernels = False
+    def _make_kernel(self, seq: LabeledSequence, rids: Tuple[str, ...]) -> _NoKernel:
+        return _NoKernel()
 
     def _chain_block(
         self,
@@ -375,16 +280,16 @@ class ReferenceNChainHdbn(NChainHdbn):
         t: int,
         per_user: List[CandidateSet],
         rids: Sequence[str],
-        kern=None,
+        kern,
+        stats: DecodeStats,
     ) -> Tuple[np.ndarray, np.ndarray]:
         step = seq.steps[t]
         n = len(per_user)
-        sizes = [len(c) for c in per_user]
-        grids = np.indices(sizes).reshape(n, -1).T  # (prod, N)
+        grids = np.indices([len(c) for c in per_user]).reshape(n, -1)  # (N, prod)
 
         prune_active = self._cross_rules is not None and self.prune_cross
         if prune_active:
-            mask = np.ones(grids.shape[0], dtype=bool)
+            mask = np.ones(grids.shape[1], dtype=bool)
             for a in range(n):
                 for b in range(a + 1, n):
                     pair_keep = reference_cross_prune_mask(
@@ -395,14 +300,14 @@ class ReferenceNChainHdbn(NChainHdbn):
                         per_user[b].states,
                         step.observations[rids[b]],
                     )
-                    mask &= pair_keep[grids[:, a], grids[:, b]]
+                    mask &= pair_keep[grids[a], grids[b]]
             if mask.any():
-                self.last_stats.pruned_joint_states += int((~mask).sum())
-                grids = grids[mask]
+                stats.pruned_joint_states += int((~mask).sum())
+                grids = grids[:, mask]
 
-        scores = np.zeros(grids.shape[0])
+        scores = np.zeros(grids.shape[1])
         for u, c in enumerate(per_user):
-            scores += c.emissions[grids[:, u]]
+            scores += c.emissions[grids[u]]
 
         if prune_active:
             for a in range(n):
@@ -414,14 +319,14 @@ class ReferenceNChainHdbn(NChainHdbn):
                         per_user[b].states,
                         step.observations[rids[b]],
                     )
-                    scores += pen[grids[:, a], grids[:, b]]
+                    scores += pen[grids[a], grids[b]]
 
         # Joint explaining-away over all chains (seed-style label compares).
         locs = [np.array([s.subloc for s in c.states], dtype=object) for c in per_user]
         for fired in step.sublocs_fired:
-            covered = np.zeros(grids.shape[0], dtype=bool)
+            covered = np.zeros(grids.shape[1], dtype=bool)
             for u in range(n):
-                covered |= locs[u][grids[:, u]] == fired
+                covered |= locs[u][grids[u]] == fired
             scores += np.where(covered, 0.0, self.unexplained_subloc_penalty)
         if not step.sublocs_fired and step.rooms_fired:
             rooms = [
@@ -429,17 +334,17 @@ class ReferenceNChainHdbn(NChainHdbn):
                 for c in per_user
             ]
             for fired in step.rooms_fired:
-                covered = np.zeros(grids.shape[0], dtype=bool)
+                covered = np.zeros(grids.shape[1], dtype=bool)
                 for u in range(n):
-                    covered |= rooms[u][grids[:, u]] == fired
+                    covered |= rooms[u][grids[u]] == fired
                 scores += np.where(covered, 0.0, self.unexplained_room_penalty)
 
         cap = self.max_joint_states
         if self.rule_set is not None and self.prune_cross:
             cap = min(cap, self.max_joint_states_pruned)
-        if grids.shape[0] > cap:
-            self.last_stats.capped_joint_states += grids.shape[0] - cap
+        if grids.shape[1] > cap:
+            stats.capped_joint_states += grids.shape[1] - cap
             top = np.argsort(scores)[::-1][:cap]
-            grids = grids[top]
+            grids = grids[:, top]
             scores = scores[top]
         return grids, scores

@@ -330,7 +330,8 @@ class CrossRulePruner:
     cached per candidate-list key and sliced per step, so the mask costs
     one ``(n1, R) @ (R, n2)`` product.
 
-    Matches the seed's ``_cross_prune_mask`` semantics exactly, including
+    Matches the seed's cross-user pruning
+    (:func:`repro.core.reference.reference_cross_prune_mask`) exactly, including
     its asymmetries: hard exclusions apply only when phrased as
     ``(u1, u2)``, and a forcing consequent on any other slot never prunes.
     """

@@ -9,17 +9,19 @@ each label must be committed within a bounded latency.
 trellis sessions (:meth:`~repro.core.api.Recognizer.trellis_sessions`)
 incrementally and commits the label for step ``t - lag`` when step ``t``
 arrives, using a backward sweep restricted to the lag window (fixed-lag
-smoothing).  With ``lag >= len(seq)`` the committed labels equal the full
-forward-backward marginals' argmax; small lags trade a little accuracy for
-bounded latency and O(lag) memory.  The coupled pair and N-chain models
-expose one joint session; the per-user models one session per resident
-(frame-wise NCR chains have no transition and reduce to filtering).
+smoothing).  The forward update, the backward sweep and the label read-out
+are :mod:`repro.core.kernels`' own steps, so with ``lag >= len(seq)`` the
+committed labels are exactly the argmax of the offline
+:func:`~repro.core.kernels.posterior_marginals`; small lags trade a little
+accuracy for bounded latency.  The coupled model exposes one joint
+session; the per-user models one session per resident (frame-wise NCR
+chains have no transition and reduce to filtering).
 
 ``push`` performs the same :class:`~repro.core.api.DecodeStats`
 accounting as offline decoding (steps, surviving joint states, evaluated
-transition entries, pruned/capped counts) into its own ``stats`` object —
-one per smoother, so concurrent sessions over a shared model never mix
-their counters — and keeps ``model.last_stats`` pointed at it, so
+transition entries, pruned/capped counts) into its own ``stats`` object,
+which its trellis sessions are built over — so concurrent sessions over a
+shared model never mix their counters or touch ``model.last_stats``, and
 streaming overhead reports match the Fig 11 metrics.
 """
 
@@ -32,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.api import DecodeStats, Recognizer, TrellisPiece, TrellisSession
-from repro.core.kernels import _lse
+from repro.core.kernels import backward_step, forward_step, macro_marginals, posterior
 from repro.obs import runtime as obs
 from repro.obs.metrics import MetricsRegistry
 
@@ -110,7 +112,8 @@ class OnlineSmoother:
         """Begin a session; steps are then consumed with :meth:`push`."""
         if self.lag < 0:
             raise ValueError(f"lag must be >= 0, got {self.lag}")
-        sessions = self.model.trellis_sessions(seq)
+        self.stats = DecodeStats()
+        sessions = self.model.trellis_sessions(seq, self.stats)
         self._sessions = sessions
         self._rids = tuple(rid for sess in sessions for rid in sess.rids)
         self._pieces = [[] for _ in sessions]
@@ -118,8 +121,6 @@ class OnlineSmoother:
         self._trans = [[] for _ in sessions]
         self._pushed = 0
         self._committed = 0
-        self.stats = DecodeStats()
-        self.model.last_stats = self.stats
         reg = self.metrics if self.metrics is not None else obs.registry_if_enabled()
         self._ins = _Instruments(reg) if reg is not None else None
 
@@ -134,32 +135,27 @@ class OnlineSmoother:
             raise ValueError(
                 f"steps must arrive in order; expected {self._pushed}, got {t}"
             )
-        # Mirror the offline _prepare / decode accounting so streaming
-        # overhead reports are as meaningful as offline ones.  The model's
-        # last_stats is re-pinned every push: candidate builders count
-        # pruned/capped joint states through it, and interleaved sessions
-        # over a shared model must each hit their own counters.
+        # Mirror the offline decode accounting so streaming overhead
+        # reports are as meaningful as offline ones.
         stats = self.stats
-        self.model.last_stats = stats
         ins = self._ins
         t_push = time.perf_counter() if ins is not None else 0.0
         for k, sess in enumerate(self._sessions):
             piece = sess.piece(t)
-            self._pieces[k].append(piece)
+            pieces = self._pieces[k]
+            pieces.append(piece)
             stats.joint_states += len(piece)
-            log_t = None
-            if t > 0:
-                log_t = sess.transition(self._pieces[k][-2], piece)
-            self._trans[k].append(log_t)
-            if log_t is None:
+            if t == 0:
+                log_t = None
                 alpha = sess.initial_alpha(piece)
             else:
-                stats.transition_entries += log_t.size
-                if ins is not None:
-                    ins.trans_computed.inc()
-                alpha = piece.scores + _lse(
-                    self._alphas[k][-1][:, None] + log_t, axis=0
-                )
+                log_t = sess.transition(pieces[-2], piece)
+                if log_t is not None:
+                    stats.transition_entries += log_t.size
+                    if ins is not None:
+                        ins.trans_computed.inc()
+                alpha = forward_step(self._alphas[k][-1], log_t, piece.scores)
+            self._trans[k].append(log_t)
             self._alphas[k].append(alpha)
         stats.steps += 1
         self._pushed = t + 1
@@ -202,9 +198,7 @@ class OnlineSmoother:
         if self._sessions is None:
             raise RuntimeError("call start() before prepare_range()")
         for sess in self._sessions:
-            prepare = getattr(sess, "prepare", None)
-            if prepare is not None:
-                prepare(t0, t1)
+            sess.prepare(t0, t1)
 
     def flush(self) -> List[Dict[str, str]]:
         """Commit every step still inside the lag window (session end)."""
@@ -246,21 +240,16 @@ class OnlineSmoother:
         with obs.span("smoother.backward", commit_t=commit_t, horizon=horizon):
             for k, sess in enumerate(self._sessions):
                 pieces = self._pieces[k]
+                trans = self._trans[k]
                 beta = np.zeros_like(self._alphas[k][horizon])
                 for t in range(horizon - 1, commit_t - 1, -1):
-                    nxt = pieces[t + 1]
-                    log_t = self._trans[k][t + 1]
-                    if log_t is None:
-                        # Frame-wise chain: future evidence is independent of
-                        # the committed step.
-                        beta = np.zeros(len(pieces[t]))
-                        continue
-                    reused += 1
-                    beta = _lse(log_t + (nxt.scores + beta)[None, :], axis=1)
-
-                log_gamma = self._alphas[k][commit_t] + beta
-                log_gamma = log_gamma - _lse(log_gamma, axis=0)
-                out.update(sess.labels(pieces[commit_t], np.exp(log_gamma)))
+                    log_t = trans[t + 1]
+                    reused += log_t is not None
+                    beta = backward_step(beta, log_t, pieces[t + 1].scores, len(pieces[t]))
+                gamma = posterior(self._alphas[k][commit_t], beta)
+                index = sess.macro_index
+                for rid, marg in macro_marginals(sess, pieces[commit_t], gamma).items():
+                    out[rid] = index.label(int(np.argmax(marg)))
         if ins is not None:
             ins.commits.inc()
             if reused:

@@ -974,8 +974,8 @@ def decode_hotpath_benchmark(
     """
     import time
 
-    from repro.core.chdbn import CoupledHdbn
-    from repro.core.reference import ReferenceCoupledHdbn
+    from repro.core.loosely_coupled import PAIR_CAPS, NChainHdbn
+    from repro.core.reference import ReferenceNChainHdbn
     from repro.mining.constraint_miner import ConstraintMiner
 
     rng = ensure_rng(seed)
@@ -995,11 +995,11 @@ def decode_hotpath_benchmark(
         train.subloc_vocab,
     )
     model_seed = int(rng.integers(0, 2**31))
-    fast = CoupledHdbn(
-        constraint_model=constraint_model, rule_set=rule_set, seed=model_seed
+    fast = NChainHdbn(
+        constraint_model=constraint_model, rule_set=rule_set, seed=model_seed, **PAIR_CAPS
     ).fit(train)
-    reference = ReferenceCoupledHdbn(
-        constraint_model=constraint_model, rule_set=rule_set, seed=model_seed
+    reference = ReferenceNChainHdbn(
+        constraint_model=constraint_model, rule_set=rule_set, seed=model_seed, **PAIR_CAPS
     ).fit(train)
 
     steps = sum(len(seq) for seq in test.sequences)
@@ -1059,9 +1059,6 @@ def decode_hotpath_benchmark(
 
     nchain_result: Optional[PathResult] = None
     if include_nchain:
-        from repro.core.loosely_coupled import NChainHdbn
-        from repro.core.reference import ReferenceNChainHdbn
-
         nc_dataset = generate_cace_dataset(
             n_homes=n_homes,
             sessions_per_home=sessions_per_home,

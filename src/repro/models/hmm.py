@@ -17,7 +17,6 @@ import numpy as np
 from repro.datasets.trace import Dataset, LabeledSequence
 from repro.models.distributions import Cpt, GaussianEmission, LabelIndex
 from repro.models.inputs import step_features
-from repro.models.viterbi import forward_backward
 
 
 @dataclass
@@ -72,47 +71,11 @@ class MacroHmm:
 
     # -- inference ----------------------------------------------------------------
 
-    def _log_emissions(self, seq: LabeledSequence, rid: str) -> np.ndarray:
-        features = step_features(seq, rid)
-        n_m = len(self.macro_index)
-        if features.shape[0] == 0:
-            return np.zeros((0, n_m))
-        return self.emission_.log_pdf_rows(range(n_m), features)
-
     def decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:
         """Viterbi macro labels per resident (chains decoded independently)."""
-        from repro.core.api import DecodeStats  # lazy: avoid an import cycle
-        from repro.core.kernels import viterbi_path  # lazy: avoid a cycle
-        from repro.obs import runtime as obs  # lazy: avoid a cycle
+        from repro.core import kernels  # lazy: avoid an import cycle
 
-        if self.macro_index is None:
-            raise RuntimeError("model is not fitted")
-        with obs.timed_span(
-            "decode",
-            metric="decode.macro_hmm.seconds",
-            counts={"decode.macro_hmm.steps": len(seq)},
-            family="macro_hmm",
-        ):
-            self.last_stats = stats = DecodeStats()
-            log_prior = np.log(self.prior_)
-            log_trans = np.log(self.trans_)
-            out: Dict[str, List[str]] = {}
-            for rid in seq.resident_ids:
-                log_e = self._log_emissions(seq, rid)
-                stats.joint_states += log_e.size
-                if log_e.shape[0] == 0:
-                    out[rid] = []
-                    continue
-                with obs.span("trellis_sweep", family="macro_hmm", rid=rid):
-                    path = viterbi_path(
-                        log_prior + log_e[0],
-                        list(log_e),
-                        lambda t: log_trans,
-                        stats,
-                    )
-                out[rid] = [self.macro_index.label(i) for i in path]
-            stats.steps = len(seq)
-            return out
+        return kernels.decode(self, seq, "macro_hmm")
 
     def predict(self, seq: LabeledSequence) -> Dict[str, List[str]]:
         """Alias of :meth:`decode` (the baseline's historical name)."""
@@ -120,19 +83,9 @@ class MacroHmm:
 
     def posterior_marginals(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
         """Posterior macro marginals ``(T, M)`` per resident."""
-        from repro.core.api import DecodeStats  # lazy: avoid an import cycle
+        from repro.core import kernels  # lazy: avoid an import cycle
 
-        if self.macro_index is None:
-            raise RuntimeError("model is not fitted")
-        self.last_stats = stats = DecodeStats()
-        out: Dict[str, np.ndarray] = {}
-        for rid in seq.resident_ids:
-            log_e = self._log_emissions(seq, rid)
-            stats.joint_states += log_e.size
-            gamma, _, _ = forward_backward(np.log(self.prior_), np.log(self.trans_), log_e)
-            out[rid] = gamma
-        stats.steps = len(seq)
-        return out
+        return kernels.posterior_marginals(self, seq)
 
     def predict_proba(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
         """Alias of :meth:`posterior_marginals`."""
@@ -140,8 +93,9 @@ class MacroHmm:
 
     # -- Recognizer surface --------------------------------------------------------
 
-    def trellis_sessions(self, seq: LabeledSequence) -> List["_HmmTrellis"]:
-        """One independent session per resident."""
+    def trellis_sessions(self, seq: LabeledSequence, stats=None) -> List["_HmmTrellis"]:
+        """One independent session per resident (the flat chain prunes
+        nothing, so there is nothing to count into *stats*)."""
         if self.macro_index is None:
             raise RuntimeError("model is not fitted")
         return [_HmmTrellis(self, seq, rid) for rid in seq.resident_ids]
@@ -159,14 +113,17 @@ class MacroHmm:
 
 
 class _HmmTrellis:
-    """Incremental-forward adapter over one resident's flat HMM chain."""
+    """Trellis adapter over one resident's flat HMM chain (every macro is a
+    candidate at every step)."""
 
     def __init__(self, model: MacroHmm, seq: LabeledSequence, rid: str):
         self.model = model
         self.seq = seq
         self.rids: Tuple[str, ...] = (rid,)
+        self.macro_index = model.macro_index
         self._log_prior = np.log(model.prior_)
         self._log_trans = np.log(model.trans_)
+        self._codes = (np.arange(len(model.macro_index)),)
         self._rows: Dict[int, np.ndarray] = {}
 
     def prepare(self, t0: int, t1: int) -> None:
@@ -209,5 +166,5 @@ class _HmmTrellis:
     def transition(self, prev, cur) -> np.ndarray:
         return self._log_trans
 
-    def labels(self, piece, gamma: np.ndarray) -> Dict[str, str]:
-        return {self.rids[0]: self.model.macro_index.label(int(np.argmax(gamma)))}
+    def macros(self, piece) -> Tuple[np.ndarray]:
+        return self._codes

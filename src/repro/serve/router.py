@@ -5,9 +5,8 @@ recording sessions — against a single loaded model artifact.  The
 :class:`SessionRouter` owns that model and a bounded LRU table of live
 sessions, each wrapped in its own
 :class:`~repro.core.smoother.OnlineSmoother` (per-session smoothers keep
-per-session :class:`~repro.core.api.DecodeStats`, so interleaved streams
-never mix their counters — the smoother re-pins ``model.last_stats`` on
-every push).
+per-session :class:`~repro.core.api.DecodeStats` that their trellis
+sessions count into, so interleaved streams never mix their counters).
 
 Steps are pushed as plain :class:`~repro.datasets.trace.ContextStep`
 objects; the router appends them to a growing per-session sequence buffer

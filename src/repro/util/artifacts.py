@@ -25,7 +25,7 @@ import json
 from pathlib import Path
 from typing import Dict, Union
 
-from repro.core.chdbn import CoupledHdbn, GmmBank, _MacroGmm
+from repro.core.chdbn import GmmBank, _MacroGmm
 from repro.core.emissions import ObjectEvidenceTable
 from repro.core.engine import CaceEngine
 from repro.core.hdbn import SingleUserHdbn
@@ -46,21 +46,6 @@ MODEL_SCHEMA = "repro.model/1"
 #: Constructor arguments preserved per HDBN family (everything else the
 #: dataclasses derive in ``__post_init__``).
 _HDBN_CONFIG = {
-    "coupled": (
-        "prune_per_user",
-        "prune_cross",
-        "gmm_components",
-        "max_states_per_user",
-        "max_joint_states",
-        "max_joint_states_pruned",
-        "min_change_prob",
-        "use_feature_gmm",
-        "pir_miss_penalty",
-        "unexplained_subloc_penalty",
-        "unexplained_room_penalty",
-        "soft_exclusion_penalty",
-        "use_sequence_kernels",
-    ),
     "nchain": (
         "prune_cross",
         "gmm_components",
@@ -73,7 +58,6 @@ _HDBN_CONFIG = {
         "unexplained_subloc_penalty",
         "unexplained_room_penalty",
         "soft_exclusion_penalty",
-        "use_sequence_kernels",
     ),
     "single_user": (
         "gmm_components",
@@ -82,15 +66,34 @@ _HDBN_CONFIG = {
         "use_feature_gmm",
         "pir_miss_penalty",
         "temporal",
-        "use_sequence_kernels",
     ),
 }
 
+#: Artifact kind -> model class.  ``"coupled"`` artifacts were written by
+#: the former pair-only model; their config is a 2-chain NChainHdbn config.
 _HDBN_CLASSES = {
-    "coupled": CoupledHdbn,
+    "coupled": NChainHdbn,
     "nchain": NChainHdbn,
     "single_user": SingleUserHdbn,
 }
+
+
+def _hdbn_config(obj: Dict) -> Dict:
+    """The stored constructor arguments, minus keys of removed options.
+
+    Older artifacts carry ``use_sequence_kernels`` (the sequence kernels
+    are now the only emission path, so it is dropped) and, for the
+    ``"coupled"`` kind, ``prune_per_user``: per-user rule pruning now
+    always runs, so an artifact that switched it off cannot be reproduced.
+    """
+    config = dict(obj["config"])
+    config.pop("use_sequence_kernels", None)
+    if not config.pop("prune_per_user", True):
+        raise ValueError(
+            "artifact sets prune_per_user=false, which is no longer supported "
+            "(per-user rule pruning always runs)"
+        )
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +146,7 @@ def _hdbn_from_obj(obj: Dict):
         constraint_model=constraint_model_from_dict(obj["constraint_model"]),
         rule_set=rule_set_from_dict(rules) if rules is not None else None,
         seed=0,  # the RNG only seeds fitting; the fitted state is installed below
-        **obj["config"],
+        **_hdbn_config(obj),
     )
     model.gmms_ = _gmms_from_obj(obj["gmms"])
     model._object_index = {name: int(i) for name, i in obj["object_index"].items()}
@@ -192,8 +195,6 @@ def _hmm_from_obj(obj: Dict) -> MacroHmm:
 
 
 def _model_to_obj(model) -> Dict:
-    if isinstance(model, CoupledHdbn):
-        return _hdbn_to_obj(model, "coupled")
     if isinstance(model, NChainHdbn):
         return _hdbn_to_obj(model, "nchain")
     if isinstance(model, SingleUserHdbn):
@@ -224,7 +225,7 @@ def payload_supported(model) -> bool:
     may carry state or overrides the codec does not capture, so they must
     fall back to pickling.
     """
-    return type(model) in (CoupledHdbn, NChainHdbn, SingleUserHdbn, MacroHmm)
+    return type(model) in (NChainHdbn, SingleUserHdbn, MacroHmm)
 
 
 def model_to_payload(model) -> bytes:

@@ -3,7 +3,7 @@
 The contract: a reloaded engine is *bit-identical* to the saved one —
 same predicted labels, same posterior marginals, same DecodeStats work
 accounting — for every model family (NH flat HMM, NCR frame-wise, NCS/C2
-coupled pair, and the >2-resident N-chain).  Artifacts carry a schema
+coupled N-chain on pairs and on 3 residents).  Artifacts carry a schema
 version and a sha256 fingerprint; both are verified on load.
 """
 
@@ -13,8 +13,14 @@ import numpy as np
 import pytest
 
 from repro.core.engine import CaceEngine
+from repro.core.loosely_coupled import NChainHdbn
 from repro.datasets import generate_cace_dataset, train_test_split
-from repro.util.artifacts import MODEL_SCHEMA, engine_to_dict
+from repro.util.artifacts import (
+    MODEL_SCHEMA,
+    _fingerprint,
+    engine_from_dict,
+    engine_to_dict,
+)
 
 STRATEGIES = ("nh", "ncr", "ncs", "c2")
 
@@ -93,6 +99,42 @@ class TestRoundTrip:
         assert reloaded.predict(seq) == before
 
 
+class TestLegacyArtifacts:
+    """``repro.model/1`` files of the former pair-only model (kind
+    ``"coupled"``, carrying the since-removed ``prune_per_user`` and
+    ``use_sequence_kernels`` keys) still load."""
+
+    @pytest.fixture(scope="class")
+    def pair_engine(self, cace_split):
+        train, _ = cace_split
+        return CaceEngine(strategy="c2", seed=11).fit(train)
+
+    def _legacy(self, engine, **config):
+        payload = engine_to_dict(engine)
+        payload["model"]["kind"] = "coupled"
+        payload["model"]["config"].update(
+            {"prune_per_user": True, "use_sequence_kernels": True}, **config
+        )
+        payload["fingerprint"] = _fingerprint(payload)
+        return payload
+
+    def test_coupled_kind_loads_as_two_chain_nchain(self, pair_engine, cace_split):
+        _, test = cace_split
+        seq = test.sequences[0]
+        legacy = engine_from_dict(self._legacy(pair_engine))
+        assert type(legacy.model_) is NChainHdbn
+        assert len(legacy.model_.trellis_sessions(seq)[0].rids) == 2
+        assert legacy.predict(seq) == pair_engine.predict(seq)
+        before = pair_engine.posterior_marginals(seq)
+        after = legacy.posterior_marginals(seq)
+        for rid in before:
+            assert np.array_equal(before[rid], after[rid])
+
+    def test_prune_per_user_false_rejected(self, pair_engine):
+        with pytest.raises(ValueError, match="prune_per_user"):
+            engine_from_dict(self._legacy(pair_engine, prune_per_user=False))
+
+
 class TestIntegrity:
     def test_unfitted_engine_refuses_to_save(self, tmp_path):
         with pytest.raises(ValueError, match="unfitted"):
@@ -115,8 +157,6 @@ class TestIntegrity:
             CaceEngine.load(path)
 
     def test_unknown_model_kind_rejected(self, fitted_engine, tmp_path):
-        from repro.util.artifacts import _fingerprint
-
         payload = engine_to_dict(fitted_engine)
         payload["model"] = {"kind": "mystery"}
         payload["fingerprint"] = _fingerprint(payload)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     CaceEngine,
-    CoupledHdbn,
+    NChainHdbn,
     PruningStrategy,
     STRATEGIES,
     SingleUserHdbn,
@@ -18,7 +18,11 @@ from repro.core import (
     match_segments,
 )
 from repro.core.duration import Segment
+from repro.core.loosely_coupled import PAIR_CAPS
 from repro.mining.initial_rules import initial_rule_set
+
+#: The coupled pair HDBN: the 2-chain model with the pair caps.
+PAIR = dict(PAIR_CAPS, max_states_per_user=20)
 
 
 class TestStateSpaceBuilder:
@@ -146,11 +150,11 @@ class TestCoupledHdbn:
     @pytest.fixture(scope="class")
     def fitted(self, cace_split, constraint_model, rule_set):
         train, _ = cace_split
-        model = CoupledHdbn(
+        model = NChainHdbn(
             constraint_model=constraint_model,
             rule_set=rule_set,
-            max_states_per_user=20,
             seed=3,
+            **PAIR,
         )
         model.fit(train)
         return model
@@ -173,13 +177,11 @@ class TestCoupledHdbn:
 
     def test_pruning_shrinks_the_trellis(self, cace_split, constraint_model, rule_set):
         train, test = cace_split
-        pruned = CoupledHdbn(
-            constraint_model=constraint_model, rule_set=rule_set,
-            max_states_per_user=20, seed=3,
+        pruned = NChainHdbn(
+            constraint_model=constraint_model, rule_set=rule_set, seed=3, **PAIR
         ).fit(train)
-        unpruned = CoupledHdbn(
-            constraint_model=constraint_model, rule_set=None,
-            max_states_per_user=20, seed=3,
+        unpruned = NChainHdbn(
+            constraint_model=constraint_model, rule_set=None, seed=3, **PAIR
         ).fit(train)
         seq = test.sequences[0]
         pruned.decode(seq)
@@ -228,7 +230,7 @@ class TestSingleUserHdbn:
             temporal=False, max_states_per_user=20, seed=5,
         ).fit(train)
         seq = test.sequences[0]
-        labels = model.decode_user(seq, seq.resident_ids[0])
+        labels = model.decode(seq)[seq.resident_ids[0]]
         assert len(labels) == len(seq)
 
 

@@ -1,12 +1,15 @@
 """DecodeStats accounting fixes + hot-path equivalence regression tests.
 
-Covers the decode-overhaul PR's guarantees:
+Covers the decode-overhaul guarantees:
 
 * ``pruned_joint_states`` counts only joint candidates *actually removed*
   by correlation pruning (the all-pruned fallback reports zero), and the
   emission-score cap is accounted separately in ``capped_joint_states``;
 * the streaming :class:`~repro.core.smoother.OnlineSmoother` performs the
-  same accounting as offline decoding;
+  same accounting as offline decoding, into its own ``stats``;
+* models are re-entrant: trellis sessions count into the DecodeStats they
+  were built with, so interleaved session sets (and offline decodes in
+  between) never mix their counters;
 * the optimised hot path (precomputed encodings, rule matrices, object
   baseline) reproduces the seed implementation bit-for-bit on labels and
   to 1e-10 on posterior marginals (:mod:`repro.core.reference` is the
@@ -18,23 +21,27 @@ Covers the decode-overhaul PR's guarantees:
 import numpy as np
 import pytest
 
-from repro.core.chdbn import CoupledHdbn, DecodeStats
+from repro.core.api import DecodeStats
+from repro.core.chdbn import build_candidate_set
 from repro.core.engine import CaceEngine
-from repro.core.reference import ReferenceCoupledHdbn
+from repro.core.kernels import SequenceKernel
+from repro.core.loosely_coupled import PAIR_CAPS, NChainHdbn
+from repro.core.reference import ReferenceNChainHdbn
+from repro.core.rule_kernel import CrossRulePruner
 from repro.core.smoother import OnlineSmoother
 from repro.mining.context_rules import Item
 from repro.mining.correlation_miner import CorrelationRuleSet
 from repro.mining.rules import AssociationRule
 
+#: The c2 pair configuration under test (pair caps, 20 states per user).
+PAIR = dict(PAIR_CAPS, max_states_per_user=20)
+
 
 @pytest.fixture(scope="module")
 def fitted(cace_split, constraint_model, rule_set):
     train, _ = cace_split
-    model = CoupledHdbn(
-        constraint_model=constraint_model,
-        rule_set=rule_set,
-        max_states_per_user=20,
-        seed=3,
+    model = NChainHdbn(
+        constraint_model=constraint_model, rule_set=rule_set, seed=3, **PAIR
     )
     model.fit(train)
     return model
@@ -43,11 +50,8 @@ def fitted(cace_split, constraint_model, rule_set):
 @pytest.fixture(scope="module")
 def reference(cace_split, constraint_model, rule_set):
     train, _ = cace_split
-    model = ReferenceCoupledHdbn(
-        constraint_model=constraint_model,
-        rule_set=rule_set,
-        max_states_per_user=20,
-        seed=3,
+    model = ReferenceNChainHdbn(
+        constraint_model=constraint_model, rule_set=rule_set, seed=3, **PAIR
     )
     model.fit(train)
     return model
@@ -55,14 +59,14 @@ def reference(cace_split, constraint_model, rule_set):
 
 class TestPrunedCountAccounting:
     def test_all_pruned_fallback_counts_zero(self, cace_split, fitted, monkeypatch):
-        """When every pair fails the rules, nothing is dropped — and the
-        counter must say so (the seed inflated the Fig 11 metric here)."""
+        """When every joint state fails the rules, nothing is dropped — and
+        the counter must say so (the seed inflated the Fig 11 metric here)."""
         _, test = cace_split
         seq = test.sequences[0].slice(0, 5)
         monkeypatch.setattr(
-            type(fitted),
-            "_cross_prune_mask",
-            lambda self, step, c1, c2, gates=None: np.zeros(
+            CrossRulePruner,
+            "keep",
+            lambda self, amb, c1, c2, gates=None: np.zeros(
                 (len(c1), len(c2)), dtype=bool
             ),
         )
@@ -71,18 +75,18 @@ class TestPrunedCountAccounting:
         assert fitted.last_stats.joint_states > 0
 
     def test_partial_prune_counts_removed_pairs(self, cace_split, fitted, monkeypatch):
-        """The counter equals the number of pairs the mask removed."""
+        """The counter equals the number of joint states the mask removed."""
         _, test = cace_split
         seq = test.sequences[0].slice(0, 1)
         dropped = {}
 
-        def half_mask(self, step, c1, c2, gates=None):
+        def half_mask(self, amb, c1, c2, gates=None):
             keep = np.ones((len(c1), len(c2)), dtype=bool)
-            keep[0, :] = False  # drop every pair involving candidate 0 of u1
+            keep[0, :] = False  # drop every joint state with u1's candidate 0
             dropped["n"] = int((~keep).sum())
             return keep
 
-        monkeypatch.setattr(type(fitted), "_cross_prune_mask", half_mask)
+        monkeypatch.setattr(CrossRulePruner, "keep", half_mask)
         fitted.decode(seq)
         assert fitted.last_stats.pruned_joint_states == dropped["n"]
 
@@ -105,14 +109,16 @@ class TestPrunedCountAccounting:
 
 class TestSmootherAccounting:
     def test_streaming_stats_match_offline(self, cace_split, fitted):
-        """push() must perform the same accounting _prepare/decode do."""
+        """push() performs the same accounting offline decode does, into
+        the smoother's own stats (the model's last_stats is untouched)."""
         _, test = cace_split
         seq = test.sequences[0].slice(0, 25)
         fitted.decode(seq)
         offline = fitted.last_stats
         smoother = OnlineSmoother(fitted, lag=4)
         smoother.run(seq)
-        online = fitted.last_stats
+        online = smoother.stats
+        assert fitted.last_stats is offline
         assert online.steps == offline.steps == len(seq)
         assert online.joint_states == offline.joint_states
         assert online.transition_entries == offline.transition_entries
@@ -124,8 +130,40 @@ class TestSmootherAccounting:
         seq = test.sequences[0].slice(0, 12)
         smoother = OnlineSmoother(fitted, lag=3)
         smoother.run(seq)
-        assert fitted.last_stats.steps == len(seq)
-        assert fitted.last_stats.mean_joint_states > 1
+        assert smoother.stats.steps == len(seq)
+        assert smoother.stats.mean_joint_states > 1
+
+
+class TestReentrancy:
+    def test_interleaved_session_sets_keep_solo_counts(self, cace_split, fitted):
+        """Two session sets over one model, each counting into its own
+        DecodeStats and stepped interleaved with an offline decode in
+        between, each report exactly their solo-run counts."""
+        _, test = cace_split
+        steps = 15
+        seqs = [test.sequences[0].slice(0, steps), test.sequences[1].slice(0, steps)]
+
+        def advance(sessions, t):
+            for sess in sessions:
+                sess.piece(t)
+
+        solo = []
+        for seq in seqs:
+            stats = DecodeStats()
+            sessions = fitted.trellis_sessions(seq, stats)
+            for t in range(steps):
+                advance(sessions, t)
+            solo.append(stats)
+        assert all(s.pruned_joint_states + s.capped_joint_states > 0 for s in solo)
+
+        stats = [DecodeStats(), DecodeStats()]
+        sets = [fitted.trellis_sessions(seq, st) for seq, st in zip(seqs, stats)]
+        for t in range(steps):
+            for sessions in sets:
+                advance(sessions, t)
+            if t == steps // 2:
+                fitted.decode(test.sequences[0])
+        assert stats == solo
 
 
 class TestHotPathEquivalence:
@@ -146,13 +184,11 @@ class TestHotPathEquivalence:
     def test_unpruned_decode_identical(self, cace_split, constraint_model):
         """The NCS configuration (no rules) must match too."""
         train, test = cace_split
-        fast = CoupledHdbn(
-            constraint_model=constraint_model, rule_set=None,
-            max_states_per_user=20, seed=3,
+        fast = NChainHdbn(
+            constraint_model=constraint_model, rule_set=None, seed=3, **PAIR
         ).fit(train)
-        ref = ReferenceCoupledHdbn(
-            constraint_model=constraint_model, rule_set=None,
-            max_states_per_user=20, seed=3,
+        ref = ReferenceNChainHdbn(
+            constraint_model=constraint_model, rule_set=None, seed=3, **PAIR
         ).fit(train)
         seq = test.sequences[0].slice(0, 40)
         assert fast.decode(seq) == ref.decode(seq)
@@ -198,8 +234,10 @@ class TestSlotInvariance:
             steps=[twin_step],
             truths=seq.truths[:1],
         )
-        c1 = fitted._user_candidates(twin, rids[0], 0)
-        c2 = fitted._user_candidates(twin, rids[1], 0)
+        kern = SequenceKernel(fitted, twin, rids)
+        kern.ensure(0, 1)
+        c1 = build_candidate_set(fitted, twin, rids[0], 0, kern)
+        c2 = build_candidate_set(fitted, twin, rids[1], 0, kern)
         assert c1.states == c2.states
         np.testing.assert_array_equal(c1.m, c2.m)
         np.testing.assert_array_equal(c1.emissions, c2.emissions)

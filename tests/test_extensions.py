@@ -4,7 +4,6 @@ fixed-lag smoothing, and missing-modality robustness."""
 import numpy as np
 import pytest
 
-from repro.core.chdbn import CoupledHdbn
 from repro.core.engine import CaceEngine
 from repro.core.loosely_coupled import NChainHdbn
 from repro.core.smoother import OnlineSmoother
@@ -107,7 +106,7 @@ class TestOnlineSmoother:
         _, test = pair_split
         seq = test.sequences[0].slice(0, 40)
         model = fitted_pair_engine.model_
-        assert isinstance(model, CoupledHdbn)
+        assert isinstance(model, NChainHdbn)
         smoother = OnlineSmoother(model, lag=len(seq))
         online = smoother.run(seq)
         marginals = model.posterior_marginals(seq)

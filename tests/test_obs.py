@@ -211,9 +211,9 @@ class TestInstrumentedDecode:
         instrumented = engine.model_.decode(seq)
         assert instrumented == baseline
         snap = obs.get_registry().snapshot()
-        assert snap["decode.coupled.seconds"]["count"] == 1
-        assert snap["decode.coupled.steps"]["value"] == len(seq)
-        assert snap["decode.coupled.sweep_seconds"]["count"] == 1
+        assert snap["decode.nchain.seconds"]["count"] == 1
+        assert snap["decode.nchain.steps"]["value"] == len(seq)
+        assert snap["decode.nchain.sweep_seconds"]["count"] == 1
         assert snap["kernel.prepare_seconds"]["count"] >= 1
         names = [s.name for s in obs.get_tracer().roots()]
         assert "decode" in names

@@ -2,8 +2,9 @@
 
 The key invariant: arbitrary interleavings of ``push`` across sessions
 commit exactly the labels a sequential one-session-at-a-time replay
-would, because every session has its own smoother (and the smoother
-re-pins the shared model's ``last_stats`` on every push).
+would, because every session has its own smoother (whose trellis
+sessions count into the smoother's own ``stats``, never the shared
+model's).
 """
 
 import pytest
