@@ -1,7 +1,8 @@
 """CI smoke run of the decode hot-path benchmark at a small workload.
 
 Fails loudly on any label mismatch between the optimised kernels and the
-seed reference decoders (the bit-identity contract); the speedup
+seed reference decoders (the bit-identity contract), and when the c2,
+N-chain or smoother kernels are slower than their references; the speedup
 assertions are relaxed to >= 1x because shared CI runners make timing
 ratios unreliable.  The full thresholds (5x c2 serial, 3x N-chain, 3x
 smoother) are asserted by ``bench_decode_hotpath.py`` on dedicated
@@ -47,8 +48,9 @@ def main() -> int:
         failures.append("nchain labels diverge from the seed reference")
     if result.smoother is None or not result.smoother.labels_identical:
         failures.append("smoother labels diverge from the seed reference")
-    if result.speedup < 1.0:
-        failures.append(f"c2 kernels slower than the reference ({result.speedup:.2f}x)")
+    for name, run in (("c2", result), ("nchain", result.nchain), ("smoother", result.smoother)):
+        if run is not None and run.speedup < 1.0:
+            failures.append(f"{name} kernels slower than the reference ({run.speedup:.2f}x)")
     for failure in failures:
         print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
     return 1 if failures else 0

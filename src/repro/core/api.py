@@ -71,6 +71,10 @@ class DecodeStats:
     ``transition_entries``
         Total entries of the evaluated transition blocks — one
         ``(prev x cur)`` block per step per chain in the forward pass.
+        The joint model builds each resident chain's term on its own
+        candidate list and gathers it onto the joint axis; this still
+        counts the ``P x C`` entries of the gathered joint block, so the
+        Fig 11 overhead metric does not depend on how a block is built.
     ``pruned_joint_states``
         Joint candidates actually *removed* by correlation pruning.  When
         every pair fails the rules the pruner keeps them all (never empty
@@ -110,6 +114,10 @@ class TrellisPiece:
     transition in the forward recursion; ``enc`` is the session's own
     dense encoding of the candidates (opaque to the recursions, consumed
     by :meth:`TrellisSession.transition` / :meth:`TrellisSession.macros`).
+    A single-resident session stores the candidates' ``(m, l)`` macro and
+    sub-location codes; the joint N-chain session stores ``(grids, m, l)``:
+    per-user candidate indices as ``(N, J)`` rows plus each user's own
+    macro and sub-location code arrays.
     """
 
     scores: np.ndarray

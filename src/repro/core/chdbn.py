@@ -14,7 +14,8 @@ N=2 case).  This module holds the pieces that model and the single-user
   micro transition with per-step end probability; on a macro change the
   micro chain *resets* from the new macro's prior (Augmentations 1-3).
   :func:`build_transition_tables` precomputes both branches as log tables
-  and :func:`chain_block` gathers one chain's ``(P, C)`` block from them.
+  and :func:`chain_block` gathers one chain's block (previous states by
+  current candidates) from them, for the coupled and the uncoupled table.
 * **Coupled macro transitions** ``P(m' | m, partner_m)`` (Augmentation 3),
   shrunk toward the uncoupled table where data is sparse.
 * **Gaussian-mixture emissions** per macro over the continuous feature
@@ -36,7 +37,7 @@ and ``benchmarks/bench_decode_hotpath.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,16 +57,22 @@ def chain_block(
     log_subloc_prior: np.ndarray,
     m_prev: np.ndarray,
     l_prev: np.ndarray,
-    partner_prev: np.ndarray,
+    partner_prev: Optional[np.ndarray],
     m_cur: np.ndarray,
     l_cur: np.ndarray,
 ) -> np.ndarray:
-    """One coupled chain's (P, C) contribution to the joint transition.
+    """One chain's (P, C) contribution to the transition between P previous
+    and C current states.
 
     Two gathers from the precomputed log tables plus one branch on the
     macro-change mask — no per-step transcendentals on (P, C) blocks.
+    ``partner_prev`` is the partner chain's previous macro for the coupled
+    ``(M, M, M)`` macro table, ``None`` for the uncoupled ``(M, M)`` one.
     """
-    macro_term = macro_table[m_prev[:, None], partner_prev[:, None], m_cur[None, :]]
+    if partner_prev is None:
+        macro_term = macro_table[m_prev[:, None], m_cur[None, :]]
+    else:
+        macro_term = macro_table[m_prev[:, None], partner_prev[:, None], m_cur[None, :]]
     same = m_prev[:, None] == m_cur[None, :]
     cont = loc_table[m_cur[None, :], l_prev[:, None], l_cur[None, :]]
     reset = log_subloc_prior[m_cur, l_cur][None, :]

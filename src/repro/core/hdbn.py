@@ -19,6 +19,7 @@ from repro.core.api import DecodeStats, TrellisPiece, make_step_filter
 from repro.core.chdbn import (
     build_candidate_set,
     build_transition_tables,
+    chain_block,
     fit_emission_tables,
 )
 from repro.core.kernels import SequenceKernel
@@ -101,15 +102,6 @@ class SingleUserHdbn:
 
     # -- inference ---------------------------------------------------------------------
 
-    def _chain_block(
-        self, m_prev: np.ndarray, l_prev: np.ndarray, m_cur: np.ndarray, l_cur: np.ndarray
-    ) -> np.ndarray:
-        macro_term = self._macro_block_table[m_prev[:, None], m_cur[None, :]]
-        same = m_prev[:, None] == m_cur[None, :]
-        cont = self._loc_block_table[m_cur[None, :], l_prev[:, None], l_cur[None, :]]
-        reset = self._log_subloc_prior[m_cur, l_cur][None, :]
-        return macro_term + np.where(same, cont, reset)
-
     def decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:
         """Decode every resident independently (no coupling): Viterbi per
         chain, or the frame-wise MAP when ``temporal`` is off."""
@@ -187,9 +179,13 @@ class _UserTrellis:
     def transition(self, prev: TrellisPiece, cur: TrellisPiece) -> Optional[np.ndarray]:
         if not self.model.temporal:
             return None
+        model = self.model
         pm, pl = prev.enc
         m, l = cur.enc
-        return self.model._chain_block(pm, pl, m, l)
+        return chain_block(
+            model._macro_block_table, model._loc_block_table, model._log_subloc_prior,
+            pm, pl, None, m, l,
+        )
 
     def macros(self, piece: TrellisPiece) -> Tuple[np.ndarray]:
         return piece.enc[:1]

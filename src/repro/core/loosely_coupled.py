@@ -23,8 +23,12 @@ testbed's caps (:data:`PAIR_CAPS`):
 
 The joint trellis width is capped by emission score, so decoding remains
 polynomial even though the raw product space grows exponentially in N.
-Joint candidates are encoded as ``(N, J)`` arrays: one contiguous row of
-macro (and sub-location) codes per chain.
+Joint candidates are encoded as ``(N, J)`` index rows into the per-user
+candidate lists plus each user's macro and sub-location codes (see
+:class:`_NChainTrellis`).  The same loose coupling factors the transition
+block: chain ``i``'s term depends on the joint state only through chain
+``i``'s own current candidate, so it is built once per (previous joint
+state, candidate of ``i``) and gathered onto the joint axis.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ _TINY = 1e-12
 #: builds every resident pair with them (``max_states_per_user`` comes from
 #: the engine); 3+ chains keep the class defaults.
 PAIR_CAPS = {"max_states_per_user": 36, "max_joint_states": 2000, "max_joint_states_pruned": 100}
+
+#: A joint piece's encoding ``(grids, m, l)`` (see :class:`_NChainTrellis`).
+JointEnc = Tuple[np.ndarray, Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]
 
 
 @dataclass
@@ -276,43 +283,29 @@ class NChainHdbn:
             scores = scores[top]
         return grids, scores
 
-    def _encode(
-        self, per_user: List[CandidateSet], grids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Macro and sub-location codes as (N, J) arrays, one contiguous
-        row per chain."""
-        m = np.stack([c.m[g] for c, g in zip(per_user, grids)])
-        l = np.stack([c.l[g] for c, g in zip(per_user, grids)])
-        return m, l
-
-    def _chain_block(
-        self,
-        m_prev: np.ndarray,
-        l_prev: np.ndarray,
-        partner_prev: np.ndarray,
-        m_cur: np.ndarray,
-        l_cur: np.ndarray,
-    ) -> np.ndarray:
-        return chain_block(
-            self._macro_block_table, self._loc_block_table, self._log_subloc_prior,
-            m_prev, l_prev, partner_prev, m_cur, l_cur,
-        )
-
-    def _transition_block(
-        self,
-        prev: Tuple[np.ndarray, np.ndarray],
-        cur: Tuple[np.ndarray, np.ndarray],
-    ) -> np.ndarray:
+    def _transition_block(self, prev: JointEnc, cur: JointEnc) -> np.ndarray:
         """(P, C) joint log transition; chain i conditions on chain
-        (i+1) mod N.  Chain 0's block is the accumulator (a fresh array)."""
-        m_prev, l_prev = prev
-        m_cur, l_cur = cur
-        n = m_prev.shape[0]
-        total = self._chain_block(m_prev[0], l_prev[0], m_prev[1 % n], m_cur[0], l_cur[0])
-        for u in range(1, n):
-            total += self._chain_block(
-                m_prev[u], l_prev[u], m_prev[(u + 1) % n], m_cur[u], l_cur[u]
+        (i+1) mod N.
+
+        Chain u's term is built on the (P, n_u) grid of previous joint
+        states by u's own current candidates and gathered onto the joint
+        axis: every entry is the one the full (P, C) grid would compute.
+        Chain 0's gathered block is the accumulator (a fresh array)."""
+        p_grids, p_m, p_l = prev
+        c_grids, c_m, c_l = cur
+        n = p_grids.shape[0]
+        m_prev = [m[g] for m, g in zip(p_m, p_grids)]
+
+        def block(u: int) -> np.ndarray:
+            small = chain_block(
+                self._macro_block_table, self._loc_block_table, self._log_subloc_prior,
+                m_prev[u], p_l[u][p_grids[u]], m_prev[(u + 1) % n], c_m[u], c_l[u],
             )
+            return small[:, c_grids[u]]
+
+        total = block(0)
+        for u in range(1, n):
+            total += block(u)
         return total
 
     # -- Recognizer surface --------------------------------------------------------
@@ -348,8 +341,25 @@ class NChainHdbn:
         )
 
 
+def joint_codes(enc: JointEnc) -> Tuple[np.ndarray, np.ndarray]:
+    """``(N, J)`` macro and sub-location code rows of a joint piece's
+    encoding (one row per chain)."""
+    grids, m, l = enc
+    return (
+        np.stack([mu[g] for mu, g in zip(m, grids)]),
+        np.stack([lu[g] for lu, g in zip(l, grids)]),
+    )
+
+
 class _NChainTrellis:
-    """Trellis adapter over the joint N-chain trellis."""
+    """Trellis adapter over the joint N-chain trellis.
+
+    A piece's ``enc`` is ``(grids, m, l)``: ``grids`` is the ``(N, J)``
+    index rows of the joint candidates into the per-user candidate lists,
+    and ``m`` / ``l`` hold each user's own macro / sub-location codes
+    (length ``n_u``).  The transition block is built on the per-user codes;
+    the joint code rows are derived on demand (:func:`joint_codes`).
+    """
 
     def __init__(
         self,
@@ -375,11 +385,12 @@ class _NChainTrellis:
         kern.ensure(0, t + 1)
         per_user = [model._user_candidates(seq, rid, t, kern) for rid in rids]
         grids, scores = model._joint_candidates(seq, t, per_user, rids, kern, self.stats)
-        return TrellisPiece(scores=scores, enc=model._encode(per_user, grids))
+        enc = (grids, tuple(c.m for c in per_user), tuple(c.l for c in per_user))
+        return TrellisPiece(scores=scores, enc=enc)
 
     def initial_alpha(self, piece: TrellisPiece) -> np.ndarray:
         model = self.model
-        m, l = piece.enc
+        m, l = joint_codes(piece.enc)
         prior = (
             np.log(model.constraint_model.macro_prior[m] + _TINY)
             + model._log_subloc_prior[m, l]
@@ -389,5 +400,6 @@ class _NChainTrellis:
     def transition(self, prev: TrellisPiece, cur: TrellisPiece) -> np.ndarray:
         return self.model._transition_block(prev.enc, cur.enc)
 
-    def macros(self, piece: TrellisPiece) -> np.ndarray:
-        return piece.enc[0]
+    def macros(self, piece: TrellisPiece) -> List[np.ndarray]:
+        grids, m, _ = piece.enc
+        return [mu[g] for mu, g in zip(m, grids)]

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.api import DecodeStats
 from repro.core.emissions import object_log_evidence
-from repro.core.loosely_coupled import NChainHdbn
+from repro.core.loosely_coupled import JointEnc, NChainHdbn, joint_codes
 from repro.core.state_space import CandidateSet, UserState, _ROOM_OF
 from repro.datasets.trace import LabeledSequence
 from repro.models.chmm import soft_location_log_evidence
@@ -253,21 +253,27 @@ class ReferenceNChainHdbn(NChainHdbn):
     emissions, soft exclusions, joint coverage, cap) while computing every
     term the seed way: frozenset item-set algebra, per-state emission
     loops, label-string comparisons, and per-step transcendental chain
-    blocks.  The trellis session and the recursions are inherited.
+    blocks on the full (P, C) joint grid.  The trellis session and the
+    recursions are inherited.
     """
 
     def _make_kernel(self, seq: LabeledSequence, rids: Tuple[str, ...]) -> _NoKernel:
         return _NoKernel()
 
-    def _chain_block(
-        self,
-        m_prev: np.ndarray,
-        l_prev: np.ndarray,
-        partner_prev: np.ndarray,
-        m_cur: np.ndarray,
-        l_cur: np.ndarray,
-    ) -> np.ndarray:
-        return reference_chain_block(self, m_prev, l_prev, partner_prev, m_cur, l_cur)
+    def _transition_block(self, prev: JointEnc, cur: JointEnc) -> np.ndarray:
+        """Seed (P, C) joint log transition: every chain's block on the
+        full joint grid; chain i conditions on chain (i+1) mod N."""
+        m_prev, l_prev = joint_codes(prev)
+        m_cur, l_cur = joint_codes(cur)
+        n = m_prev.shape[0]
+        total = reference_chain_block(
+            self, m_prev[0], l_prev[0], m_prev[1 % n], m_cur[0], l_cur[0]
+        )
+        for u in range(1, n):
+            total += reference_chain_block(
+                self, m_prev[u], l_prev[u], m_prev[(u + 1) % n], m_cur[u], l_cur[u]
+            )
+        return total
 
     def _user_candidates(
         self, seq: LabeledSequence, rid: str, t: int, kern=None

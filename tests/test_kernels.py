@@ -11,12 +11,14 @@ decoding equals the fixed-lag smoother at lag >= T for every family.
 import numpy as np
 import pytest
 
+from repro.core.api import DecodeStats
 from repro.core.chdbn import build_candidate_set
 from repro.core.hdbn import SingleUserHdbn
 from repro.core.kernels import SequenceKernel, viterbi_path
-from repro.core.loosely_coupled import PAIR_CAPS, NChainHdbn
+from repro.core.loosely_coupled import PAIR_CAPS, NChainHdbn, joint_codes
 from repro.core.reference import (
     ReferenceNChainHdbn,
+    reference_chain_block,
     reference_user_candidates,
     reference_user_state_emissions,
 )
@@ -281,3 +283,46 @@ def test_offline_equals_full_lag_smoother(family, family_models):
     for rid, gamma in marginals.items():
         assert online[rid] == [index.label(int(np.argmax(row))) for row in gamma]
     assert smoother.stats == offline_stats
+
+
+# ---------------------------------------------------------------------------
+# factored transition block == the seed's full-grid chain blocks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family, edge_cases",
+    [("c2_pair", {"capped"}), ("c2_trio", {"capped", "single_candidate"})],
+)
+def test_factored_transition_block_is_bit_exact(family, edge_cases, family_models):
+    """Each chain's term built on its own candidate list and gathered onto
+    the joint axis equals, on every step, the seed's full (P, C) chain
+    blocks summed chain by chain -- including steps where the joint cap
+    binds and steps where a chain has a single candidate."""
+    model, seq = family_models[family]
+    stats = DecodeStats()
+    sess = model.trellis_sessions(seq, stats)[0]
+    sess.prepare(0, len(seq))
+    seen = set()
+    prev = None
+    for t in range(len(seq)):
+        capped_before = stats.capped_joint_states
+        piece = sess.piece(t)
+        if stats.capped_joint_states > capped_before:
+            seen.add("capped")
+        if min(len(m) for m in piece.enc[1]) == 1:
+            seen.add("single_candidate")
+        if prev is not None:
+            m_prev, l_prev = joint_codes(prev.enc)
+            m_cur, l_cur = joint_codes(piece.enc)
+            n = m_prev.shape[0]
+            want = reference_chain_block(
+                model, m_prev[0], l_prev[0], m_prev[1 % n], m_cur[0], l_cur[0]
+            )
+            for u in range(1, n):
+                want = want + reference_chain_block(
+                    model, m_prev[u], l_prev[u], m_prev[(u + 1) % n], m_cur[u], l_cur[u]
+                )
+            assert np.array_equal(sess.transition(prev, piece), want), t
+        prev = piece
+    assert edge_cases <= seen
