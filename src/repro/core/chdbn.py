@@ -103,64 +103,60 @@ class _MacroGmm:
 class GmmBank:
     """Every macro's mixture components stacked for one-shot evaluation.
 
-    One einsum over all components replaces one einsum per macro per step;
-    per-macro log-sum-exp then runs on slices of the shared component
-    vector (same values, same reduction order as :meth:`_MacroGmm.log_pdf`).
+    Components sit on a ``(macros, K)`` grid, ragged mixtures padded with
+    ``-inf`` log weights (a padded component adds ``exp(-inf) = 0`` to its
+    macro's sum).  One einsum scores every observation against every
+    component and one log-sum-exp over the K axis reduces all macros at
+    once, with the same elementwise ops and per-macro reduction order as
+    :meth:`_MacroGmm.log_pdf` (exactly so while mixtures have fewer than 8
+    components: past that, numpy's unrolled pairwise sum groups a padded
+    macro's terms differently, a last-ulp difference).
     """
 
     def __init__(self, gmms: Dict[int, "_MacroGmm"]) -> None:
-        self._order = sorted(gmms)
-        self._slices: Dict[int, Tuple[int, int]] = {}
-        if not self._order:
+        self.macros = np.array(sorted(gmms), dtype=int)
+        if not gmms:
             return
-        start = 0
-        for m in self._order:
-            k = gmms[m].weights.shape[0]
-            self._slices[m] = (start, start + k)
-            start += k
-        self.log_weights = np.log(
-            np.concatenate([gmms[m].weights for m in self._order]) + _TINY
-        )
-        self.means = np.concatenate([gmms[m].means for m in self._order])
-        self.inv_covs = np.concatenate([gmms[m].inv_covs for m in self._order])
-        self.logdets = np.concatenate([gmms[m].logdets for m in self._order])
-
-    def log_pdfs(self, x: np.ndarray) -> Dict[int, float]:
-        """``{macro_idx: log p(x | macro)}`` for every fitted macro."""
-        if not self._slices:
-            return {}
-        d = x.shape[0]
-        diffs = x[None, :] - self.means
-        quads = np.einsum("ki,kij,kj->k", diffs, self.inv_covs, diffs)
-        comps = self.log_weights - 0.5 * (d * np.log(2 * np.pi) + self.logdets + quads)
-        out: Dict[int, float] = {}
-        for m, (s, e) in self._slices.items():
-            c = comps[s:e]
-            mx = c.max()
-            out[m] = float(mx + np.log(np.exp(c - mx).sum()))
-        return out
+        n_k = max(g.weights.shape[0] for g in gmms.values())
+        dim = gmms[self.macros[0]].means.shape[1]
+        shape = (len(gmms), n_k)
+        log_weights = np.full(shape, -np.inf)
+        means = np.zeros(shape + (dim,))
+        inv_covs = np.zeros(shape + (dim, dim))
+        logdets = np.zeros(shape)
+        for i, m in enumerate(self.macros):
+            g = gmms[m]
+            k = g.weights.shape[0]
+            log_weights[i, :k] = np.log(g.weights + _TINY)
+            means[i, :k] = g.means
+            inv_covs[i, :k] = g.inv_covs
+            logdets[i, :k] = g.logdets
+        self.n_k = n_k
+        self.log_weights = log_weights.ravel()
+        self.means = means.reshape(-1, dim)
+        self.inv_covs = inv_covs.reshape(-1, dim, dim)
+        self.logdets = logdets.ravel()
 
     def log_pdf_rows(self, x_rows: np.ndarray, n_macro: int) -> np.ndarray:
-        """(T, n_macro) log densities for a stacked batch of observations.
+        """(T, n_macro) log densities ``log p(x_t | macro)`` of a stacked
+        batch of observations.
 
-        One einsum over all steps and components; each row reduces with
-        the same slicing and log-sum-exp order as :meth:`log_pdfs`, so
-        every entry is bit-identical to the per-step result.  Columns of
-        macros without a fitted mixture stay 0.0 (they add no evidence).
+        Every row is independent of the batch it comes in, and every
+        fitted entry equals that macro's :meth:`_MacroGmm.log_pdf` bit for
+        bit.  Columns of macros without a fitted mixture stay 0.0 (they
+        add no evidence).
         """
-        out = np.zeros((x_rows.shape[0], n_macro))
-        if not self._slices:
+        n_rows, d = x_rows.shape
+        out = np.zeros((n_rows, n_macro))
+        if not self.macros.size:
             return out
-        d = x_rows.shape[1]
         diffs = x_rows[:, None, :] - self.means[None, :, :]
         quads = np.einsum("tki,kij,tkj->tk", diffs, self.inv_covs, diffs)
-        comps = self.log_weights[None, :] - 0.5 * (
-            d * np.log(2 * np.pi) + self.logdets[None, :] + quads
-        )
-        for m, (s, e) in self._slices.items():
-            c = comps[:, s:e]
-            mx = c.max(axis=1)
-            out[:, m] = mx + np.log(np.exp(c - mx[:, None]).sum(axis=1))
+        comps = (
+            self.log_weights - 0.5 * (d * np.log(2 * np.pi) + self.logdets + quads)
+        ).reshape(n_rows, self.macros.size, self.n_k)
+        mx = comps.max(axis=2, keepdims=True)
+        out[:, self.macros] = mx[:, :, 0] + np.log(np.exp(comps - mx).sum(axis=2))
         return out
 
 

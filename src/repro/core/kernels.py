@@ -14,13 +14,15 @@ Three layers live here:
   read-out (:func:`posterior`, :func:`macro_marginals`): at
   ``lag >= len(seq)`` the smoother commits exactly the argmax of the
   offline marginals.
-* **:class:`SequenceKernel`** — per-sequence batched evidence.  A
-  session's feature rows are stacked into a ``(T, d)`` matrix and scored
-  against the stacked GMM bank with one einsum, posture/gesture CPT
-  columns are gathered for all steps at once, object-evidence deltas and
-  soft-location rows become ``(T, M)`` / ``(T, L)`` tables, and the
-  correlation-rule scalar gates are evaluated once per step per resident.
-  The per-step trellis machinery then only *indexes* precomputed rows.
+* **:class:`SequenceKernel`** — per-sequence batched evidence.  Every
+  resident's rows for the steps being built come from one stacked pass:
+  the ``(R·T, d)`` feature rows are scored against the stacked GMM bank
+  with one einsum and one log-sum-exp, posture/gesture CPT rows are
+  gathered at once, each step's object-evidence vector is looked up once
+  and added to every resident's row, soft-location rows are batched, and
+  the correlation-rule scalar gates are evaluated once per step per
+  resident.  The per-step trellis machinery then only *indexes*
+  precomputed rows.
 
 Equivalence contract: every evidence row is assembled from the same
 elementary float operations as the seed's per-state loop
@@ -247,14 +249,24 @@ def posterior_marginals(model, seq: LabeledSequence) -> Dict[str, np.ndarray]:
     return out
 
 
+def _cpt_rows(log_cpt: np.ndarray, index) -> Tuple[np.ndarray, Dict[str, int]]:
+    """``(rows, row_of)``: the (C + 1, M) transposed log CPT of an observed
+    micro channel, with a trailing zero row, and the label -> row map.
+    Missing and unknown labels read the zero row (they add no evidence)."""
+    rows = np.vstack([log_cpt.T, np.zeros(log_cpt.shape[0])])
+    return rows, {label: i for i, label in enumerate(index.labels)}
+
+
 class SequenceKernel:
     """Batched per-sequence evidence tables for the HDBN hot path.
 
     Built lazily and incrementally: :meth:`ensure` extends the tables to
     cover a step range, so offline decoding batches the whole sequence in
     one shot while the fixed-lag smoother grows the same tables as steps
-    stream in (batch size never changes any value — every step's row is
-    independent of its neighbours).
+    stream in.  Each build stacks every resident's rows, so a one-step
+    build pays its numpy dispatch once, not once per resident.  Neither
+    batch size nor stacking changes any value: every row is independent
+    of the rows built with it.
     """
 
     def __init__(self, model, seq: LabeledSequence, rids: Sequence[str]) -> None:
@@ -277,6 +289,12 @@ class SequenceKernel:
         self._center_x = np.array(cx)
         self._center_y = np.array(cy)
         self._room_of_l = model.builder.room_of_l
+        self._posture_rows, self._posture_row_of = _cpt_rows(model._log_posture, cm.posture_index)
+        self._gesture_rows, self._gesture_row_of = (
+            _cpt_rows(model._log_gesture, cm.gesture_index)
+            if model._log_gesture is not None and cm.gesture_index is not None
+            else (None, {})
+        )
         # Observability handles are resolved once per kernel; None when
         # metrics are off, so the hot path pays one pointer check.
         reg = _obs.registry_if_enabled()
@@ -317,24 +335,31 @@ class SequenceKernel:
             self._c_built.inc(t1 - start)
 
     def _build(self, start: int, t1: int) -> None:
-        """Extend every per-sequence table from ``start`` to ``t1``."""
+        """Extend every per-sequence table from ``start`` to ``t1``.
+
+        The rows of every resident for the new steps are built in one
+        stacked, resident-major pass (row ``r * n + i`` is resident r at
+        step ``start + i``) and then split back per resident.
+        """
         steps = self.seq.steps[start:t1]
+        n = len(steps)
+        items = [StepItems(step) for step in steps]
+        self._step_items.extend(items)
+        self._pir_masks.extend(self._pir_mask(step.rooms_fired) for step in steps)
+        obs_list = [step.observations[rid] for rid in self.rids for step in steps]
+        loc_rows = self._build_loc_rows(obs_list)
+        macro_rows = self._build_macro_rows(steps, obs_list)
         single = self.model._single_pruner
-
-        for step in steps:
-            self._step_items.append(StepItems(step))
-            self._pir_masks.append(self._pir_mask(step.rooms_fired))
-
-        for rid in self.rids:
-            obs_list = [step.observations[rid] for step in steps]
-            self._loc_rows[rid].extend(self._build_loc_rows(obs_list))
-            self._macro_rows[rid].extend(self._build_macro_rows(steps, obs_list))
-            gates = self._single_gates[rid]
+        for r, rid in enumerate(self.rids):
+            part = slice(r * n, (r + 1) * n)
+            self._loc_rows[rid].extend(loc_rows[part])
+            self._macro_rows[rid].extend(macro_rows[part])
             if single is None:
-                gates.extend([None] * len(steps))
+                self._single_gates[rid].extend([None] * n)
             else:
-                for amb, obs in zip(self._step_items[start:t1], obs_list):
-                    gates.append(single._gates(amb, obs))
+                self._single_gates[rid].extend(
+                    single._gates(amb, obs) for amb, obs in zip(items, obs_list[part])
+                )
         self._built = t1
 
     def _pir_mask(self, rooms_fired) -> Optional[np.ndarray]:
@@ -365,93 +390,57 @@ class SequenceKernel:
         return row
 
     def _build_loc_rows(self, obs_list) -> List[np.ndarray]:
-        """(L,) soft-location log-evidence row per step, batched over the
-        steps that carry a position estimate (the squared-distance kernel
-        is elementwise, so batching leaves every entry bit-identical to
-        :func:`repro.models.chmm.soft_location_log_evidence`)."""
-        rows: List[Optional[np.ndarray]] = [None] * len(obs_list)
-        est = [i for i, obs in enumerate(obs_list) if obs.position_estimate is not None]
-        if est and self._center_idx.size:
-            ex = np.array([obs_list[i].position_estimate[0] for i in est], dtype=float)
-            ey = np.array([obs_list[i].position_estimate[1] for i in est], dtype=float)
+        """(L,) soft-location log-evidence row per observation: the
+        squared-distance kernel batched over every position estimate (it
+        is elementwise, so every entry is bit-identical to
+        :func:`repro.models.chmm.soft_location_log_evidence`), the
+        memoised candidate row where there is none."""
+        pos = [obs.position_estimate for obs in obs_list]
+        rows: List[Optional[np.ndarray]] = [
+            self._candidate_loc_row(obs.subloc_candidates) if p is None else None
+            for obs, p in zip(obs_list, pos)
+        ]
+        est = [i for i, p in enumerate(pos) if p is not None]
+        if est:
             block = np.full((len(est), self._n_loc), -12.0)
-            block[:, self._center_idx] = -(
-                (ex[:, None] - self._center_x[None, :]) ** 2
-                + (ey[:, None] - self._center_y[None, :]) ** 2
-            ) / (2 * LOCATION_KERNEL_SIGMA_M**2)
-            for k, i in enumerate(est):
-                rows[i] = block[k]
-        elif est:
-            shared = np.full(self._n_loc, -12.0)
-            for i in est:
-                rows[i] = shared
-        for i, obs in enumerate(obs_list):
-            if rows[i] is None:
-                rows[i] = self._candidate_loc_row(obs.subloc_candidates)
+            if self._center_idx.size:
+                xy = np.array([pos[i] for i in est], dtype=float)
+                block[:, self._center_idx] = -(
+                    (xy[:, :1] - self._center_x) ** 2 + (xy[:, 1:] - self._center_y) ** 2
+                ) / (2 * LOCATION_KERNEL_SIGMA_M**2)
+            for i, row in zip(est, block):
+                rows[i] = row
         return rows
 
-    def _build_macro_rows(self, steps, obs_list) -> List[np.ndarray]:
-        """(M,) per-macro evidence row per step: posture and gesture CPT
-        columns gathered for all steps at once, the feature channel scored
-        through the stacked GMM bank with one einsum, and the object
-        channel from the precomputed baseline+delta table.  Term order
-        (posture, gesture, features, objects) matches the seed's loop."""
-        model = self.model
-        cm = model.constraint_model
-        rows = np.zeros((len(steps), self._n_macro))
+    def _build_macro_rows(self, steps, obs_list) -> np.ndarray:
+        """(R·n, M) per-macro evidence rows for the resident-major
+        *obs_list* over *steps*: posture and gesture CPT rows gathered at
+        once, the feature channel scored through the stacked GMM bank, and
+        each step's object vector added to every resident's row.  Term
+        order (posture, gesture, features, objects) matches the seed's
+        loop."""
+        rows = self._posture_rows[[self._posture_row_of.get(o.posture, -1) for o in obs_list]]
+        if self._gesture_rows is not None:
+            rows += self._gesture_rows[
+                [self._gesture_row_of.get(o.gesture, -1) for o in obs_list]
+            ]
+        if self.model.use_feature_gmm:
+            self._add_gmm_rows(rows, obs_list)
+        obj_table = self.model._obj_evidence
+        per_step = rows.reshape(-1, len(steps), self._n_macro)
+        per_step += np.array([obj_table.macro_vector(s.objects_fired) for s in steps])
+        return rows
 
-        p_cols = np.array(
-            [
-                cm.posture_index.index(obs.posture)
-                if (obs.posture is not None and obs.posture in cm.posture_index)
-                else -1
-                for obs in obs_list
-            ],
-            dtype=int,
-        )
-        has_p = p_cols >= 0
-        if has_p.any():
-            rows[has_p] += model._log_posture[:, p_cols[has_p]].T
-
-        if model._log_gesture is not None and cm.gesture_index is not None:
-            g_cols = np.array(
-                [
-                    cm.gesture_index.index(obs.gesture)
-                    if (obs.gesture is not None and obs.gesture in cm.gesture_index)
-                    else -1
-                    for obs in obs_list
-                ],
-                dtype=int,
-            )
-            has_g = g_cols >= 0
-            if has_g.any():
-                rows[has_g] += model._log_gesture[:, g_cols[has_g]].T
-
-        if model.use_feature_gmm:
-            feats = [np.asarray(obs.features, dtype=float) for obs in obs_list]
-            ok = np.array(
-                [x.size > 0 and not np.isnan(x).any() for x in feats], dtype=bool
-            )
-            if ok.any():
-                self._add_gmm_rows(rows, feats, np.flatnonzero(ok))
-
-        obj_table = model._obj_evidence
-        for i, step in enumerate(steps):
-            rows[i] += obj_table.macro_vector(step.objects_fired)
-        return list(rows)
-
-    def _add_gmm_rows(self, rows: np.ndarray, feats, idx: np.ndarray) -> None:
-        bank = self.model._gmm_bank
-        if not bank._slices:
-            return
-        if len({feats[i].shape[0] for i in idx}) == 1:
-            x_mat = np.stack([feats[i] for i in idx])
-            rows[idx] += bank.log_pdf_rows(x_mat, self._n_macro)
-            return
-        # Ragged feature dims: evaluate the bank step by step.
-        for i in idx:
-            for mi, lp in bank.log_pdfs(feats[i]).items():
-                rows[i, mi] += lp
+    def _add_gmm_rows(self, rows: np.ndarray, obs_list) -> None:
+        """Add the GMM feature channel to every row whose feature vector is
+        non-empty and NaN-free, one bank reduction per feature dimension."""
+        feats = [obs.features for obs in obs_list]
+        dims = [len(x) for x in feats]
+        for d in set(dims) - {0}:
+            sel = np.array([i for i, n in enumerate(dims) if n == d])
+            x_rows = np.array([feats[i] for i in sel], dtype=float)
+            ok = ~np.isnan(x_rows).any(axis=1)
+            rows[sel[ok]] += self.model._gmm_bank.log_pdf_rows(x_rows[ok], self._n_macro)
 
     # -- lookups ------------------------------------------------------------------
 

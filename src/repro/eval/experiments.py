@@ -839,8 +839,12 @@ class DecodeHotpathResult:
     labels_identical: bool
     #: 3-resident N-chain decode path (None when not benchmarked).
     nchain: Optional[PathResult] = None
-    #: Fixed-lag smoother streaming path (None when not benchmarked).
+    #: Fixed-lag smoother streaming path through ``push_many`` (None when
+    #: not benchmarked).
     smoother: Optional[PathResult] = None
+    #: The same smoother stream, one ``push`` per step (the
+    #: ``SessionRouter.push`` regime; None when not benchmarked).
+    smoother_push: Optional[PathResult] = None
     #: ``predict_dataset`` wall-clock per worker count.
     fanout: Dict[int, float] = field(default_factory=dict)
 
@@ -883,11 +887,16 @@ class DecodeHotpathResult:
                 for w, secs in sorted(self.fanout.items())
             },
         }
-        if self.nchain is not None:
-            out["nchain"] = self.nchain.to_dict()
-        if self.smoother is not None:
-            out["smoother"] = self.smoother.to_dict()
+        for path in self.paths:
+            out[path.name] = path.to_dict()
         return out
+
+    @property
+    def paths(self) -> List[PathResult]:
+        """The benchmarked N-chain and smoother paths."""
+        return [
+            p for p in (self.nchain, self.smoother, self.smoother_push) if p is not None
+        ]
 
     def render(self) -> str:
         """Benchmark table (before vs after, plus the batched paths)."""
@@ -899,9 +908,7 @@ class DecodeHotpathResult:
             rows.append(
                 (f"c2 optimised x{w} workers", secs, self.steps / max(secs, 1e-12))
             )
-        for path in (self.nchain, self.smoother):
-            if path is None:
-                continue
+        for path in self.paths:
             rows.append(
                 (
                     f"{path.name} reference (seed)",
@@ -923,12 +930,11 @@ class DecodeHotpathResult:
         lines.append(
             f"c2 speedup: {self.speedup:.2f}x | labels identical: {self.labels_identical}"
         )
-        for path in (self.nchain, self.smoother):
-            if path is not None:
-                lines.append(
-                    f"{path.name} speedup: {path.speedup:.2f}x | "
-                    f"labels identical: {path.labels_identical}"
-                )
+        for path in self.paths:
+            lines.append(
+                f"{path.name} speedup: {path.speedup:.2f}x | "
+                f"labels identical: {path.labels_identical}"
+            )
         return "\n".join(lines)
 
 
@@ -1030,17 +1036,27 @@ def decode_hotpath_benchmark(
     seconds_batched = fanout[workers]
 
     smoother_result: Optional[PathResult] = None
+    smoother_push_result: Optional[PathResult] = None
     if include_smoother:
         from repro.core.smoother import OnlineSmoother
 
-        # Warm-up, then time: fast path streams through push_many (bulk
-        # kernel builds), reference replays push-by-push on the seed model.
+        # Warm-up, then time: the fast path streams once through push_many
+        # (bulk kernel builds) and once one push per step (one-step kernel
+        # builds, the router's push regime); the reference replays
+        # push-by-push on the seed model.
         _stream_labels_many(fast, test.sequences[0], smoother_lag)
         t0 = time.perf_counter()
         sm_fast = [
             _stream_labels_many(fast, seq, smoother_lag) for seq in test.sequences
         ]
         sm_fast_seconds = time.perf_counter() - t0
+
+        OnlineSmoother(fast, lag=smoother_lag).run(test.sequences[0])
+        t0 = time.perf_counter()
+        sm_push = [
+            OnlineSmoother(fast, lag=smoother_lag).run(seq) for seq in test.sequences
+        ]
+        sm_push_seconds = time.perf_counter() - t0
 
         OnlineSmoother(reference, lag=smoother_lag).run(test.sequences[0])
         t0 = time.perf_counter()
@@ -1055,6 +1071,13 @@ def decode_hotpath_benchmark(
             seconds_reference=sm_ref_seconds,
             seconds_optimised=sm_fast_seconds,
             labels_identical=sm_fast == sm_ref,
+        )
+        smoother_push_result = PathResult(
+            name="smoother_push",
+            steps=steps,
+            seconds_reference=sm_ref_seconds,
+            seconds_optimised=sm_push_seconds,
+            labels_identical=sm_push == sm_ref,
         )
 
     nchain_result: Optional[PathResult] = None
@@ -1113,5 +1136,6 @@ def decode_hotpath_benchmark(
         labels_identical=fast_labels == ref_labels,
         nchain=nchain_result,
         smoother=smoother_result,
+        smoother_push=smoother_push_result,
         fanout=fanout,
     )

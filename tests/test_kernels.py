@@ -8,11 +8,13 @@ reference decoders' labels and DecodeStats at fixed seeds, and offline
 decoding equals the fixed-lag smoother at lag >= T for every family.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.api import DecodeStats
-from repro.core.chdbn import build_candidate_set
+from repro.core.chdbn import GmmBank, _MacroGmm, build_candidate_set
 from repro.core.hdbn import SingleUserHdbn
 from repro.core.kernels import SequenceKernel, viterbi_path
 from repro.core.loosely_coupled import PAIR_CAPS, NChainHdbn, joint_codes
@@ -107,9 +109,12 @@ def test_viterbi_path_matches_dense_decode():
 
 
 def test_gmm_bank_rows_match_per_step(pair_models, cace_split):
+    """Every entry of the stacked bank's one-reduction rows equals that
+    macro's own ``_MacroGmm.log_pdf`` exactly -- on the fitted bank, on a
+    ragged bank (one 2-component mixture padded among 4-component ones)
+    and on a single-row batch.  Macros without a mixture read 0.0."""
     _, test = cace_split
     fast = pair_models["c2"]
-    bank = fast._gmm_bank
     seq = test.sequences[0]
     rid = seq.resident_ids[0]
     x_rows = np.stack(
@@ -119,53 +124,110 @@ def test_gmm_bank_rows_match_per_step(pair_models, cace_split):
         ]
     )
     n_macro = fast.constraint_model.n_macro
-    rows = bank.log_pdf_rows(x_rows, n_macro)
-    for t in range(x_rows.shape[0]):
-        per_step = bank.log_pdfs(x_rows[t])
-        for m in range(n_macro):
-            assert rows[t, m] == per_step.get(m, 0.0)
+    first, *rest = sorted(fast.gmms_)
+    g = fast.gmms_[first]
+    ragged = {
+        first: _MacroGmm(
+            weights=g.weights[:2] / g.weights[:2].sum(),
+            means=g.means[:2],
+            inv_covs=g.inv_covs[:2],
+            logdets=g.logdets[:2],
+        ),
+        **{m: fast.gmms_[m] for m in rest[1:]},  # rest[0] left without a mixture
+    }
+    assert {gm.weights.shape[0] for gm in ragged.values()} == {2, 4}
+    for gmms, bank in ((fast.gmms_, fast._gmm_bank), (ragged, GmmBank(ragged))):
+        rows = bank.log_pdf_rows(x_rows, n_macro)
+        single = bank.log_pdf_rows(x_rows[:1], n_macro)
+        assert single.shape == (1, n_macro)
+        assert np.array_equal(single[0], rows[0])
+        for t in range(x_rows.shape[0]):
+            for m in range(n_macro):
+                want = gmms[m].log_pdf(x_rows[t]) if m in gmms else 0.0
+                assert rows[t, m] == want
+
+
+def _degrade(seq, seed=0):
+    """*seq* with every observation channel the kernel branches on knocked
+    out on some steps: NaN and empty feature vectors, missing and unknown
+    posture/gesture labels, and no position estimate."""
+    rng = np.random.default_rng(seed)
+    steps = []
+    for step in seq.steps:
+        observations = {}
+        for rid, obs in step.observations.items():
+            kw = {}
+            roll = rng.random()
+            if roll < 0.15:
+                kw["features"] = tuple(float("nan") for _ in obs.features)
+            elif roll < 0.3:
+                kw["features"] = ()
+            if rng.random() < 0.2:
+                kw["posture"] = None if rng.random() < 0.5 else "unknown-posture"
+            if rng.random() < 0.2:
+                kw["gesture"] = None if rng.random() < 0.5 else "unknown-gesture"
+            if rng.random() < 0.3:
+                kw["position_estimate"] = None
+            observations[rid] = dataclasses.replace(obs, **kw)
+        steps.append(dataclasses.replace(step, observations=observations))
+    return dataclasses.replace(seq, steps=steps)
 
 
 def test_sequence_kernel_emissions_match_scalar(pair_models, cace_split):
-    """Kernel emission rows equal the seed's per-state scalar loop."""
+    """Kernel emission rows equal the seed's per-state scalar loop, also
+    on steps with missing or unusable observation channels."""
     _, test = cace_split
     fast = pair_models["c2"]
-    seq = test.sequences[0]
-    kern = SequenceKernel(fast, seq, seq.resident_ids)
-    kern.ensure(0, len(seq))
     cm = fast.constraint_model
     rng = np.random.default_rng(3)
-    for t in range(0, len(seq), 7):
-        for rid in seq.resident_ids:
-            m = rng.integers(0, cm.n_macro, size=12)
-            l_idx = rng.integers(0, len(cm.subloc_index), size=12)
-            states = [
-                UserState(cm.macro_index.label(int(a)), cm.subloc_index.label(int(b)))
-                for a, b in zip(m, l_idx)
-            ]
-            got = kern.emissions(rid, t, m, l_idx)
-            want = reference_user_state_emissions(fast, seq, rid, t, states)
-            np.testing.assert_allclose(got, want, rtol=0, atol=EMISSION_ATOL)
+    for seq in (test.sequences[0], _degrade(test.sequences[0])):
+        kern = SequenceKernel(fast, seq, seq.resident_ids)
+        kern.ensure(0, len(seq))
+        for t in range(0, len(seq), 7):
+            for rid in seq.resident_ids:
+                m = rng.integers(0, cm.n_macro, size=12)
+                l_idx = rng.integers(0, len(cm.subloc_index), size=12)
+                states = [
+                    UserState(cm.macro_index.label(int(a)), cm.subloc_index.label(int(b)))
+                    for a, b in zip(m, l_idx)
+                ]
+                got = kern.emissions(rid, t, m, l_idx)
+                want = reference_user_state_emissions(fast, seq, rid, t, states)
+                np.testing.assert_allclose(got, want, rtol=0, atol=EMISSION_ATOL)
 
 
-def test_sequence_kernel_batch_size_invariant(pair_models, cace_split):
-    """Growing the tables one step at a time (the streaming regime) gives
-    the same rows as one full-sequence build."""
+def test_sequence_kernel_batch_size_invariant(pair_models, cace_split, nchain_setup):
+    """Every resident's macro row, location row and single-user gate
+    vector is independent of how the tables are grown: stacking all
+    residents and 1, 4 or T steps per ``ensure`` (1 is the streaming
+    regime) gives exactly the rows of a one-resident full-sequence build,
+    on pairs, on the 3-resident model and with degraded observations."""
     _, test = cace_split
-    fast = pair_models["c2"]
+    trio_model, _, trio_test = nchain_setup
     seq = test.sequences[0]
-    rid = seq.resident_ids[0]
-    bulk = SequenceKernel(fast, seq, seq.resident_ids)
-    bulk.ensure(0, len(seq))
-    incremental = SequenceKernel(fast, seq, seq.resident_ids)
-    for t in range(len(seq)):
-        incremental.ensure(t, t + 1)
-        assert np.array_equal(
-            bulk._macro_rows[rid][t], incremental._macro_rows[rid][t]
-        )
-        assert np.array_equal(
-            bulk._loc_rows[rid][t], incremental._loc_rows[rid][t]
-        )
+    cases = [
+        (pair_models["c2"], seq),
+        (pair_models["c2"], _degrade(seq)),
+        (trio_model, trio_test.sequences[0]),
+    ]
+    for model, seq in cases:
+        n_steps = len(seq)
+        full = {}
+        for rid in seq.resident_ids:
+            kern = SequenceKernel(model, seq, (rid,))
+            kern.ensure(0, n_steps)
+            full[rid] = kern
+        for chunk in (1, 4, n_steps):
+            kern = SequenceKernel(model, seq, seq.resident_ids)
+            for t0 in range(0, n_steps, chunk):
+                kern.ensure(t0, t0 + chunk)
+            for rid, want in full.items():
+                for t in range(n_steps):
+                    assert np.array_equal(kern._macro_rows[rid][t], want._macro_rows[rid][t])
+                    assert np.array_equal(kern._loc_rows[rid][t], want._loc_rows[rid][t])
+                    gates = kern.single_gates(rid, t)
+                    assert gates is not None
+                    assert np.array_equal(gates, want.single_gates(rid, t))
 
 
 # ---------------------------------------------------------------------------
