@@ -7,9 +7,10 @@ tables, and evaluate correlation-rule scalar gates once per step — the
 per-step trellis only indexes precomputed rows.  This bench measures
 steps/sec before (the ``Reference*`` seed hot paths) vs after on the same
 fitted models, asserting the contract: >= 5x serial c2 speedup, >= 3x on
-the 3-resident N-chain and fixed-lag smoother paths (the smoother both
-through ``push_many`` bursts and one ``push`` per step), all with
-bit-for-bit identical decoded labels.  Results are also written machine-readable to
+the 3-resident N-chain and fixed-lag smoother paths (the smoother on
+pairs both through ``push_many`` bursts and one ``push`` per step, and on
+3-resident homes one ``push`` per step, against the log-domain reference
+smoother), all with bit-for-bit identical decoded labels.  Results are also written machine-readable to
 ``BENCH_decode.json`` at the repo root.
 """
 
@@ -46,12 +47,14 @@ def test_decode_hotpath(benchmark):
     assert result.nchain is not None and result.nchain.labels_identical
     assert result.smoother is not None and result.smoother.labels_identical
     assert result.smoother_push is not None and result.smoother_push.labels_identical
+    assert result.nchain_smoother is not None and result.nchain_smoother.labels_identical
     # ...and must buy at least 5x serial steps/sec on the c2 hot path,
     # 3x on the N-chain and fixed-lag smoother paths (push_many bursts
-    # and one push per step).
+    # and one push per step, on pairs and on 3-resident homes).
     assert result.speedup >= 5.0
     assert result.nchain.speedup >= 3.0
     assert result.smoother.speedup >= 3.0
     assert result.smoother_push.speedup >= 3.0
+    assert result.nchain_smoother.speedup >= 3.0
     # The worker fan-out must at least have run at every requested width.
     assert set(result.fanout) >= {2, 4}

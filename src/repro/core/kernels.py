@@ -6,14 +6,26 @@ Three layers live here:
   and :func:`backward_betas` are the broadcast max-plus / sum-product
   updates over encoded candidate lists; :func:`forward_step` and
   :func:`backward_step` are their one-step updates, which the fixed-lag
-  :class:`~repro.core.smoother.OnlineSmoother` runs as well.
+  :class:`~repro.core.smoother.OnlineSmoother` runs as well.  Viterbi
+  works on the ``(P, C)`` log transition blocks.  The sum-product steps
+  work in the *scaled linear domain*: each log block is converted once
+  (:func:`linear_block`) into ``(E, shift)`` with ``shift = log_t.max()``
+  and ``E = exp(log_t - shift)``; every use of it is then one BLAS
+  mat-vec of ``E`` with ``exp(v - max(v))`` and a ``log`` of the result,
+  vector work only.  Precondition: the finite entries of a block span
+  fewer than about 700 nats, or ``E`` underflows to 0 (``-inf`` entries
+  map to an exact 0 and are fine).  Every fitted table is floored at
+  ``log(x + 1e-12)`` per term, so a block's span is bounded by the model.
+  The log-domain spec of these steps is
+  :func:`repro.core.reference.reference_forward_step` /
+  :func:`~repro.core.reference.reference_backward_step`.
 * **The offline driver** — :func:`decode` and :func:`posterior_marginals`
   run those recursions over a recogniser's ``trellis_sessions`` pieces and
   are the ``decode`` / ``posterior_marginals`` body of every family.
   Offline decoding and the smoother therefore share one recursion and one
-  read-out (:func:`posterior`, :func:`macro_marginals`): at
-  ``lag >= len(seq)`` the smoother commits exactly the argmax of the
-  offline marginals.
+  read-out (:func:`posterior`, :func:`macro_marginals`,
+  :func:`macro_argmax`): at ``lag >= len(seq)`` the smoother commits
+  exactly the argmax of the offline marginals.
 * **:class:`SequenceKernel`** — per-sequence batched evidence.  Every
   resident's rows for the steps being built come from one stacked pass:
   the ``(R·T, d)`` feature rows are scored against the stacked GMM bank
@@ -36,8 +48,10 @@ against :mod:`repro.core.reference` is asserted per strategy in
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import weakref
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,54 +110,102 @@ def viterbi_path(
     return path
 
 
+def _finite_max(v: np.ndarray) -> float:
+    """``max(v)``, or 0 when it is not finite (as :func:`_lse` does)."""
+    m = float(v.max())
+    return m if math.isfinite(m) else 0.0
+
+
+class LinearBlock(NamedTuple):
+    """A ``(P, C)`` log transition block in the scaled linear domain:
+    ``log_t == shift + log(E)``."""
+
+    E: np.ndarray
+    shift: float
+
+
+def linear_block(log_t: np.ndarray) -> LinearBlock:
+    """Convert a log transition block once for the sum-product steps."""
+    shift = _finite_max(log_t)
+    return LinearBlock(np.exp(log_t - shift), shift)
+
+
+class LinearBlocks:
+    """One trellis session's :func:`linear_block` converter.
+
+    A session that returns the same block object at every step (a flat
+    HMM's transition matrix) has it converted once, and every step then
+    shares one linear block.  The source is held by weak reference, so a
+    freshly computed log block is still freed after its conversion.
+    """
+
+    def __init__(self) -> None:
+        self._source: Optional[weakref.ref] = None
+        self._block: Optional[LinearBlock] = None
+
+    def __call__(self, log_t: Optional[np.ndarray]) -> Optional[LinearBlock]:
+        if log_t is None:
+            return None
+        if self._source is None or self._source() is not log_t:
+            self._source = weakref.ref(log_t)
+            self._block = linear_block(log_t)
+        return self._block
+
+
 def forward_step(
-    alpha_prev: np.ndarray, log_t: Optional[np.ndarray], scores: np.ndarray
+    alpha_prev: np.ndarray, block: Optional[LinearBlock], scores: np.ndarray
 ) -> np.ndarray:
-    """One sum-product forward update (``log_t`` None: no temporal
-    coupling, the step stands alone on its own scores)."""
-    if log_t is None:
+    """One sum-product forward update through a :class:`LinearBlock`
+    (``block`` None: no temporal coupling, the step stands alone on its
+    own scores).  A candidate no predecessor reaches reads ``-inf``."""
+    if block is None:
         return scores
-    return scores + _lse(alpha_prev[:, None] + log_t, axis=0)
+    a = _finite_max(alpha_prev)
+    with np.errstate(divide="ignore"):
+        return scores + (a + block.shift) + np.log(np.exp(alpha_prev - a) @ block.E)
 
 
 def backward_step(
     beta_next: np.ndarray,
-    log_t: Optional[np.ndarray],
+    block: Optional[LinearBlock],
     scores_next: np.ndarray,
     n_cur: int,
 ) -> np.ndarray:
     """One sum-product backward update onto a step with *n_cur*
-    candidates (``log_t`` is the block into the next step; None: future
-    evidence is independent of this step)."""
-    if log_t is None:
+    candidates (``block`` is the :class:`LinearBlock` into the next step;
+    None: future evidence is independent of this step)."""
+    if block is None:
         return np.zeros(n_cur)
-    return _lse(log_t + (scores_next + beta_next)[None, :], axis=1)
+    v = scores_next + beta_next
+    b = _finite_max(v)
+    with np.errstate(divide="ignore"):
+        return (b + block.shift) + np.log(block.E @ np.exp(v - b))
 
 
 def forward_alphas(
     initial: np.ndarray,
     per_scores: Sequence[np.ndarray],
-    transition: Callable[[int], Optional[np.ndarray]],
+    blocks: Sequence[Optional[LinearBlock]],
 ) -> List[np.ndarray]:
-    """Sum-product forward recursion over a ragged candidate trellis."""
+    """Sum-product forward recursion over a ragged candidate trellis
+    (``blocks[t]`` links steps t-1 and t; ``blocks[0]`` is unused)."""
     alphas: List[np.ndarray] = [initial]
     for t in range(1, len(per_scores)):
-        alphas.append(forward_step(alphas[-1], transition(t), per_scores[t]))
+        alphas.append(forward_step(alphas[-1], blocks[t], per_scores[t]))
     return alphas
 
 
 def backward_betas(
-    per_scores: Sequence[np.ndarray],
-    transition: Callable[[int], Optional[np.ndarray]],
+    per_scores: Sequence[np.ndarray], blocks: Sequence[Optional[LinearBlock]]
 ) -> List[np.ndarray]:
-    """Sum-product backward recursion (``transition(t)`` is the block
-    between steps t-1 and t, matching :func:`forward_alphas`)."""
+    """Sum-product backward recursion over the blocks
+    :func:`forward_alphas` runs on."""
     n = len(per_scores)
     betas: List[Optional[np.ndarray]] = [None] * n
     betas[-1] = np.zeros(per_scores[-1].shape[0])
     for t in range(n - 2, -1, -1):
         betas[t] = backward_step(
-            betas[t + 1], transition(t + 1), per_scores[t + 1], per_scores[t].shape[0]
+            betas[t + 1], blocks[t + 1], per_scores[t + 1], per_scores[t].shape[0]
         )
     return betas
 
@@ -152,6 +214,19 @@ def posterior(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Normalised posterior over one piece's candidates."""
     log_gamma = alpha + beta
     return np.exp(log_gamma - _lse(log_gamma, axis=0))
+
+
+#: Macro marginals within this of the largest are tied.  Float rounding
+#: separates exact ties by about 1e-16, far below it; a genuine lead this
+#: small is not evidence for either macro.
+_TIE_ATOL = 1e-9
+
+
+def macro_argmax(marg: np.ndarray) -> int:
+    """Index of the largest macro marginal, a tie going to the first tied
+    macro, so a committed label does not depend on the order in which
+    the recursion's float sums were taken."""
+    return int(np.argmax(marg >= marg.max() - _TIE_ATOL))
 
 
 def macro_marginals(sess, piece: TrellisPiece, gamma: np.ndarray) -> Dict[str, np.ndarray]:
@@ -225,8 +300,10 @@ def posterior_marginals(model, seq: LabeledSequence) -> Dict[str, np.ndarray]:
     """Per-resident posterior macro marginals ``(T, M)`` of *seq*.
 
     The ``posterior_marginals`` body of every recogniser family:
-    forward-backward over the same pieces :func:`decode` runs on.  The
-    call's :class:`DecodeStats` become ``model.last_stats``.
+    forward-backward over the same pieces :func:`decode` runs on.  Each
+    transition block is built and converted once and feeds both
+    recursions, so the call's :class:`DecodeStats` (which become
+    ``model.last_stats``) count exactly the work :func:`decode` counts.
     """
     n_steps = len(seq)
     stats = DecodeStats(steps=n_steps)
@@ -238,9 +315,15 @@ def posterior_marginals(model, seq: LabeledSequence) -> Dict[str, np.ndarray]:
         if not pieces:
             continue
         scores = [p.scores for p in pieces]
-        transition = _blocks(sess, pieces)
-        alphas = forward_alphas(sess.initial_alpha(pieces[0]), scores, transition)
-        betas = backward_betas(scores, transition)
+        convert = LinearBlocks()
+        blocks: List[Optional[LinearBlock]] = [None]
+        for t in range(1, n_steps):
+            log_t = sess.transition(pieces[t - 1], pieces[t])
+            if log_t is not None:
+                stats.transition_entries += log_t.size
+            blocks.append(convert(log_t))
+        alphas = forward_alphas(sess.initial_alpha(pieces[0]), scores, blocks)
+        betas = backward_betas(scores, blocks)
         for t, piece in enumerate(pieces):
             gamma = posterior(alphas[t], betas[t])
             for rid, marg in macro_marginals(sess, piece, gamma).items():

@@ -11,12 +11,19 @@ specification*: :func:`reference_user_candidates` specifies every HDBN
 family's per-resident candidates, and :class:`ReferenceNChainHdbn`
 overrides exactly the per-step machinery of the coupled model that was
 rewritten (built with :data:`~repro.core.loosely_coupled.PAIR_CAPS` it is
-the spec of the c2 pair decode), so
+the spec of the c2 pair decode).  :func:`reference_forward_step`,
+:func:`reference_backward_step` and :class:`ReferenceOnlineSmoother` keep
+the log-domain sum-product steps and fixed-lag smoother that
+:mod:`repro.core.kernels` replaced with scaled linear blocks.  So
 
 * ``tests/test_kernels.py`` / ``tests/test_decode_stats.py`` assert the
   optimised candidates match, ``decode`` labels and DecodeStats are
-  identical, and ``posterior_marginals`` agree to 1e-10, and
-* ``benchmarks/bench_decode_hotpath.py`` measures the steps/sec gain.
+  identical, and ``posterior_marginals`` agree to 1e-10,
+* ``tests/test_properties.py`` asserts the linear steps match the
+  log-domain ones, and
+* ``benchmarks/bench_decode_hotpath.py`` measures the steps/sec gain and
+  checks the smoother's labels against :class:`ReferenceOnlineSmoother`
+  on the reference models.
 
 Do not "optimise" this file — its value is being slow and obviously
 faithful to the seed.
@@ -31,13 +38,15 @@ guarantee under exact score ties.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.api import DecodeStats
 from repro.core.emissions import object_log_evidence
+from repro.core.kernels import _lse, macro_argmax, macro_marginals, posterior
 from repro.core.loosely_coupled import JointEnc, NChainHdbn, joint_codes
+from repro.core.smoother import OnlineSmoother
 from repro.core.state_space import CandidateSet, UserState, _ROOM_OF
 from repro.datasets.trace import LabeledSequence
 from repro.models.chmm import soft_location_log_evidence
@@ -354,3 +363,78 @@ class ReferenceNChainHdbn(NChainHdbn):
             grids = grids[:, top]
             scores = scores[top]
         return grids, scores
+
+
+# -- log-domain sum-product steps and fixed-lag smoother --------------------------
+
+
+def reference_forward_step(
+    alpha_prev: np.ndarray, log_t: Optional[np.ndarray], scores: np.ndarray
+) -> np.ndarray:
+    """Log-domain sum-product forward update over a ``(P, C)`` log block."""
+    if log_t is None:
+        return scores
+    return scores + _lse(alpha_prev[:, None] + log_t, axis=0)
+
+
+def reference_backward_step(
+    beta_next: np.ndarray,
+    log_t: Optional[np.ndarray],
+    scores_next: np.ndarray,
+    n_cur: int,
+) -> np.ndarray:
+    """Log-domain sum-product backward update onto *n_cur* candidates."""
+    if log_t is None:
+        return np.zeros(n_cur)
+    return _lse(log_t + (scores_next + beta_next)[None, :], axis=1)
+
+
+class ReferenceOnlineSmoother(OnlineSmoother):
+    """Fixed-lag smoother that stores each push's log transition block and
+    runs the log-domain steps over it: the spec the scaled linear
+    :class:`~repro.core.smoother.OnlineSmoother` must commit the same
+    labels as."""
+
+    def push(self, t: int) -> Optional[Dict[str, str]]:
+        if self._sessions is None:
+            raise RuntimeError("call start() before push()")
+        if t != self._pushed:
+            raise ValueError(f"steps must arrive in order; expected {self._pushed}, got {t}")
+        stats = self.stats
+        for k, sess in enumerate(self._sessions):
+            piece = sess.piece(t)
+            pieces = self._pieces[k]
+            pieces.append(piece)
+            stats.joint_states += len(piece)
+            if t == 0:
+                log_t = None
+                alpha = sess.initial_alpha(piece)
+            else:
+                log_t = sess.transition(pieces[-2], piece)
+                if log_t is not None:
+                    stats.transition_entries += log_t.size
+                alpha = reference_forward_step(self._alphas[k][-1], log_t, piece.scores)
+            self._trans[k].append(log_t)
+            self._alphas[k].append(alpha)
+        stats.steps += 1
+        self._pushed = t + 1
+        commit_t = t - self.lag
+        if commit_t < 0:
+            return None
+        labels = self._smooth_at(commit_t, t)
+        self._committed = commit_t + 1
+        return labels
+
+    def _smooth_at(self, commit_t: int, horizon: int) -> Dict[str, str]:
+        out: Dict[str, str] = {}
+        for k, sess in enumerate(self._sessions):
+            pieces = self._pieces[k]
+            beta = np.zeros_like(self._alphas[k][horizon])
+            for t in range(horizon - 1, commit_t - 1, -1):
+                beta = reference_backward_step(
+                    beta, self._trans[k][t + 1], pieces[t + 1].scores, len(pieces[t])
+                )
+            gamma = posterior(self._alphas[k][commit_t], beta)
+            for rid, marg in macro_marginals(sess, pieces[commit_t], gamma).items():
+                out[rid] = sess.macro_index.label(macro_argmax(marg))
+        return out

@@ -34,7 +34,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.api import DecodeStats, Recognizer, TrellisPiece, TrellisSession
-from repro.core.kernels import backward_step, forward_step, macro_marginals, posterior
+from repro.core.kernels import (
+    LinearBlock,
+    LinearBlocks,
+    backward_step,
+    forward_step,
+    macro_argmax,
+    macro_marginals,
+    posterior,
+)
 from repro.obs import runtime as obs
 from repro.obs.metrics import MetricsRegistry
 
@@ -92,13 +100,16 @@ class OnlineSmoother:
     _rids: Tuple[str, ...] = field(default=(), init=False)
     _pieces: List[List[TrellisPiece]] = field(default_factory=list, init=False, repr=False)
     _alphas: List[List[np.ndarray]] = field(default_factory=list, init=False, repr=False)
-    #: Per-session transition blocks computed at push time; ``_trans[k][t]``
-    #: is the block between steps t-1 and t (None at t=0 and for
-    #: frame-wise chains), reused by the lag-window backward sweeps
-    #: instead of being recomputed on every commit.
-    _trans: List[List[Optional[np.ndarray]]] = field(
+    #: Per-session transition blocks, converted to the scaled linear
+    #: domain (:class:`~repro.core.kernels.LinearBlock`) once at push
+    #: time; ``_trans[k][t]`` is the block between steps t-1 and t (None
+    #: at t=0 and for frame-wise chains), reused by the lag-window
+    #: backward sweeps instead of being recomputed on every commit.  The
+    #: log block itself is not kept.
+    _trans: List[List[Optional[LinearBlock]]] = field(
         default_factory=list, init=False, repr=False
     )
+    _convert: List[LinearBlocks] = field(default_factory=list, init=False, repr=False)
     _pushed: int = field(default=0, init=False)
     _committed: int = field(default=0, init=False)
 
@@ -119,6 +130,7 @@ class OnlineSmoother:
         self._pieces = [[] for _ in sessions]
         self._alphas = [[] for _ in sessions]
         self._trans = [[] for _ in sessions]
+        self._convert = [LinearBlocks() for _ in sessions]
         self._pushed = 0
         self._committed = 0
         reg = self.metrics if self.metrics is not None else obs.registry_if_enabled()
@@ -140,23 +152,23 @@ class OnlineSmoother:
         stats = self.stats
         ins = self._ins
         t_push = time.perf_counter() if ins is not None else 0.0
-        for k, sess in enumerate(self._sessions):
-            piece = sess.piece(t)
-            pieces = self._pieces[k]
-            pieces.append(piece)
-            stats.joint_states += len(piece)
-            if t == 0:
-                log_t = None
-                alpha = sess.initial_alpha(piece)
-            else:
-                log_t = sess.transition(pieces[-2], piece)
-                if log_t is not None:
-                    stats.transition_entries += log_t.size
-                    if ins is not None:
-                        ins.trans_computed.inc()
-                alpha = forward_step(self._alphas[k][-1], log_t, piece.scores)
-            self._trans[k].append(log_t)
+        # Every session's piece, block and alpha is built before any is
+        # stored: a step that raises leaves the window and the stats its
+        # pieces counted into as they were, so the same step can be retried.
+        before = vars(stats).copy()
+        try:
+            staged = [self._advance(k, sess, t) for k, sess in enumerate(self._sessions)]
+        except BaseException:
+            vars(stats).update(before)
+            raise
+        for k, (piece, block, alpha, entries) in enumerate(staged):
+            self._pieces[k].append(piece)
+            self._trans[k].append(block)
             self._alphas[k].append(alpha)
+            stats.joint_states += len(piece)
+            stats.transition_entries += entries
+            if ins is not None and block is not None:
+                ins.trans_computed.inc()
         stats.steps += 1
         self._pushed = t + 1
 
@@ -172,6 +184,19 @@ class OnlineSmoother:
             ins.steps.inc()
             ins.push_seconds.observe(time.perf_counter() - t_push)
         return labels
+
+    def _advance(
+        self, k: int, sess: TrellisSession, t: int
+    ) -> Tuple[TrellisPiece, Optional[LinearBlock], np.ndarray, int]:
+        """Session *k*'s step-*t* piece, linear block into it, forward
+        alpha and evaluated transition entries (nothing is stored)."""
+        piece = sess.piece(t)
+        if t == 0:
+            return piece, None, sess.initial_alpha(piece), 0
+        log_t = sess.transition(self._pieces[k][-1], piece)
+        block = self._convert[k](log_t)
+        alpha = forward_step(self._alphas[k][-1], block, piece.scores)
+        return piece, block, alpha, 0 if log_t is None else log_t.size
 
     def push_many(self, ts: Sequence[int]) -> List[Optional[Dict[str, str]]]:
         """Bulk-append: batch-build each session's per-sequence evidence
@@ -243,13 +268,13 @@ class OnlineSmoother:
                 trans = self._trans[k]
                 beta = np.zeros_like(self._alphas[k][horizon])
                 for t in range(horizon - 1, commit_t - 1, -1):
-                    log_t = trans[t + 1]
-                    reused += log_t is not None
-                    beta = backward_step(beta, log_t, pieces[t + 1].scores, len(pieces[t]))
+                    block = trans[t + 1]
+                    reused += block is not None
+                    beta = backward_step(beta, block, pieces[t + 1].scores, len(pieces[t]))
                 gamma = posterior(self._alphas[k][commit_t], beta)
                 index = sess.macro_index
                 for rid, marg in macro_marginals(sess, pieces[commit_t], gamma).items():
-                    out[rid] = index.label(int(np.argmax(marg)))
+                    out[rid] = index.label(macro_argmax(marg))
         if ins is not None:
             ins.commits.inc()
             if reused:

@@ -845,6 +845,9 @@ class DecodeHotpathResult:
     #: The same smoother stream, one ``push`` per step (the
     #: ``SessionRouter.push`` regime; None when not benchmarked).
     smoother_push: Optional[PathResult] = None
+    #: One ``push`` per step on the 3-resident N-chain model (None when
+    #: either the N-chain or the smoother path is not benchmarked).
+    nchain_smoother: Optional[PathResult] = None
     #: ``predict_dataset`` wall-clock per worker count.
     fanout: Dict[int, float] = field(default_factory=dict)
 
@@ -894,9 +897,8 @@ class DecodeHotpathResult:
     @property
     def paths(self) -> List[PathResult]:
         """The benchmarked N-chain and smoother paths."""
-        return [
-            p for p in (self.nchain, self.smoother, self.smoother_push) if p is not None
-        ]
+        paths = (self.nchain, self.smoother, self.smoother_push, self.nchain_smoother)
+        return [p for p in paths if p is not None]
 
     def render(self) -> str:
         """Benchmark table (before vs after, plus the batched paths)."""
@@ -924,9 +926,9 @@ class DecodeHotpathResult:
                 )
             )
         lines = ["decode hot path (seeded CACE corpus)"]
-        lines.append(f"{'variant':<30}{'seconds':>10}{'steps/s':>12}")
+        lines.append(f"{'variant':<34}{'seconds':>10}{'steps/s':>12}")
         for name, secs, sps in rows:
-            lines.append(f"{name:<30}{secs:>10.3f}{sps:>12.1f}")
+            lines.append(f"{name:<34}{secs:>10.3f}{sps:>12.1f}")
         lines.append(
             f"c2 speedup: {self.speedup:.2f}x | labels identical: {self.labels_identical}"
         )
@@ -981,7 +983,8 @@ def decode_hotpath_benchmark(
     import time
 
     from repro.core.loosely_coupled import PAIR_CAPS, NChainHdbn
-    from repro.core.reference import ReferenceNChainHdbn
+    from repro.core.reference import ReferenceNChainHdbn, ReferenceOnlineSmoother
+    from repro.core.smoother import OnlineSmoother
     from repro.mining.constraint_miner import ConstraintMiner
 
     rng = ensure_rng(seed)
@@ -1038,12 +1041,10 @@ def decode_hotpath_benchmark(
     smoother_result: Optional[PathResult] = None
     smoother_push_result: Optional[PathResult] = None
     if include_smoother:
-        from repro.core.smoother import OnlineSmoother
-
         # Warm-up, then time: the fast path streams once through push_many
         # (bulk kernel builds) and once one push per step (one-step kernel
         # builds, the router's push regime); the reference replays
-        # push-by-push on the seed model.
+        # push-by-push on the seed model through the log-domain smoother.
         _stream_labels_many(fast, test.sequences[0], smoother_lag)
         t0 = time.perf_counter()
         sm_fast = [
@@ -1058,10 +1059,10 @@ def decode_hotpath_benchmark(
         ]
         sm_push_seconds = time.perf_counter() - t0
 
-        OnlineSmoother(reference, lag=smoother_lag).run(test.sequences[0])
+        ReferenceOnlineSmoother(reference, lag=smoother_lag).run(test.sequences[0])
         t0 = time.perf_counter()
         sm_ref = [
-            OnlineSmoother(reference, lag=smoother_lag).run(seq)
+            ReferenceOnlineSmoother(reference, lag=smoother_lag).run(seq)
             for seq in test.sequences
         ]
         sm_ref_seconds = time.perf_counter() - t0
@@ -1081,6 +1082,7 @@ def decode_hotpath_benchmark(
         )
 
     nchain_result: Optional[PathResult] = None
+    nchain_smoother_result: Optional[PathResult] = None
     if include_nchain:
         nc_dataset = generate_cace_dataset(
             n_homes=n_homes,
@@ -1126,6 +1128,27 @@ def decode_hotpath_benchmark(
             seconds_optimised=nc_fast_seconds,
             labels_identical=nc_fast_labels == nc_ref_labels,
         )
+        if include_smoother:
+            OnlineSmoother(nc_fast, lag=smoother_lag).run(nc_test.sequences[0])
+            t0 = time.perf_counter()
+            nc_sm_fast = [
+                OnlineSmoother(nc_fast, lag=smoother_lag).run(seq)
+                for seq in nc_test.sequences
+            ]
+            nc_sm_fast_seconds = time.perf_counter() - t0
+            ReferenceOnlineSmoother(nc_reference, lag=smoother_lag).run(nc_test.sequences[0])
+            t0 = time.perf_counter()
+            nc_sm_ref = [
+                ReferenceOnlineSmoother(nc_reference, lag=smoother_lag).run(seq)
+                for seq in nc_test.sequences
+            ]
+            nchain_smoother_result = PathResult(
+                name="nchain_smoother",
+                steps=nchain_result.steps,
+                seconds_reference=time.perf_counter() - t0,
+                seconds_optimised=nc_sm_fast_seconds,
+                labels_identical=nc_sm_fast == nc_sm_ref,
+            )
 
     return DecodeHotpathResult(
         steps=steps,
@@ -1137,5 +1160,6 @@ def decode_hotpath_benchmark(
         nchain=nchain_result,
         smoother=smoother_result,
         smoother_push=smoother_push_result,
+        nchain_smoother=nchain_smoother_result,
         fanout=fanout,
     )

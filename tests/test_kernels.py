@@ -9,6 +9,7 @@ decoding equals the fixed-lag smoother at lag >= T for every family.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ import pytest
 from repro.core.api import DecodeStats
 from repro.core.chdbn import GmmBank, _MacroGmm, build_candidate_set
 from repro.core.hdbn import SingleUserHdbn
-from repro.core.kernels import SequenceKernel, viterbi_path
+from repro.core import kernels
+from repro.core.kernels import SequenceKernel, linear_block, macro_argmax, viterbi_path
 from repro.core.loosely_coupled import PAIR_CAPS, NChainHdbn, joint_codes
 from repro.core.reference import (
     ReferenceNChainHdbn,
+    ReferenceOnlineSmoother,
     reference_chain_block,
     reference_user_candidates,
     reference_user_state_emissions,
@@ -31,7 +34,7 @@ from repro.mining import ConstraintMiner, CorrelationMiner
 from repro.models.distributions import GaussianEmission
 from repro.models.hmm import MacroHmm
 from repro.models.inputs import step_features
-from repro.models.viterbi import viterbi_decode
+from repro.models.viterbi import forward_backward, viterbi_decode
 
 #: The object channel sums its Bernoulli logs in another order than the
 #: seed (see repro.core.reference), so scores may differ in the last ulp.
@@ -336,6 +339,7 @@ def test_offline_equals_full_lag_smoother(family, family_models):
     posterior marginals, and counts exactly the work offline decode does."""
     model, seq = family_models[family]
     marginals = model.posterior_marginals(seq)
+    posterior_stats = model.last_stats
     model.decode(seq)
     offline_stats = model.last_stats
     smoother = OnlineSmoother(model, lag=len(seq))
@@ -343,8 +347,144 @@ def test_offline_equals_full_lag_smoother(family, family_models):
     index = model.trellis_sessions(seq)[0].macro_index
     assert set(online) == set(marginals)
     for rid, gamma in marginals.items():
-        assert online[rid] == [index.label(int(np.argmax(row))) for row in gamma]
+        assert online[rid] == [index.label(macro_argmax(row)) for row in gamma]
     assert smoother.stats == offline_stats
+    assert posterior_stats == offline_stats
+
+
+@pytest.mark.parametrize("family", ["nh", "ncr_temporal", "c2_pair", "c2_trio"])
+def test_smoother_matches_log_domain_reference(family, family_models):
+    """The linear-domain smoother commits the log-domain spec's labels and
+    counts the same work."""
+    model, seq = family_models[family]
+    fast = OnlineSmoother(model, lag=4)
+    spec = ReferenceOnlineSmoother(model, lag=4)
+    assert fast.run(seq) == spec.run(seq)
+    assert fast.stats == spec.stats
+
+
+def test_nh_posterior_matches_dense_forward_backward(family_models):
+    """The linear-domain recursion over nh's trellis equals an independent
+    dense log-domain forward-backward to 1e-10."""
+    model, seq = family_models["nh"]
+    n_m = len(model.macro_index)
+    marginals = model.posterior_marginals(seq)
+    for rid in seq.resident_ids:
+        log_e = np.array(
+            [model.emission_.log_pdf_many(range(n_m), x) for x in step_features(seq, rid)]
+        )
+        gamma, _, _ = forward_backward(np.log(model.prior_), np.log(model.trans_), log_e)
+        np.testing.assert_allclose(marginals[rid], gamma, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("family", ["nh", "ncr_temporal", "c2_pair", "c2_trio"])
+def test_transition_blocks_meet_linear_span_precondition(family, family_models):
+    """Every block the sum-product steps convert spans fewer than 700
+    finite nats, so ``exp(log_t - max)`` cannot underflow to 0."""
+    model, seq = family_models[family]
+    sess = model.trellis_sessions(seq, DecodeStats())[0]
+    sess.prepare(0, len(seq))
+    prev = sess.piece(0)
+    for t in range(1, len(seq)):
+        piece = sess.piece(t)
+        log_t = sess.transition(prev, piece)
+        finite = log_t[np.isfinite(log_t)]
+        assert finite.size and finite.max() - finite.min() < 700.0, t
+        prev = piece
+
+
+def test_shared_transition_block_is_converted_once(family_models, monkeypatch):
+    """nh returns one transition matrix object at every step: the smoother
+    converts it once per session and every step holds that one linear
+    block, so a session's memory does not grow with T by a block per step."""
+    model, seq = family_models["nh"]
+    steps = 50
+    assert len(seq) >= steps
+    converted = []
+    monkeypatch.setattr(
+        kernels, "linear_block", lambda log_t: converted.append(log_t) or linear_block(log_t)
+    )
+    smoother = OnlineSmoother(model, lag=4)
+    smoother.start(seq)
+    for t in range(steps):
+        smoother.push(t)
+    sessions = smoother._sessions
+    assert sessions[0].transition(None, None) is sessions[0].transition(None, None)
+    assert len(converted) == len(sessions)
+    for blocks in smoother._trans:
+        assert blocks[0] is None
+        assert len(blocks) == steps
+        assert all(b is blocks[1] for b in blocks[1:])
+
+
+# ---------------------------------------------------------------------------
+# a push that raises leaves the smoother as it was
+# ---------------------------------------------------------------------------
+
+
+class _Fault(RuntimeError):
+    pass
+
+
+def _fail_once(fn, on_call: int):
+    """*fn*, raising :class:`_Fault` on its *on_call*-th call (0-based) only."""
+    calls = itertools.count()
+
+    def wrapped(*args, **kwargs):
+        if next(calls) == on_call:
+            raise _Fault("injected")
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def _stream(model, seq, inject=None):
+    """Committed labels and stats of streaming *seq* at lag 4, retrying
+    once any push the injected fault made raise."""
+    smoother = OnlineSmoother(model, lag=4)
+    smoother.start(seq)
+    faults = 0
+    if inject is not None:
+        inject(smoother._sessions)
+    committed = []
+    for t in range(len(seq)):
+        try:
+            out = smoother.push(t)
+        except _Fault:
+            faults += 1
+            out = smoother.push(t)
+        if out is not None:
+            committed.append(out)
+    committed.extend(smoother.flush())
+    return committed, smoother.stats, faults
+
+
+@pytest.mark.parametrize(
+    "family, inject",
+    [
+        # c2: the transition of step 10 fails after its piece counted its
+        # pruned and capped joint states.
+        pytest.param(
+            "c2_pair",
+            lambda ss: setattr(ss[0], "transition", _fail_once(ss[0].transition, 9)),
+            id="c2_pair-transition",
+        ),
+        # ncr: the second resident's piece fails after the first's was built.
+        pytest.param(
+            "ncr",
+            lambda ss: setattr(ss[1], "piece", _fail_once(ss[1].piece, 10)),
+            id="ncr-second_piece",
+        ),
+    ],
+)
+def test_failed_push_can_be_retried(family, inject, family_models):
+    model, seq = family_models[family]
+    seq = seq.slice(0, 30)
+    clean_labels, clean_stats, _ = _stream(model, seq)
+    labels, stats, faults = _stream(model, seq, inject)
+    assert faults == 1
+    assert labels == clean_labels
+    assert stats == clean_stats
 
 
 # ---------------------------------------------------------------------------

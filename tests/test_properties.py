@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.duration import duration_error
+from repro.core.kernels import backward_step, forward_step, linear_block
+from repro.core.reference import reference_backward_step, reference_forward_step
 from repro.eval.metrics import evaluate_predictions
 from repro.models.distributions import (
     log_normalize,
@@ -147,3 +149,60 @@ class TestViterbiProperties:
         gamma, _, _ = forward_backward(log_prior, log_trans, log_e)
         for t, state in enumerate(path):
             assert gamma[t, state] > 0.0
+
+
+class TestLinearSumProductProperties:
+    """The scaled linear sum-product steps equal the log-domain spec."""
+
+    @st.composite
+    @staticmethod
+    def ragged_steps(draw):
+        """A random (P, C) log block spanning up to 200 nats, with -inf
+        entries, optional all -inf rows and columns, and vectors over both
+        ends that may hold -inf entries (or be all -inf)."""
+        p = draw(st.integers(min_value=1, max_value=9))
+        c = draw(st.integers(min_value=1, max_value=9))
+        span = draw(st.floats(min_value=0.0, max_value=200.0))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        log_t = rng.uniform(-span, 0.0, size=(p, c)) + rng.normal(0.0, 5.0)
+        log_t[rng.random((p, c)) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = -np.inf
+        if draw(st.booleans()):
+            log_t[rng.integers(p)] = -np.inf
+        if draw(st.booleans()):
+            log_t[:, rng.integers(c)] = -np.inf
+
+        def vector(n):
+            v = rng.uniform(-draw(st.floats(0.0, 200.0)), 0.0, size=n) + rng.normal(0.0, 50.0)
+            v[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -np.inf
+            return v
+
+        return log_t, vector(p), vector(c), vector(c)
+
+    @staticmethod
+    def assert_close(got, want):
+        """Same -inf entries; finite ones agree to 1e-10 relative (absolute
+        below magnitude 1)."""
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
+        finite = np.isfinite(want)
+        assert np.isfinite(got[finite]).all()
+        err = np.abs(got[finite] - want[finite])
+        assert (err <= 1e-10 * np.maximum(1.0, np.abs(want[finite]))).all(), err.max()
+
+    @given(ragged_steps())
+    @settings(max_examples=200, deadline=None)
+    def test_forward_step_matches_log_domain(self, case):
+        log_t, alpha_prev, scores, _ = case
+        with np.errstate(divide="ignore"):
+            want = reference_forward_step(alpha_prev, log_t, scores)
+        self.assert_close(forward_step(alpha_prev, linear_block(log_t), scores), want)
+
+    @given(ragged_steps())
+    @settings(max_examples=200, deadline=None)
+    def test_backward_step_matches_log_domain(self, case):
+        log_t, _, scores_next, beta_next = case
+        n_cur = log_t.shape[0]
+        with np.errstate(divide="ignore"):
+            want = reference_backward_step(beta_next, log_t, scores_next, n_cur)
+        got = backward_step(beta_next, linear_block(log_t), scores_next, n_cur)
+        self.assert_close(got, want)
