@@ -10,7 +10,8 @@ fitted models, asserting the contract: >= 5x serial c2 speedup, >= 3x on
 the 3-resident N-chain and fixed-lag smoother paths (the smoother on
 pairs both through ``push_many`` bursts and one ``push`` per step, and on
 3-resident homes one ``push`` per step, against the log-domain reference
-smoother), all with bit-for-bit identical decoded labels.  Results are also written machine-readable to
+smoother) and on 4-resident offline decode, all with bit-for-bit
+identical decoded labels.  Results are also written machine-readable to
 ``BENCH_decode.json`` at the repo root.
 """
 
@@ -48,13 +49,16 @@ def test_decode_hotpath(benchmark):
     assert result.smoother is not None and result.smoother.labels_identical
     assert result.smoother_push is not None and result.smoother_push.labels_identical
     assert result.nchain_smoother is not None and result.nchain_smoother.labels_identical
+    assert result.nchain_quad is not None and result.nchain_quad.labels_identical
     # ...and must buy at least 5x serial steps/sec on the c2 hot path,
-    # 3x on the N-chain and fixed-lag smoother paths (push_many bursts
-    # and one push per step, on pairs and on 3-resident homes).
+    # 3x on the N-chain paths (3 and 4 residents) and the fixed-lag
+    # smoother paths (push_many bursts and one push per step, on pairs
+    # and on 3-resident homes).
     assert result.speedup >= 5.0
     assert result.nchain.speedup >= 3.0
     assert result.smoother.speedup >= 3.0
     assert result.smoother_push.speedup >= 3.0
     assert result.nchain_smoother.speedup >= 3.0
+    assert result.nchain_quad.speedup >= 3.0
     # The worker fan-out must at least have run at every requested width.
     assert set(result.fanout) >= {2, 4}

@@ -3,10 +3,11 @@
 Fails loudly on any label mismatch between the optimised kernels and the
 seed reference decoders (the bit-identity contract), and when the c2,
 N-chain or smoother kernels are slower than their references.  The
-smoother is checked against the log-domain reference smoother three
-times: on pairs through ``push_many`` bursts and one ``push`` per step
-(the ``SessionRouter.push`` regime), and on 3-resident homes one
-``push`` per step.  The speedup assertions are
+N-chain decode is checked offline on 3-resident homes and on a tiny
+4-resident corpus.  The smoother is checked against the log-domain
+reference smoother three times: on pairs through ``push_many`` bursts
+and one ``push`` per step (the ``SessionRouter.push`` regime), and on
+3-resident homes one ``push`` per step.  The speedup assertions are
 relaxed to >= 1x because shared CI runners make timing ratios
 unreliable.  The full thresholds (5x c2 serial, 3x N-chain, 3x smoother
 either way) are asserted by ``bench_decode_hotpath.py`` on dedicated
@@ -48,7 +49,7 @@ def main() -> int:
     failures = []
     if not result.labels_identical:
         failures.append("c2 labels diverge from the seed reference")
-    for name in ("nchain", "smoother", "smoother_push", "nchain_smoother"):
+    for name in ("nchain", "smoother", "smoother_push", "nchain_smoother", "nchain_quad"):
         run = getattr(result, name)
         if run is None or not run.labels_identical:
             failures.append(f"{name} labels diverge from the seed reference")

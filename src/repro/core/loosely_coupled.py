@@ -21,11 +21,15 @@ testbed's caps (:data:`PAIR_CAPS`):
   For N=2 the ring is the paper's pair coupling: each chain conditions on
   the other.
 
-The joint trellis width is capped by emission score, so decoding remains
-polynomial even though the raw product space grows exponentially in N.
-Joint candidates are encoded as ``(N, J)`` index rows into the per-user
-candidate lists plus each user's macro and sub-location codes (see
-:class:`_NChainTrellis`).  The same loose coupling factors the transition
+Joint candidates are built on the per-user grid ``n_0 x ... x n_{N-1}``:
+the rule mask, emission sum, soft-exclusion penalties and coverage are
+broadcasts of per-chain vectors and pairwise matrices (``prod(n_u)``
+float64 scores, about 2.6 MB at 4 x 24 candidates).  Only the survivors
+of the rules and of the emission-score cap (best first, ties to the
+lowest flat index) are unravelled into ``(N, J)`` index rows into the
+per-user candidate lists, plus each user's macro and sub-location codes
+(see :class:`_NChainTrellis`), so the trellis width stays bounded while
+the raw product space grows exponentially in N.  The same loose coupling factors the transition
 block: chain ``i``'s term depends on the joint state only through chain
 ``i``'s own current candidate, so it is built once per (previous joint
 state, candidate of ``i``) and gathered onto the joint axis.
@@ -68,6 +72,17 @@ PAIR_CAPS = {"max_states_per_user": 36, "max_joint_states": 2000, "max_joint_sta
 
 #: A joint piece's encoding ``(grids, m, l)`` (see :class:`_NChainTrellis`).
 JointEnc = Tuple[np.ndarray, Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]
+
+
+def best_first(scores: np.ndarray, cap: int) -> np.ndarray:
+    """Indices of the *cap* highest *scores*, descending, ties to the lowest
+    index: ``np.argsort(-scores, kind="stable")[:cap]`` for ``0 < cap <
+    len(scores)``, from a partition and a sort of the kept entries only."""
+    k = scores.size - cap
+    v = np.partition(scores, k)[k]
+    kept = (scores > v).nonzero()[0]
+    kept = np.concatenate((kept, (scores == v).nonzero()[0][: cap - kept.size]))
+    return kept[np.argsort(-scores[kept], kind="stable")]
 
 
 @dataclass
@@ -212,76 +227,77 @@ class NChainHdbn:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Joint candidates as (N, J) index rows into the per-user lists,
         and their scores; rule-pruned and capped joint states are counted
-        into *stats*."""
+        into *stats*.
+
+        The rule mask and every score term are broadcasts on the per-user
+        grid ``n_0 x ... x n_{N-1}`` (``prod(n_u)`` float64 scores: about
+        2.6 MB at 4 x 24 candidates), added in the seed's order; only the
+        survivors of the rules and the cap are unravelled into index rows.
+        Survivors keep ``np.indices`` (C-order) order; a binding cap keeps
+        the best scores in descending order, ties to the lowest flat index
+        (:func:`best_first`)."""
         step = seq.steps[t]
         n = len(per_user)
-        grids = np.indices([len(c) for c in per_user]).reshape(n, -1)
-
-        prune_active = self._cross_pruner is not None and self.prune_cross
-        if prune_active:
+        shape = tuple(len(c) for c in per_user)
+        # A chain's (n_u,) vector on its grid axis: broadcasting supplies
+        # the leading unit axes.
+        ones = (1,) * n
+        on_axis = [(k,) + ones[u + 1:] for u, k in enumerate(shape)]
+        scores = sum(c.emissions.reshape(v) for c, v in zip(per_user, on_axis))
+        mask = np.ones(shape, dtype=bool)
+        cm = self.constraint_model
+        room_of_l = self.builder.room_of_l
+        if self._cross_pruner is not None and self.prune_cross:
             # The pairwise rule matrices are cached per candidate list, so
             # every ordered chain pair reuses the same per-rule rows.
             amb = kern.step_items(t)
-            mask = np.ones(grids.shape[1], dtype=bool)
             for a in range(n):
                 for b in range(a + 1, n):
-                    pair_keep = self._cross_pruner.keep(
-                        amb, per_user[a], per_user[b], kern.cross_gates(rids[a], rids[b], t)
-                    )
-                    mask &= pair_keep[grids[a], grids[b]]
-            if mask.any():
-                # Count only joint states actually removed: when every one
-                # fails the rules the pruner keeps them all, and reporting
-                # the would-be removals would inflate the Fig 11 overhead
-                # metric.
-                stats.pruned_joint_states += int((~mask).sum())
-                grids = grids[:, mask]
-
-        scores = np.zeros(grids.shape[1])
-        for u, c in enumerate(per_user):
-            scores += c.emissions[grids[u]]
-
-        cm = self.constraint_model
-        room_of_l = self.builder.room_of_l
-        if prune_active:
-            for a in range(n):
-                for b in range(a + 1, n):
+                    ab = (shape[a],) + ones[a + 1:b] + on_axis[b]
+                    ca, cb = per_user[a], per_user[b]
+                    gates = kern.cross_gates(rids[a], rids[b], t)
+                    mask &= self._cross_pruner.keep(amb, ca, cb, gates).reshape(ab)
                     pen = soft_exclusion_matrix(
-                        self._compiled_cross,
-                        cm,
-                        room_of_l,
-                        per_user[a],
-                        per_user[b],
-                        self.soft_exclusion_penalty,
+                        self._compiled_cross, cm, room_of_l, ca, cb, self.soft_exclusion_penalty
                     )
                     if pen is not None:
-                        scores += pen[grids[a], grids[b]]
+                        scores += pen.reshape(ab)
+            # Count only joint states actually removed: when every one
+            # fails the rules the pruner keeps them all, and reporting the
+            # would-be removals would inflate the Fig 11 overhead metric.
+            if mask.any():
+                stats.pruned_joint_states += mask.size - int(np.count_nonzero(mask))
+            else:
+                mask[...] = True
 
-        # Joint explaining-away over all chains.
-        for fired in step.sublocs_fired:
-            covered = np.zeros(grids.shape[1], dtype=bool)
-            if fired in cm.subloc_index:
-                f = cm.subloc_index.index(fired)
-                for u, c in enumerate(per_user):
-                    covered |= c.l[grids[u]] == f
-            scores += np.where(covered, 0.0, self.unexplained_subloc_penalty)
-        if not step.sublocs_fired and step.rooms_fired:
-            rooms = [room_of_l[c.l] for c in per_user]
-            for fired in step.rooms_fired:
-                covered = np.zeros(grids.shape[1], dtype=bool)
-                for u in range(n):
-                    covered |= rooms[u][grids[u]] == fired
-                scores += np.where(covered, 0.0, self.unexplained_room_penalty)
+        # Joint explaining-away over all chains: a fired area is unexplained
+        # where every chain's candidate misses it (a sub-location the model
+        # does not know is missed by all).
+        if step.sublocs_fired:
+            index = cm.subloc_index
+            codes = [index.index(f) if f in index else -1 for f in step.sublocs_fired]
+            misses = [[c.l != f for c in per_user] for f in codes]
+            penalty = self.unexplained_subloc_penalty
+        else:
+            misses = [[room_of_l[c.l] != r for c in per_user] for r in step.rooms_fired]
+            penalty = self.unexplained_room_penalty
+        for per_chain in misses:
+            unexplained = True
+            for miss, v in zip(per_chain, on_axis):
+                unexplained = unexplained & miss.reshape(v)
+            scores += np.where(unexplained, penalty, 0.0)
 
+        flat = mask.ravel().nonzero()[0]
+        scores = scores.ravel()[flat]
         cap = self.max_joint_states
         if self.rule_set is not None and self.prune_cross:
             cap = min(cap, self.max_joint_states_pruned)
-        if grids.shape[1] > cap:
-            stats.capped_joint_states += grids.shape[1] - cap
-            top = np.argsort(scores)[::-1][:cap]
-            grids = grids[:, top]
+        if flat.size > cap:
+            stats.capped_joint_states += flat.size - cap
+            top = best_first(scores, cap)
+            flat = flat[top]
             scores = scores[top]
-        return grids, scores
+        return np.array(np.unravel_index(flat, shape)), scores
 
     def _transition_block(self, prev: JointEnc, cur: JointEnc) -> np.ndarray:
         """(P, C) joint log transition; chain i conditions on chain

@@ -359,7 +359,8 @@ class ReferenceNChainHdbn(NChainHdbn):
             cap = min(cap, self.max_joint_states_pruned)
         if grids.shape[1] > cap:
             stats.capped_joint_states += grids.shape[1] - cap
-            top = np.argsort(scores)[::-1][:cap]
+            # Descending score, ties to the lowest flat index.
+            top = np.argsort(-scores, kind="stable")[:cap]
             grids = grids[:, top]
             scores = scores[top]
         return grids, scores

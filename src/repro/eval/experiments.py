@@ -8,6 +8,7 @@ paper-scale runs.  EXPERIMENTS.md records paper-vs-measured values.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -848,6 +849,9 @@ class DecodeHotpathResult:
     #: One ``push`` per step on the 3-resident N-chain model (None when
     #: either the N-chain or the smoother path is not benchmarked).
     nchain_smoother: Optional[PathResult] = None
+    #: 4-resident N-chain decode on a one-home corpus (None when the
+    #: N-chain paths are not benchmarked).
+    nchain_quad: Optional[PathResult] = None
     #: ``predict_dataset`` wall-clock per worker count.
     fanout: Dict[int, float] = field(default_factory=dict)
 
@@ -897,7 +901,9 @@ class DecodeHotpathResult:
     @property
     def paths(self) -> List[PathResult]:
         """The benchmarked N-chain and smoother paths."""
-        paths = (self.nchain, self.smoother, self.smoother_push, self.nchain_smoother)
+        paths = (
+            self.nchain, self.smoother, self.smoother_push, self.nchain_smoother, self.nchain_quad
+        )
         return [p for p in paths if p is not None]
 
     def render(self) -> str:
@@ -980,52 +986,17 @@ def decode_hotpath_benchmark(
     lives in (those caches key on the small fused-candidate vocabulary
     and fill within the first session).
     """
-    import time
-
-    from repro.core.loosely_coupled import PAIR_CAPS, NChainHdbn
-    from repro.core.reference import ReferenceNChainHdbn, ReferenceOnlineSmoother
+    from repro.core.loosely_coupled import PAIR_CAPS
+    from repro.core.reference import ReferenceOnlineSmoother
     from repro.core.smoother import OnlineSmoother
-    from repro.mining.constraint_miner import ConstraintMiner
 
     rng = ensure_rng(seed)
-    dataset = generate_cace_dataset(
-        n_homes=n_homes,
-        sessions_per_home=sessions_per_home,
-        duration_s=duration_s,
-        seed=rng.integers(0, 2**31),
+    fast, reference, test = _fitted_pair(
+        rng, 2, n_homes, sessions_per_home, duration_s, **PAIR_CAPS
     )
-    train, test = train_test_split(dataset, 0.7, seed=rng.integers(0, 2**31))
-    rule_set = CorrelationMiner().mine(train.sequences)
-    constraint_model = ConstraintMiner().fit(
-        train.sequences,
-        train.macro_vocab,
-        train.postural_vocab,
-        train.gestural_vocab,
-        train.subloc_vocab,
-    )
-    model_seed = int(rng.integers(0, 2**31))
-    fast = NChainHdbn(
-        constraint_model=constraint_model, rule_set=rule_set, seed=model_seed, **PAIR_CAPS
-    ).fit(train)
-    reference = ReferenceNChainHdbn(
-        constraint_model=constraint_model, rule_set=rule_set, seed=model_seed, **PAIR_CAPS
-    ).fit(train)
+    c2 = _decode_path("c2", fast, reference, test.sequences)
 
-    steps = sum(len(seq) for seq in test.sequences)
-
-    fast_labels = [fast.decode(seq) for seq in test.sequences]  # warm-up
-    t0 = time.perf_counter()
-    fast_labels_timed = [fast.decode(seq) for seq in test.sequences]
-    seconds_optimised = time.perf_counter() - t0
-
-    ref_labels = [reference.decode(seq) for seq in test.sequences]  # warm-up
-    t0 = time.perf_counter()
-    reference_labels_timed = [reference.decode(seq) for seq in test.sequences]
-    seconds_reference = time.perf_counter() - t0
-    assert fast_labels_timed == fast_labels
-    assert reference_labels_timed == ref_labels
-
-    engine = CaceEngine(strategy="c2", seed=model_seed)
+    engine = CaceEngine(strategy="c2", seed=fast.seed)
     engine.model_ = fast
     fanout: Dict[int, float] = {}
     try:
@@ -1036,130 +1007,119 @@ def decode_hotpath_benchmark(
             fanout[w] = time.perf_counter() - t0
     finally:
         engine.close()
-    seconds_batched = fanout[workers]
 
-    smoother_result: Optional[PathResult] = None
-    smoother_push_result: Optional[PathResult] = None
+    smoother = smoother_push = None
     if include_smoother:
-        # Warm-up, then time: the fast path streams once through push_many
-        # (bulk kernel builds) and once one push per step (one-step kernel
-        # builds, the router's push regime); the reference replays
-        # push-by-push on the seed model through the log-domain smoother.
-        _stream_labels_many(fast, test.sequences[0], smoother_lag)
-        t0 = time.perf_counter()
-        sm_fast = [
-            _stream_labels_many(fast, seq, smoother_lag) for seq in test.sequences
-        ]
-        sm_fast_seconds = time.perf_counter() - t0
-
-        OnlineSmoother(fast, lag=smoother_lag).run(test.sequences[0])
-        t0 = time.perf_counter()
-        sm_push = [
-            OnlineSmoother(fast, lag=smoother_lag).run(seq) for seq in test.sequences
-        ]
-        sm_push_seconds = time.perf_counter() - t0
-
-        ReferenceOnlineSmoother(reference, lag=smoother_lag).run(test.sequences[0])
-        t0 = time.perf_counter()
-        sm_ref = [
-            ReferenceOnlineSmoother(reference, lag=smoother_lag).run(seq)
-            for seq in test.sequences
-        ]
-        sm_ref_seconds = time.perf_counter() - t0
-        smoother_result = PathResult(
-            name="smoother",
-            steps=steps,
-            seconds_reference=sm_ref_seconds,
-            seconds_optimised=sm_fast_seconds,
-            labels_identical=sm_fast == sm_ref,
+        # The fast path streams once through push_many (bulk kernel builds)
+        # and once one push per step (one-step kernel builds, the router's
+        # push regime); the reference replays push-by-push on the seed
+        # model through the log-domain smoother.
+        sm_many, many_s = _timed_runs(
+            lambda seq: _stream_labels_many(fast, seq, smoother_lag), test.sequences
         )
-        smoother_push_result = PathResult(
-            name="smoother_push",
-            steps=steps,
-            seconds_reference=sm_ref_seconds,
-            seconds_optimised=sm_push_seconds,
-            labels_identical=sm_push == sm_ref,
+        sm_push, push_s = _timed_runs(
+            lambda seq: OnlineSmoother(fast, lag=smoother_lag).run(seq), test.sequences
         )
+        sm_ref, ref_s = _timed_runs(
+            lambda seq: ReferenceOnlineSmoother(reference, lag=smoother_lag).run(seq),
+            test.sequences,
+        )
+        smoother = PathResult("smoother", c2.steps, ref_s, many_s, sm_many == sm_ref)
+        smoother_push = PathResult("smoother_push", c2.steps, ref_s, push_s, sm_push == sm_ref)
 
-    nchain_result: Optional[PathResult] = None
-    nchain_smoother_result: Optional[PathResult] = None
+    nchain = nchain_smoother = nchain_quad = None
     if include_nchain:
-        nc_dataset = generate_cace_dataset(
-            n_homes=n_homes,
-            sessions_per_home=sessions_per_home,
-            duration_s=nchain_duration_s,
-            residents_per_home=3,
-            seed=rng.integers(0, 2**31),
+        fast, reference, test = _fitted_pair(
+            rng, 3, n_homes, sessions_per_home, nchain_duration_s
         )
-        nc_train, nc_test = train_test_split(
-            nc_dataset, 0.7, seed=rng.integers(0, 2**31)
-        )
-        nc_rules = CorrelationMiner().mine(nc_train.sequences)
-        nc_constraints = ConstraintMiner().fit(
-            nc_train.sequences,
-            nc_train.macro_vocab,
-            nc_train.postural_vocab,
-            nc_train.gestural_vocab,
-            nc_train.subloc_vocab,
-        )
-        nc_seed = int(rng.integers(0, 2**31))
-        nc_fast = NChainHdbn(
-            constraint_model=nc_constraints, rule_set=nc_rules, seed=nc_seed
-        ).fit(nc_train)
-        nc_reference = ReferenceNChainHdbn(
-            constraint_model=nc_constraints, rule_set=nc_rules, seed=nc_seed
-        ).fit(nc_train)
-
-        nc_fast_labels = [nc_fast.decode(seq) for seq in nc_test.sequences]  # warm-up
-        t0 = time.perf_counter()
-        nc_fast_timed = [nc_fast.decode(seq) for seq in nc_test.sequences]
-        nc_fast_seconds = time.perf_counter() - t0
-
-        nc_ref_labels = [nc_reference.decode(seq) for seq in nc_test.sequences]
-        t0 = time.perf_counter()
-        nc_ref_timed = [nc_reference.decode(seq) for seq in nc_test.sequences]
-        nc_ref_seconds = time.perf_counter() - t0
-        assert nc_fast_timed == nc_fast_labels
-        assert nc_ref_timed == nc_ref_labels
-        nchain_result = PathResult(
-            name="nchain",
-            steps=sum(len(seq) for seq in nc_test.sequences),
-            seconds_reference=nc_ref_seconds,
-            seconds_optimised=nc_fast_seconds,
-            labels_identical=nc_fast_labels == nc_ref_labels,
-        )
+        nchain = _decode_path("nchain", fast, reference, test.sequences)
         if include_smoother:
-            OnlineSmoother(nc_fast, lag=smoother_lag).run(nc_test.sequences[0])
-            t0 = time.perf_counter()
-            nc_sm_fast = [
-                OnlineSmoother(nc_fast, lag=smoother_lag).run(seq)
-                for seq in nc_test.sequences
-            ]
-            nc_sm_fast_seconds = time.perf_counter() - t0
-            ReferenceOnlineSmoother(nc_reference, lag=smoother_lag).run(nc_test.sequences[0])
-            t0 = time.perf_counter()
-            nc_sm_ref = [
-                ReferenceOnlineSmoother(nc_reference, lag=smoother_lag).run(seq)
-                for seq in nc_test.sequences
-            ]
-            nchain_smoother_result = PathResult(
-                name="nchain_smoother",
-                steps=nchain_result.steps,
-                seconds_reference=time.perf_counter() - t0,
-                seconds_optimised=nc_sm_fast_seconds,
-                labels_identical=nc_sm_fast == nc_sm_ref,
+            sm_fast, fast_s = _timed_runs(
+                lambda seq: OnlineSmoother(fast, lag=smoother_lag).run(seq), test.sequences
             )
+            sm_ref, ref_s = _timed_runs(
+                lambda seq: ReferenceOnlineSmoother(reference, lag=smoother_lag).run(seq),
+                test.sequences,
+            )
+            nchain_smoother = PathResult(
+                "nchain_smoother", nchain.steps, ref_s, fast_s, sm_fast == sm_ref
+            )
+        # One home, one 10-minute test session: the seed reference is slow
+        # on the 4-way product.
+        fast, reference, test = _fitted_pair(rng, 4, 1, 2, 600.0)
+        nchain_quad = _decode_path("nchain_quad", fast, reference, test.sequences)
 
     return DecodeHotpathResult(
-        steps=steps,
-        seconds_reference=seconds_reference,
-        seconds_optimised=seconds_optimised,
-        seconds_batched=seconds_batched,
+        steps=c2.steps,
+        seconds_reference=c2.seconds_reference,
+        seconds_optimised=c2.seconds_optimised,
+        seconds_batched=fanout[workers],
         workers=workers,
-        labels_identical=fast_labels == ref_labels,
-        nchain=nchain_result,
-        smoother=smoother_result,
-        smoother_push=smoother_push_result,
-        nchain_smoother=nchain_smoother_result,
+        labels_identical=c2.labels_identical,
+        nchain=nchain,
+        smoother=smoother,
+        smoother_push=smoother_push,
+        nchain_smoother=nchain_smoother,
+        nchain_quad=nchain_quad,
         fanout=fanout,
     )
+
+
+def _fitted_pair(
+    rng: np.random.Generator,
+    residents: int,
+    n_homes: int,
+    sessions_per_home: int,
+    duration_s: float,
+    **caps: int,
+):
+    """``(NChainHdbn, ReferenceNChainHdbn, test)``: both models built with
+    identical parameters and seed and fitted on the training split of a
+    fresh CACE corpus (class-default caps unless *caps* are given)."""
+    from repro.core.loosely_coupled import NChainHdbn
+    from repro.core.reference import ReferenceNChainHdbn
+    from repro.mining.constraint_miner import ConstraintMiner
+
+    dataset = generate_cace_dataset(
+        n_homes=n_homes,
+        sessions_per_home=sessions_per_home,
+        duration_s=duration_s,
+        residents_per_home=residents,
+        seed=rng.integers(0, 2**31),
+    )
+    train, test = train_test_split(dataset, 0.7, seed=rng.integers(0, 2**31))
+    rules = CorrelationMiner().mine(train.sequences)
+    constraints = ConstraintMiner().fit(
+        train.sequences,
+        train.macro_vocab,
+        train.postural_vocab,
+        train.gestural_vocab,
+        train.subloc_vocab,
+    )
+    seed = int(rng.integers(0, 2**31))
+    fast, reference = (
+        cls(constraint_model=constraints, rule_set=rules, seed=seed, **caps).fit(train)
+        for cls in (NChainHdbn, ReferenceNChainHdbn)
+    )
+    return fast, reference, test
+
+
+def _timed_runs(run, sequences, warm_all: bool = False):
+    """``[run(seq) for seq in sequences]`` and its seconds, after an untimed
+    warm-up on the first sequence (on all of them with *warm_all*, which
+    also asserts the warm-up's result is reproduced)."""
+    warm = [run(seq) for seq in (sequences if warm_all else sequences[:1])]
+    t0 = time.perf_counter()
+    out = [run(seq) for seq in sequences]
+    seconds = time.perf_counter() - t0
+    assert not warm_all or out == warm
+    return out, seconds
+
+
+def _decode_path(name: str, fast, reference, sequences) -> PathResult:
+    """Offline decode of *sequences* by both models, each timed on a second
+    pass over the whole set."""
+    fast_labels, fast_s = _timed_runs(fast.decode, sequences, warm_all=True)
+    ref_labels, ref_s = _timed_runs(reference.decode, sequences, warm_all=True)
+    steps = sum(len(seq) for seq in sequences)
+    return PathResult(name, steps, ref_s, fast_s, fast_labels == ref_labels)

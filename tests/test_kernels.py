@@ -27,6 +27,7 @@ from repro.core.reference import (
     reference_user_candidates,
     reference_user_state_emissions,
 )
+from repro.core.rule_kernel import CrossRulePruner
 from repro.core.smoother import OnlineSmoother
 from repro.core.state_space import UserState
 from repro.datasets import generate_cace_dataset, train_test_split
@@ -39,6 +40,9 @@ from repro.models.viterbi import forward_backward, viterbi_decode
 #: The object channel sums its Bernoulli logs in another order than the
 #: seed (see repro.core.reference), so scores may differ in the last ulp.
 EMISSION_ATOL = 1e-9
+
+#: Length of the 4-resident test session (the seed reference decodes it).
+QUAD_STEPS = 16
 
 
 @pytest.fixture(scope="module")
@@ -57,18 +61,10 @@ def pair_models(cace_split, constraint_model, rule_set):
     }
 
 
-@pytest.fixture(scope="module")
-def nchain_setup():
-    """(fast model, seed reference, test) for 3 residents."""
-    dataset = generate_cace_dataset(
-        n_homes=1,
-        sessions_per_home=3,
-        duration_s=1200.0,
-        residents_per_home=3,
-        seed=77,
-    )
-    train, test = train_test_split(dataset, 0.67, seed=9)
-    rules = CorrelationMiner(min_support=0.03).mine(train.sequences)
+def _fit_nchain(dataset, train_fraction, min_support):
+    """(fast model, seed reference, test) at class-default caps."""
+    train, test = train_test_split(dataset, train_fraction, seed=9)
+    rules = CorrelationMiner(min_support=min_support).mine(train.sequences)
     cm = ConstraintMiner().fit(
         train.sequences,
         train.macro_vocab,
@@ -81,6 +77,36 @@ def nchain_setup():
         constraint_model=cm, rule_set=rules, seed=5
     ).fit(train)
     return fast, reference, test
+
+
+@pytest.fixture(scope="module")
+def nchain_setup():
+    """(fast model, seed reference, test) for 3 residents."""
+    dataset = generate_cace_dataset(
+        n_homes=1,
+        sessions_per_home=3,
+        duration_s=1200.0,
+        residents_per_home=3,
+        seed=77,
+    )
+    return _fit_nchain(dataset, 0.67, min_support=0.03)
+
+
+@pytest.fixture(scope="module")
+def quad_setup():
+    """(fast model, seed reference, test) for 4 residents: one home, one
+    short test session.  Mining at a higher support keeps set-up small
+    (symmetrised slots make 4-resident itemsets numerous); the rules
+    still prune."""
+    dataset = generate_cace_dataset(
+        n_homes=1,
+        sessions_per_home=2,
+        duration_s=600.0,
+        residents_per_home=4,
+        seed=3,
+    )
+    fast, reference, test = _fit_nchain(dataset, 0.5, min_support=0.12)
+    return fast, reference, test.subset([test.sequences[0].slice(0, QUAD_STEPS)])
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +315,97 @@ def test_coupled_matches_seed_reference(
     )
 
 
-def test_nchain_matches_seed_reference(nchain_setup):
-    fast, reference, test = nchain_setup
+@pytest.mark.parametrize("setup", ["nchain_setup", "quad_setup"])
+def test_nchain_matches_seed_reference(setup, request):
+    fast, reference, test = request.getfixturevalue(setup)
     assert _decode_all(fast, test.sequences) == _decode_all(
         reference, test.sequences
     )
+
+
+def _area_motion(seq, every=3):
+    """*seq* with area-motion evidence on every *every*-th step: the first
+    resident's true sub-location fires, and so does one the model does not
+    know.  The other steps keep their room-only PIR evidence."""
+    first = seq.resident_ids[0]
+    steps = [
+        dataclasses.replace(
+            step, sublocs_fired=frozenset({truth[first].subloc, "no-such-area"})
+        )
+        if t % every == 0
+        else step
+        for t, (step, truth) in enumerate(zip(seq.steps, seq.truths))
+    ]
+    return dataclasses.replace(seq, steps=steps)
+
+
+def _assert_joint_matches_reference(model, seq, seen, steps=None):
+    """Feed the same per-user candidates to the broadcast joint layer and
+    the seed's gathered one on every step: equal index rows, scores and
+    pruned/capped counts.  Records the edge cases the steps hit."""
+    rids = tuple(seq.resident_ids)
+    kern = SequenceKernel(model, seq, rids)
+    kern.ensure(0, len(seq))
+    for t in range(len(seq) if steps is None else steps):
+        per_user = [model._user_candidates(seq, rid, t, kern) for rid in rids]
+        stats, ref_stats = DecodeStats(), DecodeStats()
+        grids, scores = model._joint_candidates(seq, t, per_user, rids, kern, stats)
+        want_grids, want_scores = ReferenceNChainHdbn._joint_candidates(
+            model, seq, t, per_user, rids, None, ref_stats
+        )
+        assert np.array_equal(grids, want_grids), (len(rids), t)
+        assert np.array_equal(scores, want_scores), (len(rids), t)
+        assert stats == ref_stats, (len(rids), t)
+        step = seq.steps[t]
+        seen.update(
+            name
+            for name, hit in [
+                ("pruned", stats.pruned_joint_states > 0),
+                ("capped", stats.capped_joint_states > 0),
+                ("single_candidate", min(len(c) for c in per_user) == 1),
+                ("room_only", bool(step.rooms_fired) and not step.sublocs_fired),
+                (
+                    "unknown_area",
+                    any(f not in model.constraint_model.subloc_index for f in step.sublocs_fired),
+                ),
+            ]
+            if hit
+        )
+
+
+def test_joint_candidates_match_reference(
+    pair_models, cace_split, nchain_setup, quad_setup, monkeypatch
+):
+    """The joint layer equals the seed spec step by step on pairs (pair
+    caps), trios and four residents; with the cap binding, single-candidate
+    chains, room-only and sub-location coverage (an unknown area too), and
+    with every joint state failing the rules."""
+    _, test = cace_split
+    cases = [
+        (pair_models["c2"], _area_motion(test.sequences[0])),
+        (nchain_setup[0], _area_motion(nchain_setup[2].sequences[0])),
+        (quad_setup[0], _area_motion(quad_setup[2].sequences[0])),
+    ]
+    seen = set()
+    for model, seq in cases:
+        _assert_joint_matches_reference(model, seq, seen)
+    assert seen >= {"pruned", "capped", "single_candidate", "room_only", "unknown_area"}
+
+    # Every joint state fails the rules: both keep the whole grid and
+    # count nothing as pruned.
+    monkeypatch.setattr(
+        CrossRulePruner,
+        "keep",
+        lambda self, amb, c1, c2, gates=None: np.zeros((len(c1), len(c2)), dtype=bool),
+    )
+    monkeypatch.setattr(
+        "repro.core.reference.reference_cross_prune_mask",
+        lambda model, step, s1, obs1, s2, obs2: np.zeros((len(s1), len(s2)), dtype=bool),
+    )
+    seen.clear()
+    for model, seq in cases:
+        _assert_joint_matches_reference(model, seq, seen, steps=6)
+    assert "pruned" not in seen and "capped" in seen
 
 
 def test_macro_hmm_matches_seed_viterbi(cace_split):
@@ -321,19 +433,23 @@ def test_macro_hmm_matches_seed_viterbi(cace_split):
 
 
 @pytest.fixture(scope="module")
-def family_models(pair_models, nchain_setup, cace_split):
+def family_models(pair_models, nchain_setup, quad_setup, cace_split):
     train, test = cace_split
     trio_model, _, trio_test = nchain_setup
+    quad_model, _, quad_test = quad_setup
     return {
         "nh": (MacroHmm().fit(train), test.sequences[0]),
         "ncr": (pair_models["ncr"], test.sequences[0]),
         "ncr_temporal": (pair_models["ncr_temporal"], test.sequences[0]),
         "c2_pair": (pair_models["c2"], test.sequences[0]),
         "c2_trio": (trio_model, trio_test.sequences[0]),
+        "c2_quad": (quad_model, quad_test.sequences[0]),
     }
 
 
-@pytest.mark.parametrize("family", ["nh", "ncr", "ncr_temporal", "c2_pair", "c2_trio"])
+@pytest.mark.parametrize(
+    "family", ["nh", "ncr", "ncr_temporal", "c2_pair", "c2_trio", "c2_quad"]
+)
 def test_offline_equals_full_lag_smoother(family, family_models):
     """At lag >= T the smoother commits exactly the argmax of the offline
     posterior marginals, and counts exactly the work offline decode does."""
@@ -352,7 +468,7 @@ def test_offline_equals_full_lag_smoother(family, family_models):
     assert posterior_stats == offline_stats
 
 
-@pytest.mark.parametrize("family", ["nh", "ncr_temporal", "c2_pair", "c2_trio"])
+@pytest.mark.parametrize("family", ["nh", "ncr_temporal", "c2_pair", "c2_trio", "c2_quad"])
 def test_smoother_matches_log_domain_reference(family, family_models):
     """The linear-domain smoother commits the log-domain spec's labels and
     counts the same work."""
@@ -494,7 +610,11 @@ def test_failed_push_can_be_retried(family, inject, family_models):
 
 @pytest.mark.parametrize(
     "family, edge_cases",
-    [("c2_pair", {"capped"}), ("c2_trio", {"capped", "single_candidate"})],
+    [
+        ("c2_pair", {"capped"}),
+        ("c2_trio", {"capped", "single_candidate"}),
+        ("c2_quad", {"capped"}),
+    ],
 )
 def test_factored_transition_block_is_bit_exact(family, edge_cases, family_models):
     """Each chain's term built on its own candidate list and gathered onto

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.duration import duration_error
 from repro.core.kernels import backward_step, forward_step, linear_block
+from repro.core.loosely_coupled import best_first
 from repro.core.reference import reference_backward_step, reference_forward_step
 from repro.eval.metrics import evaluate_predictions
 from repro.models.distributions import (
@@ -206,3 +207,32 @@ class TestLinearSumProductProperties:
             want = reference_backward_step(beta_next, log_t, scores_next, n_cur)
         got = backward_step(beta_next, linear_block(log_t), scores_next, n_cur)
         self.assert_close(got, want)
+
+
+class TestJointCapProperties:
+    """The joint cap's partition formulation equals its stable-sort spec."""
+
+    @st.composite
+    @staticmethod
+    def tied_scores(draw):
+        """Scores drawn from a few distinct values (so ties sit at and
+        inside the cut), with optional -inf entries, and a cap that binds."""
+        n = draw(st.integers(min_value=2, max_value=400))
+        cap = draw(st.integers(min_value=1, max_value=n - 1))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = rng.normal(0.0, 10.0, size=draw(st.integers(1, 8)))
+        if draw(st.booleans()):
+            values[0] = -np.inf
+        scores = values[rng.integers(values.size, size=n)]
+        if draw(st.booleans()):
+            # Force a tie across the cut: the cap-th best value repeats.
+            order = np.argsort(-scores, kind="stable")
+            scores[order[max(cap - 2, 0):cap + 2]] = scores[order[cap - 1]]
+        return scores, cap
+
+    @given(tied_scores())
+    @settings(max_examples=300, deadline=None)
+    def test_best_first_is_stable_descending(self, case):
+        scores, cap = case
+        want = np.argsort(-scores, kind="stable")[:cap]
+        np.testing.assert_array_equal(best_first(scores, cap), want)
