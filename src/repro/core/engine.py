@@ -500,7 +500,18 @@ class CaceEngine:
         """The persistent process pool, (re)built when the size or the
         fitted model changes.  The model ships to the workers exactly once
         per pool lifetime, through the pool initializer — task submissions
-        carry only ``(key, sequence)`` items."""
+        carry only ``(key, sequence)`` items.
+
+        Workers are spawned, not forked: forking a parent that already runs
+        the executor's threads can deadlock a child on a lock copied
+        mid-acquire.  A fault plan reaches them through ``REPRO_FAULT_PLAN``
+        in the environment.  The first ``submit`` starts every worker, as
+        the executor does for forked workers, before any task reaches one.
+        Left to the executor, spawned workers start one per ``submit``; on
+        Python 3.11 a worker still starting when another one crashes is
+        never terminated, and the broken pool's teardown, and so
+        interpreter exit, waits for it forever."""
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         if (
@@ -512,9 +523,11 @@ class CaceEngine:
             payload, codec = self._model_payload()
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn"),
                 initializer=_init_worker,
                 initargs=(payload, codec),
             )
+            self._pool._safe_to_dynamically_spawn_children = False
             self._pool_workers = workers
             self._pool_model_ref = self.model_
             reg = obs.registry_if_enabled()

@@ -1,22 +1,32 @@
 """Apriori frequent-itemset mining and rule generation.
 
-Implements the classic levelwise Apriori algorithm (paper §V-A) with a
-numpy-vectorised counting core: transactions become a boolean incidence
-matrix, pair supports come from one matrix product, and larger itemsets are
-counted by masking the incidence columns of their prefix.  The paper's
-operating point — ``minSup = 4%``, ``minConf = 99%`` — is the default.
+Implements Apriori (paper §V-A) at a fixed depth of three levels with a
+numpy counting core.  Transactions become a boolean incidence matrix:
+
+* L1 is its column sums;
+* L2 is one product over the frequent columns;
+* L3 is one product per frequent item ``a``: the rows containing ``a``,
+  restricted to ``a``'s frequent partners ``b > a``, times those rows.
+  Entry ``(b, j)`` counts the transactions holding ``{a, b, j}``; a triple
+  is a candidate only when all three of its pairs are frequent.
+
+The depth is three because the paper's rules have two antecedent elements
+and one consequent, so no rule needs a larger itemset.  Itemsets are
+emitted level by level in lexicographic order of their sorted item
+indices, which fixes the order of the mined rules.  The paper's operating
+point — ``minSup = 4%``, ``minConf = 99%`` — is the default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.mining.context_rules import Item
 from repro.mining.rules import AssociationRule
-from repro.util.validation import check_positive, check_probability
+from repro.util.validation import check_probability
 
 
 @dataclass
@@ -30,40 +40,31 @@ class FrequentItemsets:
         """Support of *itemset* (0.0 when not frequent)."""
         return self.supports.get(itemset, 0.0)
 
-    def of_size(self, k: int) -> List[FrozenSet[Item]]:
-        """All frequent itemsets with exactly *k* elements."""
-        return [s for s in self.supports if len(s) == k]
-
 
 @dataclass
 class Apriori:
-    """Levelwise frequent-itemset miner.
+    """Frequent-itemset miner for itemsets of up to three items.
 
     Parameters
     ----------
     min_support:
         Minimum fraction of transactions containing the itemset (paper: 4%).
+        An itemset must occur at least once to be frequent, also at 0.
     min_confidence:
         Minimum rule confidence (paper: 99%).
-    max_itemset_size:
-        Lattice depth cap; 3 supports the paper's rule shapes
-        (two antecedent elements plus one consequent).
     """
 
     min_support: float = 0.04
     min_confidence: float = 0.99
-    max_itemset_size: int = 3
-    itemsets_: FrequentItemsets = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_probability("min_support", self.min_support)
         check_probability("min_confidence", self.min_confidence)
-        check_positive("max_itemset_size", self.max_itemset_size)
 
     # -- frequent itemsets ------------------------------------------------------
 
     def mine_itemsets(self, transactions: Sequence[FrozenSet[Item]]) -> FrequentItemsets:
-        """Find all frequent itemsets up to :attr:`max_itemset_size`."""
+        """Find all frequent itemsets of one, two and three items."""
         n = len(transactions)
         if n == 0:
             raise ValueError("cannot mine an empty transaction list")
@@ -76,88 +77,53 @@ class Apriori:
             for item in transaction:
                 incidence[row, index[item]] = True
 
-        min_count = self.min_support * n
+        min_count = max(self.min_support * n, 1)
         supports: Dict[FrozenSet[Item], float] = {}
 
         # L1.
         counts1 = incidence.sum(axis=0)
-        frequent1 = [i for i in range(len(universe)) if counts1[i] >= min_count]
-        for i in frequent1:
-            supports[frozenset([universe[i]])] = counts1[i] / n
+        frequent1 = np.flatnonzero(counts1 >= min_count)
+        items = [universe[i] for i in frequent1]
+        for i, item in zip(frequent1, items):
+            supports[frozenset([item])] = counts1[i] / n
 
         # L2 via one matrix product over the frequent-item columns.
-        level: List[Tuple[int, ...]] = []
-        if self.max_itemset_size >= 2 and frequent1:
-            sub = incidence[:, frequent1].astype(np.int32)
-            pair_counts = sub.T @ sub
-            for a in range(len(frequent1)):
-                for b in range(a + 1, len(frequent1)):
-                    if pair_counts[a, b] >= min_count:
-                        ia, ib = frequent1[a], frequent1[b]
-                        supports[frozenset([universe[ia], universe[ib]])] = (
-                            pair_counts[a, b] / n
-                        )
-                        level.append((ia, ib))
+        sub = incidence[:, frequent1]
+        sub_f = sub.astype(np.float64)
+        pair_counts = (sub_f.T @ sub_f).astype(np.int64)
+        frequent2 = np.triu(pair_counts >= min_count, k=1)
+        for a, b in zip(*np.nonzero(frequent2)):
+            supports[frozenset([items[a], items[b]])] = pair_counts[a, b] / n
 
-        # L3+ : extend each frequent k-set with frequent single items.
-        frequent1_set = set(frequent1)
-        size = 3
-        while size <= self.max_itemset_size and level:
-            next_level: List[Tuple[int, ...]] = []
-            seen: set = set()
-            for combo in level:
-                mask = np.logical_and.reduce(incidence[:, list(combo)], axis=1)
-                if not mask.any():
-                    continue
-                ext_counts = incidence[mask].sum(axis=0)
-                for j in frequent1_set:
-                    if j <= combo[-1]:
-                        continue
-                    candidate = combo + (j,)
-                    if candidate in seen:
-                        continue
-                    # Apriori property: all (k-1)-subsets must be frequent.
-                    if not self._subsets_frequent(candidate, supports, universe):
-                        continue
-                    if ext_counts[j] >= min_count:
-                        seen.add(candidate)
-                        supports[frozenset(universe[i] for i in candidate)] = (
-                            ext_counts[j] / n
-                        )
-                        next_level.append(candidate)
-            level = next_level
-            size += 1
+        # L3: one product per first item over the rows that contain it.
+        for a in range(len(items)):
+            partners = np.flatnonzero(frequent2[a])
+            if len(partners) < 2:
+                continue
+            rows = sub_f[sub[:, a]]
+            counts3 = (rows[:, partners].T @ rows).astype(np.int64)
+            # (b, j) is a candidate when j > b and {a, j}, {b, j} are frequent.
+            keep = frequent2[partners] & frequent2[a] & (counts3 >= min_count)
+            for k, j in zip(*np.nonzero(keep)):
+                b = partners[k]
+                supports[frozenset([items[a], items[b], items[j]])] = counts3[k, j] / n
 
-        self.itemsets_ = FrequentItemsets(supports=supports, n_transactions=n)
-        return self.itemsets_
-
-    @staticmethod
-    def _subsets_frequent(
-        candidate: Tuple[int, ...],
-        supports: Dict[FrozenSet[Item], float],
-        universe: List[Item],
-    ) -> bool:
-        full = [universe[i] for i in candidate]
-        for drop in range(len(full)):
-            subset = frozenset(full[:drop] + full[drop + 1 :])
-            if subset not in supports:
-                return False
-        return True
+        return FrequentItemsets(supports=supports, n_transactions=n)
 
     # -- rules ---------------------------------------------------------------------
 
     def mine_rules(
         self,
-        transactions: Sequence[FrozenSet[Item]],
+        itemsets: FrequentItemsets,
         consequent_attrs: Tuple[str, ...] = ("macro",),
     ) -> List[AssociationRule]:
-        """Mine rules whose consequent attribute is in *consequent_attrs*.
+        """Rules from *itemsets* whose consequent attribute is in
+        *consequent_attrs*.
 
         Every frequent itemset of size >= 2 yields candidate rules with a
         single-item consequent; rules below :attr:`min_confidence` are
         discarded.
         """
-        itemsets = self.mine_itemsets(transactions)
         rules: List[AssociationRule] = []
         for itemset, support in itemsets.supports.items():
             if len(itemset) < 2:

@@ -124,13 +124,11 @@ def encode_sequence(
     return transactions
 
 
-def encode_dataset(
-    sequences: Sequence[LabeledSequence], symmetrize: bool = True
-) -> List[FrozenSet[Item]]:
-    """Transactions pooled over many sequences."""
+def encode_dataset(sequences: Sequence[LabeledSequence]) -> List[FrozenSet[Item]]:
+    """Symmetrised transactions pooled over many sequences."""
     out: List[FrozenSet[Item]] = []
     for seq in sequences:
-        out.extend(encode_sequence(seq, symmetrize=symmetrize))
+        out.extend(encode_sequence(seq))
     return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.datasets.trace import LabeledSequence
-from repro.mining.apriori import Apriori
+from repro.mining.apriori import Apriori, FrequentItemsets
 from repro.mining.context_rules import Item, encode_dataset
 from repro.mining.rules import AssociationRule, ExclusionRule, merge_redundant
 
@@ -163,28 +163,22 @@ class CorrelationMiner:
 
     min_support: float = 0.04
     min_confidence: float = 0.99
-    max_itemset_size: int = 3
     hidden_attrs: Tuple[str, ...] = ("macro", "subloc")
     min_expected_cooccurrence: float = 10.0
-    symmetrize: bool = True
 
     def mine(self, sequences: Sequence[LabeledSequence]) -> CorrelationRuleSet:
         """Run the full pipeline: encode, Apriori, filter, index."""
-        transactions = encode_dataset(sequences, symmetrize=self.symmetrize)
-        return self.mine_transactions(transactions)
+        return self.mine_transactions(encode_dataset(sequences))
 
     def mine_transactions(
         self, transactions: Sequence[FrozenSet[Item]]
     ) -> CorrelationRuleSet:
         """Mine from pre-encoded transactions."""
-        apriori = Apriori(
-            min_support=self.min_support,
-            min_confidence=self.min_confidence,
-            max_itemset_size=self.max_itemset_size,
-        )
-        raw_rules = apriori.mine_rules(transactions, consequent_attrs=self.hidden_attrs)
+        apriori = Apriori(min_support=self.min_support, min_confidence=self.min_confidence)
+        itemsets = apriori.mine_itemsets(transactions)
+        raw_rules = apriori.mine_rules(itemsets, consequent_attrs=self.hidden_attrs)
         forcing = merge_redundant(self._filter_forcing(raw_rules))
-        exclusions = self._mine_exclusions(transactions, apriori)
+        exclusions = self._mine_exclusions(transactions, itemsets)
         return CorrelationRuleSet(forcing_rules=forcing, exclusions=exclusions)
 
     # -- filters --------------------------------------------------------------------
@@ -217,11 +211,10 @@ class CorrelationMiner:
         return kept
 
     def _mine_exclusions(
-        self, transactions: Sequence[FrozenSet[Item]], apriori: Apriori
+        self, transactions: Sequence[FrozenSet[Item]], itemsets: FrequentItemsets
     ) -> List[ExclusionRule]:
         """Frequent cross-user element pairs that never co-occur."""
         n = len(transactions)
-        itemsets = apriori.itemsets_
         singles = {next(iter(s)): sup for s, sup in itemsets.supports.items() if len(s) == 1}
         # Candidate pairs: same attribute + value, different user slots,
         # current slice (the "two people in one bathroom" shape), plus

@@ -203,7 +203,8 @@ _IN_WORKER = False
 
 def activate(plan: FaultPlan, export_env: bool = True) -> None:
     """Install *plan* in this process; with *export_env* (default) also
-    export it so worker pools created afterwards inherit it."""
+    export it so worker pools created afterwards inherit it.  A hashed plan
+    is not exported; workers see one only through ``REPRO_FAULT_SEED``."""
     global _ACTIVE
     _ACTIVE = plan
     if export_env and not isinstance(plan, _HashedPlan):

@@ -53,7 +53,7 @@ def _transactions():
 class TestApriori:
     def test_single_item_supports_exact(self):
         transactions = _transactions()
-        apriori = Apriori(min_support=0.1, max_itemset_size=2)
+        apriori = Apriori(min_support=0.1)
         itemsets = apriori.mine_itemsets(transactions)
         a = frozenset([_item("u1", "posture", "A")])
         # A appears in 40 + 20 of 80 transactions.
@@ -69,8 +69,9 @@ class TestApriori:
         assert len(itemsets.supports) == 0
 
     def test_planted_rule_found_with_full_confidence(self):
-        rules = Apriori(min_support=0.1, min_confidence=0.99).mine_rules(
-            _transactions(), consequent_attrs=("macro",)
+        apriori = Apriori(min_support=0.1, min_confidence=0.99)
+        rules = apriori.mine_rules(
+            apriori.mine_itemsets(_transactions()), consequent_attrs=("macro",)
         )
         planted = [
             r
@@ -81,8 +82,9 @@ class TestApriori:
         assert planted and planted[0].confidence == pytest.approx(1.0)
 
     def test_no_rule_below_confidence(self):
-        rules = Apriori(min_support=0.1, min_confidence=0.99).mine_rules(
-            _transactions(), consequent_attrs=("macro",)
+        apriori = Apriori(min_support=0.1, min_confidence=0.99)
+        rules = apriori.mine_rules(
+            apriori.mine_itemsets(_transactions()), consequent_attrs=("macro",)
         )
         # A => D has confidence 20/60 < 0.99; it must not be emitted.
         assert not any(
@@ -94,6 +96,13 @@ class TestApriori:
         with pytest.raises(ValueError):
             Apriori().mine_itemsets([])
 
+    def test_zero_min_support_reports_only_occurring_itemsets(self):
+        a, b, c = (_item("u1", "macro", v) for v in "abc")
+        apriori = Apriori(min_support=0.0, min_confidence=0.0)
+        itemsets = apriori.mine_itemsets([frozenset([a]), frozenset([b]), frozenset([c])])
+        assert set(itemsets.supports) == {frozenset([a]), frozenset([b]), frozenset([c])}
+        assert apriori.mine_rules(itemsets) == []
+
     @given(st.integers(min_value=2, max_value=6))
     @settings(max_examples=10, deadline=None)
     def test_support_antimonotone(self, n_items):
@@ -103,7 +112,7 @@ class TestApriori:
         transactions = [
             frozenset(it for it in universe if rng.random() < 0.5) for _ in range(60)
         ]
-        itemsets = Apriori(min_support=0.01, max_itemset_size=3).mine_itemsets(transactions)
+        itemsets = Apriori(min_support=0.01).mine_itemsets(transactions)
         for itemset, support in itemsets.supports.items():
             for item in itemset:
                 subset = frozenset(itemset - {item})

@@ -1,5 +1,7 @@
 """Cross-cutting property-based tests on evaluation and model invariants."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from repro.core.kernels import backward_step, forward_step, linear_block
 from repro.core.loosely_coupled import best_first
 from repro.core.reference import reference_backward_step, reference_forward_step
 from repro.eval.metrics import evaluate_predictions
+from repro.mining.apriori import Apriori
+from repro.mining.context_rules import Item
 from repro.models.distributions import (
     log_normalize,
     normalize,
@@ -236,3 +240,47 @@ class TestJointCapProperties:
         scores, cap = case
         want = np.argsort(-scores, kind="stable")[:cap]
         np.testing.assert_array_equal(best_first(scores, cap), want)
+
+
+class TestAprioriProperties:
+    """The fixed-depth Apriori equals a brute-force count of every itemset
+    of one, two and three items, in the same order."""
+
+    _UNIVERSE = (
+        [Item(slot, "t", "macro", v) for slot in ("u1", "u2") for v in ("a", "b", "c")]
+        + [Item("u1", time, "subloc", v) for time in ("t", "t-1") for v in ("x", "y")]
+        + [Item("amb", "t", "room", v) for v in ("r", "s")]
+    )
+
+    @st.composite
+    @staticmethod
+    def transaction_lists(draw):
+        universe = draw(
+            st.lists(
+                st.sampled_from(TestAprioriProperties._UNIVERSE),
+                min_size=8, max_size=12, unique=True,
+            )
+        )
+        n = draw(st.integers(min_value=8, max_value=60))
+        member = st.lists(st.sampled_from(universe), max_size=6, unique=True)
+        return [frozenset(draw(member)) for _ in range(n)]
+
+    @staticmethod
+    def brute_force(transactions, min_support):
+        n = len(transactions)
+        universe = sorted({item for t in transactions for item in t})
+        supports = {}
+        for size in (1, 2, 3):
+            for combo in combinations(universe, size):
+                count = sum(1 for t in transactions if t.issuperset(combo))
+                if count >= max(min_support * n, 1):
+                    supports[frozenset(combo)] = count / n
+        return supports
+
+    @given(transaction_lists(), st.sampled_from([0.0, 0.05, 0.1, 0.25]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_count(self, transactions, min_support):
+        got = Apriori(min_support=min_support).mine_itemsets(transactions).supports
+        want = self.brute_force(transactions, min_support)
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is np.float64 for v in got.values())

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
 
 import pytest
 
@@ -364,6 +366,19 @@ class TestPooledResilience:
                 assert key not in out
             else:
                 assert out[key] == reference[key]
+
+    def test_pool_starts_every_worker_at_its_first_task(self, engine):
+        # A worker started lazily by a later submit() can miss the
+        # broken-pool teardown after another worker crashes, and teardown
+        # then waits for it forever.
+        before = set(multiprocessing.active_children())
+        try:
+            future = engine._worker_pool(2).submit(os.getpid)
+            started = set(multiprocessing.active_children()) - before
+            assert len(started) == 2
+            assert future.result(timeout=60) in {p.pid for p in started}
+        finally:
+            engine.close()
 
     def test_close_zeroes_pool_workers_gauge(self, engine, corpus):
         _, test = corpus
