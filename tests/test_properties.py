@@ -284,3 +284,23 @@ class TestAprioriProperties:
         want = self.brute_force(transactions, min_support)
         assert list(got.items()) == list(want.items())
         assert all(type(v) is np.float64 for v in got.values())
+
+    @given(transaction_lists(), st.sampled_from([0.0, 0.05, 0.1, 0.25]))
+    @settings(max_examples=40, deadline=None)
+    def test_support_antimonotone(self, transactions, min_support):
+        supports = Apriori(min_support=min_support).mine_itemsets(transactions).supports
+        for itemset, support in supports.items():
+            for item in itemset:
+                smaller = itemset - {item}
+                if smaller:
+                    assert supports[smaller] >= support
+
+    @given(transaction_lists(), st.sampled_from([0.0, 0.05, 0.1, 0.25]))
+    @settings(max_examples=40, deadline=None)
+    def test_supports_match_direct_count(self, transactions, min_support):
+        supports = Apriori(min_support=min_support).mine_itemsets(transactions).supports
+        n = len(transactions)
+        for itemset, support in supports.items():
+            count = sum(1 for t in transactions if itemset <= t)
+            assert count >= max(min_support * n, 1)
+            assert support == count / n
