@@ -152,6 +152,12 @@ class TrellisSession(Protocol):
         """Build step *t*'s candidates and evidence scores."""
         ...
 
+    def release(self, t: int) -> None:
+        """Drop the per-step tables of every step below *t*: no later
+        :meth:`piece` call reads them (the smoother calls it once a push
+        has pieced step ``t - 1``)."""
+        ...
+
     def initial_alpha(self, piece: TrellisPiece) -> np.ndarray:
         """``log prior + scores`` over the first piece's candidates."""
         ...

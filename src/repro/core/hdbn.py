@@ -158,6 +158,9 @@ class _UserTrellis:
         ahead of the per-step ``piece`` calls."""
         self._kern.ensure(t0, t1)
 
+    def release(self, t: int) -> None:
+        self._kern.release(t)
+
     def piece(self, t: int) -> TrellisPiece:
         model = self.model
         self._kern.ensure(0, t + 1)

@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.core.api import DecodeStats, TrellisPiece
 from repro.core.rule_kernel import StepItems
-from repro.datasets.trace import LabeledSequence
+from repro.datasets.trace import LabeledSequence, StepWindow
 from repro.home.layout import SUB_REGIONS
 from repro.models.chmm import LOCATION_KERNEL_SIGMA_M
 from repro.obs import runtime as _obs
@@ -346,9 +346,11 @@ class SequenceKernel:
     Built lazily and incrementally: :meth:`ensure` extends the tables to
     cover a step range, so offline decoding batches the whole sequence in
     one shot while the fixed-lag smoother grows the same tables as steps
-    stream in.  Each build stacks every resident's rows, so a one-step
-    build pays its numpy dispatch once, not once per resident.  Neither
-    batch size nor stacking changes any value: every row is independent
+    stream in and drops each step's tables once the step is pieced
+    (:meth:`release`), so a live stream holds O(1) steps of them.  Each
+    build stacks every resident's rows, so a one-step build pays its
+    numpy dispatch once, not once per resident.  Neither batch size nor
+    stacking changes any value: every row is independent
     of the rows built with it.
     """
 
@@ -384,24 +386,33 @@ class SequenceKernel:
         self._h_prepare = reg.histogram("kernel.prepare_seconds") if reg else None
         self._c_built = reg.counter("kernel.steps_built") if reg else None
         self._built = 0
-        self._step_items: List[StepItems] = []
-        self._pir_masks: List[Optional[np.ndarray]] = []
         self._pir_memo: Dict[frozenset, np.ndarray] = {}
         self._cand_loc_memo: Dict[Tuple[str, ...], np.ndarray] = {}
-        self._macro_rows: Dict[str, List[np.ndarray]] = {r: [] for r in self.rids}
-        self._loc_rows: Dict[str, List[np.ndarray]] = {r: [] for r in self.rids}
-        self._single_gates: Dict[str, List[Optional[np.ndarray]]] = {
-            r: [] for r in self.rids
-        }
-        self._cross_gates: Dict[Tuple[str, str], Dict[int, np.ndarray]] = {}
+        # Per-step tables, indexed by absolute step; :meth:`release` drops
+        # the steps no later lookup reads.  ``_cross_gates[t]`` memoises
+        # the step's cross-user gates by ordered resident pair.
+        self._step_items = StepWindow()
+        self._pir_masks = StepWindow()
+        self._cross_gates = StepWindow()
+        self._macro_rows = {r: StepWindow() for r in self.rids}
+        self._loc_rows = {r: StepWindow() for r in self.rids}
+        self._single_gates = {r: StepWindow() for r in self.rids}
+        self._tables: List[StepWindow] = [
+            self._step_items,
+            self._pir_masks,
+            self._cross_gates,
+            *self._macro_rows.values(),
+            *self._loc_rows.values(),
+            *self._single_gates.values(),
+        ]
 
     # -- construction -------------------------------------------------------------
 
     def ensure(self, t0: int, t1: int) -> None:
-        """Extend the precomputed tables to cover steps ``[0, t1)``.
+        """Extend the precomputed tables to cover steps up to ``t1``.
 
         Idempotent; already-built steps are never recomputed.  ``t0`` is
-        advisory (tables are contiguous from 0).
+        advisory (tables are contiguous from the release floor).
         """
         t1 = min(t1, len(self.seq.steps))
         start = self._built
@@ -429,6 +440,7 @@ class SequenceKernel:
         items = [StepItems(step) for step in steps]
         self._step_items.extend(items)
         self._pir_masks.extend(self._pir_mask(step.rooms_fired) for step in steps)
+        self._cross_gates.extend({} for _ in steps)
         obs_list = [step.observations[rid] for rid in self.rids for step in steps]
         loc_rows = self._build_loc_rows(obs_list)
         macro_rows = self._build_macro_rows(steps, obs_list)
@@ -444,6 +456,12 @@ class SequenceKernel:
                     single._gates(amb, obs) for amb, obs in zip(items, obs_list[part])
                 )
         self._built = t1
+
+    def release(self, t: int) -> None:
+        """Drop every per-step table below step *t*; a later lookup of a
+        released step raises :class:`IndexError`."""
+        for table in self._tables:
+            table.release(t)
 
     def _pir_mask(self, rooms_fired) -> Optional[np.ndarray]:
         """(L,) bool "sub-location's room fired" — None when no PIRs fired."""
@@ -550,8 +568,8 @@ class SequenceKernel:
 
     def cross_gates(self, rid_a: str, rid_b: str, t: int) -> np.ndarray:
         """Cross-user rule gate vector for the ordered pair at step t."""
-        per_pair = self._cross_gates.setdefault((rid_a, rid_b), {})
-        gates = per_pair.get(t)
+        memo = self._cross_gates[t]
+        gates = memo.get((rid_a, rid_b))
         if gates is None:
             step = self.seq.steps[t]
             gates = self.model._cross_pruner._gates(
@@ -559,5 +577,5 @@ class SequenceKernel:
                 step.observations[rid_a],
                 step.observations[rid_b],
             )
-            per_pair[t] = gates
+            memo[rid_a, rid_b] = gates
         return gates

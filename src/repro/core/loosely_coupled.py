@@ -396,6 +396,9 @@ class _NChainTrellis:
         ahead of the per-step ``piece`` calls."""
         self._kern.ensure(t0, t1)
 
+    def release(self, t: int) -> None:
+        self._kern.release(t)
+
     def piece(self, t: int) -> TrellisPiece:
         model, seq, rids, kern = self.model, self.seq, self.rids, self._kern
         kern.ensure(0, t + 1)

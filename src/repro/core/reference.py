@@ -254,6 +254,9 @@ class _NoKernel:
     def ensure(self, t0: int, t1: int) -> None:
         pass
 
+    def release(self, t: int) -> None:
+        pass
+
 
 class ReferenceNChainHdbn(NChainHdbn):
     """`NChainHdbn` with the seed-style per-step hot path.

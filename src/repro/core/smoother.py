@@ -17,6 +17,16 @@ accuracy for bounded latency.  The coupled model exposes one joint
 session; the per-user models one session per resident (frame-wise NCR
 chains have no transition and reduce to filtering).
 
+A live session holds O(lag) steps, not O(T).  Each trellis session keeps
+its newest ``lag + 1`` pieces and forward alphas and the linear blocks
+into the newest ``lag`` of them: the commit of step ``t - lag`` reads the
+blocks into steps ``t - lag + 1 … t`` only, so the block into the oldest
+kept step is dropped.  Once a push has pieced step t, the trellis sessions
+release their per-step evidence tables below ``t + 1``
+(:meth:`~repro.core.api.TrellisSession.release`).  The window is trimmed
+only after every session's step staged, so a failed push can still be
+retried.
+
 ``push`` performs the same :class:`~repro.core.api.DecodeStats`
 accounting as offline decoding (steps, surviving joint states, evaluated
 transition entries, pruned/capped counts) into its own ``stats`` object,
@@ -100,18 +110,27 @@ class OnlineSmoother:
     _rids: Tuple[str, ...] = field(default=(), init=False)
     _pieces: List[List[TrellisPiece]] = field(default_factory=list, init=False, repr=False)
     _alphas: List[List[np.ndarray]] = field(default_factory=list, init=False, repr=False)
-    #: Per-session transition blocks, converted to the scaled linear
-    #: domain (:class:`~repro.core.kernels.LinearBlock`) once at push
-    #: time; ``_trans[k][t]`` is the block between steps t-1 and t (None
-    #: at t=0 and for frame-wise chains), reused by the lag-window
-    #: backward sweeps instead of being recomputed on every commit.  The
-    #: log block itself is not kept.
+    #: The lag window: ``_pieces[k][i]``, ``_alphas[k][i]`` and
+    #: ``_trans[k][i]`` belong to step ``_pushed - len(_pieces[k]) + i``,
+    #: and each list holds at most ``lag + 1`` steps.  ``_trans`` holds
+    #: the transition blocks, converted to the scaled linear domain
+    #: (:class:`~repro.core.kernels.LinearBlock`) once at push time:
+    #: ``_trans[k][i]`` is the block into that step from the one before it
+    #: (None at step 0, for frame-wise chains, and for the oldest kept
+    #: step, whose block no sweep reads), so at most ``lag`` are held.
+    #: The lag-window backward sweeps reuse them instead of recomputing
+    #: them on every commit.  The log block itself is not kept.
     _trans: List[List[Optional[LinearBlock]]] = field(
         default_factory=list, init=False, repr=False
     )
     _convert: List[LinearBlocks] = field(default_factory=list, init=False, repr=False)
     _pushed: int = field(default=0, init=False)
     _committed: int = field(default=0, init=False)
+
+    @property
+    def window(self) -> int:
+        """Steps the lag window holds: at most ``lag + 1``."""
+        return len(self._pieces[0]) if self._pieces else 0
 
     @property
     def residents(self) -> Tuple[str, ...]:
@@ -161,10 +180,16 @@ class OnlineSmoother:
         except BaseException:
             vars(stats).update(before)
             raise
+        keep = self.lag + 1
         for k, (piece, block, alpha, entries) in enumerate(staged):
-            self._pieces[k].append(piece)
-            self._trans[k].append(block)
-            self._alphas[k].append(alpha)
+            pieces, trans, alphas = self._pieces[k], self._trans[k], self._alphas[k]
+            pieces.append(piece)
+            trans.append(block)
+            alphas.append(alpha)
+            if len(pieces) > keep:
+                del pieces[0], trans[0], alphas[0]
+                trans[0] = None
+            self._sessions[k].release(t + 1)
             stats.joint_states += len(piece)
             stats.transition_entries += entries
             if ins is not None and block is not None:
@@ -264,16 +289,18 @@ class OnlineSmoother:
         out: Dict[str, str] = {}
         with obs.span("smoother.backward", commit_t=commit_t, horizon=horizon):
             for k, sess in enumerate(self._sessions):
-                pieces = self._pieces[k]
-                trans = self._trans[k]
-                beta = np.zeros_like(self._alphas[k][horizon])
-                for t in range(horizon - 1, commit_t - 1, -1):
-                    block = trans[t + 1]
+                pieces, trans, alphas = self._pieces[k], self._trans[k], self._alphas[k]
+                # Window positions of commit_t and horizon.
+                lo = commit_t - (self._pushed - len(pieces))
+                hi = lo + horizon - commit_t
+                beta = np.zeros_like(alphas[hi])
+                for i in range(hi - 1, lo - 1, -1):
+                    block = trans[i + 1]
                     reused += block is not None
-                    beta = backward_step(beta, block, pieces[t + 1].scores, len(pieces[t]))
-                gamma = posterior(self._alphas[k][commit_t], beta)
+                    beta = backward_step(beta, block, pieces[i + 1].scores, len(pieces[i]))
+                gamma = posterior(alphas[lo], beta)
                 index = sess.macro_index
-                for rid, marg in macro_marginals(sess, pieces[commit_t], gamma).items():
+                for rid, marg in macro_marginals(sess, pieces[lo], gamma).items():
                     out[rid] = index.label(macro_argmax(marg))
         if ins is not None:
             ins.commits.inc()

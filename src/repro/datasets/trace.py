@@ -69,6 +69,72 @@ class ContextStep:
     sublocs_fired: FrozenSet[str] = frozenset()
 
 
+class StepWindow:
+    """A per-step list indexed by absolute step whose oldest steps can be
+    released, so a stream holds only the steps a later read can reach.
+
+    ``w[t]`` (``t >= 0``), a contiguous slice ``w[a:b]``, ``len(w)`` (which
+    counts the released steps too) and ``del w[a:]`` mean what they mean
+    on a list holding every step; reading a released step raises
+    :class:`IndexError` instead of returning another step's entry.
+    """
+
+    __slots__ = ("_items", "floor")
+
+    def __init__(self) -> None:
+        self._items: list = []
+        #: First step still held; every step below it was released.
+        self.floor = 0
+
+    def __len__(self) -> int:
+        return self.floor + len(self._items)
+
+    def _bounds(self, key: slice) -> Tuple[int, int]:
+        """``(start, stop)`` of a contiguous slice, checked against the floor."""
+        if key.step not in (None, 1):
+            raise ValueError("a StepWindow slice must be contiguous")
+        start, stop, _ = key.indices(len(self))
+        if start < self.floor and start < stop:
+            raise IndexError(f"steps below {self.floor} were released (asked from {start})")
+        return start - self.floor, stop - self.floor
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop = self._bounds(key)
+            return self._items[start:stop] if start < stop else []
+        if key < self.floor:
+            raise IndexError(f"step {key} was released (window starts at {self.floor})")
+        return self._items[key - self.floor]
+
+    def __delitem__(self, key: slice) -> None:
+        start, stop = self._bounds(key)
+        if start < stop:
+            del self._items[start:stop]
+
+    def __iter__(self):
+        if self.floor:
+            raise IndexError(f"steps below {self.floor} were released")
+        return iter(self._items)
+
+    def append(self, item) -> None:
+        self._items.append(item)
+
+    def extend(self, items) -> None:
+        self._items.extend(items)
+
+    def clear(self) -> None:
+        """Drop every step and restart at step 0."""
+        self._items.clear()
+        self.floor = 0
+
+    def release(self, t: int) -> None:
+        """Drop every step below *t*."""
+        n = min(t, len(self)) - self.floor
+        if n > 0:
+            del self._items[:n]
+            self.floor += n
+
+
 @dataclass
 class LabeledSequence:
     """A full session: steps plus aligned per-resident ground truth."""

@@ -147,6 +147,9 @@ class _HmmTrellis:
         for k, t in enumerate(todo):
             self._rows[t] = rows[k]
 
+    def release(self, t: int) -> None:
+        pass  # piece() pops each step's row
+
     def piece(self, t: int):
         from repro.core.api import TrellisPiece  # lazy: avoid a cycle
 

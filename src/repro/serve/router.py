@@ -9,12 +9,15 @@ per-session :class:`~repro.core.api.DecodeStats` that their trellis
 sessions count into, so interleaved streams never mix their counters).
 
 Steps are pushed as plain :class:`~repro.datasets.trace.ContextStep`
-objects; the router appends them to a growing per-session sequence buffer
-the smoother's trellis adapters read from, so arbitrary interleavings of
+objects; the router appends them to a per-session sequence buffer the
+smoother's trellis adapters read from, so arbitrary interleavings of
 ``push`` across sessions commit exactly the labels a sequential replay
-would.  When the session table is full the least-recently-used session is
-evicted: its lag window is flushed, its stats merged into the aggregate,
-and its buffered state freed.
+would.  The buffer is a :class:`~repro.datasets.trace.StepWindow`: once
+the smoother has consumed a step the router releases it, so a live
+session holds O(lag) steps whatever its length (its committed labels are
+the one per-step record it keeps).  When the session table is full the
+least-recently-used session is evicted: its lag window is flushed, its
+stats merged into the aggregate, and its buffered state freed.
 
 Fault isolation: every incoming step is validated
 (:func:`~repro.resilience.validate_step`) and a session whose smoother
@@ -35,7 +38,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.api import DecodeStats, Recognizer
 from repro.core.smoother import OnlineSmoother
-from repro.datasets.trace import ContextStep, LabeledSequence
+from repro.datasets.trace import ContextStep, LabeledSequence, StepWindow
 from repro.obs import runtime as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.streaming import (
@@ -50,7 +53,7 @@ ON_ERROR_POLICIES = ("quarantine", "reset", "raise")
 
 @dataclass
 class SessionState:
-    """One live stream: its growing buffer, smoother, and committed labels."""
+    """One live stream: its step buffer, smoother, and committed labels."""
 
     seq: LabeledSequence
     smoother: OnlineSmoother
@@ -70,6 +73,11 @@ class SessionState:
     def pushed(self) -> int:
         """Number of steps consumed so far."""
         return len(self.seq)
+
+    def release(self, t: int) -> None:
+        """Drop the buffered steps below *t*: the smoother has consumed them."""
+        self.seq.steps.release(t)
+        self.seq.truths.release(t)
 
     def labels(self) -> Dict[str, List[str]]:
         """Committed labels pivoted per resident."""
@@ -176,8 +184,8 @@ class SessionRouter:
             home_id=session_id,
             resident_ids=tuple(resident_ids),
             step_s=step_s,
-            steps=[],
-            truths=[],
+            steps=StepWindow(),
+            truths=StepWindow(),
         )
         # Constructed directly (not via ``model.step_filter``) so every
         # session's smoother reports into the router's registry.
@@ -222,6 +230,7 @@ class SessionRouter:
                 labels = state.smoother.push(t)
             except Exception as exc:
                 return self._handle_smoother_error(state, step, exc)
+            state.release(t + 1)
             if labels is not None:
                 state.committed.append(labels)
             self._c_steps.inc()
@@ -315,6 +324,7 @@ class SessionRouter:
         d: Dict[str, object] = {
             "pushed": state.pushed,
             "committed": len(state.committed),
+            "window": state.smoother.window,
         }
         if state.degraded:
             # Only present when True, so healthy snapshots stay lean.
@@ -384,10 +394,13 @@ class SessionRouter:
     def _degraded_push(
         self, state: SessionState, step: ContextStep, append: bool = True
     ) -> Dict[str, str]:
-        """Serve one step of a quarantined session through its fallback."""
+        """Serve one step of a quarantined session through its fallback
+        (which reads only *step*, so the buffer keeps none of them; they
+        still count as pushed)."""
         if append:
             state.seq.steps.append(step)
             state.seq.truths.append({})
+        state.release(len(state.seq))
         labels = state.degraded_filter.push_step(step)
         state.committed.append(labels)
         self._c_steps.inc()
@@ -508,6 +521,7 @@ class SessionRouter:
                 consumed += 1
         except Exception as exc:  # noqa: BLE001 — isolate any decode fault
             error = exc
+        state.release(t0 + consumed)
         if error is not None:
             # Drop the unconsumed tail from the buffer; the failing step
             # stays (matching push(): it was appended when the smoother

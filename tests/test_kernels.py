@@ -511,26 +511,28 @@ def test_transition_blocks_meet_linear_span_precondition(family, family_models):
 
 def test_shared_transition_block_is_converted_once(family_models, monkeypatch):
     """nh returns one transition matrix object at every step: the smoother
-    converts it once per session and every step holds that one linear
-    block, so a session's memory does not grow with T by a block per step."""
+    converts it once per session, and its lag window holds ``lag + 1``
+    pieces and alphas and at most ``lag`` blocks, every one of them that
+    shared linear block."""
     model, seq = family_models["nh"]
-    steps = 50
+    steps, lag = 50, 4
     assert len(seq) >= steps
     converted = []
     monkeypatch.setattr(
         kernels, "linear_block", lambda log_t: converted.append(log_t) or linear_block(log_t)
     )
-    smoother = OnlineSmoother(model, lag=4)
+    smoother = OnlineSmoother(model, lag=lag)
     smoother.start(seq)
     for t in range(steps):
         smoother.push(t)
     sessions = smoother._sessions
     assert sessions[0].transition(None, None) is sessions[0].transition(None, None)
     assert len(converted) == len(sessions)
-    for blocks in smoother._trans:
-        assert blocks[0] is None
-        assert len(blocks) == steps
-        assert all(b is blocks[1] for b in blocks[1:])
+    for pieces, alphas, blocks in zip(smoother._pieces, smoother._alphas, smoother._trans):
+        assert len(pieces) == len(alphas) == lag + 1
+        held = [b for b in blocks if b is not None]
+        assert 0 < len(held) <= lag
+        assert all(b is held[0] for b in held)
 
 
 # ---------------------------------------------------------------------------

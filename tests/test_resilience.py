@@ -575,6 +575,23 @@ class TestRouterResilience:
         prior = prior_macro_label(engine.model_)
         assert set(out.values()) == {prior}
 
+    def test_quarantined_session_buffers_no_steps(self, engine, fallback, corpus):
+        """Degraded serving reads only the step it is given: a quarantined
+        session counts every step it serves but keeps none of them, through
+        ``push`` and ``push_many`` alike."""
+        _, steps = self._steps(corpus)
+        router = SessionRouter(engine, lag=3, fallback=fallback)
+        for i, st in enumerate(steps[:10]):
+            router.push("s", corrupt_step(st, mode="nan") if i == 4 else st)
+        router.push_many("s", steps[10:])
+        state = router.session("s")
+        assert state.degraded
+        assert state.pushed == len(steps)
+        assert state.seq.steps.floor == state.seq.truths.floor == len(steps)
+        with pytest.raises(IndexError):
+            state.seq.steps[len(steps) - 1]
+        assert len(state.committed) == len(steps)
+
     def test_describe_marks_degraded_sessions(self, engine, corpus):
         _, steps = self._steps(corpus, n=4)
         router = SessionRouter(engine, lag=3)
