@@ -44,17 +44,13 @@ def test_decode_hotpath(benchmark):
     payload["provenance"] = provenance()  # wall-clock numbers need context
     out.write_text(json.dumps(payload, indent=2) + "\n")
     # The kernels must not change any decoded label at the same seed...
-    assert result.labels_identical
-    assert result.nchain is not None and result.nchain.labels_identical
-    assert result.smoother is not None and result.smoother.labels_identical
-    assert result.smoother_push is not None and result.smoother_push.labels_identical
-    assert result.nchain_smoother is not None and result.nchain_smoother.labels_identical
-    assert result.nchain_quad is not None and result.nchain_quad.labels_identical
+    for path in result.paths:
+        assert path.labels_identical, path.name
     # ...and must buy at least 5x serial steps/sec on the c2 hot path,
     # 3x on the N-chain paths (3 and 4 residents) and the fixed-lag
     # smoother paths (push_many bursts and one push per step, on pairs
     # and on 3-resident homes).
-    assert result.speedup >= 5.0
+    assert result.c2.speedup >= 5.0
     assert result.nchain.speedup >= 3.0
     assert result.smoother.speedup >= 3.0
     assert result.smoother_push.speedup >= 3.0

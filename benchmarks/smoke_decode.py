@@ -47,15 +47,11 @@ def main() -> int:
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
     failures = []
-    if not result.labels_identical:
-        failures.append("c2 labels diverge from the seed reference")
-    for name in ("nchain", "smoother", "smoother_push", "nchain_smoother", "nchain_quad"):
-        run = getattr(result, name)
-        if run is None or not run.labels_identical:
-            failures.append(f"{name} labels diverge from the seed reference")
-    for name, run in [("c2", result)] + [(p.name, p) for p in result.paths]:
+    for run in result.paths:
+        if not run.labels_identical:
+            failures.append(f"{run.name} labels diverge from the seed reference")
         if run.speedup < 1.0:
-            failures.append(f"{name} kernels slower than the reference ({run.speedup:.2f}x)")
+            failures.append(f"{run.name} kernels slower than the reference ({run.speedup:.2f}x)")
     for failure in failures:
         print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -8,8 +8,8 @@ The paper's contribution, assembled from the substrates:
   model with end-of-sequence-marker semantics (Eqns 3-6, Augmentations
   1-4) over any number of resident chains (the paper's pairs are N=2),
   with vectorised joint Viterbi over pruned candidate trellises;
-* :class:`~repro.core.hdbn.SingleUserHdbn` — the single-inhabitant model
-  (Eqn 1), also used by the NCR strategy;
+* :class:`~repro.core.hdbn.SingleUserHdbn` — the NCR strategy's per-user
+  frame-wise classifier (rule-pruned candidates, no temporal chain);
 * :mod:`~repro.core.pruning` — the four strategies of §VII-G
   (NH / NCR / NCS / C2);
 * :class:`~repro.core.engine.CaceEngine` — the end-to-end pipeline of

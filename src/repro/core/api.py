@@ -17,8 +17,8 @@ on concrete types:
 * ``describe`` — a one-line human-readable summary for logs and CLIs.
 
 A recogniser's trellis decomposes into one or more *sessions* (independent
-chains): the coupled model exposes a single joint session, the per-user
-models one session per resident.  Each session yields per-step
+chains): the coupled model exposes a single joint session, the flat HMM
+and NCR's frame-wise classifier one session per resident.  Each session yields per-step
 :class:`TrellisPiece` objects and the transition blocks between
 consecutive pieces; the Viterbi and forward/backward recursions are
 written once against that interface.  Sessions count the work only they
@@ -114,10 +114,10 @@ class TrellisPiece:
     transition in the forward recursion; ``enc`` is the session's own
     dense encoding of the candidates (opaque to the recursions, consumed
     by :meth:`TrellisSession.transition` / :meth:`TrellisSession.macros`).
-    A single-resident session stores the candidates' ``(m, l)`` macro and
-    sub-location codes; the joint N-chain session stores ``(grids, m, l)``:
-    per-user candidate indices as ``(N, J)`` rows plus each user's own
-    macro and sub-location code arrays.
+    A frame-wise (NCR) session stores ``(m,)``, the candidates' macro codes
+    (its steps have no transition); the joint N-chain session stores
+    ``(grids, m, l)``: per-user candidate indices as ``(N, J)`` rows plus
+    each user's own macro and sub-location code arrays.
     """
 
     scores: np.ndarray

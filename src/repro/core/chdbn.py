@@ -4,8 +4,9 @@ The CACE model of §IV/§VI is a loosely-coupled HDBN over the hidden joint
 state ``(m_i, l_i)`` (macro activity + sub-location) of every resident,
 implemented for any number of residents by
 :class:`~repro.core.loosely_coupled.NChainHdbn` (two residents are its
-N=2 case).  This module holds the pieces that model and the single-user
-:class:`~repro.core.hdbn.SingleUserHdbn` share:
+N=2 case).  This module holds that model's pieces, and the per-resident
+evidence it shares with the NCR strategy's frame-wise classifier
+:class:`~repro.core.hdbn.SingleUserHdbn`:
 
 * **End-of-sequence-marker semantics (Eqns 3-6).**  A macro state may only
   change when its micro sequence terminates (blocking), and a micro
@@ -15,14 +16,14 @@ N=2 case).  This module holds the pieces that model and the single-user
   micro chain *resets* from the new macro's prior (Augmentations 1-3).
   :func:`build_transition_tables` precomputes both branches as log tables
   and :func:`chain_block` gathers one chain's block (previous states by
-  current candidates) from them, for the coupled and the uncoupled table.
+  current candidates) from them.
 * **Coupled macro transitions** ``P(m' | m, partner_m)`` (Augmentation 3),
   shrunk toward the uncoupled table where data is sparse.
 * **Gaussian-mixture emissions** per macro over the continuous feature
   vector, with components discovered by deterministic annealing
   (Augmentation 4), alongside CPTs for the observed postural/gestural
   micro context, iBeacon soft location evidence, and PIR room
-  compatibility (:func:`fit_emission_tables`).
+  compatibility (:func:`init_user_evidence`, :func:`fit_emission_tables`).
 * **Per-resident candidates** (:func:`build_candidate_set`): memoised
   encoded candidate lists, single-user rule pruning, and emission scores
   indexed from the per-sequence tables of
@@ -37,18 +38,23 @@ and ``benchmarks/bench_decode_hotpath.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.emissions import ObjectEvidenceTable
 from repro.core.kernels import SequenceKernel
-from repro.core.state_space import CandidateSet
+from repro.core.rule_kernel import CompiledRules, SingleRulePruner
+from repro.core.state_space import CandidateSet, StateSpaceBuilder
 from repro.datasets.trace import Dataset, LabeledSequence
 from repro.micro.annealing import DeterministicAnnealing
 from repro.mining.constraint_miner import ConstraintModel
 
 _TINY = 1e-12
+
+#: Floor of the per-step macro change probability: a macro whose segments
+#: never ended in training can still change.
+MIN_CHANGE_PROB = 1e-4
 
 
 def chain_block(
@@ -57,7 +63,7 @@ def chain_block(
     log_subloc_prior: np.ndarray,
     m_prev: np.ndarray,
     l_prev: np.ndarray,
-    partner_prev: Optional[np.ndarray],
+    partner_prev: np.ndarray,
     m_cur: np.ndarray,
     l_cur: np.ndarray,
 ) -> np.ndarray:
@@ -66,13 +72,10 @@ def chain_block(
 
     Two gathers from the precomputed log tables plus one branch on the
     macro-change mask — no per-step transcendentals on (P, C) blocks.
-    ``partner_prev`` is the partner chain's previous macro for the coupled
-    ``(M, M, M)`` macro table, ``None`` for the uncoupled ``(M, M)`` one.
+    ``partner_prev`` is the partner chain's previous macro, the middle
+    index of the coupled ``(M, M, M)`` macro table.
     """
-    if partner_prev is None:
-        macro_term = macro_table[m_prev[:, None], m_cur[None, :]]
-    else:
-        macro_term = macro_table[m_prev[:, None], partner_prev[:, None], m_cur[None, :]]
+    macro_term = macro_table[m_prev[:, None], partner_prev[:, None], m_cur[None, :]]
     same = m_prev[:, None] == m_cur[None, :]
     cont = loc_table[m_cur[None, :], l_prev[:, None], l_cur[None, :]]
     reset = log_subloc_prior[m_cur, l_cur][None, :]
@@ -238,31 +241,51 @@ def build_transition_tables(
     micro_end: np.ndarray,
     subloc_trans: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Precomputed transition log tables shared by all HDBN variants.
+    """Precomputed transition log tables of the coupled model.
 
     Returns ``(macro_table, loc_table)`` such that the per-step chain
     blocks are pure gathers (log of a gathered entry equals the gathered
     entry of the logged table, bit for bit): the stay/change branch is
-    baked into the macro table's ``m_prev == m_cur`` diagonal, and the
-    micro continue/jump branch into the loc table's ``l_prev == l_cur``
-    diagonal.  ``change_trans`` may be coupled ``(M, M, M)`` or uncoupled
-    ``(M, M)``.
+    baked into the coupled ``(M, M, M)`` macro table's ``m_prev == m_cur``
+    diagonal, and the micro continue/jump branch into the loc table's
+    ``l_prev == l_cur`` diagonal.
     """
-    log_stay = np.log1p(-p_change)
-    log_go = np.log(p_change)
     idx = np.arange(p_change.shape[0])
-    if change_trans.ndim == 3:
-        macro_table = log_go[:, None, None] + np.log(change_trans + _TINY)
-        macro_table[idx, :, idx] = log_stay[:, None]
-    else:
-        macro_table = log_go[:, None] + np.log(change_trans + _TINY)
-        macro_table[idx, idx] = log_stay
+    macro_table = np.log(p_change)[:, None, None] + np.log(change_trans + _TINY)
+    macro_table[idx, :, idx] = np.log1p(-p_change)[:, None]
     e = micro_end[:, None, None]
     loc_table = np.log(e * subloc_trans + _TINY)
     jdx = np.arange(subloc_trans.shape[1])
     loc_cont = np.log((1.0 - e) + e * subloc_trans + _TINY)
     loc_table[:, jdx, jdx] = loc_cont[:, jdx, jdx]
     return macro_table, loc_table
+
+
+def init_user_evidence(model) -> None:
+    """Shared ``__post_init__`` body for the HDBN family: the state-space
+    builder, the single-user rule pruner, and the occupancy log tables the
+    per-resident evidence reads."""
+    cm = model.constraint_model
+    # The builder over-generates; emission evidence picks the survivors.
+    model.builder = StateSpaceBuilder(
+        constraint_model=cm, max_states_per_user=4 * model.max_states_per_user
+    )
+    # Rules are compiled once per model into per-(rule, candidate-list)
+    # boolean matrices with per-step scalar gates (repro.core.rule_kernel).
+    model._single_rules = model.rule_set.single_user() if model.rule_set else None
+    model._single_pruner = (
+        SingleRulePruner(CompiledRules(model._single_rules), cm, model.builder.room_of_l)
+        if model._single_rules is not None
+        else None
+    )
+    # Evidence terms use the per-step *occupancy* tables: segment-start
+    # priors see one count per segment and smooth to near-uniform, which
+    # silently removes the posture/gesture/location channels.
+    model._log_posture = np.log(cm.posture_occupancy + _TINY)
+    model._log_gesture = (
+        np.log(cm.gesture_occupancy + _TINY) if cm.gesture_occupancy is not None else None
+    )
+    model._log_subloc_occ = np.log(cm.subloc_occupancy + _TINY)
 
 
 def fit_emission_tables(model, train: Dataset) -> None:

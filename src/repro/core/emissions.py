@@ -1,8 +1,8 @@
 """Object-sensor evidence for the HDBN family's emission model.
 
-Every recogniser (single-user HDBN, coupled N-chain HDBN) scores a
-hypothesised ``(macro, subloc)`` state against one resident's step
-evidence in exactly the same way:
+Every HDBN-family recogniser (NCR's frame-wise classifier, the coupled
+N-chain HDBN) scores a hypothesised ``(macro, subloc)`` state against one
+resident's step evidence in exactly the same way:
 
 * observed postural / oral-gestural micro context via per-macro occupancy
   CPTs (the tier-1 wearable classifiers' outputs);

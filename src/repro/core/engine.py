@@ -226,7 +226,6 @@ class CaceEngine:
                     rule_set=rule_set,
                     gmm_components=self.gmm_components,
                     max_states_per_user=self.max_states_per_user,
-                    temporal=False,
                     seed=self._rng.integers(0, 2**31),
                 )
             else:
@@ -598,8 +597,8 @@ class CaceEngine:
 
         Every strategy is covered through the shared
         :class:`~repro.core.api.Recognizer` surface: NH via the flat HMM's
-        forward-backward, NCR via the single-user model's frame-wise (or
-        chain) posteriors, NCS/C2 via the coupled trellis sum-product.
+        forward-backward, NCR via its frame-wise classifier's per-step
+        posteriors, NCS/C2 via the coupled trellis sum-product.
         """
         if self.model_ is None:
             raise RuntimeError("engine is not fitted")

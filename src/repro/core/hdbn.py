@@ -1,10 +1,12 @@
-"""Single-inhabitant HDBN (paper §IV-C, Eqn 1).
+"""Per-resident frame-wise classifier: the paper's **NCR** strategy.
 
-One hierarchical chain: hidden ``(macro, subloc)`` with the same
-end-of-sequence-marker transition semantics as the coupled model, but the
-macro transition is the *uncoupled* table and no partner context exists.
-Besides the N=1 use case, this model is the engine of the paper's **NCR**
-strategy — per-user rule pruning without any inter-user coupling.
+NCR (§VII-G) is a two-fold method: prune each resident's candidate
+``(macro, subloc)`` states with the single-user correlation rules, then
+classify every frame on its own.  There is no temporal chain and no
+inter-user coupling: a step's score is the HDBN's per-resident evidence
+(shared with the coupled model through :mod:`repro.core.chdbn`) plus the
+log macro-occupancy prior, so offline decoding is the frame-wise MAP and
+the fixed-lag smoother reduces to filtering.
 """
 
 from __future__ import annotations
@@ -16,14 +18,8 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.api import DecodeStats, TrellisPiece, make_step_filter
-from repro.core.chdbn import (
-    build_candidate_set,
-    build_transition_tables,
-    chain_block,
-    fit_emission_tables,
-)
+from repro.core.chdbn import build_candidate_set, fit_emission_tables, init_user_evidence
 from repro.core.kernels import SequenceKernel
-from repro.core.rule_kernel import CompiledRules, SingleRulePruner
 from repro.core.state_space import StateSpaceBuilder
 from repro.datasets.trace import Dataset, LabeledSequence
 from repro.mining.constraint_miner import ConstraintModel
@@ -31,23 +27,17 @@ from repro.mining.correlation_miner import CorrelationRuleSet
 from repro.util.rng import RandomState, ensure_rng
 
 _TINY = 1e-12
-_PIR_MISS_PENALTY = -1.5
 
 
 @dataclass
 class SingleUserHdbn:
-    """Hierarchical DBN for one resident's chain."""
+    """Rule-pruned frame-wise classifier over each resident's states."""
 
     constraint_model: ConstraintModel
     rule_set: Optional[CorrelationRuleSet] = None
     gmm_components: int = 4
     max_states_per_user: int = 36
-    min_change_prob: float = 1e-4
     use_feature_gmm: bool = True
-    pir_miss_penalty: float = _PIR_MISS_PENALTY
-    #: NCR runs frame-wise (the paper's two-fold rule-prune-then-classify
-    #: approach has no temporal chaining); set True for a true 1-chain HDBN.
-    temporal: bool = True
     seed: RandomState = None
     builder: StateSpaceBuilder = field(default=None, init=False, repr=False)
     gmms_: Dict[int, object] = field(default_factory=dict, init=False, repr=False)
@@ -56,42 +46,8 @@ class SingleUserHdbn:
 
     def __post_init__(self) -> None:
         self._rng = ensure_rng(self.seed)
-        self.builder = StateSpaceBuilder(
-            constraint_model=self.constraint_model,
-            max_states_per_user=4 * self.max_states_per_user,
-        )
-        self._single_rules = self.rule_set.single_user() if self.rule_set else None
-        self._single_pruner = (
-            SingleRulePruner(
-                CompiledRules(self._single_rules),
-                self.constraint_model,
-                self.builder.room_of_l,
-            )
-            if self._single_rules is not None
-            else None
-        )
-        cm = self.constraint_model
-        # Counted per step: already conditioned on micro termination.
-        self._p_change = np.clip(cm.macro_end_prob, self.min_change_prob, 0.5)
-        trans = cm.macro_trans.copy()
-        np.fill_diagonal(trans, 0.0)
-        self._change_trans = trans / np.maximum(trans.sum(axis=1, keepdims=True), _TINY)
-        # Per-step occupancy tables for evidence (the segment-start priors
-        # are far too flat to act as evidence).
-        self._log_posture = np.log(cm.posture_occupancy + _TINY)
-        self._log_gesture = (
-            np.log(cm.gesture_occupancy + _TINY)
-            if cm.gesture_occupancy is not None
-            else None
-        )
-        self._log_subloc_prior = np.log(cm.subloc_prior + _TINY)
-        self._log_subloc_occ = np.log(cm.subloc_occupancy + _TINY)
-        # Precomputed transition log tables: the per-step chain blocks are
-        # pure gathers (shared with the coupled model; the uncoupled macro
-        # table is 2-D).
-        self._macro_block_table, self._loc_block_table = build_transition_tables(
-            self._p_change, self._change_trans, cm.micro_end_prob, cm.subloc_trans
-        )
+        init_user_evidence(self)
+        self._log_macro_occ = np.log(self.constraint_model.macro_occupancy + _TINY)
 
     # -- training (shares the coupled model's emission machinery) ----------------
 
@@ -103,17 +59,12 @@ class SingleUserHdbn:
     # -- inference ---------------------------------------------------------------------
 
     def decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:
-        """Decode every resident independently (no coupling): Viterbi per
-        chain, or the frame-wise MAP when ``temporal`` is off."""
+        """The frame-wise MAP macro label of every resident at every step."""
         return kernels.decode(self, seq, "single_user")
 
     def posterior_marginals(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
-        """Per-resident posterior macro marginals ``(T, M)``.
-
-        ``temporal=False`` (the NCR strategy) yields frame-wise posteriors
-        under the macro-occupancy prior; ``temporal=True`` runs
-        forward-backward over the same trellis Viterbi decodes.
-        """
+        """Per-resident frame-wise posterior macro marginals ``(T, M)``
+        under the macro-occupancy prior."""
         return kernels.posterior_marginals(self, seq)
 
     # -- Recognizer surface --------------------------------------------------------
@@ -132,18 +83,19 @@ class SingleUserHdbn:
 
     def describe(self) -> str:
         """One-line summary for logs and CLIs."""
-        chain = "temporal 1-chain HDBN" if self.temporal else "frame-wise classifier"
         pruning = "rule-pruned" if self.rule_set is not None else "unpruned"
-        return f"per-user {chain} ({pruning}, <= {self.max_states_per_user} states/user)"
+        return (
+            f"per-user frame-wise classifier ({pruning}, "
+            f"<= {self.max_states_per_user} states/user)"
+        )
 
 
 class _UserTrellis:
-    """Trellis adapter over one resident's chain.
+    """Trellis adapter over one resident's frames.
 
-    ``temporal=False`` (the NCR strategy) exposes no transition: each
-    step's scores carry the macro-occupancy prior and stand alone, so
-    offline decoding is the frame-wise MAP and the smoother reduces to
-    filtering.
+    A piece's ``enc`` is ``(m,)``, the candidates' macro codes.  No
+    transition links the steps: each step's scores carry the
+    macro-occupancy prior and stand alone.
     """
 
     def __init__(self, model: SingleUserHdbn, seq: LabeledSequence, rid: str):
@@ -165,30 +117,13 @@ class _UserTrellis:
         model = self.model
         self._kern.ensure(0, t + 1)
         c = build_candidate_set(model, self.seq, self.rids[0], t, self._kern)
-        scores = c.emissions
-        if not model.temporal:
-            cm = model.constraint_model
-            scores = scores + np.log(cm.macro_occupancy[c.m] + _TINY)
-        return TrellisPiece(scores=scores, enc=(c.m, c.l))
+        return TrellisPiece(scores=c.emissions + model._log_macro_occ[c.m], enc=(c.m,))
 
     def initial_alpha(self, piece: TrellisPiece) -> np.ndarray:
-        model = self.model
-        if not model.temporal:
-            return piece.scores
-        cm = model.constraint_model
-        m, l = piece.enc
-        return np.log(cm.macro_prior[m] + _TINY) + model._log_subloc_prior[m, l] + piece.scores
+        return piece.scores
 
-    def transition(self, prev: TrellisPiece, cur: TrellisPiece) -> Optional[np.ndarray]:
-        if not self.model.temporal:
-            return None
-        model = self.model
-        pm, pl = prev.enc
-        m, l = cur.enc
-        return chain_block(
-            model._macro_block_table, model._loc_block_table, model._log_subloc_prior,
-            pm, pl, None, m, l,
-        )
+    def transition(self, prev: TrellisPiece, cur: TrellisPiece) -> None:
+        return None
 
     def macros(self, piece: TrellisPiece) -> Tuple[np.ndarray]:
-        return piece.enc[:1]
+        return piece.enc

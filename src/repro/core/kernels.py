@@ -64,6 +64,10 @@ from repro.obs import runtime as _obs
 
 _MEMO_LIMIT = 8192
 
+#: Log penalty for hypothesising a sub-location whose room shows no PIR
+#: activity while other rooms do (PIRs miss stationary residents).
+PIR_MISS_PENALTY = -1.5
+
 
 def _lse(arr: np.ndarray, axis: int) -> np.ndarray:
     """Numerically stable log-sum-exp along *axis*."""
@@ -547,15 +551,14 @@ class SequenceKernel:
 
     def emissions(self, rid: str, t: int, m: np.ndarray, l: np.ndarray) -> np.ndarray:
         """Candidate emission scores by indexing the precomputed rows."""
-        model = self.model
         out = (
             self._macro_rows[rid][t][m]
             + self._loc_rows[rid][t][l]
-            + model._log_subloc_occ[m, l]
+            + self.model._log_subloc_occ[m, l]
         )
         mask = self._pir_masks[t]
         if mask is not None:
-            out[~mask[l]] += model.pir_miss_penalty
+            out[~mask[l]] += PIR_MISS_PENALTY
         return out
 
     def step_items(self, t: int) -> StepItems:

@@ -7,8 +7,8 @@ of resident chains; a resident pair is its N=2 case, run with the
 testbed's caps (:data:`PAIR_CAPS`):
 
 * per-user candidate states and emissions come from
-  :func:`~repro.core.chdbn.build_candidate_set`, shared with the
-  single-user model;
+  :func:`~repro.core.chdbn.build_candidate_set`, shared with NCR's
+  frame-wise classifier;
 * deterministic cross-user correlations prune every *pair* of chains —
   rules are mined on symmetrised two-user slots, so a rule that forbids
   ``(u1, u2)`` joint states applies to every ordered chain pair;
@@ -45,18 +45,15 @@ import numpy as np
 from repro.core import kernels
 from repro.core.api import DecodeStats, TrellisPiece, make_step_filter
 from repro.core.chdbn import (
+    MIN_CHANGE_PROB,
     build_candidate_set,
     build_transition_tables,
     chain_block,
     fit_emission_tables,
+    init_user_evidence,
 )
 from repro.core.kernels import SequenceKernel
-from repro.core.rule_kernel import (
-    CompiledRules,
-    CrossRulePruner,
-    SingleRulePruner,
-    soft_exclusion_matrix,
-)
+from repro.core.rule_kernel import CompiledRules, CrossRulePruner, soft_exclusion_matrix
 from repro.core.state_space import CandidateSet, StateSpaceBuilder
 from repro.datasets.trace import Dataset, LabeledSequence
 from repro.mining.constraint_miner import ConstraintModel
@@ -96,8 +93,6 @@ class NChainHdbn:
     rule_set:
         Output of the correlation miner; ``None`` disables correlation
         pruning (the paper's NCS strategy).
-    prune_cross:
-        Apply the cross-user rules (single-user rules always apply).
     gmm_components:
         Deterministic-annealing codebook size per macro.
     max_states_per_user / max_joint_states:
@@ -108,7 +103,6 @@ class NChainHdbn:
 
     constraint_model: ConstraintModel
     rule_set: Optional[CorrelationRuleSet] = None
-    prune_cross: bool = True
     gmm_components: int = 4
     max_states_per_user: int = 24
     max_joint_states: int = 1200
@@ -119,11 +113,7 @@ class NChainHdbn:
     #: isolate the plausible joint states); the pair cap of 100 leaves
     #: safety margin.
     max_joint_states_pruned: int = 300
-    min_change_prob: float = 1e-4
     use_feature_gmm: bool = True
-    #: Log penalty for hypothesising a sub-location whose room shows no PIR
-    #: activity while other rooms do (PIRs miss stationary residents).
-    pir_miss_penalty: float = -1.5
     #: Joint explaining-away: log cost of a fired area-motion sensor that
     #: *no* resident's hypothesis covers (~log of the per-window false
     #: alarm probability).  This is where multiple occupancy becomes an
@@ -147,21 +137,9 @@ class NChainHdbn:
 
     def __post_init__(self) -> None:
         self._rng = ensure_rng(self.seed)
-        # The builder over-generates; emission evidence picks the survivors.
-        self.builder = StateSpaceBuilder(
-            constraint_model=self.constraint_model,
-            max_states_per_user=4 * self.max_states_per_user,
-        )
-        self._single_rules = self.rule_set.single_user() if self.rule_set else None
+        init_user_evidence(self)
         self._cross_rules = self.rule_set.cross_user() if self.rule_set else None
         cm = self.constraint_model
-        # Rules are compiled once per model into per-(rule, candidate-list)
-        # boolean matrices with per-step scalar gates (repro.core.rule_kernel).
-        self._single_pruner = (
-            SingleRulePruner(CompiledRules(self._single_rules), cm, self.builder.room_of_l)
-            if self._single_rules is not None
-            else None
-        )
         self._compiled_cross = (
             CompiledRules(self._cross_rules) if self._cross_rules is not None else None
         )
@@ -173,7 +151,7 @@ class NChainHdbn:
         # macro_end_prob is counted per step, so it already reflects the
         # blocking constraint (macro segments end only at micro boundaries);
         # multiplying in micro_end_prob again would double-count.
-        self._p_change = np.clip(cm.macro_end_prob, self.min_change_prob, 0.5)
+        self._p_change = np.clip(cm.macro_end_prob, MIN_CHANGE_PROB, 0.5)
         # Off-diagonal renormalised coupled transition: given a change
         # happens, where does the macro go (conditioned on the partner)?
         coupled = cm.macro_trans_coupled.copy()
@@ -181,17 +159,7 @@ class NChainHdbn:
         coupled[np.arange(n_m), :, np.arange(n_m)] = 0.0
         row = coupled.sum(axis=2, keepdims=True)
         self._change_trans = coupled / np.maximum(row, _TINY)
-        # Evidence terms use the per-step *occupancy* tables: segment-start
-        # priors see one count per segment and smooth to near-uniform,
-        # which silently removes the posture/gesture/location channels.
-        self._log_posture = np.log(cm.posture_occupancy + _TINY)
-        self._log_gesture = (
-            np.log(cm.gesture_occupancy + _TINY)
-            if cm.gesture_occupancy is not None
-            else None
-        )
         self._log_subloc_prior = np.log(cm.subloc_prior + _TINY)
-        self._log_subloc_occ = np.log(cm.subloc_occupancy + _TINY)
         self._subloc_trans = cm.subloc_trans
         self._micro_end = cm.micro_end_prob
         self._macro_block_table, self._loc_block_table = build_transition_tables(
@@ -247,7 +215,7 @@ class NChainHdbn:
         mask = np.ones(shape, dtype=bool)
         cm = self.constraint_model
         room_of_l = self.builder.room_of_l
-        if self._cross_pruner is not None and self.prune_cross:
+        if self._cross_pruner is not None:
             # The pairwise rule matrices are cached per candidate list, so
             # every ordered chain pair reuses the same per-rule rows.
             amb = kern.step_items(t)
@@ -290,7 +258,7 @@ class NChainHdbn:
         flat = mask.ravel().nonzero()[0]
         scores = scores.ravel()[flat]
         cap = self.max_joint_states
-        if self.rule_set is not None and self.prune_cross:
+        if self.rule_set is not None:
             cap = min(cap, self.max_joint_states_pruned)
         if flat.size > cap:
             stats.capped_joint_states += flat.size - cap
@@ -333,7 +301,7 @@ class NChainHdbn:
         and capped joint states into *stats*."""
         rids = tuple(seq.resident_ids)
         if len(rids) < 2:
-            raise ValueError("NChainHdbn expects >= 2 residents (use SingleUserHdbn)")
+            raise ValueError("NChainHdbn expects >= 2 residents")
         return [_NChainTrellis(self, seq, rids, stats if stats is not None else DecodeStats())]
 
     def decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:

@@ -2,7 +2,7 @@
 
 =====  ==========================================================
 NH     Naive-HMM: exhaustive flat macro HMM on frame features [9]
-NCR    Naive-Correlation: per-user rule pruning, no coupling [1]
+NCR    Naive-Correlation: per-user rule pruning, frame-wise [1]
 NCS    Naive-Constraint: full coupled HDBN, no correlation pruning
 C2     Correlation+Constraint: the loosely-coupled HDBN (CACE)
 =====  ==========================================================
@@ -29,16 +29,6 @@ class PruningStrategy:
     def uses_correlations(self) -> bool:
         """Does the strategy run the correlation miner?"""
         return self.name in ("ncr", "c2")
-
-    @property
-    def uses_constraints(self) -> bool:
-        """Does the strategy use the hierarchical constraint structure?"""
-        return self.name in ("ncs", "c2")
-
-    @property
-    def coupled(self) -> bool:
-        """Does the strategy couple the residents' chains?"""
-        return self.name in ("ncs", "c2")
 
     def __repr__(self) -> str:
         return f"PruningStrategy({self.name!r})"

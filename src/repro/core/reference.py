@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.api import DecodeStats
 from repro.core.emissions import object_log_evidence
-from repro.core.kernels import _lse, macro_argmax, macro_marginals, posterior
+from repro.core.kernels import PIR_MISS_PENALTY, _lse, macro_argmax, macro_marginals, posterior
 from repro.core.loosely_coupled import JointEnc, NChainHdbn, joint_codes
 from repro.core.smoother import OnlineSmoother
 from repro.core.state_space import CandidateSet, UserState, _ROOM_OF
@@ -106,7 +106,7 @@ def reference_user_state_emissions(
         score = macro_cache[m] + loc_weight[l] + model._log_subloc_occ[m, l]
         room = _ROOM_OF.get(state.subloc)
         if step.rooms_fired and room not in step.rooms_fired:
-            score += model.pir_miss_penalty
+            score += PIR_MISS_PENALTY
         out[i] = score
     return out
 
@@ -305,7 +305,7 @@ class ReferenceNChainHdbn(NChainHdbn):
         n = len(per_user)
         grids = np.indices([len(c) for c in per_user]).reshape(n, -1)  # (N, prod)
 
-        prune_active = self._cross_rules is not None and self.prune_cross
+        prune_active = self._cross_rules is not None
         if prune_active:
             mask = np.ones(grids.shape[1], dtype=bool)
             for a in range(n):
@@ -358,7 +358,7 @@ class ReferenceNChainHdbn(NChainHdbn):
                 scores += np.where(covered, 0.0, self.unexplained_room_penalty)
 
         cap = self.max_joint_states
-        if self.rule_set is not None and self.prune_cross:
+        if self.rule_set is not None:
             cap = min(cap, self.max_joint_states_pruned)
         if grids.shape[1] > cap:
             stats.capped_joint_states += grids.shape[1] - cap

@@ -830,114 +830,58 @@ class PathResult:
 
 @dataclass
 class DecodeHotpathResult:
-    """Steps/sec of the optimised decode hot path vs the seed reference."""
+    """Steps/sec of the optimised decode hot paths vs the seed reference."""
 
-    steps: int
-    seconds_reference: float
-    seconds_optimised: float
-    seconds_batched: float
-    workers: int
-    labels_identical: bool
-    #: 3-resident N-chain decode path (None when not benchmarked).
-    nchain: Optional[PathResult] = None
-    #: Fixed-lag smoother streaming path through ``push_many`` (None when
-    #: not benchmarked).
-    smoother: Optional[PathResult] = None
+    #: 2-resident c2 offline decode.
+    c2: PathResult
+    #: 3-resident N-chain offline decode.
+    nchain: PathResult
+    #: Fixed-lag smoother on pairs through ``push_many``.
+    smoother: PathResult
     #: The same smoother stream, one ``push`` per step (the
-    #: ``SessionRouter.push`` regime; None when not benchmarked).
-    smoother_push: Optional[PathResult] = None
-    #: One ``push`` per step on the 3-resident N-chain model (None when
-    #: either the N-chain or the smoother path is not benchmarked).
-    nchain_smoother: Optional[PathResult] = None
-    #: 4-resident N-chain decode on a one-home corpus (None when the
-    #: N-chain paths are not benchmarked).
-    nchain_quad: Optional[PathResult] = None
-    #: ``predict_dataset`` wall-clock per worker count.
+    #: ``SessionRouter.push`` regime).
+    smoother_push: PathResult
+    #: One ``push`` per step on the 3-resident N-chain model.
+    nchain_smoother: PathResult
+    #: 4-resident N-chain decode on a one-home corpus.
+    nchain_quad: PathResult
+    #: c2 ``predict_dataset`` wall-clock per worker count.
     fanout: Dict[int, float] = field(default_factory=dict)
 
     @property
-    def reference_steps_per_s(self) -> float:
-        """Seed-implementation throughput."""
-        return self.steps / max(self.seconds_reference, 1e-12)
+    def paths(self) -> List[PathResult]:
+        """Every benchmarked path, c2 first."""
+        return [
+            self.c2, self.nchain, self.smoother, self.smoother_push,
+            self.nchain_smoother, self.nchain_quad,
+        ]
 
-    @property
-    def optimised_steps_per_s(self) -> float:
-        """Optimised-implementation throughput (serial)."""
-        return self.steps / max(self.seconds_optimised, 1e-12)
-
-    @property
-    def batched_steps_per_s(self) -> float:
-        """Optimised throughput through ``predict_dataset(workers=N)``."""
-        return self.steps / max(self.seconds_batched, 1e-12)
-
-    @property
-    def speedup(self) -> float:
-        """Serial optimised vs seed reference."""
-        return self.seconds_reference / max(self.seconds_optimised, 1e-12)
+    def _fanout_steps_per_s(self, secs: float) -> float:
+        return self.c2.steps / max(secs, 1e-12)
 
     def to_dict(self) -> Dict:
         """Machine-readable form for ``BENCH_decode.json``."""
-        out = {
-            "c2": {
-                "name": "c2",
-                "steps": self.steps,
-                "seconds_reference": self.seconds_reference,
-                "seconds_optimised": self.seconds_optimised,
-                "speedup": self.speedup,
-                "labels_identical": self.labels_identical,
-            },
-            "fanout": {
-                str(w): {
-                    "seconds": secs,
-                    "steps_per_s": self.steps / max(secs, 1e-12),
-                }
-                for w, secs in sorted(self.fanout.items())
-            },
+        out = {path.name: path.to_dict() for path in self.paths}
+        out["fanout"] = {
+            str(w): {"seconds": secs, "steps_per_s": self._fanout_steps_per_s(secs)}
+            for w, secs in sorted(self.fanout.items())
         }
-        for path in self.paths:
-            out[path.name] = path.to_dict()
         return out
 
-    @property
-    def paths(self) -> List[PathResult]:
-        """The benchmarked N-chain and smoother paths."""
-        paths = (
-            self.nchain, self.smoother, self.smoother_push, self.nchain_smoother, self.nchain_quad
-        )
-        return [p for p in paths if p is not None]
-
     def render(self) -> str:
-        """Benchmark table (before vs after, plus the batched paths)."""
-        rows = [
-            ("c2 reference (seed)", self.seconds_reference, self.reference_steps_per_s),
-            ("c2 optimised", self.seconds_optimised, self.optimised_steps_per_s),
-        ]
+        """Benchmark table (before vs after, plus the batched c2 paths)."""
+        rows = []
+        for p in self.paths:
+            rows.append(
+                (f"{p.name} reference (seed)", p.seconds_reference, p.reference_steps_per_s)
+            )
+            rows.append((f"{p.name} optimised", p.seconds_optimised, p.optimised_steps_per_s))
         for w, secs in sorted(self.fanout.items()):
-            rows.append(
-                (f"c2 optimised x{w} workers", secs, self.steps / max(secs, 1e-12))
-            )
-        for path in self.paths:
-            rows.append(
-                (
-                    f"{path.name} reference (seed)",
-                    path.seconds_reference,
-                    path.reference_steps_per_s,
-                )
-            )
-            rows.append(
-                (
-                    f"{path.name} optimised",
-                    path.seconds_optimised,
-                    path.optimised_steps_per_s,
-                )
-            )
+            rows.append((f"c2 optimised x{w} workers", secs, self._fanout_steps_per_s(secs)))
         lines = ["decode hot path (seeded CACE corpus)"]
         lines.append(f"{'variant':<34}{'seconds':>10}{'steps/s':>12}")
         for name, secs, sps in rows:
             lines.append(f"{name:<34}{secs:>10.3f}{sps:>12.1f}")
-        lines.append(
-            f"c2 speedup: {self.speedup:.2f}x | labels identical: {self.labels_identical}"
-        )
         for path in self.paths:
             lines.append(
                 f"{path.name} speedup: {path.speedup:.2f}x | "
@@ -964,12 +908,10 @@ def decode_hotpath_benchmark(
     seed: RandomState = 7,
     workers: int = 2,
     fanout_workers: Sequence[int] = (2, 4),
-    include_nchain: bool = True,
     nchain_duration_s: float = 1200.0,
-    include_smoother: bool = True,
-    smoother_lag: int = 4,
 ) -> DecodeHotpathResult:
-    """Time c2 decoding, seed hot path vs optimised, on one fitted model.
+    """Time every decode hot path, seed reference vs optimised, each pair
+    of recognisers on one fitted model.
 
     Both recognisers are constructed with identical parameters and seeds
     (deterministic-annealing GMMs included); only the per-step machinery
@@ -978,7 +920,9 @@ def decode_hotpath_benchmark(
     from the seed's sequential per-object sum), so label identity is an
     empirical property at fixed seeds — exactly what
     ``labels_identical`` asserts — rather than a floating-point
-    guarantee under score ties.
+    guarantee under score ties.  The smoother paths run at lag 4, and c2's
+    ``predict_dataset`` is timed at every width in *fanout_workers* and
+    *workers*.
 
     Measures *steady-state* throughput: each variant decodes the test set
     once untimed first, so the optimised path's memoised candidate lists
@@ -990,6 +934,7 @@ def decode_hotpath_benchmark(
     from repro.core.reference import ReferenceOnlineSmoother
     from repro.core.smoother import OnlineSmoother
 
+    lag = 4
     rng = ensure_rng(seed)
     fast, reference, test = _fitted_pair(
         rng, 2, n_homes, sessions_per_home, duration_s, **PAIR_CAPS
@@ -1008,54 +953,38 @@ def decode_hotpath_benchmark(
     finally:
         engine.close()
 
-    smoother = smoother_push = None
-    if include_smoother:
-        # The fast path streams once through push_many (bulk kernel builds)
-        # and once one push per step (one-step kernel builds, the router's
-        # push regime); the reference replays push-by-push on the seed
-        # model through the log-domain smoother.
-        sm_many, many_s = _timed_runs(
-            lambda seq: _stream_labels_many(fast, seq, smoother_lag), test.sequences
-        )
-        sm_push, push_s = _timed_runs(
-            lambda seq: OnlineSmoother(fast, lag=smoother_lag).run(seq), test.sequences
-        )
-        sm_ref, ref_s = _timed_runs(
-            lambda seq: ReferenceOnlineSmoother(reference, lag=smoother_lag).run(seq),
-            test.sequences,
-        )
-        smoother = PathResult("smoother", c2.steps, ref_s, many_s, sm_many == sm_ref)
-        smoother_push = PathResult("smoother_push", c2.steps, ref_s, push_s, sm_push == sm_ref)
+    # The fast path streams once through push_many (bulk kernel builds)
+    # and once one push per step (one-step kernel builds, the router's
+    # push regime); the reference replays push-by-push on the seed model
+    # through the log-domain smoother.
+    sm_many, many_s = _timed_runs(
+        lambda seq: _stream_labels_many(fast, seq, lag), test.sequences
+    )
+    sm_push, push_s = _timed_runs(
+        lambda seq: OnlineSmoother(fast, lag=lag).run(seq), test.sequences
+    )
+    sm_ref, ref_s = _timed_runs(
+        lambda seq: ReferenceOnlineSmoother(reference, lag=lag).run(seq), test.sequences
+    )
+    smoother = PathResult("smoother", c2.steps, ref_s, many_s, sm_many == sm_ref)
+    smoother_push = PathResult("smoother_push", c2.steps, ref_s, push_s, sm_push == sm_ref)
 
-    nchain = nchain_smoother = nchain_quad = None
-    if include_nchain:
-        fast, reference, test = _fitted_pair(
-            rng, 3, n_homes, sessions_per_home, nchain_duration_s
-        )
-        nchain = _decode_path("nchain", fast, reference, test.sequences)
-        if include_smoother:
-            sm_fast, fast_s = _timed_runs(
-                lambda seq: OnlineSmoother(fast, lag=smoother_lag).run(seq), test.sequences
-            )
-            sm_ref, ref_s = _timed_runs(
-                lambda seq: ReferenceOnlineSmoother(reference, lag=smoother_lag).run(seq),
-                test.sequences,
-            )
-            nchain_smoother = PathResult(
-                "nchain_smoother", nchain.steps, ref_s, fast_s, sm_fast == sm_ref
-            )
-        # One home, one 10-minute test session: the seed reference is slow
-        # on the 4-way product.
-        fast, reference, test = _fitted_pair(rng, 4, 1, 2, 600.0)
-        nchain_quad = _decode_path("nchain_quad", fast, reference, test.sequences)
+    fast, reference, test = _fitted_pair(rng, 3, n_homes, sessions_per_home, nchain_duration_s)
+    nchain = _decode_path("nchain", fast, reference, test.sequences)
+    sm_fast, fast_s = _timed_runs(
+        lambda seq: OnlineSmoother(fast, lag=lag).run(seq), test.sequences
+    )
+    sm_ref, ref_s = _timed_runs(
+        lambda seq: ReferenceOnlineSmoother(reference, lag=lag).run(seq), test.sequences
+    )
+    nchain_smoother = PathResult("nchain_smoother", nchain.steps, ref_s, fast_s, sm_fast == sm_ref)
+    # One home, one 10-minute test session: the seed reference is slow on
+    # the 4-way product.
+    fast, reference, test = _fitted_pair(rng, 4, 1, 2, 600.0)
+    nchain_quad = _decode_path("nchain_quad", fast, reference, test.sequences)
 
     return DecodeHotpathResult(
-        steps=c2.steps,
-        seconds_reference=c2.seconds_reference,
-        seconds_optimised=c2.seconds_optimised,
-        seconds_batched=fanout[workers],
-        workers=workers,
-        labels_identical=c2.labels_identical,
+        c2=c2,
         nchain=nchain,
         smoother=smoother,
         smoother_push=smoother_push,

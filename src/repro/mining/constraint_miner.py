@@ -12,7 +12,8 @@ HDBN's conditional probability tables need:
   macro state is *blocked* from changing until its micro sequence
   terminates; a micro sequence cannot outlive its macro);
 * coupled macro transitions ``P(m_t | m_{t-1}, partner_m_{t-1})``
-  (Augmentation 3) alongside the uncoupled table for single-user models.
+  (Augmentation 3), shrunk toward the uncoupled table where data is
+  sparse.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class ConstraintModel:
     macro_prior: np.ndarray = field(default=None)
     #: (M,) fraction of steps spent in each macro (class occupancy).
     macro_occupancy: np.ndarray = field(default=None)
-    #: (M, M) uncoupled macro transition (used when a partner is absent).
+    #: (M, M) uncoupled macro transition (mined and stored; no recogniser
+    #: reads it).
     macro_trans: np.ndarray = field(default=None)
     #: (M, M, M) coupled transition P(m' | m, partner_m).
     macro_trans_coupled: np.ndarray = field(default=None)

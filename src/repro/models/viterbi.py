@@ -1,19 +1,16 @@
-"""Viterbi decoding and forward-backward smoothing.
+"""Viterbi decoding and forward-backward smoothing over a fixed state space.
 
-Two variants serve the library:
-
-* :func:`viterbi_decode` / :func:`forward_backward` — dense implementations
-  over a fixed state space (baseline HMM / CHMM / FCRF);
-* :func:`viterbi_trellis` — decoding over a *time-varying candidate
-  trellis*, where each step exposes its own (possibly pruned) state list.
-  This is what the loosely-coupled HDBN runs on: the correlation miner
-  shrinks each step's candidate set before decoding, which is exactly where
-  the paper's 16x overhead reduction comes from.
+:func:`viterbi_decode` / :func:`forward_backward` are the dense
+implementations the baseline HMM / CHMM / FCRF run on.  The HDBN family
+decodes over a *time-varying candidate trellis* instead, where the
+correlation rules shrink each step's candidate set (the paper's 16x
+overhead reduction); its recursions are :func:`repro.core.kernels.viterbi_path`
+and the sum-product steps beside it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -105,55 +102,3 @@ def forward_backward(
         )
         xi_sum += np.exp(log_xi)
     return gamma, xi_sum, float(log_z)
-
-
-def viterbi_trellis(
-    candidates: Sequence[Sequence[Hashable]],
-    log_prior_fn: Callable[[Hashable], float],
-    log_trans_fn: Callable[[Hashable, Hashable], float],
-    log_emit_fn: Callable[[int, Hashable], float],
-) -> Tuple[List[Hashable], float]:
-    """MAP path over a time-varying candidate trellis.
-
-    ``candidates[t]`` lists the admissible states at step *t* (after any
-    pruning); the callables provide log prior, log transition, and log
-    emission scores.  Complexity is ``sum_t |C_t| * |C_{t-1}|`` — pruning
-    the candidate lists reduces work quadratically.
-    """
-    t_len = len(candidates)
-    if t_len == 0:
-        return [], 0.0
-    if any(len(c) == 0 for c in candidates):
-        raise ValueError("every step must have at least one candidate state")
-
-    deltas: List[np.ndarray] = []
-    backs: List[np.ndarray] = []
-    first = candidates[0]
-    deltas.append(
-        np.array([log_prior_fn(s) + log_emit_fn(0, s) for s in first], dtype=float)
-    )
-    backs.append(np.zeros(len(first), dtype=int))
-
-    for t in range(1, t_len):
-        prev_states = candidates[t - 1]
-        cur_states = candidates[t]
-        prev_delta = deltas[-1]
-        delta = np.full(len(cur_states), NEG_INF)
-        back = np.zeros(len(cur_states), dtype=int)
-        for j, cur in enumerate(cur_states):
-            scores = prev_delta + np.array(
-                [log_trans_fn(prev, cur) for prev in prev_states], dtype=float
-            )
-            best_i = int(np.argmax(scores))
-            delta[j] = scores[best_i] + log_emit_fn(t, cur)
-            back[j] = best_i
-        deltas.append(delta)
-        backs.append(back)
-
-    last = int(np.argmax(deltas[-1]))
-    best_score = float(deltas[-1][last])
-    path_idx = [last]
-    for t in range(t_len - 1, 0, -1):
-        path_idx.append(int(backs[t][path_idx[-1]]))
-    path_idx.reverse()
-    return [candidates[t][i] for t, i in enumerate(path_idx)], best_score

@@ -2,7 +2,8 @@
 
 The serving router guards a live smoother with two layers.
 :func:`validate_step` rejects malformed :class:`ContextStep` objects
-(wrong type, empty or mismatched observations, non-finite features)
+(wrong type, empty or mismatched observations, non-finite features or
+positions)
 before they can poison a trellis.  When a session is quarantined —
 because a step failed validation or its smoother raised — it keeps
 emitting labels through a :class:`DegradedStepFilter`: the cheap
@@ -35,9 +36,10 @@ def validate_step(
     """Raise :class:`StepValidationError` if *step* cannot be served.
 
     Checks the step type, that observations are present, that they cover
-    exactly the session's residents (when known), and that every feature
+    exactly the session's residents (when known), that every feature
     value is finite — NaN/inf features would silently corrupt every
-    downstream Gaussian emission score.
+    downstream Gaussian emission score — and that a position estimate,
+    when present, is two finite coordinates.
     """
     if not isinstance(step, ContextStep):
         raise StepValidationError(
@@ -56,6 +58,11 @@ def validate_step(
                 raise StepValidationError(
                     f"non-finite feature for resident {rid!r}"
                 )
+        pos = obs.position_estimate
+        if pos is not None and (len(pos) != 2 or not all(map(math.isfinite, pos))):
+            raise StepValidationError(
+                f"position estimate for resident {rid!r} is not two finite floats"
+            )
 
 
 class DegradedLabels(dict):

@@ -25,10 +25,11 @@ import json
 from pathlib import Path
 from typing import Dict, Union
 
-from repro.core.chdbn import GmmBank, _MacroGmm
+from repro.core.chdbn import MIN_CHANGE_PROB, GmmBank, _MacroGmm
 from repro.core.emissions import ObjectEvidenceTable
 from repro.core.engine import CaceEngine
 from repro.core.hdbn import SingleUserHdbn
+from repro.core.kernels import PIR_MISS_PENALTY
 from repro.core.loosely_coupled import NChainHdbn
 from repro.models.distributions import GaussianEmission, LabelIndex
 from repro.models.hmm import MacroHmm
@@ -47,14 +48,11 @@ MODEL_SCHEMA = "repro.model/1"
 #: dataclasses derive in ``__post_init__``).
 _HDBN_CONFIG = {
     "nchain": (
-        "prune_cross",
         "gmm_components",
         "max_states_per_user",
         "max_joint_states",
         "max_joint_states_pruned",
-        "min_change_prob",
         "use_feature_gmm",
-        "pir_miss_penalty",
         "unexplained_subloc_penalty",
         "unexplained_room_penalty",
         "soft_exclusion_penalty",
@@ -62,10 +60,7 @@ _HDBN_CONFIG = {
     "single_user": (
         "gmm_components",
         "max_states_per_user",
-        "min_change_prob",
         "use_feature_gmm",
-        "pir_miss_penalty",
-        "temporal",
     ),
 }
 
@@ -78,21 +73,33 @@ _HDBN_CLASSES = {
 }
 
 
+#: Options older artifacts store that are now fixed in code, with their
+#: fixed values.  Only an artifact that stored the fixed value can be
+#: reproduced.
+_REMOVED_OPTIONS = {
+    "prune_per_user": True,
+    "prune_cross": True,
+    "min_change_prob": MIN_CHANGE_PROB,
+    "pir_miss_penalty": PIR_MISS_PENALTY,
+    "temporal": False,
+}
+
+
 def _hdbn_config(obj: Dict) -> Dict:
     """The stored constructor arguments, minus keys of removed options.
 
     Older artifacts carry ``use_sequence_kernels`` (the sequence kernels
-    are now the only emission path, so it is dropped) and, for the
-    ``"coupled"`` kind, ``prune_per_user``: per-user rule pruning now
-    always runs, so an artifact that switched it off cannot be reproduced.
+    are now the only emission path, so it is dropped) and the
+    :data:`_REMOVED_OPTIONS`, whose stored value must be the fixed one.
     """
     config = dict(obj["config"])
     config.pop("use_sequence_kernels", None)
-    if not config.pop("prune_per_user", True):
-        raise ValueError(
-            "artifact sets prune_per_user=false, which is no longer supported "
-            "(per-user rule pruning always runs)"
-        )
+    for key, fixed in _REMOVED_OPTIONS.items():
+        if key in config and config.pop(key) != fixed:
+            raise ValueError(
+                f"artifact sets {key}={obj['config'][key]!r}, which is no longer "
+                f"supported ({key} is fixed at {fixed!r})"
+            )
     return config
 
 

@@ -16,6 +16,7 @@ from repro.core.engine import CaceEngine
 from repro.core.loosely_coupled import NChainHdbn
 from repro.datasets import generate_cace_dataset, train_test_split
 from repro.util.artifacts import (
+    _REMOVED_OPTIONS,
     MODEL_SCHEMA,
     _fingerprint,
     engine_from_dict,
@@ -23,6 +24,13 @@ from repro.util.artifacts import (
 )
 
 STRATEGIES = ("nh", "ncr", "ncs", "c2")
+
+#: Options each artifact kind stored before they were fixed in code.
+REMOVED_KEYS = {
+    "nchain": ("prune_cross", "min_change_prob", "pir_miss_penalty"),
+    "single_user": ("min_change_prob", "pir_miss_penalty", "temporal"),
+}
+REMOVED_CASES = [(kind, key) for kind, keys in REMOVED_KEYS.items() for key in keys]
 
 
 def _stats_tuple(stats):
@@ -102,12 +110,49 @@ class TestRoundTrip:
 class TestLegacyArtifacts:
     """``repro.model/1`` files of the former pair-only model (kind
     ``"coupled"``, carrying the since-removed ``prune_per_user`` and
-    ``use_sequence_kernels`` keys) still load."""
+    ``use_sequence_kernels`` keys) still load, and so do files that store
+    an option since fixed in code, as long as they store its fixed value."""
 
     @pytest.fixture(scope="class")
     def pair_engine(self, cace_split):
         train, _ = cace_split
         return CaceEngine(strategy="c2", seed=11).fit(train)
+
+    @pytest.fixture(scope="class")
+    def engines(self, pair_engine, cace_split):
+        train, _ = cace_split
+        ncr = CaceEngine(strategy="ncr", seed=11).fit(train)
+        return {"nchain": pair_engine, "single_user": ncr}
+
+    @staticmethod
+    def _with_config(engine, kind, **config):
+        payload = engine_to_dict(engine)
+        assert payload["model"]["kind"] == kind
+        payload["model"]["config"].update(config)
+        payload["fingerprint"] = _fingerprint(payload)
+        return payload
+
+    @pytest.mark.parametrize("kind,key", REMOVED_CASES)
+    def test_removed_option_at_fixed_value_loads(self, kind, key, engines, cace_split):
+        _, test = cace_split
+        seq = test.sequences[0]
+        engine = engines[kind]
+        legacy = engine_from_dict(
+            self._with_config(engine, kind, **{key: _REMOVED_OPTIONS[key]})
+        )
+        assert legacy.predict(seq) == engine.predict(seq)
+        assert _stats_tuple(legacy.model_.last_stats) == _stats_tuple(engine.model_.last_stats)
+        before = engine.posterior_marginals(seq)
+        after = legacy.posterior_marginals(seq)
+        for rid in before:
+            assert np.array_equal(before[rid], after[rid])
+
+    @pytest.mark.parametrize("kind,key", REMOVED_CASES)
+    def test_removed_option_at_other_value_rejected(self, kind, key, engines):
+        fixed = _REMOVED_OPTIONS[key]
+        other = (not fixed) if isinstance(fixed, bool) else 2 * fixed
+        with pytest.raises(ValueError, match=key):
+            engine_from_dict(self._with_config(engines[kind], kind, **{key: other}))
 
     def _legacy(self, engine, **config):
         payload = engine_to_dict(engine)

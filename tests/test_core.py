@@ -136,9 +136,6 @@ class TestPruningStrategy:
 
     def test_capabilities(self):
         assert PruningStrategy("c2").uses_correlations
-        assert PruningStrategy("c2").uses_constraints
-        assert PruningStrategy("ncs").coupled
-        assert not PruningStrategy("ncr").coupled
         assert not PruningStrategy("nh").uses_correlations
 
     def test_unknown_rejected(self):
@@ -227,11 +224,15 @@ class TestSingleUserHdbn:
         train, test = cace_split
         model = SingleUserHdbn(
             constraint_model=constraint_model, rule_set=rule_set,
-            temporal=False, max_states_per_user=20, seed=5,
+            max_states_per_user=20, seed=5,
         ).fit(train)
         seq = test.sequences[0]
         labels = model.decode(seq)[seq.resident_ids[0]]
         assert len(labels) == len(seq)
+        sess = model.trellis_sessions(seq)[0]
+        piece = sess.piece(0)
+        assert sess.transition(piece, sess.piece(1)) is None
+        assert np.array_equal(sess.initial_alpha(piece), piece.scores)
 
 
 class TestEngine:

@@ -256,19 +256,6 @@ class TestNcrPosteriorMarginals:
             assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-6)
             assert (gamma >= 0).all()
 
-    def test_temporal_chain_marginals_normalised(self, cace_split, constraint_model, rule_set):
-        from repro.core.hdbn import SingleUserHdbn
-
-        train, test = cace_split
-        model = SingleUserHdbn(
-            constraint_model=constraint_model, rule_set=rule_set,
-            temporal=True, max_states_per_user=16, seed=5,
-        ).fit(train)
-        seq = test.sequences[0].slice(0, 15)
-        marginals = model.posterior_marginals(seq)
-        for gamma in marginals.values():
-            assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-6)
-
 
 class TestBatchedDecode:
     def test_serial_aggregates_stats(self, cace_split):

@@ -54,8 +54,7 @@ def pair_models(cace_split, constraint_model, rule_set):
         return cls(constraint_model=constraint_model, seed=5, **kw).fit(train)
 
     return {
-        "ncr": build(SingleUserHdbn, rule_set=rule_set, temporal=False),
-        "ncr_temporal": build(SingleUserHdbn, rule_set=rule_set, temporal=True),
+        "ncr": build(SingleUserHdbn, rule_set=rule_set),
         "ncs": build(NChainHdbn, rule_set=None, **PAIR_CAPS),
         "c2": build(NChainHdbn, rule_set=rule_set, **PAIR_CAPS),
     }
@@ -290,7 +289,7 @@ def _decode_all(model, sequences):
     return out
 
 
-@pytest.mark.parametrize("name", ["ncr", "ncr_temporal", "ncs", "c2"])
+@pytest.mark.parametrize("name", ["ncr", "ncs", "c2"])
 def test_kernels_match_scalar_path(name, pair_models, cace_split):
     _, test = cace_split
     _assert_candidates_match_reference(pair_models[name], test.sequences)
@@ -440,16 +439,13 @@ def family_models(pair_models, nchain_setup, quad_setup, cace_split):
     return {
         "nh": (MacroHmm().fit(train), test.sequences[0]),
         "ncr": (pair_models["ncr"], test.sequences[0]),
-        "ncr_temporal": (pair_models["ncr_temporal"], test.sequences[0]),
         "c2_pair": (pair_models["c2"], test.sequences[0]),
         "c2_trio": (trio_model, trio_test.sequences[0]),
         "c2_quad": (quad_model, quad_test.sequences[0]),
     }
 
 
-@pytest.mark.parametrize(
-    "family", ["nh", "ncr", "ncr_temporal", "c2_pair", "c2_trio", "c2_quad"]
-)
+@pytest.mark.parametrize("family", ["nh", "ncr", "c2_pair", "c2_trio", "c2_quad"])
 def test_offline_equals_full_lag_smoother(family, family_models):
     """At lag >= T the smoother commits exactly the argmax of the offline
     posterior marginals, and counts exactly the work offline decode does."""
@@ -468,7 +464,7 @@ def test_offline_equals_full_lag_smoother(family, family_models):
     assert posterior_stats == offline_stats
 
 
-@pytest.mark.parametrize("family", ["nh", "ncr_temporal", "c2_pair", "c2_trio", "c2_quad"])
+@pytest.mark.parametrize("family", ["nh", "ncr", "c2_pair", "c2_trio", "c2_quad"])
 def test_smoother_matches_log_domain_reference(family, family_models):
     """The linear-domain smoother commits the log-domain spec's labels and
     counts the same work."""
@@ -493,7 +489,7 @@ def test_nh_posterior_matches_dense_forward_backward(family_models):
         np.testing.assert_allclose(marginals[rid], gamma, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("family", ["nh", "ncr_temporal", "c2_pair", "c2_trio"])
+@pytest.mark.parametrize("family", ["nh", "c2_pair", "c2_trio"])
 def test_transition_blocks_meet_linear_span_precondition(family, family_models):
     """Every block the sum-product steps convert spans fewer than 700
     finite nats, so ``exp(log_t - max)`` cannot underflow to 0."""

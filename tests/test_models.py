@@ -21,7 +21,6 @@ from repro.models import (
 )
 from repro.models.distributions import shrink_coupled_transitions
 from repro.models.em import HmmParameters, gaussian_log_emissions
-from repro.models.viterbi import viterbi_trellis
 
 
 class TestLabelIndex:
@@ -152,21 +151,6 @@ class TestViterbi:
     def test_empty_sequence(self):
         path, score = viterbi_decode(np.zeros(2), np.zeros((2, 2)), np.empty((0, 2)))
         assert len(path) == 0
-
-    @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=15, deadline=None)
-    def test_trellis_equals_dense_when_unpruned(self, seed):
-        rng = np.random.default_rng(seed)
-        log_prior, log_trans, log_e = _random_hmm(rng, n_states=3, t_len=5)
-        dense_path, dense_score = viterbi_decode(log_prior, log_trans, log_e)
-        candidates = [[0, 1, 2]] * 5
-        path, score = viterbi_trellis(
-            candidates,
-            lambda s: log_prior[s],
-            lambda a, b: log_trans[a, b],
-            lambda t, s: log_e[t, s],
-        )
-        assert score == pytest.approx(dense_score, rel=1e-9)
 
     def test_forward_backward_marginals_sum_to_one(self):
         rng = np.random.default_rng(5)

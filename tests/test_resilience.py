@@ -8,6 +8,7 @@ labels to a fault-free run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -235,6 +236,12 @@ class TestCorruptStep:
         for mode in ("nan", "empty", "alien"):
             with pytest.raises(StepValidationError):
                 validate_step(corrupt_step(step, mode=mode), seq.resident_ids)
+        rid = seq.resident_ids[0]
+        for pos in ((float("inf"), 0.0), (1.0, float("nan")), (1.0,)):
+            obs = dataclasses.replace(step.observations[rid], position_estimate=pos)
+            bad = dataclasses.replace(step, observations={**step.observations, rid: obs})
+            with pytest.raises(StepValidationError, match="position"):
+                validate_step(bad, seq.resident_ids)
         with pytest.raises(StepValidationError):
             validate_step("not a step")
 
