@@ -14,9 +14,13 @@ evidence it shares with the NCR strategy's frame-wise classifier
   within a macro, the sub-location chain evolves by the mined per-macro
   micro transition with per-step end probability; on a macro change the
   micro chain *resets* from the new macro's prior (Augmentations 1-3).
-  :func:`build_transition_tables` precomputes both branches as log tables
-  and :func:`chain_block` gathers one chain's block (previous states by
-  current candidates) from them.
+  :func:`build_transition_tables` precomputes both branches as log
+  tables, the coupled macro table laid out ``(M, M·M)``.
+  :func:`chain_block` reads one chain's term from per-candidate tables
+  with single-axis gathers -- a macro-table row per current candidate,
+  and a continue/reset table on the chain's own candidate grid -- and
+  returns it transposed, current candidates by previous joint states, so
+  that the joint block is built by contiguous row gathers.
 * **Coupled macro transitions** ``P(m' | m, partner_m)`` (Augmentation 3),
   shrunk toward the uncoupled table where data is sparse.
 * **Gaussian-mixture emissions** per macro over the continuous feature
@@ -61,25 +65,38 @@ def chain_block(
     macro_table: np.ndarray,
     loc_table: np.ndarray,
     log_subloc_prior: np.ndarray,
+    prev_grid: np.ndarray,
     m_prev: np.ndarray,
     l_prev: np.ndarray,
     partner_prev: np.ndarray,
     m_cur: np.ndarray,
     l_cur: np.ndarray,
 ) -> np.ndarray:
-    """One chain's (P, C) contribution to the transition between P previous
-    and C current states.
+    """One chain's term of the transition between P previous joint states
+    and the chain's own C current candidates, transposed: ``(C, P)``.
 
-    Two gathers from the precomputed log tables plus one branch on the
-    macro-change mask — no per-step transcendentals on (P, C) blocks.
-    ``partner_prev`` is the partner chain's previous macro, the middle
-    index of the coupled ``(M, M, M)`` macro table.
+    ``prev_grid`` (P,) indexes each previous joint state's candidate in the
+    chain's own previous list ``(m_prev, l_prev)``; ``partner_prev`` (P,)
+    is the partner chain's previous macro.  Two addends, each a
+    single-axis gather of a per-candidate table:
+
+    * the macro term: each current macro reads its row of the ``(M, M·M)``
+      macro table, and each previous joint state its column
+      ``m_prev·M + partner_prev``;
+    * the continue/reset term, built once on the chain's own ``(C,
+      n_prev)`` candidate grid and gathered onto the joint axis by column
+      (``prev_grid``).
+
+    Entry ``[c, p]`` is the sum of the same two table entries the full
+    ``(P, C)`` grid would add at ``[p, c]``, so the transpose is bit-equal
+    to it.  No per-step transcendentals.
     """
-    macro_term = macro_table[m_prev[:, None], partner_prev[:, None], m_cur[None, :]]
-    same = m_prev[:, None] == m_cur[None, :]
-    cont = loc_table[m_cur[None, :], l_prev[:, None], l_cur[None, :]]
-    reset = log_subloc_prior[m_cur, l_cur][None, :]
-    return macro_term + np.where(same, cont, reset)
+    joint_key = m_prev[prev_grid] * macro_table.shape[0] + partner_prev
+    macro_term = macro_table[m_cur].take(joint_key, axis=1)
+    same = m_cur[:, None] == m_prev[None, :]
+    cont = loc_table[m_cur[:, None], l_prev[None, :], l_cur[:, None]]
+    reset = log_subloc_prior[m_cur, l_cur][:, None]
+    return macro_term + np.where(same, cont, reset).take(prev_grid, axis=1)
 
 
 @dataclass
@@ -246,13 +263,17 @@ def build_transition_tables(
     Returns ``(macro_table, loc_table)`` such that the per-step chain
     blocks are pure gathers (log of a gathered entry equals the gathered
     entry of the logged table, bit for bit): the stay/change branch is
-    baked into the coupled ``(M, M, M)`` macro table's ``m_prev == m_cur``
-    diagonal, and the micro continue/jump branch into the loc table's
-    ``l_prev == l_cur`` diagonal.
+    baked into the coupled macro table's ``m_prev == m_cur`` diagonal, and
+    the micro continue/jump branch into the loc table's ``l_prev ==
+    l_cur`` diagonal.  The macro table is laid out ``(M, M·M)``,
+    C-contiguous: row ``m_cur``, column ``m_prev·M + partner_prev``, so
+    :func:`chain_block` reads each current candidate's contiguous row.
     """
-    idx = np.arange(p_change.shape[0])
+    n_m = p_change.shape[0]
+    idx = np.arange(n_m)
     macro_table = np.log(p_change)[:, None, None] + np.log(change_trans + _TINY)
     macro_table[idx, :, idx] = np.log1p(-p_change)[:, None]
+    macro_table = np.ascontiguousarray(macro_table.reshape(n_m * n_m, n_m).T)
     e = micro_end[:, None, None]
     loc_table = np.log(e * subloc_trans + _TINY)
     jdx = np.arange(subloc_trans.shape[1])

@@ -54,6 +54,7 @@ from repro.resilience.policy import (
 )
 from repro.util.rng import RandomState, ensure_rng
 from repro.util.timer import Stopwatch
+from repro.util.validation import check_positive
 
 
 #: Per-worker-process model installed by :func:`_init_worker` — loaded once
@@ -179,6 +180,7 @@ class CaceEngine:
     _pool_model_ref: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_positive("max_states_per_user", self.max_states_per_user)
         self._strategy = PruningStrategy(self.strategy)
         self._rng = ensure_rng(self.seed)
 

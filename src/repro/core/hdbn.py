@@ -25,6 +25,7 @@ from repro.datasets.trace import Dataset, LabeledSequence
 from repro.mining.constraint_miner import ConstraintModel
 from repro.mining.correlation_miner import CorrelationRuleSet
 from repro.util.rng import RandomState, ensure_rng
+from repro.util.validation import check_positive
 
 _TINY = 1e-12
 
@@ -45,6 +46,7 @@ class SingleUserHdbn:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_positive("max_states_per_user", self.max_states_per_user)
         self._rng = ensure_rng(self.seed)
         init_user_evidence(self)
         self._log_macro_occ = np.log(self.constraint_model.macro_occupancy + _TINY)

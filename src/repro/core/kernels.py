@@ -129,9 +129,18 @@ class LinearBlock(NamedTuple):
 
 
 def linear_block(log_t: np.ndarray) -> LinearBlock:
-    """Convert a log transition block once for the sum-product steps."""
+    """Convert a log transition block once for the sum-product steps.
+
+    ``E`` is C-contiguous whatever the layout of *log_t* (an N-chain block
+    is an F-ordered view): the BLAS mat-vecs of :func:`forward_step` and
+    :func:`backward_step` pick their kernel, and so their accumulation
+    order, from the layout of ``E``, and a C-contiguous ``E`` keeps every
+    alpha and beta bit-identical whichever layout the block came in.
+    """
     shift = _finite_max(log_t)
-    return LinearBlock(np.exp(log_t - shift), shift)
+    E = np.subtract(log_t, shift, order="C")
+    np.exp(E, out=E)
+    return LinearBlock(E, shift)
 
 
 class LinearBlocks:

@@ -29,10 +29,18 @@ of the rules and of the emission-score cap (best first, ties to the
 lowest flat index) are unravelled into ``(N, J)`` index rows into the
 per-user candidate lists, plus each user's macro and sub-location codes
 (see :class:`_NChainTrellis`), so the trellis width stays bounded while
-the raw product space grows exponentially in N.  The same loose coupling factors the transition
-block: chain ``i``'s term depends on the joint state only through chain
-``i``'s own current candidate, so it is built once per (previous joint
-state, candidate of ``i``) and gathered onto the joint axis.
+the raw product space grows exponentially in N.
+
+The same loose coupling factors the transition block: chain ``i``'s
+term depends on the current joint state only through chain ``i``'s own
+candidate, so it is built once per (candidate of ``i``, previous joint
+state) from per-candidate tables -- a row of the ``(M, M·M)`` macro table
+and a continue/reset table on chain ``i``'s own candidate grid, each read
+by a single-axis gather -- and row-gathered onto the joint axis.  The
+chains' terms are summed on the transposed ``(C, P)`` grid and returned
+as its F-ordered ``(P, C)`` view, whose reduced axis Viterbi reads
+contiguously; :func:`~repro.core.kernels.linear_block` converts it into a
+C-contiguous linear block for the sum-product steps.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ from repro.datasets.trace import Dataset, LabeledSequence
 from repro.mining.constraint_miner import ConstraintModel
 from repro.mining.correlation_miner import CorrelationRuleSet
 from repro.util.rng import RandomState, ensure_rng
+from repro.util.validation import check_positive
 
 _TINY = 1e-12
 
@@ -136,6 +145,8 @@ class NChainHdbn:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("max_states_per_user", "max_joint_states", "max_joint_states_pruned"):
+            check_positive(name, getattr(self, name))
         self._rng = ensure_rng(self.seed)
         init_user_evidence(self)
         self._cross_rules = self.rule_set.cross_user() if self.rule_set else None
@@ -271,26 +282,31 @@ class NChainHdbn:
         """(P, C) joint log transition; chain i conditions on chain
         (i+1) mod N.
 
-        Chain u's term is built on the (P, n_u) grid of previous joint
-        states by u's own current candidates and gathered onto the joint
-        axis: every entry is the one the full (P, C) grid would compute.
-        Chain 0's gathered block is the accumulator (a fresh array)."""
+        Chain u's term is built transposed, ``(n_u, P)``: by u's own
+        current candidates and the previous joint states
+        (:func:`~repro.core.chdbn.chain_block`).  Each term is row-gathered
+        onto the joint axis (``c_grids[u]``, contiguous row copies) and the
+        terms are summed chain 0 first, into chain 0's gathered rows (a
+        fresh array), so every entry is the one the full (P, C) grid would
+        compute.  The result is the transpose of the
+        ``(C, P)`` sum: an F-ordered view, whose previous-state axis --
+        the one Viterbi reduces -- is contiguous."""
         p_grids, p_m, p_l = prev
         c_grids, c_m, c_l = cur
         n = p_grids.shape[0]
-        m_prev = [m[g] for m, g in zip(p_m, p_grids)]
 
-        def block(u: int) -> np.ndarray:
-            small = chain_block(
+        def rows(u: int) -> np.ndarray:
+            w = (u + 1) % n
+            small_t = chain_block(
                 self._macro_block_table, self._loc_block_table, self._log_subloc_prior,
-                m_prev[u], p_l[u][p_grids[u]], m_prev[(u + 1) % n], c_m[u], c_l[u],
+                p_grids[u], p_m[u], p_l[u], p_m[w][p_grids[w]], c_m[u], c_l[u],
             )
-            return small[:, c_grids[u]]
+            return small_t[c_grids[u]]
 
-        total = block(0)
+        total = rows(0)
         for u in range(1, n):
-            total += block(u)
-        return total
+            total += rows(u)
+        return total.T
 
     # -- Recognizer surface --------------------------------------------------------
 

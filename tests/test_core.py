@@ -279,6 +279,30 @@ class TestEngine:
         assert engine.rule_set_.n_rules >= initial_rule_set().n_rules
         engine.predict(test.sequences[0])
 
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize(
+        "family, field",
+        [
+            ("engine", "max_states_per_user"),
+            ("ncr", "max_states_per_user"),
+            ("nchain", "max_states_per_user"),
+            ("nchain", "max_joint_states"),
+            ("nchain", "max_joint_states_pruned"),
+        ],
+    )
+    def test_caps_below_one_rejected_at_construction(
+        self, constraint_model, family, field, value
+    ):
+        """A cap below 1 is a ValueError naming the field when the object
+        is built, not an empty argmax at decode time."""
+        build = {
+            "engine": lambda **kw: CaceEngine(**kw),
+            "ncr": lambda **kw: SingleUserHdbn(constraint_model=constraint_model, **kw),
+            "nchain": lambda **kw: NChainHdbn(constraint_model=constraint_model, **kw),
+        }[family]
+        with pytest.raises(ValueError, match=f"^{field} "):
+            build(**{field: value})
+
     def test_predict_before_fit_raises(self, cace_split):
         _, test = cace_split
         with pytest.raises(RuntimeError):

@@ -136,6 +136,37 @@ def test_viterbi_path_matches_dense_decode():
     assert list(path) == kernel_path
 
 
+def test_linear_block_is_c_contiguous_for_any_layout():
+    """An F-ordered log block converts to a C-contiguous ``E``, bit-equal
+    to the one from its C-ordered copy: the sum-product mat-vecs take
+    their accumulation order from the layout of ``E``."""
+    rng = np.random.default_rng(2)
+    log_t = np.asfortranarray(rng.normal(scale=5.0, size=(37, 23)))
+    log_t[3, 4] = -np.inf
+    got = linear_block(log_t)
+    want = linear_block(np.ascontiguousarray(log_t))
+    assert got.E.flags.c_contiguous
+    assert got.shift == want.shift
+    assert np.array_equal(got.E, want.E)
+
+
+def test_viterbi_path_is_layout_independent():
+    """Viterbi over F-ordered blocks returns the path it returns over
+    their C-ordered copies, ties included (integer-valued scores)."""
+    rng = np.random.default_rng(3)
+    sizes = [5, 9, 7, 12, 3, 8, 8, 1, 6]
+    scores = [rng.integers(-3, 1, size=n).astype(float) for n in sizes]
+    blocks = [
+        np.asfortranarray(rng.integers(-4, 1, size=(a, b)).astype(float))
+        for a, b in zip(sizes, sizes[1:])
+    ]
+    f_path = viterbi_path(scores[0], scores, lambda t: blocks[t - 1])
+    c_path = viterbi_path(
+        scores[0], scores, lambda t: np.ascontiguousarray(blocks[t - 1])
+    )
+    assert f_path == c_path
+
+
 def test_gmm_bank_rows_match_per_step(pair_models, cace_split):
     """Every entry of the stacked bank's one-reduction rows equals that
     macro's own ``_MacroGmm.log_pdf`` exactly -- on the fitted bank, on a
@@ -618,7 +649,8 @@ def test_factored_transition_block_is_bit_exact(family, edge_cases, family_model
     """Each chain's term built on its own candidate list and gathered onto
     the joint axis equals, on every step, the seed's full (P, C) chain
     blocks summed chain by chain -- including steps where the joint cap
-    binds and steps where a chain has a single candidate."""
+    binds and steps where a chain has a single candidate -- and its linear
+    block is C-contiguous whatever the block's own layout."""
     model, seq = family_models[family]
     stats = DecodeStats()
     sess = model.trellis_sessions(seq, stats)[0]
@@ -643,6 +675,8 @@ def test_factored_transition_block_is_bit_exact(family, edge_cases, family_model
                 want = want + reference_chain_block(
                     model, m_prev[u], l_prev[u], m_prev[(u + 1) % n], m_cur[u], l_cur[u]
                 )
-            assert np.array_equal(sess.transition(prev, piece), want), t
+            log_t = sess.transition(prev, piece)
+            assert np.array_equal(log_t, want), t
+            assert linear_block(log_t).E.flags.c_contiguous, t
         prev = piece
     assert edge_cases <= seen
