@@ -1,10 +1,11 @@
 """Ablation bench: the design choices behind the coupled model.
 
-DESIGN.md calls out three load-bearing choices beyond the paper's text:
-(a) the joint explaining-away (coverage) term, (b) the feature-GMM channel
-(Augmentation 4), and (c) the pruned joint-trellis cap.  This bench
-toggles each on a fixed corpus so their individual contributions stay
-visible as the code evolves.
+The coupled model makes three load-bearing choices beyond the paper's
+text: (a) the joint explaining-away (coverage) term, (b) the feature-GMM
+channel (Augmentation 4), and (c) the pruned joint-trellis cap.  This
+bench toggles each on a fixed corpus, plus a finite soft-exclusion
+penalty, so their individual contributions stay visible as the code
+evolves.
 """
 
 from benchmarks.conftest import record, workload

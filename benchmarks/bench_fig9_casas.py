@@ -13,8 +13,7 @@ from benchmarks.conftest import record
 def test_fig9_casas_per_class(benchmark):
     # The paper ran 26 pairs with full-length tasks; 12 pairs at 0.6x task
     # durations is the largest workload that keeps this bench in tens of
-    # seconds.  Accuracy rises monotonically toward the paper's 94.5% as
-    # pairs/durations grow (see EXPERIMENTS.md).
+    # seconds.
     result = benchmark.pedantic(
         fig9_casas_per_class,
         kwargs={

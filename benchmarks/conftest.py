@@ -34,7 +34,7 @@ def record(name: str, text: str) -> None:
     """Persist a rendered table under ``benchmarks/out/`` for inspection.
 
     pytest captures stdout, so benches also write their paper-style tables
-    to files; EXPERIMENTS.md references these outputs.
+    to files.
     """
     out_dir = Path(__file__).parent / "out"
     out_dir.mkdir(exist_ok=True)

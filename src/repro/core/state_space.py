@@ -93,12 +93,12 @@ class StateSpaceBuilder:
     Parameters
     ----------
     constraint_model:
-        Mined statistics; its per-macro sub-location priors decide which
+        Mined statistics; its per-macro sub-location occupancy decides which
         macro activities are compatible with a candidate location set.
     macro_mass_threshold:
-        Minimum prior mass a macro must put on the candidate sub-locations
-        to be hypothesised there (the probabilistic "state space creation"
-        filter).
+        Minimum occupancy mass a macro must put on the candidate
+        sub-locations to be hypothesised there (the probabilistic "state
+        space creation" filter).
     max_states_per_user:
         Hard cap on per-user candidates (best-scoring kept).
     """
@@ -159,7 +159,7 @@ class StateSpaceBuilder:
         not a hard candidate cut that caps attainable accuracy).
         """
         cm = self.constraint_model
-        occupancy = cm.subloc_occupancy if cm.subloc_occupancy is not None else cm.subloc_prior
+        occupancy = cm.subloc_occupancy
         cand_idx = [
             cm.subloc_index.index(sr) for sr in obs.subloc_candidates if sr in cm.subloc_index
         ]

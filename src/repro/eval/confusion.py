@@ -50,12 +50,6 @@ class ConfusionMatrix:
             out[label] = {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
         return out
 
-    def row_normalised(self) -> np.ndarray:
-        """Rows as recall distributions."""
-        rows = self.counts.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(rows > 0, self.counts / rows, 0.0)
-
     def most_confused(self, k: int = 5) -> List[Tuple[str, str, float]]:
         """Top-k off-diagonal (truth, predicted, count) cells."""
         cells = []

@@ -3,7 +3,8 @@
 Every function returns a structured result whose ``render()`` prints the
 corresponding paper artefact's rows.  Dataset sizes default to scaled-down
 workloads so the full suite runs in minutes; pass larger parameters for
-paper-scale runs.  EXPERIMENTS.md records paper-vs-measured values.
+paper-scale runs.  The benches under ``benchmarks/`` run these drivers and
+write each rendered table to ``benchmarks/out/<name>.txt``.
 """
 
 from __future__ import annotations

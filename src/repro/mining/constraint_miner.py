@@ -2,24 +2,26 @@
 
 Where the correlation miner extracts *deterministic* must/must-not rules,
 the constraint miner estimates the *probabilistic* structure the coupled
-HDBN's conditional probability tables need:
+HDBN's conditional probability tables need, and only the tables some
+recogniser reads:
 
-* factorised micro transition / prior tables per macro activity
-  (posture, gesture, sub-location treated as independent factors given the
-  macro state — the standard DBN factorisation);
+* the sub-location micro-chain per macro activity: a segment-start prior
+  (the reset on a macro transition) and a within-segment transition table;
+* per-macro occupancy of posture, gesture and sub-location, which drives
+  the per-step evidence terms and candidate creation;
 * end-of-sequence statistics ``p_end(micro | macro)`` and
   ``p_end(macro)`` implementing the E-marker semantics of Eqns 3-6 (a
   macro state is *blocked* from changing until its micro sequence
   terminates; a micro sequence cannot outlive its macro);
 * coupled macro transitions ``P(m_t | m_{t-1}, partner_m_{t-1})``
-  (Augmentation 3), shrunk toward the uncoupled table where data is
-  sparse.
+  (Augmentation 3), shrunk toward the partner-marginal ``P(m_t | m_{t-1})``
+  where data is sparse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,21 +42,15 @@ class ConstraintModel:
     macro_prior: np.ndarray = field(default=None)
     #: (M,) fraction of steps spent in each macro (class occupancy).
     macro_occupancy: np.ndarray = field(default=None)
-    #: (M, M) uncoupled macro transition (mined and stored; no recogniser
-    #: reads it).
-    macro_trans: np.ndarray = field(default=None)
     #: (M, M, M) coupled transition P(m' | m, partner_m).
     macro_trans_coupled: np.ndarray = field(default=None)
     #: (M,) per-step probability that a macro segment terminates.
     macro_end_prob: np.ndarray = field(default=None)
     #: (M,) per-step probability that a micro slice terminates, given macro.
     micro_end_prob: np.ndarray = field(default=None)
-    #: per-macro factorised micro priors, (M, P) / (M, G) / (M, L).
-    #: These are *segment-start* distributions (Augmentation 2/3's pi):
-    #: counted once per macro segment, they parameterise the micro-chain
-    #: reset on a macro transition.
-    posture_prior: np.ndarray = field(default=None)
-    gesture_prior: Optional[np.ndarray] = field(default=None)
+    #: (M, L) per-macro *segment-start* sub-location distribution
+    #: (Augmentation 2/3's pi): counted once per macro segment, it
+    #: parameterises the micro-chain reset on a macro transition.
     subloc_prior: np.ndarray = field(default=None)
     #: per-macro *occupancy* distributions, (M, P) / (M, G) / (M, L):
     #: counted at every step, these answer "given the macro, what micro
@@ -64,49 +60,13 @@ class ConstraintModel:
     posture_occupancy: np.ndarray = field(default=None)
     gesture_occupancy: Optional[np.ndarray] = field(default=None)
     subloc_occupancy: np.ndarray = field(default=None)
-    #: per-macro factorised micro transitions, (M, P, P) / (M, G, G) / (M, L, L).
-    posture_trans: np.ndarray = field(default=None)
-    gesture_trans: Optional[np.ndarray] = field(default=None)
+    #: (M, L, L) per-macro sub-location transition within a segment.
     subloc_trans: np.ndarray = field(default=None)
 
     @property
     def n_macro(self) -> int:
         """Number of macro states."""
         return len(self.macro_index)
-
-    def micro_states_for(self, macro: str, min_prob: float = 1e-3) -> List[Tuple[str, Optional[str], str]]:
-        """Micro tuples with non-negligible prior under *macro*.
-
-        Used to build candidate state spaces: combinations whose factorised
-        prior mass falls below *min_prob* are treated as constrained out
-        (the probabilistic analogue of pruning unlikely state sequences).
-        """
-        m = self.macro_index.index(macro)
-        postures = [
-            (p, self.posture_prior[m, i])
-            for i, p in enumerate(self.posture_index.labels)
-            if self.posture_prior[m, i] >= min_prob
-        ]
-        sublocs = [
-            (s, self.subloc_prior[m, i])
-            for i, s in enumerate(self.subloc_index.labels)
-            if self.subloc_prior[m, i] >= min_prob
-        ]
-        if self.gesture_index is not None and self.gesture_prior is not None:
-            gestures = [
-                (g, self.gesture_prior[m, i])
-                for i, g in enumerate(self.gesture_index.labels)
-                if self.gesture_prior[m, i] >= min_prob
-            ]
-        else:
-            gestures = [(None, 1.0)]
-        out = []
-        for p, pp in postures:
-            for g, gp in gestures:
-                for s, sp in sublocs:
-                    if pp * gp * sp >= min_prob**2:
-                        out.append((p, g, s))
-        return out
 
 
 @dataclass
@@ -133,14 +93,9 @@ class ConstraintMiner:
         n_g = len(gesture_idx) if gesture_idx else 0
 
         prior_c = Cpt((n_m,), alpha=self.alpha)
-        trans_c = Cpt((n_m, n_m), alpha=self.alpha)
         coupled_c = Cpt((n_m, n_m, n_m), alpha=self.alpha)
-        post_prior_c = Cpt((n_m, n_p), alpha=self.alpha)
-        post_trans_c = Cpt((n_m, n_p, n_p), alpha=self.alpha)
         loc_prior_c = Cpt((n_m, n_l), alpha=self.alpha)
         loc_trans_c = Cpt((n_m, n_l, n_l), alpha=self.alpha)
-        gest_prior_c = Cpt((n_m, n_g), alpha=self.alpha) if n_g else None
-        gest_trans_c = Cpt((n_m, n_g, n_g), alpha=self.alpha) if n_g else None
         post_occ_c = Cpt((n_m, n_p), alpha=self.alpha)
         loc_occ_c = Cpt((n_m, n_l), alpha=self.alpha)
         gest_occ_c = Cpt((n_m, n_g), alpha=self.alpha) if n_g else None
@@ -170,13 +125,9 @@ class ConstraintMiner:
 
                     if prev is None:
                         prior_c.observe(m)
-                        post_prior_c.observe(m, p)
                         loc_prior_c.observe(m, l)
-                        if gest_prior_c is not None and g is not None:
-                            gest_prior_c.observe(m, g)
                     else:
                         pm = macro_idx.index(prev.macro)
-                        trans_c.observe(pm, m)
                         if partner is not None:
                             ppm = macro_idx.index(seq.truths[t - 1][partner].macro)
                             coupled_c.observe(pm, ppm, m)
@@ -184,13 +135,8 @@ class ConstraintMiner:
                         macro_end[pm, 1 if mine.macro != prev.macro else 0] += 1
                         if mine.macro == prev.macro:
                             # Within-macro micro dynamics.
-                            pp = posture_idx.index(prev.posture)
                             pl = subloc_idx.index(prev.subloc)
-                            post_trans_c.observe(m, pp, p)
                             loc_trans_c.observe(m, pl, l)
-                            if gest_trans_c is not None and g is not None:
-                                pg = gesture_idx.index(prev.gesture)
-                                gest_trans_c.observe(m, pg, g)
                             micro_changed = (
                                 mine.posture != prev.posture
                                 or mine.subloc != prev.subloc
@@ -202,10 +148,7 @@ class ConstraintMiner:
                             # (Augmentation 3's pi-vs-a distinction), and by
                             # the termination constraint the old micro slice
                             # must have ended.
-                            post_prior_c.observe(m, p)
                             loc_prior_c.observe(m, l)
-                            if gest_prior_c is not None and g is not None:
-                                gest_prior_c.observe(m, g)
                             micro_end[pm, 1] += 1
                     prev = mine
 
@@ -216,21 +159,16 @@ class ConstraintMiner:
             subloc_index=subloc_idx,
         )
         model.macro_prior = prior_c.probabilities()
-        model.macro_trans = trans_c.probabilities()
         model.macro_trans_coupled = shrink_coupled_transitions(
             coupled_c.counts, alpha=self.alpha
         )
         model.macro_end_prob = macro_end[:, 1] / macro_end.sum(axis=1)
         model.micro_end_prob = micro_end[:, 1] / micro_end.sum(axis=1)
-        model.posture_prior = post_prior_c.probabilities()
-        model.posture_trans = post_trans_c.probabilities()
         model.subloc_prior = loc_prior_c.probabilities()
         model.subloc_trans = loc_trans_c.probabilities()
         model.posture_occupancy = post_occ_c.probabilities()
         model.subloc_occupancy = loc_occ_c.probabilities()
         model.macro_occupancy = macro_occ_c.probabilities()
-        if gest_prior_c is not None:
-            model.gesture_prior = gest_prior_c.probabilities()
-            model.gesture_trans = gest_trans_c.probabilities()
+        if gest_occ_c is not None:
             model.gesture_occupancy = gest_occ_c.probabilities()
         return model

@@ -1,7 +1,7 @@
 """Probabilistic models: shared distributions and the baseline recognisers.
 
 Contains the building blocks (label indexing, conditional probability
-tables, Gaussian emissions, Viterbi / forward-backward / EM) and the three
+tables, Gaussian emissions, Viterbi / forward-backward) and the three
 prior-work baselines the paper compares against:
 
 * :class:`~repro.models.hmm.MacroHmm` — per-user flat HMM (Singla et al.
@@ -20,7 +20,6 @@ from repro.models.distributions import (
     log_normalize,
     normalize,
 )
-from repro.models.em import em_fit_hmm
 from repro.models.fcrf import FactorialCrf
 from repro.models.hmm import MacroHmm
 from repro.models.viterbi import forward_backward, viterbi_decode
@@ -32,7 +31,6 @@ __all__ = [
     "LabelIndex",
     "log_normalize",
     "normalize",
-    "em_fit_hmm",
     "FactorialCrf",
     "MacroHmm",
     "forward_backward",

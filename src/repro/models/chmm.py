@@ -178,7 +178,7 @@ class CoupledHmm:
         if self.macro_index is None:
             raise RuntimeError("model is not fitted")
         rids, log_prior, log_trans, log_e = self._joint_pieces(seq)
-        gamma, _, _ = forward_backward(log_prior, log_trans, log_e)
+        gamma, _ = forward_backward(log_prior, log_trans, log_e)
         n_m = len(self.macro_index)
         joint = gamma.reshape(len(seq), n_m, n_m)
         return {rids[0]: joint.sum(axis=2), rids[1]: joint.sum(axis=1)}

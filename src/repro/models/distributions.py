@@ -164,12 +164,6 @@ class GaussianEmission:
                 self.covariances[int(state)] = cov
         return self
 
-    def set_state(self, state: int, mean: np.ndarray, cov: np.ndarray) -> None:
-        """Directly install a state's Gaussian (e.g. from DA clustering)."""
-        self.means[state] = np.asarray(mean, dtype=float)
-        self.covariances[state] = np.atleast_2d(np.asarray(cov, dtype=float))
-        self._cached_inv.pop(state, None)
-
     def _inv_logdet(self, state: int) -> Tuple[np.ndarray, float]:
         if state in self._cached_inv:
             return self._cached_inv[state]

@@ -7,11 +7,11 @@ wearable micro context), per-chain temporal transition potentials, and
 inter-chain co-temporal potentials.  Decoding is exact over the joint
 ``(m1, m2)`` space.
 
-**Training substitution (documented in DESIGN.md):** full CRF maximum
-likelihood needs an optimisation stack this offline environment lacks; we
-train the identical factor graph with the *averaged structured perceptron*,
-a standard discriminative trainer that preserves the model family's
-qualitative behaviour.
+**Training substitution:** full CRF maximum likelihood needs the gradient
+of the joint chain's log-partition function inside a numerical optimiser;
+we train the identical factor graph with the *averaged structured
+perceptron* instead, a standard discriminative trainer that needs only
+Viterbi decodes and preserves the model family's qualitative behaviour.
 """
 
 from __future__ import annotations

@@ -59,19 +59,18 @@ def viterbi_decode(
 
 def forward_backward(
     log_prior: np.ndarray, log_trans: np.ndarray, log_emissions: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Posterior marginals and pairwise statistics for a fixed-state HMM.
+) -> Tuple[np.ndarray, float]:
+    """Posterior marginals for a fixed-state HMM.
 
-    Returns ``(gamma, xi_sum, log_likelihood)`` where ``gamma`` is ``(T, S)``
-    posterior state marginals and ``xi_sum`` is the ``(S, S)`` expected
-    transition-count matrix (summed over time), both in probability space.
+    Returns ``(gamma, log_likelihood)`` where ``gamma`` is the ``(T, S)``
+    posterior state marginals in probability space.
     """
     log_prior = np.asarray(log_prior, dtype=float)
     log_trans = np.asarray(log_trans, dtype=float)
     log_emissions = np.asarray(log_emissions, dtype=float)
     t_len, n_states = log_emissions.shape
     if t_len == 0:
-        return np.empty((0, n_states)), np.zeros((n_states, n_states)), 0.0
+        return np.empty((0, n_states)), 0.0
 
     def _lse(arr: np.ndarray, axis: int) -> np.ndarray:
         m = np.max(arr, axis=axis, keepdims=True)
@@ -91,14 +90,4 @@ def forward_backward(
 
     log_z = _lse(log_alpha[-1], axis=0)
     gamma = np.exp(log_alpha + log_beta - log_z)
-
-    xi_sum = np.zeros((n_states, n_states))
-    for t in range(t_len - 1):
-        log_xi = (
-            log_alpha[t][:, None]
-            + log_trans
-            + (log_emissions[t + 1] + log_beta[t + 1])[None, :]
-            - log_z
-        )
-        xi_sum += np.exp(log_xi)
-    return gamma, xi_sum, float(log_z)
+    return gamma, float(log_z)

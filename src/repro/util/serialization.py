@@ -274,23 +274,18 @@ def _label_index_from_obj(obj: Optional[List[str]]) -> Optional[LabelIndex]:
     return LabelIndex(tuple(obj)) if obj is not None else None
 
 
-#: ConstraintModel ndarray fields, in declaration order (None-able ones are
-#: the gestural tables, absent on corpora without a neck tag).
+#: ConstraintModel ndarray fields, in declaration order (the one None-able
+#: field is ``gesture_occupancy``, absent on corpora without a neck tag).
 _CONSTRAINT_ARRAY_FIELDS = (
     "macro_prior",
     "macro_occupancy",
-    "macro_trans",
     "macro_trans_coupled",
     "macro_end_prob",
     "micro_end_prob",
-    "posture_prior",
-    "gesture_prior",
     "subloc_prior",
     "posture_occupancy",
     "gesture_occupancy",
     "subloc_occupancy",
-    "posture_trans",
-    "gesture_trans",
     "subloc_trans",
 )
 
@@ -309,7 +304,12 @@ def constraint_model_to_dict(cm: ConstraintModel) -> Dict:
 
 
 def constraint_model_from_dict(data: Dict) -> ConstraintModel:
-    """Inverse of :func:`constraint_model_to_dict`."""
+    """Inverse of :func:`constraint_model_to_dict`.
+
+    Reads only the listed keys, so dicts written when the model also
+    stored tables no recogniser reads (the uncoupled macro transition and
+    the posture/gesture priors and transitions) still load.
+    """
     kwargs = {
         "macro_index": _label_index_from_obj(data["macro_index"]),
         "posture_index": _label_index_from_obj(data["posture_index"]),

@@ -22,6 +22,7 @@ from repro.util.artifacts import (
     engine_from_dict,
     engine_to_dict,
 )
+from repro.util.serialization import array_to_obj
 
 STRATEGIES = ("nh", "ncr", "ncs", "c2")
 
@@ -111,7 +112,8 @@ class TestLegacyArtifacts:
     """``repro.model/1`` files of the former pair-only model (kind
     ``"coupled"``, carrying the since-removed ``prune_per_user`` and
     ``use_sequence_kernels`` keys) still load, and so do files that store
-    an option since fixed in code, as long as they store its fixed value."""
+    an option since fixed in code, as long as they store its fixed value,
+    and files whose constraint model carries tables since dropped."""
 
     @pytest.fixture(scope="class")
     def pair_engine(self, cace_split):
@@ -178,6 +180,41 @@ class TestLegacyArtifacts:
     def test_prune_per_user_false_rejected(self, pair_engine):
         with pytest.raises(ValueError, match="prune_per_user"):
             engine_from_dict(self._legacy(pair_engine, prune_per_user=False))
+
+    @pytest.mark.parametrize("kind", ["nchain", "single_user"])
+    def test_removed_constraint_tables_load(self, kind, engines, cace_split):
+        # Files written before the miner stopped storing tables no recogniser
+        # reads carry five extra arrays in their constraint model.
+        _, test = cace_split
+        seq = test.sequences[0]
+        payload = engine_to_dict(engines[kind])
+        fresh = engine_from_dict(payload)
+        cm = fresh.model_.constraint_model
+        n_m, n_p = cm.n_macro, len(cm.posture_index)
+        n_g = len(cm.gesture_index)
+        rng = np.random.default_rng(0)
+        removed = {
+            "macro_trans": rng.dirichlet(np.ones(n_m), size=n_m),
+            "posture_prior": rng.dirichlet(np.ones(n_p), size=n_m),
+            "gesture_prior": rng.dirichlet(np.ones(n_g), size=n_m),
+            "posture_trans": rng.dirichlet(np.ones(n_p), size=(n_m, n_p)),
+            "gesture_trans": rng.dirichlet(np.ones(n_g), size=(n_m, n_g)),
+        }
+        stored = payload["model"]["constraint_model"]
+        assert not set(removed) & set(stored)
+        stored.update({name: array_to_obj(arr) for name, arr in removed.items()})
+        payload["fingerprint"] = _fingerprint(payload)
+        legacy = engine_from_dict(payload)
+        for name in removed:
+            assert not hasattr(legacy.model_.constraint_model, name)
+
+        assert legacy.predict(seq) == fresh.predict(seq)
+        assert _stats_tuple(legacy.model_.last_stats) == _stats_tuple(fresh.model_.last_stats)
+        before = fresh.posterior_marginals(seq)
+        after = legacy.posterior_marginals(seq)
+        assert set(after) == set(before)
+        for rid in before:
+            assert np.array_equal(before[rid], after[rid])
 
 
 class TestIntegrity:

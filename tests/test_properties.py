@@ -143,7 +143,7 @@ class TestViterbiProperties:
     @settings(max_examples=40, deadline=None)
     def test_forward_backward_marginals_normalised(self, instance):
         log_prior, log_trans, log_e = instance
-        gamma, _, _ = forward_backward(log_prior, log_trans, log_e)
+        gamma, _ = forward_backward(log_prior, log_trans, log_e)
         assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-8)
 
     @given(hmm_instances())
@@ -151,7 +151,7 @@ class TestViterbiProperties:
     def test_viterbi_path_has_positive_marginals(self, instance):
         log_prior, log_trans, log_e = instance
         path, _ = viterbi_decode(log_prior, log_trans, log_e)
-        gamma, _, _ = forward_backward(log_prior, log_trans, log_e)
+        gamma, _ = forward_backward(log_prior, log_trans, log_e)
         for t, state in enumerate(path):
             assert gamma[t, state] > 0.0
 

@@ -1,0 +1,113 @@
+"""Every module under ``src/repro/`` is reachable from an entry point.
+
+The walk starts at the CLI (``repro.__main__``, ``repro.cli``) and at every
+script under ``perfbench/``, ``benchmarks/`` and ``examples/``, and follows
+``import`` / ``from … import`` statements (including those inside
+functions) with :mod:`ast`.  A name imported from a package resolves to the
+module its ``__init__`` re-exports it from, so a package's ``__init__``
+does not by itself make all of its submodules reachable.  A module that only
+tests import is dead weight: delete it, or give it a caller.
+"""
+
+import ast
+from pathlib import Path
+from typing import Iterator, Optional, Set, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+ENTRY_MODULES = ("repro.__main__", "repro.cli")
+ENTRY_DIRS = ("perfbench", "benchmarks", "examples")
+
+
+def _source(module: str) -> Optional[Tuple[Path, bool]]:
+    """``(path, is_package)`` of a ``repro`` module, or None if absent."""
+    base = SRC.joinpath(*module.split("."))
+    if (base / "__init__.py").is_file():
+        return base / "__init__.py", True
+    if base.with_suffix(".py").is_file():
+        return base.with_suffix(".py"), False
+    return None
+
+
+def _imports(path: Path, package: str) -> Iterator[Tuple[str, Optional[str], str]]:
+    """``(module, name, bound_as)`` per import; name is None for ``import m``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None, alias.asname or alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:
+                parts = package.split(".")
+                parts = parts[: len(parts) - node.level + 1]
+                module = ".".join(parts + ([node.module] if node.module else []))
+            for alias in node.names:
+                yield module, alias.name, alias.asname or alias.name
+
+
+class _Walker:
+    def __init__(self) -> None:
+        self.reached: Set[str] = set()
+
+    def walk_file(self, path: Path, package: str = "") -> None:
+        for module, name, _ in _imports(path, package):
+            if name is None:
+                self.reach(module)
+            else:
+                self.reach_name(module, name)
+
+    def reach(self, module: str) -> None:
+        """Reach a module; a whole package counts as all its re-exports."""
+        found = _source(module) if module.split(".")[0] == "repro" else None
+        if found is None or module in self.reached:
+            return
+        self.reached.add(module)
+        path, is_package = found
+        self.walk_file(path, module if is_package else module.rpartition(".")[0])
+
+    def reach_name(self, module: str, name: str) -> None:
+        """Reach whatever ``from module import name`` binds."""
+        found = _source(module) if module.split(".")[0] == "repro" else None
+        if found is None:
+            return
+        path, is_package = found
+        if not is_package:
+            self.reach(module)
+        elif _source(f"{module}.{name}") is not None:
+            self.reach(f"{module}.{name}")
+        else:
+            for src_module, src_name, bound in _imports(path, module):
+                if bound == name and src_name is not None:
+                    self.reach_name(src_module, src_name)
+                    return
+            # Defined in the __init__ itself (or a star import): walk it.
+            self.reach(module)
+
+
+def _all_modules() -> Set[str]:
+    return {
+        ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for path in (SRC / "repro").rglob("*.py")
+        if path.name != "__init__.py"
+    }
+
+
+def test_every_src_module_is_reachable_from_an_entry_point():
+    walker = _Walker()
+    for module in ENTRY_MODULES:
+        walker.reach(module)
+    scripts = [p for d in ENTRY_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
+    assert scripts
+    for script in scripts:
+        walker.walk_file(script)
+    unreached = sorted(_all_modules() - walker.reached)
+    assert not unreached, f"modules no entry point imports: {unreached}"
+
+
+def test_reexported_names_resolve_to_their_defining_module():
+    # ``from repro.models import MacroHmm`` reaches ``repro.models.hmm`` and
+    # not the package's other submodules.
+    walker = _Walker()
+    walker.reach_name("repro.models", "MacroHmm")
+    assert "repro.models.hmm" in walker.reached
+    assert "repro.models.fcrf" not in walker.reached

@@ -40,9 +40,10 @@ class TestHighPass:
 
 
 class TestOrientationFilter:
-    def test_static_convergence(self):
+    @pytest.mark.parametrize("posture", ["standing", "sitting"])
+    def test_static_convergence(self, posture):
         imu = ImuSimulator(seed=4)
-        samples = imu.render(POSTURAL_SIGNATURES["standing"], 5.0)
+        samples = imu.render(POSTURAL_SIGNATURES[posture], 5.0)
         filt = OrientationFilter()
         for s in samples:
             q = filt.update(s)
