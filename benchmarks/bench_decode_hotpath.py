@@ -8,8 +8,9 @@ per-step trellis only indexes precomputed rows.  This bench measures
 steps/sec before (the ``Reference*`` seed hot paths) vs after on the same
 fitted models, asserting the contract: >= 5x serial c2 speedup, >= 3x on
 the 3-resident N-chain and fixed-lag smoother paths (the smoother on
-pairs both through ``push_many`` bursts and one ``push`` per step, and on
-3-resident homes one ``push`` per step, against the log-domain reference
+pairs both after one bulk ``prepare_range``, then a ``push`` per step,
+and one ``push`` per step alone, and on 3-resident homes one ``push`` per
+step, against the log-domain reference
 smoother) and on 4-resident offline decode, all with bit-for-bit
 identical decoded labels.  Results are also written machine-readable to
 ``BENCH_decode.json`` at the repo root.
@@ -48,8 +49,8 @@ def test_decode_hotpath(benchmark):
         assert path.labels_identical, path.name
     # ...and must buy at least 5x serial steps/sec on the c2 hot path,
     # 3x on the N-chain paths (3 and 4 residents) and the fixed-lag
-    # smoother paths (push_many bursts and one push per step, on pairs
-    # and on 3-resident homes).
+    # smoother paths (one bulk prepare_range then a push per step, and
+    # one push per step, on pairs and on 3-resident homes).
     assert result.c2.speedup >= 5.0
     assert result.nchain.speedup >= 3.0
     assert result.smoother.speedup >= 3.0

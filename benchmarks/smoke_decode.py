@@ -5,9 +5,9 @@ seed reference decoders (the bit-identity contract), and when the c2,
 N-chain or smoother kernels are slower than their references.  The
 N-chain decode is checked offline on 3-resident homes and on a tiny
 4-resident corpus.  The smoother is checked against the log-domain
-reference smoother three times: on pairs through ``push_many`` bursts
-and one ``push`` per step (the ``SessionRouter.push`` regime), and on
-3-resident homes one ``push`` per step.  The speedup assertions are
+reference smoother three times: on pairs after one bulk
+``prepare_range``, then a ``push`` per step, and one ``push`` per step
+alone, and on 3-resident homes one ``push`` per step.  The speedup assertions are
 relaxed to >= 1x because shared CI runners make timing ratios
 unreliable.  The full thresholds (5x c2 serial, 3x N-chain, 3x smoother
 either way) are asserted by ``bench_decode_hotpath.py`` on dedicated

@@ -232,12 +232,14 @@ def _run_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _derived_metrics(registry) -> dict:
-    """Rates derived from raw counters (matches ``metrics_snapshot``)."""
-    computed = registry.counter("smoother.trans_blocks_computed").value
-    reused = registry.counter("smoother.trans_blocks_reused").value
-    total = computed + reused
-    return {"smoother_trans_cache_hit_rate": (reused / total) if total else 0.0}
+def _registry_snapshot() -> dict:
+    """The process-wide registry's snapshot with its derived rates (the
+    router-less shape of :meth:`SessionRouter.metrics_snapshot`)."""
+    from repro.obs import runtime as obs_runtime
+    from repro.serve.router import derived_metrics
+
+    registry = obs_runtime.get_registry()
+    return {"derived": derived_metrics(registry), "metrics": registry.snapshot()}
 
 
 def _write_metrics_snapshot(path: str, snapshot: dict) -> None:
@@ -324,16 +326,7 @@ def _run_serve_artifact(args: argparse.Namespace) -> int:
         if router is not None:
             _write_metrics_snapshot(args.metrics_out, router.metrics_snapshot())
         else:
-            from repro.obs import runtime as obs_runtime
-
-            registry = obs_runtime.get_registry()
-            _write_metrics_snapshot(
-                args.metrics_out,
-                {
-                    "derived": _derived_metrics(registry),
-                    "metrics": registry.snapshot(),
-                },
-            )
+            _write_metrics_snapshot(args.metrics_out, _registry_snapshot())
     return 0
 
 
@@ -366,13 +359,7 @@ def _run_recognize(args: argparse.Namespace) -> int:
         f"({args.strategy} on {len(test.sequences)} test sequences)"
     )
     if args.metrics_out:
-        from repro.obs import runtime as obs_runtime
-
-        registry = obs_runtime.get_registry()
-        _write_metrics_snapshot(
-            args.metrics_out,
-            {"derived": _derived_metrics(registry), "metrics": registry.snapshot()},
-        )
+        _write_metrics_snapshot(args.metrics_out, _registry_snapshot())
     return 0
 
 

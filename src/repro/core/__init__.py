@@ -18,7 +18,7 @@ The paper's contribution, assembled from the substrates:
   (Table V's metric).
 """
 
-from repro.core.api import DecodeStats, Recognizer, StepFilter, TrellisPiece
+from repro.core.api import DecodeStats, Recognizer, TrellisPiece
 from repro.core.duration import duration_error, extract_segments, match_segments
 from repro.core.engine import CaceEngine
 from repro.core.hdbn import SingleUserHdbn
@@ -30,7 +30,6 @@ from repro.core.state_space import StateSpaceBuilder, UserState
 __all__ = [
     "DecodeStats",
     "Recognizer",
-    "StepFilter",
     "TrellisPiece",
     "duration_error",
     "extract_segments",

@@ -10,8 +10,8 @@ on concrete types:
 * ``decode`` / ``posterior_marginals`` — offline inference;
 * ``trellis_sessions`` — the per-chain trellis adapters that both the
   offline driver (:func:`repro.core.kernels.decode`) and the generic
-  fixed-lag :class:`~repro.core.smoother.OnlineSmoother` run on;
-* ``step_filter`` — a ready-to-stream smoother bound to the model;
+  fixed-lag :class:`~repro.core.smoother.OnlineSmoother` run on (stream
+  any recogniser with ``OnlineSmoother(model, lag=...)``);
 * ``last_stats`` — the :class:`DecodeStats` work accounting of the most
   recent offline inference call;
 * ``describe`` — a one-line human-readable summary for logs and CLIs.
@@ -175,29 +175,6 @@ class TrellisSession(Protocol):
 
 
 @runtime_checkable
-class StepFilter(Protocol):
-    """Incremental forward interface (what ``step_filter`` returns)."""
-
-    stats: DecodeStats
-
-    def start(self, seq: LabeledSequence) -> None:
-        """Begin a session; steps are then consumed with :meth:`push`."""
-        ...
-
-    def push(self, t: int) -> Optional[Dict[str, str]]:
-        """Consume step *t*; return labels committed for ``t - lag``."""
-        ...
-
-    def flush(self) -> List[Dict[str, str]]:
-        """Commit every step still inside the lag window."""
-        ...
-
-    def run(self, seq: LabeledSequence) -> Dict[str, List[str]]:
-        """Stream a whole session, returning per-resident labels."""
-        ...
-
-
-@runtime_checkable
 class Recognizer(Protocol):
     """What every CACE model family exposes to the engine and servers."""
 
@@ -222,17 +199,7 @@ class Recognizer(Protocol):
         :class:`DecodeStats` when omitted)."""
         ...
 
-    def step_filter(self, lag: int = 0) -> StepFilter:
-        """A fixed-lag smoother bound to this model."""
-        ...
-
     def describe(self) -> str:
         """One-line summary (family, coupling, pruning configuration)."""
         ...
 
-
-def make_step_filter(model: Recognizer, lag: int = 0) -> StepFilter:
-    """Shared ``step_filter`` body (lazy import keeps this module leaf)."""
-    from repro.core.smoother import OnlineSmoother
-
-    return OnlineSmoother(model, lag=lag)

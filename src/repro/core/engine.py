@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.api import DecodeStats, Recognizer, StepFilter
+from repro.core.api import DecodeStats, Recognizer
 from repro.core.hdbn import SingleUserHdbn
 from repro.core.loosely_coupled import PAIR_CAPS, NChainHdbn
 from repro.core.pruning import PruningStrategy
@@ -605,12 +605,6 @@ class CaceEngine:
         if self.model_ is None:
             raise RuntimeError("engine is not fitted")
         return self.model_.posterior_marginals(seq)
-
-    def step_filter(self, lag: int = 0) -> StepFilter:
-        """A fixed-lag smoother bound to the fitted model."""
-        if self.model_ is None:
-            raise RuntimeError("engine is not fitted")
-        return self.model_.step_filter(lag)
 
     def describe(self) -> str:
         """One-line summary of the engine and its fitted model."""

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core import kernels
-from repro.core.api import DecodeStats, TrellisPiece, make_step_filter
+from repro.core.api import DecodeStats, TrellisPiece
 from repro.core.chdbn import build_candidate_set, fit_emission_tables, init_user_evidence
 from repro.core.kernels import SequenceKernel
 from repro.core.state_space import StateSpaceBuilder
@@ -78,10 +78,6 @@ class SingleUserHdbn:
         removes no joint states, so there is nothing to count into
         *stats*)."""
         return [_UserTrellis(self, seq, rid) for rid in seq.resident_ids]
-
-    def step_filter(self, lag: int = 0):
-        """Fixed-lag smoother bound to this model."""
-        return make_step_filter(self, lag)
 
     def describe(self) -> str:
         """One-line summary for logs and CLIs."""

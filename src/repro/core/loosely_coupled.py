@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import kernels
-from repro.core.api import DecodeStats, TrellisPiece, make_step_filter
+from repro.core.api import DecodeStats, TrellisPiece
 from repro.core.chdbn import (
     MIN_CHANGE_PROB,
     build_candidate_set,
@@ -327,10 +327,6 @@ class NChainHdbn:
     def posterior_marginals(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
         """Per-resident posterior macro marginals ``(T, M)``."""
         return kernels.posterior_marginals(self, seq)
-
-    def step_filter(self, lag: int = 0):
-        """Fixed-lag smoother bound to this model."""
-        return make_step_filter(self, lag)
 
     def describe(self) -> str:
         """One-line summary for logs and CLIs."""

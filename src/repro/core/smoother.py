@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,6 +94,7 @@ class OnlineSmoother:
         emission tables are reused unchanged).
     lag:
         Commit latency in steps; 0 gives pure filtering (commit on arrival).
+        A negative lag raises :class:`ValueError` at construction.
     """
 
     model: Recognizer
@@ -138,10 +139,12 @@ class OnlineSmoother:
         :meth:`start`)."""
         return self._rids
 
-    def start(self, seq) -> None:
-        """Begin a session; steps are then consumed with :meth:`push`."""
+    def __post_init__(self) -> None:
         if self.lag < 0:
             raise ValueError(f"lag must be >= 0, got {self.lag}")
+
+    def start(self, seq) -> None:
+        """Begin a session; steps are then consumed with :meth:`push`."""
         self.stats = DecodeStats()
         sessions = self.model.trellis_sessions(seq, self.stats)
         self._sessions = sessions
@@ -223,27 +226,11 @@ class OnlineSmoother:
         alpha = forward_step(self._alphas[k][-1], block, piece.scores)
         return piece, block, alpha, 0 if log_t is None else log_t.size
 
-    def push_many(self, ts: Sequence[int]) -> List[Optional[Dict[str, str]]]:
-        """Bulk-append: batch-build each session's per-sequence evidence
-        tables for the whole range, then push the steps in order.
-
-        Returns one entry per pushed step (None while the lag window is
-        still filling), exactly as step-by-step :meth:`push` would.
-        """
-        if self._sessions is None:
-            raise RuntimeError("call start() before push_many()")
-        ts = list(ts)
-        if ts:
-            self.prepare_range(ts[0], ts[-1] + 1)
-        return [self.push(t) for t in ts]
-
     def prepare_range(self, t0: int, t1: int) -> None:
-        """Batch-build per-sequence evidence tables for steps ``[t0, t1)``.
-
-        Callers that need per-step control (e.g. the serving router's
-        fault isolation) use this plus :meth:`push` instead of
-        :meth:`push_many`; calling it is an optimisation only — ``push``
-        is correct without it.
+        """Batch-build per-sequence evidence tables for steps ``[t0, t1)``
+        ahead of their :meth:`push` calls — the smoother's one bulk idiom
+        (the serving router calls it once per run of valid steps).  It is
+        an optimisation only: ``push`` is correct without it.
         """
         if self._sessions is None:
             raise RuntimeError("call start() before prepare_range()")

@@ -837,10 +837,11 @@ class DecodeHotpathResult:
     c2: PathResult
     #: 3-resident N-chain offline decode.
     nchain: PathResult
-    #: Fixed-lag smoother on pairs through ``push_many``.
+    #: Fixed-lag smoother on pairs: one bulk ``prepare_range``, then a
+    #: ``push`` per step.
     smoother: PathResult
-    #: The same smoother stream, one ``push`` per step (the
-    #: ``SessionRouter.push`` regime).
+    #: The same smoother stream, one ``push`` per step with no bulk
+    #: build (the ``SessionRouter.push`` regime).
     smoother_push: PathResult
     #: One ``push`` per step on the 3-resident N-chain model.
     nchain_smoother: PathResult
@@ -891,13 +892,15 @@ class DecodeHotpathResult:
         return "\n".join(lines)
 
 
-def _stream_labels_many(model, seq, lag: int) -> Dict[str, List[str]]:
-    """Per-resident labels from streaming *seq* through ``push_many``."""
+def _stream_labels_bulk(model, seq, lag: int) -> Dict[str, List[str]]:
+    """Per-resident labels from streaming *seq* after one bulk
+    ``prepare_range``, then a ``push`` per step."""
     from repro.core.smoother import OnlineSmoother
 
     sm = OnlineSmoother(model, lag=lag)
     sm.start(seq)
-    per_step = [x for x in sm.push_many(range(len(seq))) if x is not None]
+    sm.prepare_range(0, len(seq))
+    per_step = [x for x in map(sm.push, range(len(seq))) if x is not None]
     per_step.extend(sm.flush())
     return {rid: [labels[rid] for labels in per_step] for rid in sm.residents}
 
@@ -954,12 +957,12 @@ def decode_hotpath_benchmark(
     finally:
         engine.close()
 
-    # The fast path streams once through push_many (bulk kernel builds)
-    # and once one push per step (one-step kernel builds, the router's
-    # push regime); the reference replays push-by-push on the seed model
+    # The fast path streams once after one bulk prepare_range (bulk
+    # kernel builds) and once one push per step (one-step kernel builds,
+    # the router's push regime); the reference replays push-by-push on the seed model
     # through the log-domain smoother.
     sm_many, many_s = _timed_runs(
-        lambda seq: _stream_labels_many(fast, seq, lag), test.sequences
+        lambda seq: _stream_labels_bulk(fast, seq, lag), test.sequences
     )
     sm_push, push_s = _timed_runs(
         lambda seq: OnlineSmoother(fast, lag=lag).run(seq), test.sequences

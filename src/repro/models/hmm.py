@@ -24,9 +24,9 @@ class MacroHmm:
     """Flat HMM over macro activities, one independent chain per resident.
 
     Implements the :class:`~repro.core.api.Recognizer` surface (``decode``,
-    ``posterior_marginals``, ``trellis_sessions``, ``step_filter``,
-    ``last_stats``, ``describe``) so the engine and the serving layer treat
-    the baseline exactly like the HDBN families.  Imports from
+    ``posterior_marginals``, ``trellis_sessions``, ``last_stats``,
+    ``describe``) so the engine and the serving layer treat the baseline
+    exactly like the HDBN families.  Imports from
     :mod:`repro.core` stay lazy: this module is imported by the engine, so
     a top-level import would cycle through ``repro.core.__init__``.
     """
@@ -99,12 +99,6 @@ class MacroHmm:
         if self.macro_index is None:
             raise RuntimeError("model is not fitted")
         return [_HmmTrellis(self, seq, rid) for rid in seq.resident_ids]
-
-    def step_filter(self, lag: int = 0):
-        """Fixed-lag smoother bound to this model."""
-        from repro.core.api import make_step_filter  # lazy: avoid a cycle
-
-        return make_step_filter(self, lag)
 
     def describe(self) -> str:
         """One-line summary for logs and CLIs."""

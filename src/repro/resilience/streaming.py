@@ -2,14 +2,14 @@
 
 The serving router guards a live smoother with two layers.
 :func:`validate_step` rejects malformed :class:`ContextStep` objects
-(wrong type, empty or mismatched observations, non-finite features or
-positions)
-before they can poison a trellis.  When a session is quarantined —
-because a step failed validation or its smoother raised — it keeps
-emitting labels through a :class:`DegradedStepFilter`: the cheap
-fallback recogniser (e.g. a :class:`~repro.models.hmm.MacroHmm`) decides
-each step on its own, and if even that fails the filter falls back to
-the model's prior-argmax macro label, which cannot fail.  Every commit
+(wrong type, empty or mismatched observations, non-finite or
+non-numeric features or positions) before they can poison a trellis.
+When a session is quarantined — because a step failed validation or its
+smoother raised — it keeps emitting labels through a
+:class:`DegradedStepFilter`: the cheap fallback recogniser (e.g. a
+:class:`~repro.models.hmm.MacroHmm`) decides each step on its own, and
+if even that fails the filter falls back to the model's prior-argmax
+macro label, which cannot fail.  Every commit
 from this path is a :class:`DegradedLabels` dict, so downstream
 consumers can tell full-model labels from degraded ones without any
 shape change.
@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.api import DecodeStats, Recognizer
-from repro.datasets.trace import ContextStep, LabeledSequence
+from repro.datasets.trace import ContextStep, LabeledSequence, ResidentObservation
 
 
 class StepValidationError(ValueError):
@@ -36,10 +36,12 @@ def validate_step(
     """Raise :class:`StepValidationError` if *step* cannot be served.
 
     Checks the step type, that observations are present, that they cover
-    exactly the session's residents (when known), that every feature
-    value is finite — NaN/inf features would silently corrupt every
-    downstream Gaussian emission score — and that a position estimate,
-    when present, is two finite coordinates.
+    exactly the session's residents (when known), that each is a
+    :class:`ResidentObservation`, that every feature value is a finite
+    number — NaN/inf features would silently corrupt every downstream
+    Gaussian emission score — and that a position estimate, when present,
+    is two finite coordinates.  A malformed value of any type raises
+    :class:`StepValidationError`, never ``TypeError``.
     """
     if not isinstance(step, ContextStep):
         raise StepValidationError(
@@ -53,16 +55,29 @@ def validate_step(
             f"{sorted(resident_ids)}"
         )
     for rid, obs in step.observations.items():
-        for value in obs.features:
-            if not math.isfinite(value):
-                raise StepValidationError(
-                    f"non-finite feature for resident {rid!r}"
-                )
+        if not isinstance(obs, ResidentObservation):
+            raise StepValidationError(
+                f"observation for resident {rid!r} is a {type(obs).__name__}, "
+                "not a ResidentObservation"
+            )
+        if not _all_finite(obs.features):
+            raise StepValidationError(
+                f"non-finite or non-numeric feature for resident {rid!r}"
+            )
         pos = obs.position_estimate
-        if pos is not None and (len(pos) != 2 or not all(map(math.isfinite, pos))):
+        if pos is not None and not (_all_finite(pos) and len(pos) == 2):
             raise StepValidationError(
                 f"position estimate for resident {rid!r} is not two finite floats"
             )
+
+
+def _all_finite(values) -> bool:
+    """True when *values* is a collection of finite numbers; False (never
+    ``TypeError``) for a non-collection or a non-numeric entry."""
+    try:
+        return all(map(math.isfinite, values))
+    except (TypeError, OverflowError):
+        return False
 
 
 class DegradedLabels(dict):

@@ -9,10 +9,14 @@ per-session :class:`~repro.core.api.DecodeStats` that their trellis
 sessions count into, so interleaved streams never mix their counters).
 
 Steps are pushed as plain :class:`~repro.datasets.trace.ContextStep`
-objects; the router appends them to a per-session sequence buffer the
-smoother's trellis adapters read from, so arbitrary interleavings of
-``push`` across sessions commit exactly the labels a sequential replay
-would.  The buffer is a :class:`~repro.datasets.trace.StepWindow`: once
+objects, one per ``push`` or a batch per ``push_many``; both take the one
+step path: validate, auto-open, append each maximal run of valid steps
+to a per-session sequence buffer the smoother's trellis adapters read
+from, batch-build the run's evidence
+(:meth:`~repro.core.smoother.OnlineSmoother.prepare_range`), push its
+steps, then release and commit.  Arbitrary interleavings across sessions
+therefore commit exactly the labels a sequential replay would.  The
+buffer is a :class:`~repro.datasets.trace.StepWindow`: once
 the smoother has consumed a step the router releases it, so a live
 session holds O(lag) steps whatever its length (its committed labels are
 the one per-step record it keeps).  When the session table is full the
@@ -49,6 +53,20 @@ from repro.resilience.streaming import (
 
 #: Valid ``SessionRouter(on_error=...)`` policies.
 ON_ERROR_POLICIES = ("quarantine", "reset", "raise")
+
+
+def derived_metrics(registry: MetricsRegistry) -> Dict[str, float]:
+    """Rates derived from *registry*'s raw counters (the ``"derived"``
+    section of :meth:`SessionRouter.metrics_snapshot` and of the CLI's
+    ``--metrics-out`` JSON)."""
+    computed = registry.counter("smoother.trans_blocks_computed").value
+    reused = registry.counter("smoother.trans_blocks_reused").value
+    total = computed + reused
+    return {
+        # Fraction of lag-window transition-block reads served by the
+        # push-time cache instead of a recomputation.
+        "smoother_trans_cache_hit_rate": (reused / total) if total else 0.0,
+    }
 
 
 @dataclass
@@ -187,8 +205,7 @@ class SessionRouter:
             steps=StepWindow(),
             truths=StepWindow(),
         )
-        # Constructed directly (not via ``model.step_filter``) so every
-        # session's smoother reports into the router's registry.
+        # Every session's smoother reports into the router's registry.
         smoother = OnlineSmoother(self.model, lag=self.lag, metrics=self.metrics)
         smoother.start(seq)
         state = SessionState(seq=seq, smoother=smoother)
@@ -208,33 +225,7 @@ class SessionRouter:
         """
         t_push = time.perf_counter()
         try:
-            state = self._sessions.get(session_id)
-            if state is not None and state.degraded:
-                return self._degraded_push(state, step)
-            try:
-                validate_step(
-                    step, state.seq.resident_ids if state is not None else None
-                )
-            except StepValidationError as exc:
-                return self._handle_bad_step(session_id, state, step, exc)
-            if state is None:
-                state = self.open_session(
-                    session_id, resident_ids=tuple(sorted(step.observations))
-                )
-            else:
-                self._sessions.move_to_end(session_id)
-            t = len(state.seq.steps)
-            state.seq.steps.append(step)
-            state.seq.truths.append({})
-            try:
-                labels = state.smoother.push(t)
-            except Exception as exc:
-                return self._handle_smoother_error(state, step, exc)
-            state.release(t + 1)
-            if labels is not None:
-                state.committed.append(labels)
-            self._c_steps.inc()
-            return labels
+            return self._push_run(session_id, [step], 0)[1][0]
         finally:
             self._h_push.observe(time.perf_counter() - t_push)
 
@@ -290,10 +281,6 @@ class SessionRouter:
         """The live state of an open session (does not touch LRU order)."""
         return self._sessions[session_id]
 
-    def session_ids(self) -> List[str]:
-        """Open sessions, least-recently-used first."""
-        return list(self._sessions)
-
     def __len__(self) -> int:
         return len(self._sessions)
 
@@ -344,16 +331,9 @@ class SessionRouter:
         """JSON-ready observability snapshot: structured router state, the
         full metrics registry (router gauges, push-latency histograms, the
         smoothers' lag-window instruments), and derived rates."""
-        computed = self.metrics.counter("smoother.trans_blocks_computed").value
-        reused = self.metrics.counter("smoother.trans_blocks_reused").value
-        total = computed + reused
         return {
             "router": self.describe_dict(),
-            "derived": {
-                # Fraction of lag-window transition-block reads served by
-                # the push-time cache instead of a recomputation.
-                "smoother_trans_cache_hit_rate": (reused / total) if total else 0.0,
-            },
+            "derived": derived_metrics(self.metrics),
             "metrics": self.metrics.snapshot(),
         }
 
@@ -441,16 +421,18 @@ class SessionRouter:
         smoother.start(state.seq)
         state.smoother = smoother
 
-    def _handle_bad_step(
+    def _handle_error(
         self,
         session_id: str,
         state: Optional[SessionState],
         step: ContextStep,
-        exc: StepValidationError,
+        exc: Exception,
+        appended: bool,
     ) -> Optional[Dict[str, str]]:
-        """Policy dispatch for a step that failed validation (not yet
-        appended to the buffer)."""
-        self._c_rejected.inc()
+        """Policy dispatch for *step*: it failed validation (not yet in the
+        buffer) or the smoother raised on it (``appended``)."""
+        if not appended:
+            self._c_rejected.inc()
         if self.on_error == "raise":
             raise exc
         if state is None:
@@ -461,18 +443,7 @@ class SessionRouter:
         if self.on_error == "reset":
             self._reset_session(state)
             return None
-        return self._quarantine(state, step, append=True)
-
-    def _handle_smoother_error(
-        self, state: SessionState, step: ContextStep, exc: Exception
-    ) -> Optional[Dict[str, str]]:
-        """Policy dispatch for a smoother that raised on an appended step."""
-        if self.on_error == "raise":
-            raise exc
-        if self.on_error == "reset":
-            self._reset_session(state)
-            return None
-        return self._quarantine(state, step, append=False)
+        return self._quarantine(state, step, append=not appended)
 
     def _push_run(
         self, session_id: str, steps: List[ContextStep], i: int
@@ -483,53 +454,49 @@ class SessionRouter:
         if state is not None and state.degraded:
             labels = [self._degraded_push(state, step) for step in steps[i:]]
             return len(steps) - i, labels
+        # The run: steps[i:j], all valid.  A new session's residents are
+        # its first step's.
         rids = state.seq.resident_ids if state is not None else None
-        try:
-            validate_step(steps[i], rids)
-        except StepValidationError as exc:
-            return 1, [self._handle_bad_step(session_id, state, steps[i], exc)]
-        if state is None:
-            state = self.open_session(
-                session_id, resident_ids=tuple(sorted(steps[i].observations))
-            )
-            rids = state.seq.resident_ids
-        else:
-            self._sessions.move_to_end(session_id)
-        # Extend the run while steps stay valid, append it, bulk-prepare.
-        j = i + 1
+        j = i
         while j < len(steps):
             try:
                 validate_step(steps[j], rids)
-            except StepValidationError:
+            except StepValidationError as exc:
+                if j == i:
+                    return 1, [
+                        self._handle_error(session_id, state, steps[i], exc, False)
+                    ]
                 break
+            rids = rids or tuple(sorted(steps[j].observations))
             j += 1
+        if state is None:
+            state = self.open_session(session_id, resident_ids=rids)
+        else:
+            self._sessions.move_to_end(session_id)
+        # Append the run, bulk-prepare its evidence, push it step by step.
         t0 = len(state.seq.steps)
-        for step in steps[i:j]:
-            state.seq.steps.append(step)
-            state.seq.truths.append({})
+        state.seq.steps.extend(steps[i:j])
+        state.seq.truths.extend({} for _ in range(i, j))
         out: List[Optional[Dict[str, str]]] = []
-        consumed = 0
         error: Optional[Exception] = None
         try:
             state.smoother.prepare_range(t0, t0 + (j - i))
-            for k in range(i, j):
-                labels = state.smoother.push(t0 + (k - i))
+            for t in range(t0, t0 + (j - i)):
+                labels = state.smoother.push(t)
                 if labels is not None:
                     state.committed.append(labels)
                 out.append(labels)
                 self._c_steps.inc()
-                consumed += 1
         except Exception as exc:  # noqa: BLE001 — isolate any decode fault
             error = exc
-        state.release(t0 + consumed)
+        t = t0 + len(out)
+        state.release(t)
         if error is not None:
-            # Drop the unconsumed tail from the buffer; the failing step
-            # stays (matching push(): it was appended when the smoother
-            # choked on it), then hand it to the policy.
-            del state.seq.steps[t0 + consumed + 1 :]
-            del state.seq.truths[t0 + consumed + 1 :]
-            out.append(
-                self._handle_smoother_error(state, steps[i + consumed], error)
-            )
-            consumed += 1
-        return consumed, out
+            # Drop the unconsumed tail from the buffer; the failing step t
+            # stays (it was appended when the smoother choked on it), then
+            # hand it to the policy.
+            del state.seq.steps[t + 1 :]
+            del state.seq.truths[t + 1 :]
+            failed = steps[i + len(out)]
+            out.append(self._handle_error(session_id, state, failed, error, True))
+        return len(out), out

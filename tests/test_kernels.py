@@ -36,6 +36,7 @@ from repro.models.distributions import GaussianEmission
 from repro.models.hmm import MacroHmm
 from repro.models.inputs import step_features
 from repro.models.viterbi import forward_backward, viterbi_decode
+from repro.serve import SessionRouter
 
 #: The object channel sums its Bernoulli logs in another order than the
 #: seed (see repro.core.reference), so scores may differ in the last ulp.
@@ -504,6 +505,37 @@ def test_smoother_matches_log_domain_reference(family, family_models):
     spec = ReferenceOnlineSmoother(model, lag=4)
     assert fast.run(seq) == spec.run(seq)
     assert fast.stats == spec.stats
+
+
+@pytest.mark.parametrize("family", ["nh", "ncr", "c2_pair", "c2_trio", "c2_quad"])
+def test_router_commits_what_the_smoother_commits(family, family_models):
+    """A router session opened with the sequence's residents commits and
+    counts what the smoother run on the whole sequence does, through one
+    ``push`` per step and through ``push_many`` under random chunking
+    (both reach each trellis session through ``prepare``)."""
+    model, seq = family_models[family]
+    smoother = OnlineSmoother(model, lag=4)
+    expected = smoother.run(seq)
+    rng = np.random.default_rng(3)
+    for chunked in (False, True, True):
+        router = SessionRouter(model, lag=4)
+        router.open_session("s", resident_ids=seq.resident_ids)
+        t = 0
+        while t < len(seq):
+            if chunked:
+                n = int(rng.integers(1, 9))
+                router.push_many("s", list(seq.steps[t : t + n]))
+            else:
+                n = 1
+                router.push("s", seq.steps[t])
+            t += n
+        assert router.session("s").stats == smoother.stats
+        assert router.close_session("s") == expected
+
+
+def test_negative_lag_rejected_at_construction():
+    with pytest.raises(ValueError, match="lag"):
+        OnlineSmoother(MacroHmm(), lag=-1)
 
 
 def test_nh_posterior_matches_dense_forward_backward(family_models):

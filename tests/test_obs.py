@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.core.engine import CaceEngine
+from repro.core.smoother import OnlineSmoother
 from repro.obs import provenance
 from repro.obs import runtime as obs
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
@@ -233,9 +234,9 @@ class TestInstrumentedDecode:
     def test_smoother_metrics_and_cache_accounting(self, fitted):
         engine, test = fitted
         seq = test.sequences[0]
-        baseline = engine.step_filter(lag=2).run(seq)
+        baseline = OnlineSmoother(engine.model_, lag=2).run(seq)
         obs.enable(metrics=True)
-        instrumented = engine.step_filter(lag=2).run(seq)
+        instrumented = OnlineSmoother(engine.model_, lag=2).run(seq)
         assert instrumented == baseline
         reg = obs.get_registry()
         assert reg.counter("smoother.steps").value == len(seq)

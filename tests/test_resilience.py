@@ -53,6 +53,27 @@ def _hermetic_faults(monkeypatch):
     faultinject.deactivate()
 
 
+def _malformed_steps(step, rid):
+    """*step* with resident *rid*'s observation made malformed in each way
+    that once raised TypeError/AttributeError out of ``validate_step``."""
+    obs = step.observations[rid]
+
+    def with_obs(o):
+        return dataclasses.replace(step, observations={**step.observations, rid: o})
+
+    return {
+        "str_feature": with_obs(dataclasses.replace(obs, features=("x",) + obs.features[1:])),
+        "none_feature": with_obs(dataclasses.replace(obs, features=(None,) + obs.features[1:])),
+        "scalar_position": with_obs(dataclasses.replace(obs, position_estimate=5.0)),
+        "str_position": with_obs(dataclasses.replace(obs, position_estimate=("a", 1.0))),
+        "not_an_observation": with_obs("not an observation"),
+    }
+
+
+MALFORMED = ("str_feature", "none_feature", "scalar_position", "str_position",
+             "not_an_observation")
+
+
 @pytest.fixture(scope="module")
 def corpus():
     dataset = generate_cace_dataset(
@@ -244,6 +265,11 @@ class TestCorruptStep:
                 validate_step(bad, seq.resident_ids)
         with pytest.raises(StepValidationError):
             validate_step("not a step")
+        malformed = _malformed_steps(step, rid)
+        assert set(malformed) == set(MALFORMED)
+        for bad in malformed.values():
+            with pytest.raises(StepValidationError):
+                validate_step(bad, seq.resident_ids)
 
 
 # -- batch decode: serial -------------------------------------------------------
@@ -503,6 +529,26 @@ class TestRouterResilience:
         assert snap["router"]["quarantined"] == 1
         assert snap["metrics"]["router.degraded_steps"]["value"] == len(steps) - 8
         assert snap["metrics"]["router.steps_rejected"]["value"] == 1
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_step_served_degraded(self, engine, fallback, corpus, case):
+        """A malformed step of any type is rejected under the quarantine
+        policy, through ``push`` and ``push_many`` alike: the healthy prefix
+        is untouched and the session is served degraded from it on."""
+        seq, steps = self._steps(corpus, n=10)
+        base, _ = self._healthy_replay(engine, steps)
+        steps[4] = _malformed_steps(steps[4], seq.resident_ids[0])[case]
+        single = SessionRouter(engine, lag=3, on_error="quarantine", fallback=fallback)
+        batched = SessionRouter(engine, lag=3, on_error="quarantine", fallback=fallback)
+        outs = ([single.push("s", st) for st in steps], batched.push_many("s", steps))
+        for router, out in zip((single, batched), outs):
+            assert out[:4] == base[:4]
+            assert all(getattr(o, "degraded", False) for o in out[4:])
+            assert router.session("s").degraded
+            snap = router.metrics_snapshot()["metrics"]
+            assert snap["router.steps_rejected"]["value"] == 1
+            final = router.close_session("s")
+            assert all(len(final[rid]) == len(steps) for rid in seq.resident_ids)
 
     def test_smoother_exception_quarantines(self, engine, fallback, corpus):
         seq, steps = self._steps(corpus, n=8)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.api import DecodeStats
 from repro.core.engine import CaceEngine
+from repro.core.smoother import OnlineSmoother
 from repro.serve import SessionRouter
 
 
@@ -29,7 +30,7 @@ def test_seqs(cace_split):
 def _sequential_reference(engine, seqs, lag):
     out = []
     for seq in seqs:
-        out.append(engine.step_filter(lag=lag).run(seq))
+        out.append(OnlineSmoother(engine.model_, lag=lag).run(seq))
     return out
 
 
@@ -65,7 +66,7 @@ class TestInterleaving:
         a, b = router.session("a").stats, router.session("b").stats
         assert a is not b
         assert a.steps == 4 and b.steps == 4
-        solo = engine.step_filter(lag=2)
+        solo = OnlineSmoother(engine.model_, lag=2)
         solo.start(test_seqs[0])
         for t in range(4):
             solo.push(t)
@@ -130,7 +131,7 @@ class TestEvictionAccounting:
     counters — exactly the solo-run numbers, never another session's."""
 
     def _solo_stats(self, engine, seq, lag, n):
-        solo = engine.step_filter(lag=lag)
+        solo = OnlineSmoother(engine.model_, lag=lag)
         solo.start(seq)
         for t in range(n):
             solo.push(t)
