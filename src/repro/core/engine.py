@@ -10,16 +10,22 @@ Batched decoding: ``predict_dataset(dataset, workers=N)`` fans whole
 sessions across worker processes (sessions are independent given a fitted
 model, so this is embarrassingly parallel) and merges each session's
 :class:`~repro.core.api.DecodeStats` into ``batch_stats_`` — the
-aggregate the throughput benchmarks and capacity planning read.
+aggregate the throughput benchmarks and capacity planning read.  The model
+reaches the workers once per pool lifetime, as its ``repro.model/1`` JSON
+payload (:func:`repro.util.artifacts.model_to_payload`).
 ``posterior_marginals`` is available for every strategy, including NCR's
 frame-wise posteriors, so ROC/PRC sweeps cover all four.
 
-Fault tolerance: every batched decode runs under a
-:class:`~repro.resilience.RetryPolicy` (bounded retries, exponential
-backoff, deterministic jitter), per-session timeouts (``timeout_s``), and
-automatic pool replacement after a worker crash (``BrokenProcessPool`` —
-the pool is respawned once per call, re-shipping the model through the
-zero-copy initializer, and every unfinished session is re-submitted).
+Fault tolerance: serial and pooled batches run through one wave loop.
+Every pending session is submitted, results are drained in submission
+order, and the sessions to retry form the next wave; with one worker no
+pool is built and each attempt runs in this process as it is submitted.
+Every batch runs under a :class:`~repro.resilience.RetryPolicy` (bounded
+retries, exponential backoff with deterministic jitter, slept once per
+wave as the longest of that wave's delays), per-session timeouts
+(``timeout_s``), and automatic pool replacement after a worker crash
+(``BrokenProcessPool`` — the pool is respawned once per call, re-shipping
+the model's JSON payload, and every unfinished session is re-submitted).
 With ``partial=True`` a batch never raises: completed sessions are
 returned and the structured :class:`~repro.resilience.FailureReport`
 lands in ``failure_report_``.
@@ -28,6 +34,7 @@ lands in ``failure_report_``.
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -58,45 +65,50 @@ from repro.util.validation import check_positive
 
 
 #: Per-worker-process model installed by :func:`_init_worker` — loaded once
-#: per pool lifetime instead of being pickled into every task submission.
+#: per pool lifetime instead of being shipped with every task submission.
 _WORKER_MODEL: Optional[Recognizer] = None
 
 
-def _init_worker(payload: bytes, codec: str) -> None:
-    """Pool initializer: deserialise the fitted model once per worker.
+def _init_worker(payload: bytes) -> None:
+    """Pool initializer: load the fitted model from its ``repro.model/1``
+    JSON payload once per worker."""
+    from repro.util.artifacts import model_from_payload  # lazy: cycle
 
-    ``codec`` is ``"artifact"`` for the JSON model-payload codec (the four
-    first-class families — inspectable, no pickle) or ``"pickle"`` for
-    anything else (e.g. reference subclasses used by the benchmarks).
-    """
     global _WORKER_MODEL
     faultinject.mark_worker()  # arms real os._exit crash injection
-    if codec == "artifact":
-        from repro.util.artifacts import model_from_payload  # lazy: cycle
-
-        _WORKER_MODEL = model_from_payload(payload)
-    else:
-        import pickle
-
-        _WORKER_MODEL = pickle.loads(payload)
+    _WORKER_MODEL = model_from_payload(payload)
 
 
-def _decode_session(item: Tuple[str, LabeledSequence, int]):
-    """Worker body for batched decoding: one session against the
-    worker-resident model.  Returns a ``(key, predictions, DecodeStats,
-    decode_seconds)`` tuple — the in-worker wall-clock lets the parent
-    split a future's turnaround into decode time vs queue wait, and is
-    what per-session timeouts are checked against.  Submitting sessions
-    one at a time gives dynamic scheduling (fast workers pick up the
-    next session instead of idling behind a pre-assigned chunk).
+def _decode_attempt(model: Recognizer, key: str, seq: LabeledSequence, attempt: int):
+    """One attempt at one session.  Returns ``(predictions, DecodeStats,
+    decode_seconds)`` — the decode wall-clock lets the parent split a
+    future's turnaround into decode time vs queue wait, and is what
+    per-session timeouts are checked against.
 
     ``attempt`` is the 1-based retry ordinal; the fault-injection hook
     uses it to stop firing once a planned fault is spent."""
-    key, seq, attempt = item
     t0 = time.perf_counter()
     faultinject.maybe_inject(key, attempt)
-    pred = _WORKER_MODEL.decode(seq)
-    return key, pred, _WORKER_MODEL.last_stats, time.perf_counter() - t0
+    pred = model.decode(seq)
+    return pred, model.last_stats, time.perf_counter() - t0
+
+
+def _decode_session(key: str, seq: LabeledSequence, attempt: int):
+    """Pool task: one attempt against the worker-resident model.
+    Submitting sessions one at a time gives dynamic scheduling (fast
+    workers pick up the next session instead of idling behind a
+    pre-assigned chunk)."""
+    return _decode_attempt(_WORKER_MODEL, key, seq, attempt)
+
+
+def _run_inline(model: Recognizer, key: str, seq: LabeledSequence, attempt: int) -> Future:
+    """One attempt run now, in this process, into a completed future."""
+    future: Future = Future()
+    try:
+        future.set_result(_decode_attempt(model, key, seq, attempt))
+    except Exception as exc:  # noqa: BLE001 — the wave loop accounts it
+        future.set_exception(exc)
+    return future
 
 
 class _BatchInstruments:
@@ -168,7 +180,7 @@ class CaceEngine:
     pool_replacements_: int = field(default=0, init=False)
     _rng: np.random.Generator = field(init=False, repr=False)
     #: Times the fitted model was serialised for worker shipping (once per
-    #: pool lifetime — observability for the zero-copy contract).
+    #: pool lifetime — observability for the ship-once contract).
     model_ship_count_: int = field(default=0, init=False)
     #: Lazily created worker pool, reused across predict_dataset calls so
     #: steady-state batched decoding doesn't pay process spawn per batch.
@@ -271,23 +283,26 @@ class CaceEngine:
         """Predictions keyed by a per-sequence identifier.
 
         With ``workers > 1`` sessions are fanned across that many worker
-        processes (the fitted model is shipped to each worker once).
-        Per-session :class:`DecodeStats` are merged into ``batch_stats_``
-        in both modes; the serial path additionally keeps per-decode
-        wall-clock in the stopwatch as before.
+        processes (the fitted model is shipped to each worker once, as its
+        JSON payload; a model the artifact codec cannot write raises
+        ``TypeError``).  With one worker no pool is built and sessions
+        decode in this process.  Per-session :class:`DecodeStats` are
+        merged into ``batch_stats_`` and the batch's wall-clock lands in
+        the stopwatch's ``decode`` phase in both modes.
 
         Fault tolerance
         ---------------
         Each session is attempted up to ``retry.max_attempts`` times
-        (default :data:`~repro.resilience.DEFAULT_RETRY_POLICY`) with
-        exponential backoff and deterministic jitter between attempts.
-        ``timeout_s`` bounds one attempt's decode wall-clock: with a pool
-        it is enforced while waiting on the future (a hung worker is
-        abandoned and the session re-submitted), serially it is checked
-        against the attempt's measured duration.  A worker crash breaks
-        the whole pool (``BrokenProcessPool``); the pool is respawned
-        once per call — re-shipping the model through the zero-copy
-        initializer — and every unfinished session re-submitted.
+        (default :data:`~repro.resilience.DEFAULT_RETRY_POLICY`).  Failed
+        sessions are retried in waves, after one backoff sleep per wave
+        (the longest of the wave's exponential, deterministically
+        jittered delays).  ``timeout_s`` bounds one attempt's decode
+        wall-clock: it is checked against the attempt's measured
+        duration, and with a pool also enforced while waiting on the
+        future (a hung worker is abandoned and the session re-submitted).
+        A worker crash breaks the whole pool (``BrokenProcessPool``); the
+        pool is respawned once per call — re-shipping the model's JSON
+        payload — and every unfinished session re-submitted.
 
         The structured outcome lands in ``failure_report_`` (always set,
         empty on a clean run).  Sessions that exhaust their attempts
@@ -311,20 +326,11 @@ class CaceEngine:
         # engine built before obs.enable() still reports.
         reg = obs.registry_if_enabled()
         ins = _BatchInstruments(reg) if reg is not None else None
-        if workers <= 1 or len(items) <= 1:
-            # Serial path: no worker pool is created (or touched) at all.
-            with obs.span(
-                "engine.predict_dataset", sessions=len(items), workers=1
-            ), self.stopwatch.phase("decode"):
-                self._predict_serial(items, out, policy, timeout_s, report, ins)
-        else:
-            workers = min(workers, len(items))
-            with obs.span(
-                "engine.predict_dataset", sessions=len(items), workers=workers
-            ), self.stopwatch.phase("decode"):
-                self._predict_pooled(
-                    items, workers, out, policy, timeout_s, report, ins
-                )
+        workers = max(1, min(workers, len(items)))
+        with obs.span(
+            "engine.predict_dataset", sessions=len(items), workers=workers
+        ), self.stopwatch.phase("decode"):
+            self._decode_waves(items, workers, out, policy, timeout_s, report, ins)
         report.sessions_ok = len(out)
         if report.failures and not partial:
             raise DecodeFailure(report)
@@ -360,69 +366,31 @@ class CaceEngine:
             ins.retries.inc()
         return False
 
-    def _record_success(
-        self,
-        out: Dict[str, Dict[str, List[str]]],
-        key: str,
-        pred: Dict[str, List[str]],
-        stats: Optional[DecodeStats],
-        decode_s: float,
-        ins: Optional[_BatchInstruments],
-    ) -> None:
-        out[key] = pred
-        if stats is not None:
-            self.batch_stats_.merge(stats)
-        if ins is not None:
-            ins.decode.observe(decode_s)
-            ins.sessions.inc()
-
-    def _predict_serial(
-        self, items, out, policy, timeout_s, report, ins
-    ) -> None:
-        for key, seq in items:
-            attempt = 1
-            while True:
-                t0 = time.perf_counter()
-                try:
-                    faultinject.maybe_inject(key, attempt)
-                    pred = self.model_.decode(seq)
-                    decode_s = time.perf_counter() - t0
-                    if timeout_s is not None and decode_s > timeout_s:
-                        raise SessionTimeout(
-                            f"session {key!r} decoded in {decode_s:.3f}s "
-                            f"(timeout {timeout_s}s)"
-                        )
-                except Exception as exc:
-                    if self._account_failure(key, attempt, exc, policy, report, ins):
-                        break
-                    attempt += 1
-                    time.sleep(policy.delay_s(attempt, key))
-                    continue
-                self._record_success(out, key, pred, self.model_.last_stats,
-                                     decode_s, ins)
-                break
-
-    def _predict_pooled(
+    def _decode_waves(
         self, items, workers, out, policy, timeout_s, report, ins
     ) -> None:
-        """Wave-based fan-out: submit every pending session, drain in
-        submission order, collect retries into the next wave.  With no
-        failures there is exactly one wave, so the happy path is the old
-        dynamic-scheduling fan-out unchanged."""
+        """The batch loop, serial and pooled: submit every pending
+        session, drain in submission order, collect retries into the next
+        wave and sleep that wave's longest backoff before it.  With one
+        worker no pool is built: each attempt runs in this process as it
+        is submitted, into an already-completed future.  With no failures
+        there is exactly one wave."""
         from concurrent.futures.process import BrokenProcessPool
 
-        pool = self._worker_pool(workers)
+        pool = self._worker_pool(workers) if workers > 1 else None
         wave: List[Tuple[str, LabeledSequence, int]] = [
             (key, seq, 1) for key, seq in items
         ]
-        failed: set = set()
         while wave:
             futures = []
             done_at: Dict[object, float] = {}
             broken: Optional[BaseException] = None
             try:
                 for key, seq, attempt in wave:
-                    future = pool.submit(_decode_session, (key, seq, attempt))
+                    if pool is None:
+                        future = _run_inline(self.model_, key, seq, attempt)
+                    else:
+                        future = pool.submit(_decode_session, key, seq, attempt)
                     if ins is not None:
                         # Completion wall-clock captured the moment the
                         # result lands, not when we drain it below.
@@ -440,14 +408,18 @@ class CaceEngine:
                 else:
                     future, submit_t = futures[i]
                     try:
-                        _, pred, stats, decode_s = future.result(timeout=timeout_s)
+                        pred, stats, decode_s = future.result(timeout=timeout_s)
                         if timeout_s is not None and decode_s > timeout_s:
                             raise SessionTimeout(
                                 f"session {key!r} decoded in {decode_s:.3f}s "
                                 f"(timeout {timeout_s}s)"
                             )
-                        self._record_success(out, key, pred, stats, decode_s, ins)
+                        out[key] = pred
+                        if stats is not None:
+                            self.batch_stats_.merge(stats)
                         if ins is not None:
+                            ins.decode.observe(decode_s)
+                            ins.sessions.inc()
                             turnaround = (
                                 done_at.get(future, time.perf_counter()) - submit_t
                             )
@@ -458,9 +430,7 @@ class CaceEngine:
                         exc = exc_
                     except Exception as exc_:
                         exc = exc_
-                if self._account_failure(key, attempt, exc, policy, report, ins):
-                    failed.add(key)
-                else:
+                if not self._account_failure(key, attempt, exc, policy, report, ins):
                     next_wave.append((key, seq, attempt + 1))
                     max_delay = max(max_delay, policy.delay_s(attempt + 1, key))
             if broken is not None and not next_wave:
@@ -472,7 +442,6 @@ class CaceEngine:
                 if pool is None:
                     # Second crash in one call: stop retrying, fail the rest.
                     for key, _seq, attempt in next_wave:
-                        failed.add(key)
                         report.failures.append(
                             SessionFailure(key, "crash", attempt, str(broken))
                         )
@@ -521,12 +490,11 @@ class CaceEngine:
             or self._pool_model_ref is not self.model_
         ):
             self.close()
-            payload, codec = self._model_payload()
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("spawn"),
                 initializer=_init_worker,
-                initargs=(payload, codec),
+                initargs=(self._model_payload(),),
             )
             self._pool._safe_to_dynamically_spawn_children = False
             self._pool_workers = workers
@@ -536,22 +504,18 @@ class CaceEngine:
                 reg.gauge("engine.pool_workers").set(workers)
         return self._pool
 
-    def _model_payload(self) -> Tuple[bytes, str]:
-        """Serialise ``model_`` once for worker shipping."""
-        from repro.util.artifacts import (  # lazy: avoid an import cycle
-            model_to_payload,
-            payload_supported,
-        )
+    def _model_payload(self) -> bytes:
+        """Serialise ``model_`` once for worker shipping, as its
+        ``repro.model/1`` JSON payload (``TypeError`` for a model the
+        artifact codec cannot write)."""
+        from repro.util.artifacts import model_to_payload  # lazy: avoid a cycle
 
+        payload = model_to_payload(self.model_)
         self.model_ship_count_ += 1
         reg = obs.registry_if_enabled()
         if reg is not None:
             reg.counter("engine.model_ships").inc()
-        if payload_supported(self.model_):
-            return model_to_payload(self.model_), "artifact"
-        import pickle
-
-        return pickle.dumps(self.model_), "pickle"
+        return payload
 
     def close(self) -> None:
         """Shut down the batched-decoding worker pool, if any.
@@ -585,14 +549,6 @@ class CaceEngine:
             self.close()
         except Exception:
             pass
-
-    def __getstate__(self):
-        # The worker pool is process-local state; everything else ships.
-        state = dict(self.__dict__)
-        state["_pool"] = None
-        state["_pool_workers"] = 0
-        state["_pool_model_ref"] = None
-        return state
 
     def posterior_marginals(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
         """Posterior macro marginals per resident (scores for ROC/PRC).

@@ -31,6 +31,17 @@ from repro.home.layout import SUB_REGIONS
 
 _ROOM_OF = {sr.sr_id: sr.room for sr in SUB_REGIONS}
 
+#: Minimum occupancy mass a macro must put on the candidate sub-locations
+#: to be hypothesised there (the probabilistic "state space creation"
+#: filter); below it the macro keeps one fallback state.
+MACRO_MASS_THRESHOLD = 0.02
+#: Minimum occupancy of a sub-location for a macro's extra hypotheses there.
+MIN_SUBLOC_PRIOR = 0.01
+#: Safety bound on the builder's candidate memo — candidate tuples are drawn
+#: from a small fused vocabulary, but a pathological stream must not grow it
+#: forever.
+_CAND_CACHE_LIMIT = 8192
+
 
 class UserState(NamedTuple):
     """One hidden-state hypothesis for one resident."""
@@ -94,27 +105,19 @@ class StateSpaceBuilder:
     ----------
     constraint_model:
         Mined statistics; its per-macro sub-location occupancy decides which
-        macro activities are compatible with a candidate location set.
-    macro_mass_threshold:
-        Minimum occupancy mass a macro must put on the candidate
-        sub-locations to be hypothesised there (the probabilistic "state
-        space creation" filter).
+        macro activities are compatible with a candidate location set
+        (above :data:`MACRO_MASS_THRESHOLD`).
     max_states_per_user:
         Hard cap on per-user candidates (best-scoring kept).
     """
 
     constraint_model: ConstraintModel
-    macro_mass_threshold: float = 0.02
-    min_subloc_prior: float = 0.01
     max_states_per_user: int = 60
     #: Memo of encoded candidate lists keyed by the fused sub-location
     #: candidate tuple (the only observation field the builder reads).
     _cand_cache: Dict[Tuple[str, ...], Tuple[List[UserState], np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False
     )
-    #: Safety bound on the memo — candidate tuples are drawn from a small
-    #: fused vocabulary, but a pathological stream must not grow it forever.
-    _cand_cache_limit: int = 8192
 
     def __post_init__(self) -> None:
         cm = self.constraint_model
@@ -141,7 +144,7 @@ class StateSpaceBuilder:
             states = self.candidate_states(obs)
             m = np.array([cm.macro_index.index(s.macro) for s in states], dtype=int)
             l = np.array([cm.subloc_index.index(s.subloc) for s in states], dtype=int)
-            if len(self._cand_cache) >= self._cand_cache_limit:
+            if len(self._cand_cache) >= _CAND_CACHE_LIMIT:
                 self._cand_cache.clear()
             hit = (states, m, l)
             self._cand_cache[key] = hit
@@ -172,7 +175,7 @@ class StateSpaceBuilder:
         for m_i, macro in enumerate(cm.macro_index.labels):
             mass = float(occupancy[m_i, cand_idx].sum())
             best_l = cand_idx[int(np.argmax(occupancy[m_i, cand_idx]))]
-            if mass < self.macro_mass_threshold:
+            if mass < MACRO_MASS_THRESHOLD:
                 # Outside its usual locations: keep one fallback hypothesis
                 # at the macro's modal sub-location.
                 l_i = int(np.argmax(occupancy[m_i]))
@@ -183,7 +186,7 @@ class StateSpaceBuilder:
             seen.add((m_i, best_l))
             for l_i in cand_idx:
                 p = float(occupancy[m_i, l_i])
-                if p < self.min_subloc_prior or (m_i, l_i) in seen:
+                if p < MIN_SUBLOC_PRIOR or (m_i, l_i) in seen:
                     continue
                 scored.append((mass * p, UserState(macro, cm.subloc_index.label(l_i))))
         scored.sort(key=lambda pair: -pair[0])

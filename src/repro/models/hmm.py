@@ -122,8 +122,8 @@ class _HmmTrellis:
 
     def prepare(self, t0: int, t1: int) -> None:
         """Batch-score the emission rows for steps ``[t0, t1)`` with one
-        stacked quadratic-form evaluation per state (bit-identical to the
-        per-step path ``piece`` falls back to)."""
+        stacked quadratic-form evaluation per state (each entry
+        bit-identical to ``GaussianEmission.log_pdf``)."""
         model = self.model
         n_m = len(model.macro_index)
         rid = self.rids[0]
@@ -136,7 +136,7 @@ class _HmmTrellis:
             for t in todo
         ]
         if len({x.shape[0] for x in feats}) != 1:
-            return  # ragged feature dims: let piece() score them one by one
+            return  # ragged feature dims: piece() scores them one by one
         rows = model.emission_.log_pdf_rows(range(n_m), np.stack(feats))
         for k, t in enumerate(todo):
             self._rows[t] = rows[k]
@@ -147,15 +147,9 @@ class _HmmTrellis:
     def piece(self, t: int):
         from repro.core.api import TrellisPiece  # lazy: avoid a cycle
 
-        scores = self._rows.pop(t, None)
-        if scores is None:
-            model = self.model
-            n_m = len(model.macro_index)
-            x = np.asarray(
-                self.seq.steps[t].observations[self.rids[0]].features, dtype=float
-            )
-            scores = model.emission_.log_pdf_many(range(n_m), x)
-        return TrellisPiece(scores=scores)
+        if t not in self._rows:
+            self.prepare(t, t + 1)
+        return TrellisPiece(scores=self._rows.pop(t))
 
     def initial_alpha(self, piece) -> np.ndarray:
         return self._log_prior + piece.scores

@@ -452,6 +452,7 @@ class SessionRouter:
         ``(n_consumed, labels)`` with one label entry per consumed step."""
         state = self._sessions.get(session_id)
         if state is not None and state.degraded:
+            self._sessions.move_to_end(session_id)
             labels = [self._degraded_push(state, step) for step in steps[i:]]
             return len(steps) - i, labels
         # The run: steps[i:j], all valid.  A new session's residents are

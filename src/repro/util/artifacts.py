@@ -15,7 +15,8 @@ exactly through JSON's shortest-repr encoding; the derived tables are pure
 functions of them).
 
 No pickle anywhere: artifacts are inspectable, diff-able, and safe to load
-from untrusted storage.
+from untrusted storage.  A worker pool receives its model the same way, as
+the bare-model payload of :func:`model_to_payload`.
 """
 
 from __future__ import annotations
@@ -202,13 +203,20 @@ def _hmm_from_obj(obj: Dict) -> MacroHmm:
 
 
 def _model_to_obj(model) -> Dict:
-    if isinstance(model, NChainHdbn):
+    """Artifact form of a bare fitted model.
+
+    Exact-type check on purpose: a subclass (e.g. a reference decoder) may
+    carry state or overrides the codec does not capture, so it is refused
+    rather than written out as its parent family.
+    """
+    family = type(model)
+    if family is NChainHdbn:
         return _hdbn_to_obj(model, "nchain")
-    if isinstance(model, SingleUserHdbn):
+    if family is SingleUserHdbn:
         return _hdbn_to_obj(model, "single_user")
-    if isinstance(model, MacroHmm):
+    if family is MacroHmm:
         return _hmm_to_obj(model)
-    raise TypeError(f"cannot serialise model family {type(model).__name__}")
+    raise TypeError(f"cannot serialise model family {family.__name__}")
 
 
 def _model_from_obj(obj: Dict):
@@ -223,16 +231,6 @@ def _model_from_obj(obj: Dict):
 # ---------------------------------------------------------------------------
 # bare-model payloads (worker-pool shipping)
 # ---------------------------------------------------------------------------
-
-
-def payload_supported(model) -> bool:
-    """Whether *model* round-trips through the JSON artifact codec.
-
-    Exact-type check on purpose: subclasses (e.g. the reference decoders)
-    may carry state or overrides the codec does not capture, so they must
-    fall back to pickling.
-    """
-    return type(model) in (NChainHdbn, SingleUserHdbn, MacroHmm)
 
 
 def model_to_payload(model) -> bytes:

@@ -70,16 +70,6 @@ class Stopwatch:
         lines.append(f"total: {self.total:.4f}s")
         return "\n".join(lines)
 
-    # The registry holds threading.Locks (unpicklable); serialise the
-    # accumulated totals instead and rebuild on the other side.
-    def __getstate__(self):
-        return {"phases": self.phases}
-
-    def __setstate__(self, state) -> None:
-        self.registry = MetricsRegistry()
-        for name, secs in state.get("phases", {}).items():
-            self.histogram(name).observe(secs)
-
 
 @contextmanager
 def timed() -> Iterator[list]:

@@ -17,6 +17,8 @@ import os
 import pytest
 
 from repro.core.engine import CaceEngine
+from repro.core.loosely_coupled import PAIR_CAPS
+from repro.core.reference import ReferenceNChainHdbn
 from repro.datasets import generate_cace_dataset, train_test_split
 from repro.models.hmm import MacroHmm
 from repro.obs import runtime as obs
@@ -40,6 +42,7 @@ from repro.resilience import (
 )
 from repro.resilience import faultinject
 from repro.serve.router import SessionRouter
+from repro.util.artifacts import save_engine
 
 
 @pytest.fixture(autouse=True)
@@ -426,6 +429,57 @@ class TestPooledResilience:
         finally:
             engine.close()
             obs.disable()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_serial_and_pooled_account_alike(self, engine, corpus, reference, workers):
+        """One wave loop serves both modes: the same plan yields the same
+        report and labels whether attempts run inline or in a pool."""
+        _, test = corpus
+        keys = _keys(test)
+        policy = RetryPolicy(max_retries=1, backoff_base_s=0.0, jitter=0.0)
+        plan = FaultPlan({
+            keys[0]: Fault("error", times=policy.max_attempts),
+            keys[3]: Fault("error", times=1),
+        })
+        try:
+            with injected(plan):
+                out = engine.predict_dataset(
+                    test, workers=workers, retry=policy, partial=True)
+        finally:
+            engine.close()
+        report = engine.failure_report_
+        assert report.failed_keys() == [keys[0]]
+        assert [(f.kind, f.attempts) for f in report.failures] == [
+            ("error", policy.max_attempts)
+        ]
+        assert report.retries == policy.max_attempts
+        assert report.sessions_ok == len(keys) - 1
+        assert out == {k: v for k, v in reference.items() if k != keys[0]}
+
+    def test_subclass_model_is_refused_not_shipped(self, engine, corpus, tmp_path):
+        """The artifact codec writes exact model families only: a reference
+        subclass raises TypeError instead of being saved or shipped to a
+        pool as its parent class."""
+        train, test = corpus
+        fitted = engine.model_
+        ref_engine = CaceEngine(strategy="c2", seed=11)
+        ref_engine.rule_set_ = engine.rule_set_
+        ref_engine.model_ = ReferenceNChainHdbn(
+            constraint_model=fitted.constraint_model,
+            rule_set=fitted.rule_set,
+            seed=fitted.seed,
+            **PAIR_CAPS,
+        ).fit(train)
+        path = tmp_path / "model.json"
+        with pytest.raises(TypeError, match="ReferenceNChainHdbn"):
+            save_engine(ref_engine, path)
+        assert not path.exists()
+        try:
+            with pytest.raises(TypeError, match="ReferenceNChainHdbn"):
+                ref_engine.predict_dataset(test, workers=2)
+            assert ref_engine._pool is None
+        finally:
+            ref_engine.close()
 
     def test_obs_counters_match_report(self, engine, corpus):
         _, test = corpus

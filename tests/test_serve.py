@@ -12,6 +12,7 @@ import pytest
 from repro.core.api import DecodeStats
 from repro.core.engine import CaceEngine
 from repro.core.smoother import OnlineSmoother
+from repro.resilience import corrupt_step
 from repro.serve import SessionRouter
 
 
@@ -176,6 +177,18 @@ class TestEvictionAccounting:
             solo_b.joint_states,
             solo_b.transition_entries,
         )
+
+    def test_quarantined_session_pushes_refresh_lru_position(self, engine, test_seqs):
+        steps = test_seqs[0].steps
+        router = SessionRouter(engine, lag=1, max_sessions=2)
+        router.push("a", steps[0])
+        router.push("a", corrupt_step(steps[1], mode="nan"))  # quarantines "a"
+        assert router.session("a").degraded
+        router.push("b", test_seqs[1].steps[0])
+        for t in range(2, 6):
+            router.push("a", steps[t])  # degraded pushes keep "a" recent
+        router.open_session("c", test_seqs[0].resident_ids)  # evicts LRU "b"
+        assert "b" not in router and "a" in router and "c" in router
 
     def test_eviction_metrics_and_snapshot(self, engine, test_seqs):
         from repro.obs.metrics import MetricsRegistry
