@@ -3,10 +3,11 @@
 The sequence-level decode kernels stack each session's feature rows into
 a ``(T, d)`` matrix scored against the stacked GMM bank with one einsum,
 batch object-evidence deltas and soft-location rows into per-sequence
-tables, and evaluate correlation-rule scalar gates once per step — the
-per-step trellis only indexes precomputed rows.  This bench measures
-steps/sec before (the ``Reference*`` seed hot paths) vs after on the same
-fitted models, asserting the contract: >= 5x serial c2 speedup, >= 3x on
+tables — the per-step trellis only indexes precomputed rows.  Correlation
+rules are evaluated once per model on the (macro, sub-location) grid and
+gathered by candidate code.  This bench measures steps/sec before (the
+``Reference*`` seed hot paths) vs after on the same fitted models,
+asserting the contract: >= 5x serial c2 speedup, >= 3x on
 the 3-resident N-chain and fixed-lag smoother paths (the smoother on
 pairs both after one bulk ``prepare_range``, then a ``push`` per step,
 and one ``push`` per step alone, and on 3-resident homes one ``push`` per

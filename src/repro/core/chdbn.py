@@ -291,8 +291,8 @@ def init_user_evidence(model) -> None:
     model.builder = StateSpaceBuilder(
         constraint_model=cm, max_states_per_user=4 * model.max_states_per_user
     )
-    # Rules are compiled once per model into per-(rule, candidate-list)
-    # boolean matrices with per-step scalar gates (repro.core.rule_kernel).
+    # Rules are compiled once per model into a table on the (macro, subloc)
+    # grid with per-step scalar gates (repro.core.rule_kernel).
     model._single_rules = model.rule_set.single_user() if model.rule_set else None
     model._single_pruner = (
         SingleRulePruner(CompiledRules(model._single_rules), cm, model.builder.room_of_l)
@@ -332,30 +332,22 @@ def build_candidate_set(
     Shared by the per-user and the coupled model: fetch the memoised
     encoded list, apply single-user rule pruning (the rules are
     canonicalised to slot u1 by ``CorrelationRuleSet.single_user()``, so
-    the same matrix is correct for every resident — slot-invariance is
+    the same grid table is correct for every resident — slot-invariance is
     regression-tested in ``tests/test_decode_stats.py``), score emissions,
-    and keep the best ``max_states_per_user``.  Rule gates and emission
-    scores come from *kern*'s precomputed per-sequence tables.
+    and keep the best ``max_states_per_user``.  Emission scores come from
+    *kern*'s precomputed per-sequence tables.
     """
     obs = seq.steps[t].observations[rid]
-    key = obs.subloc_candidates
-    full_states, full_m, full_l = model.builder.candidate_states_encoded(obs)
-    states, m, l = full_states, full_m, full_l
-    idx = np.arange(len(full_states))
+    states, m, l = model.builder.candidate_states_encoded(obs)
     if model._single_pruner is not None:
-        keep = model._single_pruner.keep(
-            key, full_m, full_l, obs, kern.step_items(t), kern.single_gates(rid, t)
-        )
+        keep = model._single_pruner.keep(m, l, obs, kern.step_items(t))
         if keep.any() and not keep.all():
             idx = np.flatnonzero(keep)
             states = [states[i] for i in idx]
             m = m[idx]
             l = l[idx]
     emissions = kern.emissions(rid, t, m, l)
-    candidates = CandidateSet(
-        states=states, m=m, l=l, emissions=emissions, obs=obs,
-        src_key=key, src_idx=idx, src_m=full_m, src_l=full_l,
-    )
+    candidates = CandidateSet(states=states, m=m, l=l, emissions=emissions, obs=obs)
     if len(candidates) > model.max_states_per_user:
         top = np.argsort(emissions)[::-1][: model.max_states_per_user]
         candidates = candidates.take(top)

@@ -31,10 +31,10 @@ Three layers live here:
   the ``(R·T, d)`` feature rows are scored against the stacked GMM bank
   with one einsum and one log-sum-exp, posture/gesture CPT rows are
   gathered at once, each step's object-evidence vector is looked up once
-  and added to every resident's row, soft-location rows are batched, and
-  the correlation-rule scalar gates are evaluated once per step per
-  resident.  The per-step trellis machinery then only *indexes*
-  precomputed rows.
+  and added to every resident's row, and soft-location rows are batched.
+  The per-step trellis machinery then only *indexes* precomputed rows.
+  Correlation-rule gates are not built here: the rule pruners of
+  :mod:`repro.core.rule_kernel` memoise them per observed context.
 
 Equivalence contract: every evidence row is assembled from the same
 elementary float operations as the seed's per-state loop
@@ -364,7 +364,8 @@ class SequenceKernel:
     build stacks every resident's rows, so a one-step build pays its
     numpy dispatch once, not once per resident.  Neither batch size nor
     stacking changes any value: every row is independent
-    of the rows built with it.
+    of the rows built with it.  Rule gates are not among the tables: the
+    pruners of :mod:`repro.core.rule_kernel` memoise their own.
     """
 
     def __init__(self, model, seq: LabeledSequence, rids: Sequence[str]) -> None:
@@ -402,21 +403,16 @@ class SequenceKernel:
         self._pir_memo: Dict[frozenset, np.ndarray] = {}
         self._cand_loc_memo: Dict[Tuple[str, ...], np.ndarray] = {}
         # Per-step tables, indexed by absolute step; :meth:`release` drops
-        # the steps no later lookup reads.  ``_cross_gates[t]`` memoises
-        # the step's cross-user gates by ordered resident pair.
+        # the steps no later lookup reads.
         self._step_items = StepWindow()
         self._pir_masks = StepWindow()
-        self._cross_gates = StepWindow()
         self._macro_rows = {r: StepWindow() for r in self.rids}
         self._loc_rows = {r: StepWindow() for r in self.rids}
-        self._single_gates = {r: StepWindow() for r in self.rids}
         self._tables: List[StepWindow] = [
             self._step_items,
             self._pir_masks,
-            self._cross_gates,
             *self._macro_rows.values(),
             *self._loc_rows.values(),
-            *self._single_gates.values(),
         ]
 
     # -- construction -------------------------------------------------------------
@@ -450,24 +446,15 @@ class SequenceKernel:
         """
         steps = self.seq.steps[start:t1]
         n = len(steps)
-        items = [StepItems(step) for step in steps]
-        self._step_items.extend(items)
+        self._step_items.extend(StepItems(step) for step in steps)
         self._pir_masks.extend(self._pir_mask(step.rooms_fired) for step in steps)
-        self._cross_gates.extend({} for _ in steps)
         obs_list = [step.observations[rid] for rid in self.rids for step in steps]
         loc_rows = self._build_loc_rows(obs_list)
         macro_rows = self._build_macro_rows(steps, obs_list)
-        single = self.model._single_pruner
         for r, rid in enumerate(self.rids):
             part = slice(r * n, (r + 1) * n)
             self._loc_rows[rid].extend(loc_rows[part])
             self._macro_rows[rid].extend(macro_rows[part])
-            if single is None:
-                self._single_gates[rid].extend([None] * n)
-            else:
-                self._single_gates[rid].extend(
-                    single._gates(amb, obs) for amb, obs in zip(items, obs_list[part])
-                )
         self._built = t1
 
     def release(self, t: int) -> None:
@@ -573,21 +560,3 @@ class SequenceKernel:
     def step_items(self, t: int) -> StepItems:
         """The step's precomputed ambient item sets."""
         return self._step_items[t]
-
-    def single_gates(self, rid: str, t: int) -> Optional[np.ndarray]:
-        """Single-user rule gate vector for (rid, t), or None if unruled."""
-        return self._single_gates[rid][t]
-
-    def cross_gates(self, rid_a: str, rid_b: str, t: int) -> np.ndarray:
-        """Cross-user rule gate vector for the ordered pair at step t."""
-        memo = self._cross_gates[t]
-        gates = memo.get((rid_a, rid_b))
-        if gates is None:
-            step = self.seq.steps[t]
-            gates = self.model._cross_pruner._gates(
-                self._step_items[t],
-                step.observations[rid_a],
-                step.observations[rid_b],
-            )
-            memo[rid_a, rid_b] = gates
-        return gates

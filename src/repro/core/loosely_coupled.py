@@ -227,15 +227,14 @@ class NChainHdbn:
         cm = self.constraint_model
         room_of_l = self.builder.room_of_l
         if self._cross_pruner is not None:
-            # The pairwise rule matrices are cached per candidate list, so
-            # every ordered chain pair reuses the same per-rule rows.
+            # The pruner's grid tables and gate memo serve every ordered
+            # chain pair.
             amb = kern.step_items(t)
             for a in range(n):
                 for b in range(a + 1, n):
                     ab = (shape[a],) + ones[a + 1:b] + on_axis[b]
                     ca, cb = per_user[a], per_user[b]
-                    gates = kern.cross_gates(rids[a], rids[b], t)
-                    mask &= self._cross_pruner.keep(amb, ca, cb, gates).reshape(ab)
+                    mask &= self._cross_pruner.keep(amb, ca, cb).reshape(ab)
                     pen = soft_exclusion_matrix(
                         self._compiled_cross, cm, room_of_l, ca, cb, self.soft_exclusion_penalty
                     )

@@ -1,26 +1,25 @@
-"""Vectorised correlation-rule checks over candidate state lists.
+"""Vectorised correlation-rule checks on the ``(macro, sub-location)`` grid.
 
 The seed implementation materialised one ``frozenset`` of
 :class:`~repro.mining.context_rules.Item` per hypothesised state — and
 rebuilt those sets up to three times per step (per-user pruning, the
 cross-user prune mask, and the soft-exclusion penalty).  This module
-replaces per-pair Python set algebra with boolean matrices precomputed
-per ``(rule, candidate list)``:
+replaces per-pair Python set algebra with tables built once per pruner:
 
 * every rule factorises into a *state part* (macro / sub-location / room
-  items — a boolean vector over a candidate list, independent of the
-  step) and a *gate* (posture / gesture / ambient items — one bool per
-  step, independent of the candidate);
-* candidate lists are memoised by the builder per fused sub-location
-  candidate tuple, so each rule's state vectors are computed once per
-  distinct list (:class:`SingleRulePruner` / :class:`CrossRulePruner`
-  cache a ``(rules x candidates)`` matrix per list) and merely *sliced*
-  per step;
+  items — a function of a candidate's ``(macro, subloc)`` codes alone)
+  and a *gate* (posture / gesture / ambient items — one bool per step,
+  independent of the candidate);
+* each pruner evaluates its rules' state parts once, at construction, on
+  every code of the grid: an ``(M·L, R)`` 0/1 table whose row ``m·L + l``
+  holds candidate ``(m, l)``'s state parts, so a candidate's rows are
+  gathered by code;
 * gates collapse to a 0/1 vector memoised per observed (posture,
   gesture, fired rooms, fired objects) combination;
-* a step's prune mask is then one small mat-vec (per-user rules) or
-  matmul (cross-user rules): candidate *i* survives iff no gated rule's
-  state part covers it.
+* candidate *i* survives iff no gated rule's state part covers it.  A
+  single-user pruner memoises, per gate key, the whole grid's keep-mask
+  (one mat-vec per key) and answers a step with one gather; a cross-user
+  pruner gathers both sides' rows and takes one gated matmul per step.
 
 The semantics exactly mirror the seed's item-set formulation (kept as the
 executable spec in :mod:`repro.core.reference`): a state contributes
@@ -234,24 +233,37 @@ def _state_row(items: Tuple[Item, ...], viol_cons: Optional[Item],
     return row
 
 
+def _grid_table(parts, cm, room_of_l: np.ndarray) -> np.ndarray:
+    """(M·L, R) 0/1 table of the ``(items, viol_cons)`` state parts: row
+    ``m·L + l`` evaluated at the candidate ``(m, l)``."""
+    n_loc = len(cm.subloc_index)
+    m = np.repeat(np.arange(cm.n_macro), n_loc)
+    l = np.tile(np.arange(n_loc), cm.n_macro)
+    rooms = room_of_l[l]
+    table = np.zeros((m.shape[0], len(parts)))
+    for r, (items, viol_cons) in enumerate(parts):
+        table[:, r] = _state_row(items, viol_cons, m, l, cm, rooms)
+    return table
+
+
 _CACHE_LIMIT = 8192
 
 
 class SingleRulePruner:
-    """Per-user rule pruning as one gate mat-vec per step.
+    """Per-user rule pruning as one gather per step.
 
-    Row *r* of the cached per-candidate-list matrix is rule *r*'s
-    state-part violation mask; a candidate is kept iff no active rule's
-    row covers it — exactly ``rule_set.is_consistent(state_items | amb)``
-    for single-user rule sets (which carry no exclusions).
+    Column *r* of the grid table is rule *r*'s state-part violation mask;
+    a candidate is kept iff no active rule's column covers it — exactly
+    ``rule_set.is_consistent(state_items | amb)`` for single-user rule
+    sets (which carry no exclusions).  The grid's keep-mask is memoised
+    per gate key.
     """
 
     def __init__(self, compiled: CompiledRules, cm, room_of_l: np.ndarray) -> None:
-        self._cm = cm
-        self._room_of_l = room_of_l
-        self._rows_cache: Dict[tuple, np.ndarray] = {}
-        self._gate_cache: Dict[tuple, np.ndarray] = {}
-        self._specs: List[Tuple[Tuple[Item, ...], Optional[Item], _Gate]] = []
+        self._n_loc = len(cm.subloc_index)
+        self._keep_cache: Dict[tuple, np.ndarray] = {}
+        parts: List[Tuple[Tuple[Item, ...], Optional[Item]]] = []
+        self._rule_gates: List[_Gate] = []
         for rule in compiled.forcing:
             if rule.dead or rule.ant_u2:
                 # Canonicalised single-user rules live on u1 + amb only.
@@ -260,75 +272,50 @@ class SingleRulePruner:
             if cons.slot == "u1":
                 if cons.attr in _SCALAR_ATTRS:
                     gate = _Gate(rule.ant_amb, rule.u1_scalar, (), 1, cons, None)
-                    self._specs.append((rule.u1_vector, None, gate))
+                    parts.append((rule.u1_vector, None))
                 else:
                     gate = _Gate(rule.ant_amb, rule.u1_scalar, ())
-                    self._specs.append((rule.u1_vector, cons, gate))
+                    parts.append((rule.u1_vector, cons))
             elif cons.slot == "amb":
                 gate = _Gate(rule.ant_amb, rule.u1_scalar, (), 0, None, cons)
-                self._specs.append((rule.u1_vector, None, gate))
-            # Other consequent slots can never be violated by one user's
-            # items (open world) — no row.
+                parts.append((rule.u1_vector, None))
+            else:
+                # Other consequent slots can never be violated by one
+                # user's items (open world) — no column.
+                continue
+            self._rule_gates.append(gate)
+        self._table = _grid_table(parts, cm, room_of_l)
 
-    @property
-    def n_rules(self) -> int:
-        return len(self._specs)
-
-    def _rows(self, key: tuple, m: np.ndarray, l: np.ndarray) -> np.ndarray:
-        rows = self._rows_cache.get(key)
-        if rows is None:
-            rooms = self._room_of_l[l]
-            rows = np.zeros((len(self._specs), m.shape[0]))
-            for r, (items, viol_cons, _) in enumerate(self._specs):
-                rows[r] = _state_row(items, viol_cons, m, l, self._cm, rooms)
-            if len(self._rows_cache) >= _CACHE_LIMIT:
-                self._rows_cache.clear()
-            self._rows_cache[key] = rows
-        return rows
-
-    def _gates(self, amb: StepItems, obs: ResidentObservation) -> np.ndarray:
+    def _grid_keep(self, amb: StepItems, obs: ResidentObservation) -> np.ndarray:
         key = (obs.posture, obs.gesture, amb.rooms, amb.objects)
-        gates = self._gate_cache.get(key)
-        if gates is None:
+        keep = self._keep_cache.get(key)
+        if keep is None:
             gates = np.array(
-                [1.0 if gate.active(amb, obs, None) else 0.0 for _, _, gate in self._specs]
+                [1.0 if gate.active(amb, obs, None) else 0.0 for gate in self._rule_gates]
             )
-            if len(self._gate_cache) >= _CACHE_LIMIT:
-                self._gate_cache.clear()
-            self._gate_cache[key] = gates
-        return gates
+            keep = self._table @ gates == 0.0
+            if len(self._keep_cache) >= _CACHE_LIMIT:
+                self._keep_cache.clear()
+            self._keep_cache[key] = keep
+        return keep
 
     def keep(
-        self,
-        key: tuple,
-        m: np.ndarray,
-        l: np.ndarray,
-        obs: ResidentObservation,
-        amb: StepItems,
-        gates: Optional[np.ndarray] = None,
+        self, m: np.ndarray, l: np.ndarray, obs: ResidentObservation, amb: StepItems
     ) -> np.ndarray:
-        """(n,) mask of candidates consistent with the single-user rules.
-
-        ``gates`` short-circuits the per-step gate evaluation with a
-        precomputed vector (the sequence kernel batches them per step).
-        """
-        if not self._specs:
-            return np.ones(m.shape[0], dtype=bool)
-        if gates is None:
-            gates = self._gates(amb, obs)
-        violations = gates @ self._rows(key, m, l)
-        return violations == 0.0
+        """(n,) mask of the candidates ``(m, l)`` consistent with the
+        single-user rules."""
+        return self._grid_keep(amb, obs)[m * self._n_loc + l]
 
 
 class CrossRulePruner:
     """Cross-user rule pruning as one gated matmul per step.
 
     Each prunable relation — a ``(u1, u2)`` hard exclusion, or a forcing
-    rule whose consequent sits on one of the two slots — contributes a row
-    pair ``(row_u1, row_u2)``: the joint state ``(i, j)`` is pruned when
-    the rule's gate is open and ``row_u1[i] & row_u2[j]``.  Row pairs are
-    cached per candidate-list key and sliced per step, so the mask costs
-    one ``(n1, R) @ (R, n2)`` product.
+    rule whose consequent sits on one of the two slots — contributes a
+    column to each of two grid tables, one per side: the joint state
+    ``(i, j)`` is pruned when the rule's gate is open and both sides'
+    state parts hold.  A step gathers each side's rows by candidate code,
+    so the mask costs one ``(n1, R) @ (R, n2)`` product.
 
     Matches the seed's cross-user pruning
     (:func:`repro.core.reference.reference_cross_prune_mask`) exactly, including
@@ -337,12 +324,11 @@ class CrossRulePruner:
     """
 
     def __init__(self, compiled: CompiledRules, cm, room_of_l: np.ndarray) -> None:
-        self._cm = cm
-        self._room_of_l = room_of_l
-        self._rows_cache: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        self._n_loc = len(cm.subloc_index)
         self._gate_cache: Dict[tuple, np.ndarray] = {}
-        #: (items1, viol1, items2, viol2, gate) per row.
-        self._specs: List[tuple] = []
+        parts1: List[Tuple[Tuple[Item, ...], Optional[Item]]] = []
+        parts2: List[Tuple[Tuple[Item, ...], Optional[Item]]] = []
+        self._rule_gates: List[_Gate] = []
 
         for excl in compiled.hard_exclusions:
             a, b = excl.a, excl.b
@@ -355,7 +341,9 @@ class CrossRulePruner:
                 (a,) if a.attr in _SCALAR_ATTRS else (),
                 (b,) if b.attr in _SCALAR_ATTRS else (),
             )
-            self._specs.append((items1, None, items2, None, gate))
+            parts1.append((items1, None))
+            parts2.append((items2, None))
+            self._rule_gates.append(gate)
 
         for rule in compiled.forcing:
             cons = rule.cons
@@ -371,28 +359,11 @@ class CrossRulePruner:
             else:
                 viol2 = cons
             gate = _Gate(rule.ant_amb, rule.u1_scalar, rule.u2_scalar, viol_side, viol_cons)
-            self._specs.append((rule.u1_vector, viol1, rule.u2_vector, viol2, gate))
-
-    @property
-    def n_rules(self) -> int:
-        return len(self._specs)
-
-    def _rows(self, key: tuple, m: np.ndarray, l: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(R, n) state-part matrices for a *full* candidate list, for this
-        list playing the u1 side and the u2 side respectively."""
-        rows = self._rows_cache.get(key)
-        if rows is None:
-            rooms = self._room_of_l[l]
-            r1 = np.zeros((len(self._specs), m.shape[0]))
-            r2 = np.zeros_like(r1)
-            for r, (items1, viol1, items2, viol2, _) in enumerate(self._specs):
-                r1[r] = _state_row(items1, viol1, m, l, self._cm, rooms)
-                r2[r] = _state_row(items2, viol2, m, l, self._cm, rooms)
-            rows = (r1, r2)
-            if len(self._rows_cache) >= _CACHE_LIMIT:
-                self._rows_cache.clear()
-            self._rows_cache[key] = rows
-        return rows
+            parts1.append((rule.u1_vector, viol1))
+            parts2.append((rule.u2_vector, viol2))
+            self._rule_gates.append(gate)
+        self._table1 = _grid_table(parts1, cm, room_of_l)
+        self._table2 = _grid_table(parts2, cm, room_of_l)
 
     def _gates(
         self, amb: StepItems, obs1: ResidentObservation, obs2: ResidentObservation
@@ -401,31 +372,23 @@ class CrossRulePruner:
         gates = self._gate_cache.get(key)
         if gates is None:
             gates = np.array(
-                [1.0 if spec[4].active(amb, obs1, obs2) else 0.0 for spec in self._specs]
+                [1.0 if gate.active(amb, obs1, obs2) else 0.0 for gate in self._rule_gates]
             )
             if len(self._gate_cache) >= _CACHE_LIMIT:
                 self._gate_cache.clear()
             self._gate_cache[key] = gates
         return gates
 
-    def keep(
-        self, amb: StepItems, c1, c2, gates: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def keep(self, amb: StepItems, c1, c2) -> np.ndarray:
         """(|c1|, |c2|) mask of joint states consistent with the rules.
 
         ``c1`` / ``c2`` are :class:`~repro.core.state_space.CandidateSet`
-        instances carrying their source-list key, full arrays and the
-        surviving indices.  ``gates`` short-circuits the per-step gate
-        evaluation with a precomputed vector.
+        instances: their codes pick the table rows, their observations the
+        gates.
         """
-        n1, n2 = len(c1), len(c2)
-        if not self._specs:
-            return np.ones((n1, n2), dtype=bool)
-        rows1 = self._rows(c1.src_key, c1.src_m, c1.src_l)[0][:, c1.src_idx]
-        rows2 = self._rows(c2.src_key, c2.src_m, c2.src_l)[1][:, c2.src_idx]
-        if gates is None:
-            gates = self._gates(amb, c1.obs, c2.obs)
-        hits = (rows1 * gates[:, None]).T @ rows2
+        rows1 = self._table1[c1.m * self._n_loc + c1.l]
+        rows2 = self._table2[c2.m * self._n_loc + c2.l]
+        hits = (rows1 * self._gates(amb, c1.obs, c2.obs)) @ rows2.T
         return hits == 0.0
 
 

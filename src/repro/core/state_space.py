@@ -20,7 +20,7 @@ re-resolving labels through ``LabelIndex`` per joint pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -58,12 +58,6 @@ class CandidateSet:
     in the constraint model's label spaces, resolved once at candidate
     build time so the decode hot path never performs per-pair label
     lookups.  ``emissions`` is the per-state log emission score.
-
-    ``src_key`` / ``src_m`` / ``src_l`` identify the builder's memoised
-    *full* candidate list this set was filtered from, and ``src_idx``
-    holds the surviving indices into it — the rule pruners cache per-rule
-    boolean matrices per source list and slice them with ``src_idx``
-    instead of recomputing them per step.
     """
 
     states: List[UserState]
@@ -71,10 +65,6 @@ class CandidateSet:
     l: np.ndarray
     emissions: np.ndarray
     obs: ResidentObservation
-    src_key: Optional[Tuple[str, ...]] = None
-    src_idx: Optional[np.ndarray] = None
-    src_m: Optional[np.ndarray] = None
-    src_l: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.states)
@@ -90,10 +80,6 @@ class CandidateSet:
             l=self.l[idx],
             emissions=self.emissions[idx],
             obs=self.obs,
-            src_key=self.src_key,
-            src_idx=self.src_idx[idx] if self.src_idx is not None else None,
-            src_m=self.src_m,
-            src_l=self.src_l,
         )
 
 

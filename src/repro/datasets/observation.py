@@ -153,8 +153,3 @@ class MicroObservationModel:
         self._drift[drift_key] = drift
         noisy = mean + drift + self._rng.normal(0.0, self._feature_scale)
         return tuple(float(v) for v in noisy)
-
-    @property
-    def feature_dim(self) -> int:
-        """Dimensionality of the emission vector."""
-        return len(FEATURE_NAMES)

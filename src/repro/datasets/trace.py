@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.util.rng import RandomState, ensure_rng
 
 
@@ -45,11 +43,6 @@ class ResidentObservation:
     features: Tuple[float, ...]
     subloc_candidates: Tuple[str, ...]
     position_estimate: Optional[Tuple[float, float]] = None
-
-    @property
-    def feature_array(self) -> np.ndarray:
-        """Features as a float numpy vector."""
-        return np.asarray(self.features, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -157,10 +150,6 @@ class LabeledSequence:
     def macro_labels(self, rid: str) -> List[str]:
         """Ground-truth macro activity sequence for one resident."""
         return [truth[rid].macro for truth in self.truths]
-
-    def micro_labels(self, rid: str) -> List[Tuple[str, str, str]]:
-        """Ground-truth (posture, gesture, subloc) sequence for one resident."""
-        return [(t[rid].posture, t[rid].gesture, t[rid].subloc) for t in self.truths]
 
     def slice(self, start: int, end: int) -> "LabeledSequence":
         """Sub-sequence covering step indices ``[start, end)``."""

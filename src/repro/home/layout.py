@@ -147,10 +147,6 @@ class ApartmentLayout:
                 seen.append(sr.room)
         return tuple(seen)
 
-    def sub_regions_in_room(self, room: str) -> List[SubRegion]:
-        """All sub-regions inside *room*."""
-        return [sr for sr in self.sub_regions if sr.room == room]
-
     def nearest_sub_region(self, position: Tuple[float, float]) -> SubRegion:
         """The sub-region whose centre is closest to *position*."""
         pos = np.asarray(position, dtype=float)

@@ -29,10 +29,6 @@ class Item(NamedTuple):
     attr: str  # "macro" | "posture" | "gesture" | "subloc" | "room" | "object"
     value: str
 
-    def at_previous(self) -> "Item":
-        """The same element shifted to the t-1 slice."""
-        return Item(self.slot, "t-1", self.attr, self.value)
-
 
 def truth_items(slot: str, truth: ResidentTruth, time: str = "t") -> List[Item]:
     """Items describing one resident's ground-truth context."""

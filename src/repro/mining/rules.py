@@ -110,11 +110,6 @@ def merge_redundant(rules: Iterable[AssociationRule]) -> List[AssociationRule]:
     return kept
 
 
-def rules_referencing(rules: Iterable[AssociationRule], attr: str) -> List[AssociationRule]:
-    """Rules whose consequent concerns attribute *attr* (e.g. ``"macro"``)."""
-    return [r for r in rules if r.consequent.attr == attr]
-
-
 def vocabulary(rules: Iterable[AssociationRule]) -> Set[Item]:
     """All items mentioned anywhere in *rules*."""
     vocab: Set[Item] = set()

@@ -98,10 +98,6 @@ class Cpt:
         """Laplace-smoothed probabilities along the last (child) axis."""
         return normalize(self.counts + self.alpha, axis=-1)
 
-    def log_probabilities(self) -> np.ndarray:
-        """Log of :meth:`probabilities`."""
-        return np.log(self.probabilities())
-
 
 def shrink_coupled_transitions(
     coupled_counts: np.ndarray, kappa: float = 20.0, alpha: float = 0.5

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -17,11 +17,6 @@ def step_features(seq: LabeledSequence, rid: str) -> np.ndarray:
 def observed_postures(seq: LabeledSequence, rid: str) -> List[str]:
     """Observed (noisy) postural labels per step."""
     return [step.observations[rid].posture for step in seq.steps]
-
-
-def observed_gestures(seq: LabeledSequence, rid: str) -> List[Optional[str]]:
-    """Observed oral-gesture labels per step (None without a neck tag)."""
-    return [step.observations[rid].gesture for step in seq.steps]
 
 
 def subloc_candidates(seq: LabeledSequence, rid: str) -> List[Tuple[str, ...]]:

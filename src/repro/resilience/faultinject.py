@@ -242,10 +242,6 @@ def mark_worker() -> None:
     _IN_WORKER = True
 
 
-def in_worker() -> bool:
-    return _IN_WORKER
-
-
 def current_plan() -> Optional[FaultPlan]:
     """The plan in effect: explicit activation, else the environment
     (``REPRO_FAULT_PLAN`` wins over ``REPRO_FAULT_SEED``), else None."""

@@ -17,7 +17,7 @@ two corpora exercise the recognisers under exactly that difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -85,8 +85,3 @@ class AreaMotionSensor:
     def reset(self) -> None:
         """Clear refractory state before a new simulation run."""
         self._last_fire = -np.inf
-
-
-def sub_regions_covered(sensors: Sequence[AreaMotionSensor]) -> set:
-    """The set of sub-regions observed by a sensor array."""
-    return {s.sub_region for s in sensors}

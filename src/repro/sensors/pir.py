@@ -10,7 +10,7 @@ stationary-subject misses, a refractory hold-off, and rare false alarms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -81,8 +81,3 @@ class PirSensor:
     def reset(self) -> None:
         """Clear the refractory state (new simulation run)."""
         self._last_fire = -np.inf
-
-
-def rooms_covered(sensors: Sequence[PirSensor]) -> set:
-    """The set of rooms observed by a sensor array."""
-    return {s.room for s in sensors}

@@ -1,7 +1,7 @@
 """Shared utilities: seeded randomness, validation, and timing."""
 
 from repro.util.rng import RandomState, derive_rng, ensure_rng
-from repro.util.timer import Stopwatch, timed
+from repro.util.timer import Stopwatch
 from repro.util.validation import (
     check_in_range,
     check_non_negative,
@@ -16,7 +16,6 @@ __all__ = [
     "derive_rng",
     "ensure_rng",
     "Stopwatch",
-    "timed",
     "check_in_range",
     "check_non_negative",
     "check_positive",

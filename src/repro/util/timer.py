@@ -14,10 +14,8 @@ surface — the ``phases`` mapping, ``total``, ``report`` — is unchanged.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from typing import Dict
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
@@ -69,20 +67,3 @@ class Stopwatch:
         lines = [f"{name}: {secs:.4f}s" for name, secs in sorted(self.phases.items())]
         lines.append(f"total: {self.total:.4f}s")
         return "\n".join(lines)
-
-
-@contextmanager
-def timed() -> Iterator[list]:
-    """Context manager yielding a single-element list filled with elapsed seconds.
-
-    >>> with timed() as elapsed:
-    ...     _ = sum(range(1000))
-    >>> elapsed[0] >= 0
-    True
-    """
-    box = [0.0]
-    start = time.perf_counter()
-    try:
-        yield box
-    finally:
-        box[0] = time.perf_counter() - start

@@ -66,7 +66,7 @@ class TestPrunedCountAccounting:
         monkeypatch.setattr(
             CrossRulePruner,
             "keep",
-            lambda self, amb, c1, c2, gates=None: np.zeros(
+            lambda self, amb, c1, c2: np.zeros(
                 (len(c1), len(c2)), dtype=bool
             ),
         )
@@ -80,7 +80,7 @@ class TestPrunedCountAccounting:
         seq = test.sequences[0].slice(0, 1)
         dropped = {}
 
-        def half_mask(self, amb, c1, c2, gates=None):
+        def half_mask(self, amb, c1, c2):
             keep = np.ones((len(c1), len(c2)), dtype=bool)
             keep[0, :] = False  # drop every joint state with u1's candidate 0
             dropped["n"] = int((~keep).sum())

@@ -1,7 +1,7 @@
 """Sequence-kernel equivalence: batched decode == the seed's scalar path.
 
 The sequence-level kernels (``repro.core.kernels``) must be a pure
-speedup: every batched row, gate and candidate list reproduces the seed's
+speedup: every batched row, rule mask and candidate list reproduces the seed's
 straight-line per-step ("scalar") implementation in
 :mod:`repro.core.reference`, the optimised decoders reproduce the seed
 reference decoders' labels and DecodeStats at fixed seeds, and offline
@@ -13,6 +13,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.api import DecodeStats
 from repro.core.chdbn import GmmBank, _MacroGmm, build_candidate_set
@@ -24,13 +26,15 @@ from repro.core.reference import (
     ReferenceNChainHdbn,
     ReferenceOnlineSmoother,
     reference_chain_block,
+    reference_cross_prune_mask,
     reference_user_candidates,
     reference_user_state_emissions,
 )
-from repro.core.rule_kernel import CrossRulePruner
+from repro.core.rule_kernel import CrossRulePruner, StepItems
 from repro.core.smoother import OnlineSmoother
-from repro.core.state_space import UserState
+from repro.core.state_space import CandidateSet, UserState
 from repro.datasets import generate_cace_dataset, train_test_split
+from repro.datasets.trace import ContextStep, ResidentObservation
 from repro.mining import ConstraintMiner, CorrelationMiner
 from repro.models.distributions import GaussianEmission
 from repro.models.hmm import MacroHmm
@@ -257,11 +261,11 @@ def test_sequence_kernel_emissions_match_scalar(pair_models, cace_split):
 
 
 def test_sequence_kernel_batch_size_invariant(pair_models, cace_split, nchain_setup):
-    """Every resident's macro row, location row and single-user gate
-    vector is independent of how the tables are grown: stacking all
-    residents and 1, 4 or T steps per ``ensure`` (1 is the streaming
-    regime) gives exactly the rows of a one-resident full-sequence build,
-    on pairs, on the 3-resident model and with degraded observations."""
+    """Every resident's macro row and location row is independent of how
+    the tables are grown: stacking all residents and 1, 4 or T steps per
+    ``ensure`` (1 is the streaming regime) gives exactly the rows of a
+    one-resident full-sequence build, on pairs, on the 3-resident model
+    and with degraded observations."""
     _, test = cace_split
     trio_model, _, trio_test = nchain_setup
     seq = test.sequences[0]
@@ -285,9 +289,6 @@ def test_sequence_kernel_batch_size_invariant(pair_models, cace_split, nchain_se
                 for t in range(n_steps):
                     assert np.array_equal(kern._macro_rows[rid][t], want._macro_rows[rid][t])
                     assert np.array_equal(kern._loc_rows[rid][t], want._loc_rows[rid][t])
-                    gates = kern.single_gates(rid, t)
-                    assert gates is not None
-                    assert np.array_equal(gates, want.single_gates(rid, t))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +428,7 @@ def test_joint_candidates_match_reference(
     monkeypatch.setattr(
         CrossRulePruner,
         "keep",
-        lambda self, amb, c1, c2, gates=None: np.zeros((len(c1), len(c2)), dtype=bool),
+        lambda self, amb, c1, c2: np.zeros((len(c1), len(c2)), dtype=bool),
     )
     monkeypatch.setattr(
         "repro.core.reference.reference_cross_prune_mask",
@@ -437,6 +438,68 @@ def test_joint_candidates_match_reference(
     for model, seq in cases:
         _assert_joint_matches_reference(model, seq, seen, steps=6)
     assert "pruned" not in seen and "capped" in seen
+
+
+def _rule_vocab(model, attr, *extra):
+    """Every value of *attr* the model's rules mention, plus *extra*."""
+    rules = model.rule_set
+    items = [i for r in rules.forcing_rules for i in (*r.antecedent, r.consequent)]
+    items += [i for e in rules.exclusions for i in (e.a, e.b)]
+    return sorted({i.value for i in items if i.attr == attr} | set(extra))
+
+
+@pytest.mark.parametrize("setup", ["pair", "trio"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rule_pruners_match_item_set_spec(setup, pair_models, nchain_setup, data):
+    """Both rule pruners equal the seed's item-set checks on random
+    candidate codes from the whole (macro, subloc) grid (duplicates and
+    states the builder never proposes included), random postures and
+    gestures (None included) and random fired rooms and objects."""
+    model = pair_models["c2"] if setup == "pair" else nchain_setup[0]
+    cm, builder = model.constraint_model, model.builder
+    gestures = cm.gesture_index.labels if cm.gesture_index is not None else ()
+    code = st.tuples(
+        st.integers(0, cm.n_macro - 1), st.integers(0, len(cm.subloc_index) - 1)
+    )
+    posture = st.sampled_from([None] + _rule_vocab(model, "posture", *cm.posture_index.labels))
+    gesture = st.sampled_from([None] + _rule_vocab(model, "gesture", *gestures))
+
+    def candidates():
+        codes = data.draw(st.lists(code, min_size=1, max_size=30))
+        obs = ResidentObservation(data.draw(posture), data.draw(gesture), (), ())
+        return CandidateSet(
+            states=[
+                UserState(cm.macro_index.label(a), cm.subloc_index.label(b)) for a, b in codes
+            ],
+            m=np.array([a for a, _ in codes]),
+            l=np.array([b for _, b in codes]),
+            emissions=np.zeros(len(codes)),
+            obs=obs,
+        )
+
+    c1, c2 = candidates(), candidates()
+    step = ContextStep(
+        t=0.0,
+        observations={},
+        rooms_fired=data.draw(
+            st.frozensets(st.sampled_from(_rule_vocab(model, "room", *builder.room_of_l)))
+        ),
+        objects_fired=data.draw(
+            st.frozensets(st.sampled_from(_rule_vocab(model, "object", *model._object_index)))
+        ),
+    )
+    amb = StepItems(step)
+    amb_items = builder.ambient_item_set(step)
+    want = [
+        model._single_rules.is_consistent(builder.state_item_set("u1", s, c1.obs) | amb_items)
+        for s in c1.states
+    ]
+    assert model._single_pruner.keep(c1.m, c1.l, c1.obs, amb).tolist() == want
+    assert np.array_equal(
+        model._cross_pruner.keep(amb, c1, c2),
+        reference_cross_prune_mask(model, step, c1.states, c1.obs, c2.states, c2.obs),
+    )
 
 
 def test_macro_hmm_matches_seed_viterbi(cace_split):

@@ -1,15 +1,22 @@
-"""Every module under ``src/repro/`` is reachable from an entry point.
+"""Every module and every function under ``src/repro/`` has a user.
 
-The walk starts at the CLI (``repro.__main__``, ``repro.cli``) and at every
-script under ``perfbench/``, ``benchmarks/`` and ``examples/``, and follows
-``import`` / ``from … import`` statements (including those inside
-functions) with :mod:`ast`.  A name imported from a package resolves to the
-module its ``__init__`` re-exports it from, so a package's ``__init__``
-does not by itself make all of its submodules reachable.  A module that only
-tests import is dead weight: delete it, or give it a caller.
+Modules: the walk starts at the CLI (``repro.__main__``, ``repro.cli``)
+and at every script under ``perfbench/``, ``benchmarks/`` and
+``examples/``, and follows ``import`` / ``from … import`` statements
+(including those inside functions) with :mod:`ast`.  A name imported
+from a package resolves to the module its ``__init__`` re-exports it
+from, so a package's ``__init__`` does not by itself make all of its
+submodules reachable.  A module that only tests import is dead weight:
+delete it, or give it a caller.
+
+Functions: every function or method defined under ``src/repro/`` (dunders
+aside) is named somewhere outside its own body, in ``src/``, ``tests/`` or a
+script directory.  A name that appears nowhere else cannot be called.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 from typing import Iterator, Optional, Set, Tuple
 
@@ -17,6 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 ENTRY_MODULES = ("repro.__main__", "repro.cli")
 ENTRY_DIRS = ("perfbench", "benchmarks", "examples")
+NAME_DIRS = ("src", "tests") + ENTRY_DIRS
+_WORD = re.compile(r"\b[A-Za-z_]\w*\b")
 
 
 def _source(module: str) -> Optional[Tuple[Path, bool]]:
@@ -111,3 +120,28 @@ def test_reexported_names_resolve_to_their_defining_module():
     walker.reach_name("repro.models", "MacroHmm")
     assert "repro.models.hmm" in walker.reached
     assert "repro.models.fcrf" not in walker.reached
+
+
+def _words(text: str) -> Counter:
+    return Counter(_WORD.findall(text))
+
+
+def test_every_src_function_is_named_outside_its_own_body():
+    texts = {p: p.read_text() for d in NAME_DIRS for p in sorted((ROOT / d).rglob("*.py"))}
+    total = sum((_words(text) for text in texts.values()), Counter())
+    unused = []
+    for path, text in texts.items():
+        if not path.is_relative_to(SRC / "repro"):
+            continue
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            own = _words("\n".join(lines[start - 1 : node.end_lineno]))
+            if total[name] == own[name]:
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not unused, f"functions nothing else names: {unused}"

@@ -15,7 +15,6 @@ from repro.util import (
     check_shape,
     derive_rng,
     ensure_rng,
-    timed,
 )
 
 
@@ -103,8 +102,3 @@ class TestTimer:
         assert watch.phases["a"] >= 0.02
         assert watch.total >= watch.phases["a"]
         assert "a:" in watch.report() and "total:" in watch.report()
-
-    def test_timed_context(self):
-        with timed() as elapsed:
-            time.sleep(0.005)
-        assert elapsed[0] >= 0.005
