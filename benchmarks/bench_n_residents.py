@@ -13,6 +13,7 @@ from benchmarks.conftest import record
 from repro.core.engine import CaceEngine
 from repro.datasets.cace import generate_cace_dataset
 from repro.datasets.trace import train_test_split
+from repro.eval.experiments import pair_results, pool_labels
 from repro.util.rng import ensure_rng
 
 
@@ -34,22 +35,13 @@ def run_scaling(seed=7):
         train, test = train_test_split(dataset, 0.7, seed=rng.integers(0, 2**31))
         engine = CaceEngine(strategy="c2", seed=rng.integers(0, 2**31))
         engine.fit(train)
-        correct = n = 0
-        joint = steps = 0
-        for seq in test.sequences:
-            pred = engine.predict(seq)
-            stats = engine.model_.last_stats
-            joint += stats.joint_states
-            steps += stats.steps
-            for rid in seq.resident_ids:
-                truth = seq.macro_labels(rid)
-                correct += sum(a == b for a, b in zip(truth, pred[rid]))
-                n += len(truth)
+        truth, predicted = pool_labels(pair_results(test, engine.predict_dataset(test)))
+        stats = engine.batch_stats_
         rows[residents] = {
-            "accuracy": correct / n,
+            "accuracy": sum(a == b for a, b in zip(truth, predicted)) / len(truth),
             "decode_seconds": engine.decode_seconds,
-            "steps_per_s": steps / max(engine.decode_seconds, 1e-12),
-            "mean_joint_states": joint / max(steps, 1),
+            "steps_per_s": stats.steps / max(engine.decode_seconds, 1e-12),
+            "mean_joint_states": stats.mean_joint_states,
             "max_joint_states_pruned": engine.model_.max_joint_states_pruned,
         }
     return rows

@@ -10,8 +10,6 @@ tractable.
 Run:  python examples/three_residents.py
 """
 
-import numpy as np
-
 from repro.core.engine import CaceEngine
 from repro.datasets.cace import generate_cace_dataset
 from repro.datasets.trace import train_test_split
@@ -37,9 +35,10 @@ def main() -> None:
     print(f"model: {type(engine.model_).__name__}")
     print(f"mined rules: {engine.rule_set_.n_rules if engine.rule_set_ else 0}")
 
+    results = engine.predict_dataset(test)
     per_resident = {}
-    for seq in test.sequences:
-        pred = engine.predict(seq)
+    for i, seq in enumerate(test.sequences):
+        pred = results[f"{seq.home_id}:{i}"]
         for rid in seq.resident_ids:
             truth = seq.macro_labels(rid)
             hits = sum(a == b for a, b in zip(truth, pred[rid]))
@@ -54,7 +53,7 @@ def main() -> None:
         total_n += n
     print(f"  overall: {total_ok / total_n:.1%}")
 
-    stats = engine.model_.last_stats
+    stats = engine.batch_stats_  # summed over every test session
     raw_space = 11 * 14  # (macro, subloc) combinations per resident
     print("\njoint state space:")
     print(f"  raw product space per step: {raw_space}^3 = {raw_space**3:,}")

@@ -259,7 +259,7 @@ def _write_metrics_snapshot(path: str, snapshot: dict) -> None:
 def _run_serve_artifact(args: argparse.Namespace) -> int:
     """``recognize --model``: evaluate a saved artifact on a whole corpus."""
     from repro.core.engine import CaceEngine
-    from repro.eval.experiments import _flatten_predictions
+    from repro.eval.experiments import pair_results, pool_labels
     from repro.eval.metrics import evaluate_predictions
     from repro.util.serialization import load_dataset
 
@@ -281,7 +281,7 @@ def _run_serve_artifact(args: argparse.Namespace) -> int:
                 router.push(sid, step)
             return router.close_session(sid)
 
-        truth, predicted = _flatten_predictions(dataset, predict)
+        truth, predicted = pool_labels((seq, predict(seq)) for seq in dataset.sequences)
     else:
         # Offline serving goes through the fault-tolerant batch decode so
         # --workers/--timeout/--retries/--partial all apply.
@@ -305,14 +305,7 @@ def _run_serve_artifact(args: argparse.Namespace) -> int:
                 print(f"wrote failure report -> {args.failures_out}")
             return 1
         freport = engine.failure_report_
-        truth, predicted = [], []
-        for i, seq in enumerate(dataset.sequences):
-            pred = results.get(f"{seq.home_id}:{i}")
-            if pred is None:  # failed session, skipped under --partial
-                continue
-            for rid in seq.resident_ids:
-                truth.extend(seq.macro_labels(rid))
-                predicted.extend(pred[rid])
+        truth, predicted = pool_labels(pair_results(dataset, results))
         if freport is not None and not freport.ok():
             print(freport.describe(), file=sys.stderr)
         if args.failures_out and freport is not None:

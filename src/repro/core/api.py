@@ -7,13 +7,12 @@ one shared surface — :class:`Recognizer` — so the engine, the serving
 layer, and the CLI can treat them interchangeably instead of dispatching
 on concrete types:
 
-* ``decode`` / ``posterior_marginals`` — offline inference;
+* ``decode`` / ``posterior_marginals`` — offline inference, counting
+  its work into the :class:`DecodeStats` the caller passes;
 * ``trellis_sessions`` — the per-chain trellis adapters that both the
   offline driver (:func:`repro.core.kernels.decode`) and the generic
   fixed-lag :class:`~repro.core.smoother.OnlineSmoother` run on (stream
   any recogniser with ``OnlineSmoother(model, lag=...)``);
-* ``last_stats`` — the :class:`DecodeStats` work accounting of the most
-  recent offline inference call;
 * ``describe`` — a one-line human-readable summary for logs and CLIs.
 
 A recogniser's trellis decomposes into one or more *sessions* (independent
@@ -23,7 +22,8 @@ and NCR's frame-wise classifier one session per resident.  Each session yields p
 consecutive pieces; the Viterbi and forward/backward recursions are
 written once against that interface.  Sessions count the work only they
 see (rule-pruned and capped joint states) into the :class:`DecodeStats`
-they were built with, so sessions over one shared model never touch each
+they were built with.  A fitted model holds no per-call state, so
+concurrent decodes and sessions over one shared model never touch each
 other's counters.
 
 This module sits below the rest of :mod:`repro.core` (it imports none of
@@ -178,18 +178,21 @@ class TrellisSession(Protocol):
 class Recognizer(Protocol):
     """What every CACE model family exposes to the engine and servers."""
 
-    last_stats: Optional[DecodeStats]
-
     def fit(self, train: Dataset) -> "Recognizer":
         """Estimate parameters from a labelled training set."""
         ...
 
-    def decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:
-        """MAP macro labels per resident."""
+    def decode(
+        self, seq: LabeledSequence, stats: Optional[DecodeStats] = None
+    ) -> Dict[str, List[str]]:
+        """MAP macro labels per resident, counting the work into *stats*."""
         ...
 
-    def posterior_marginals(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
-        """Per-resident posterior macro marginals ``(T, M)``."""
+    def posterior_marginals(
+        self, seq: LabeledSequence, stats: Optional[DecodeStats] = None
+    ) -> Dict[str, np.ndarray]:
+        """Per-resident posterior macro marginals ``(T, M)``, counting the
+        work into *stats*."""
         ...
 
     def trellis_sessions(

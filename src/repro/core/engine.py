@@ -89,8 +89,9 @@ def _decode_attempt(model: Recognizer, key: str, seq: LabeledSequence, attempt: 
     uses it to stop firing once a planned fault is spent."""
     t0 = time.perf_counter()
     faultinject.maybe_inject(key, attempt)
-    pred = model.decode(seq)
-    return pred, model.last_stats, time.perf_counter() - t0
+    stats = DecodeStats()
+    pred = model.decode(seq, stats)
+    return pred, stats, time.perf_counter() - t0
 
 
 def _decode_session(key: str, seq: LabeledSequence, attempt: int):
@@ -415,8 +416,7 @@ class CaceEngine:
                                 f"(timeout {timeout_s}s)"
                             )
                         out[key] = pred
-                        if stats is not None:
-                            self.batch_stats_.merge(stats)
+                        self.batch_stats_.merge(stats)
                         if ins is not None:
                             ins.decode.observe(decode_s)
                             ins.sessions.inc()

@@ -42,7 +42,6 @@ class SingleUserHdbn:
     seed: RandomState = None
     builder: StateSpaceBuilder = field(default=None, init=False, repr=False)
     gmms_: Dict[int, object] = field(default_factory=dict, init=False, repr=False)
-    last_stats: DecodeStats = field(default_factory=DecodeStats, init=False)
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -60,14 +59,19 @@ class SingleUserHdbn:
 
     # -- inference ---------------------------------------------------------------------
 
-    def decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:
-        """The frame-wise MAP macro label of every resident at every step."""
-        return kernels.decode(self, seq, "single_user")
+    def decode(
+        self, seq: LabeledSequence, stats: Optional[DecodeStats] = None
+    ) -> Dict[str, List[str]]:
+        """The frame-wise MAP macro label of every resident at every step
+        (work counted into *stats*)."""
+        return kernels.decode(self, seq, "single_user", stats)
 
-    def posterior_marginals(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
+    def posterior_marginals(
+        self, seq: LabeledSequence, stats: Optional[DecodeStats] = None
+    ) -> Dict[str, np.ndarray]:
         """Per-resident frame-wise posterior macro marginals ``(T, M)``
-        under the macro-occupancy prior."""
-        return kernels.posterior_marginals(self, seq)
+        under the macro-occupancy prior (work counted into *stats*)."""
+        return kernels.posterior_marginals(self, seq, stats)
 
     # -- Recognizer surface --------------------------------------------------------
 

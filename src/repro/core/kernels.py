@@ -270,22 +270,26 @@ def _blocks(sess, pieces: List[TrellisPiece]) -> Callable[[int], Optional[np.nda
     return lambda t: sess.transition(pieces[t - 1], pieces[t])
 
 
-def decode(model, seq: LabeledSequence, family: str) -> Dict[str, List[str]]:
+def decode(
+    model, seq: LabeledSequence, family: str, stats: Optional[DecodeStats] = None
+) -> Dict[str, List[str]]:
     """Offline Viterbi macro labels for every resident of *seq*.
 
     The ``decode`` body of every recogniser family: each trellis session's
     pieces are built, the max-plus recursion runs over them, and each
     step's labels are read from the encoding of the path state.  The
-    call's :class:`DecodeStats` become ``model.last_stats``.
+    call's work is counted into *stats* (discarded when omitted), so
+    concurrent decodes over one model never share a counter.
     """
     n_steps = len(seq)
+    stats = stats if stats is not None else DecodeStats()
+    stats.steps += n_steps
     with _obs.timed_span(
         "decode",
         metric=f"decode.{family}.seconds",
         counts={f"decode.{family}.steps": n_steps},
         family=family,
     ):
-        stats = DecodeStats(steps=n_steps)
         out: Dict[str, List[str]] = {}
         for sess in model.trellis_sessions(seq, stats):
             pieces = _session_pieces(sess, n_steps, stats)
@@ -305,21 +309,23 @@ def decode(model, seq: LabeledSequence, family: str) -> Dict[str, List[str]]:
             codes = [sess.macros(p) for p in pieces]
             for u, rid in enumerate(sess.rids):
                 out[rid] = [names[c[u][j]] for c, j in zip(codes, path)]
-        model.last_stats = stats
         return out
 
 
-def posterior_marginals(model, seq: LabeledSequence) -> Dict[str, np.ndarray]:
+def posterior_marginals(
+    model, seq: LabeledSequence, stats: Optional[DecodeStats] = None
+) -> Dict[str, np.ndarray]:
     """Per-resident posterior macro marginals ``(T, M)`` of *seq*.
 
     The ``posterior_marginals`` body of every recogniser family:
     forward-backward over the same pieces :func:`decode` runs on.  Each
     transition block is built and converted once and feeds both
-    recursions, so the call's :class:`DecodeStats` (which become
-    ``model.last_stats``) count exactly the work :func:`decode` counts.
+    recursions, so what the call counts into *stats* is exactly the work
+    :func:`decode` counts.
     """
     n_steps = len(seq)
-    stats = DecodeStats(steps=n_steps)
+    stats = stats if stats is not None else DecodeStats()
+    stats.steps += n_steps
     out: Dict[str, np.ndarray] = {}
     for sess in model.trellis_sessions(seq, stats):
         pieces = _session_pieces(sess, n_steps, stats)
@@ -341,7 +347,6 @@ def posterior_marginals(model, seq: LabeledSequence) -> Dict[str, np.ndarray]:
             gamma = posterior(alphas[t], betas[t])
             for rid, marg in macro_marginals(sess, piece, gamma).items():
                 out[rid][t] = marg
-    model.last_stats = stats
     return out
 
 

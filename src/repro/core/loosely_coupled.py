@@ -141,7 +141,6 @@ class NChainHdbn:
     seed: RandomState = None
     builder: StateSpaceBuilder = field(default=None, init=False, repr=False)
     gmms_: Dict[int, object] = field(default_factory=dict, init=False, repr=False)
-    last_stats: DecodeStats = field(default_factory=DecodeStats, init=False)
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -319,13 +318,19 @@ class NChainHdbn:
             raise ValueError("NChainHdbn expects >= 2 residents")
         return [_NChainTrellis(self, seq, rids, stats if stats is not None else DecodeStats())]
 
-    def decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:
-        """Joint Viterbi macro labels for every resident."""
-        return kernels.decode(self, seq, "nchain")
+    def decode(
+        self, seq: LabeledSequence, stats: Optional[DecodeStats] = None
+    ) -> Dict[str, List[str]]:
+        """Joint Viterbi macro labels for every resident (work counted
+        into *stats*)."""
+        return kernels.decode(self, seq, "nchain", stats)
 
-    def posterior_marginals(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
-        """Per-resident posterior macro marginals ``(T, M)``."""
-        return kernels.posterior_marginals(self, seq)
+    def posterior_marginals(
+        self, seq: LabeledSequence, stats: Optional[DecodeStats] = None
+    ) -> Dict[str, np.ndarray]:
+        """Per-resident posterior macro marginals ``(T, M)`` (work counted
+        into *stats*)."""
+        return kernels.posterior_marginals(self, seq, stats)
 
     def describe(self) -> str:
         """One-line summary for logs and CLIs."""

@@ -31,8 +31,8 @@ retried.
 accounting as offline decoding (steps, surviving joint states, evaluated
 transition entries, pruned/capped counts) into its own ``stats`` object,
 which its trellis sessions are built over — so concurrent sessions over a
-shared model never mix their counters or touch ``model.last_stats``, and
-streaming overhead reports match the Fig 11 metrics.
+shared model never mix their counters, and streaming overhead reports
+match the Fig 11 metrics.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ class OnlineSmoother:
     #: observability is enabled (else no instrumentation at all); the
     #: serving router passes its own registry explicitly.
     metrics: Optional[MetricsRegistry] = None
-    #: Per-session work accounting (the streaming analogue of the model's
-    #: ``last_stats`` after an offline decode).
+    #: Per-session work accounting (the streaming analogue of the
+    #: :class:`DecodeStats` an offline decode counts into).
     stats: DecodeStats = field(default_factory=DecodeStats, init=False)
     _ins: Optional[_Instruments] = field(default=None, init=False, repr=False)
     _sessions: Optional[List[TrellisSession]] = field(default=None, init=False, repr=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,34 +42,68 @@ _NECK_FEATURE_DIMS = (2, 3, 5)
 # ---------------------------------------------------------------------------
 
 
-def _flatten_predictions(
-    test: Dataset, predict_fn
-) -> Tuple[List[str], List[str]]:
-    """Pool (truth, predicted) labels over all sequences and residents."""
+#: A decoded session: the sequence and each resident's labels.
+_Scored = Tuple[LabeledSequence, Dict[str, List[str]]]
+
+
+def _split(
+    rng: np.random.Generator,
+    n_homes: int,
+    sessions_per_home: int,
+    duration_s: float,
+    residents_per_home: int = 2,
+) -> Tuple[Dataset, Dataset]:
+    """70/30 ``(train, test)`` split of a fresh CACE corpus, drawing the
+    corpus seed and then the split seed from *rng*."""
+    dataset = generate_cace_dataset(
+        n_homes=n_homes,
+        sessions_per_home=sessions_per_home,
+        duration_s=duration_s,
+        residents_per_home=residents_per_home,
+        seed=rng.integers(0, 2**31),
+    )
+    return train_test_split(dataset, 0.7, seed=rng.integers(0, 2**31))
+
+
+def pair_results(dataset: Dataset, results: Dict[str, Dict[str, List[str]]]) -> List[_Scored]:
+    """``(sequence, labels)`` for every sequence of *dataset* that
+    :meth:`~repro.core.engine.CaceEngine.predict_dataset`'s *results*
+    hold (a session that failed under ``partial=True`` is left out)."""
+    keyed = ((f"{seq.home_id}:{i}", seq) for i, seq in enumerate(dataset.sequences))
+    return [(seq, results[key]) for key, seq in keyed if key in results]
+
+
+def pool_labels(scored: Iterable[_Scored]) -> Tuple[List[str], List[str]]:
+    """``(truth, predicted)`` labels pooled over every ``(sequence,
+    labels)`` pair of *scored* and every resident of the sequence."""
     truth: List[str] = []
     predicted: List[str] = []
-    for seq in test.sequences:
-        pred = predict_fn(seq)
+    for seq, pred in scored:
         for rid in seq.resident_ids:
             truth.extend(seq.macro_labels(rid))
             predicted.extend(pred[rid])
     return truth, predicted
 
 
-def evaluate_engine(
-    engine: CaceEngine, test: Dataset, with_scores: bool = False
-) -> EvaluationReport:
+def _accuracy(scored: List[_Scored]) -> float:
+    """Share of pooled labels equal to the truth."""
+    truth, predicted = pool_labels(scored)
+    return float(np.mean(np.array(truth, dtype=object) == np.array(predicted, dtype=object)))
+
+
+def _per_home_accuracy(scored: List[_Scored]) -> Dict[str, float]:
+    """Each home's accuracy, pooled over all its scored sessions and
+    residents."""
+    homes: Dict[str, List[_Scored]] = {}
+    for seq, pred in scored:
+        homes.setdefault(seq.home_id, []).append((seq, pred))
+    return {home: _accuracy(pairs) for home, pairs in homes.items()}
+
+
+def evaluate_engine(engine: CaceEngine, test: Dataset) -> EvaluationReport:
     """Pooled evaluation of an engine over a test dataset."""
-    truth, predicted = _flatten_predictions(test, engine.predict)
-    scores = None
-    if with_scores:
-        rows: List[np.ndarray] = []
-        for seq in test.sequences:
-            marginals = engine.posterior_marginals(seq)
-            for rid in seq.resident_ids:
-                rows.append(marginals[rid])
-        scores = np.vstack(rows)
-    return evaluate_predictions(truth, predicted, list(test.macro_vocab), scores)
+    truth, predicted = pool_labels(pair_results(test, engine.predict_dataset(test)))
+    return evaluate_predictions(truth, predicted, list(test.macro_vocab))
 
 
 def strip_gestural(dataset: Dataset) -> Dataset:
@@ -256,7 +290,8 @@ class StrategyResult:
     duration_error: float
     build_seconds: float
     decode_seconds: float
-    #: Mean joint trellis width per step (NaN for non-coupled strategies).
+    #: Trellis candidates per step, summed over every trellis session (nh
+    #: and ncr count each resident's own chain); NaN when nothing decoded.
     mean_joint_states: float = float("nan")
     #: Total joint transition-matrix entries evaluated while decoding —
     #: the state-space-size metric behind the paper's 16x claim.
@@ -340,45 +375,28 @@ def fig11_pruning_strategies(
 ) -> PruningComparison:
     """Run every pruning strategy; also provides Table V's duration errors."""
     rng = ensure_rng(seed)
-    dataset = generate_cace_dataset(
-        n_homes=n_homes,
-        sessions_per_home=sessions_per_home,
-        duration_s=duration_s,
-        seed=rng.integers(0, 2**31),
-    )
-    train, test = train_test_split(dataset, 0.7, seed=rng.integers(0, 2**31))
+    train, test = _split(rng, n_homes, sessions_per_home, duration_s)
 
     results: Dict[str, StrategyResult] = {}
     for strategy in strategies:
         engine = CaceEngine(strategy=strategy, seed=rng.integers(0, 2**31))
         engine.fit(train)
-
-        truth: List[str] = []
-        predicted: List[str] = []
-        errors: List[float] = []
-        joint_states = transition_entries = steps = 0.0
-        for seq in test.sequences:
-            pred = engine.predict(seq)
-            stats = getattr(engine.model_, "last_stats", None)
-            if stats is not None:
-                joint_states += stats.joint_states
-                transition_entries += stats.transition_entries
-                steps += stats.steps
-            for rid in seq.resident_ids:
-                labels = seq.macro_labels(rid)
-                truth.extend(labels)
-                predicted.extend(pred[rid])
-                errors.append(duration_error(labels, pred[rid], seq.step_s))
-        report = evaluate_predictions(truth, predicted, list(test.macro_vocab))
-
+        scored = pair_results(test, engine.predict_dataset(test))
+        report = evaluate_predictions(*pool_labels(scored), list(test.macro_vocab))
+        errors = [
+            duration_error(seq.macro_labels(rid), pred[rid], seq.step_s)
+            for seq, pred in scored
+            for rid in seq.resident_ids
+        ]
+        stats = engine.batch_stats_
         results[strategy] = StrategyResult(
             strategy=strategy,
             accuracy=report.accuracy,
             duration_error=float(np.mean(errors)) if errors else 0.0,
             build_seconds=engine.build_seconds,
             decode_seconds=engine.decode_seconds,
-            mean_joint_states=joint_states / steps if steps else float("nan"),
-            transition_entries=transition_entries if steps else float("nan"),
+            mean_joint_states=stats.mean_joint_states if stats.steps else float("nan"),
+            transition_entries=float(stats.transition_entries) if stats.steps else float("nan"),
         )
     return PruningComparison(results=results)
 
@@ -438,15 +456,10 @@ def fig8a_context_ablation(
     duration_s: float = 2400.0,
     seed: RandomState = 7,
 ) -> ContextAblationResult:
-    """Accuracy with full context, without gestural, without sub-location."""
+    """Accuracy with full context, without gestural, without sub-location;
+    a home's accuracy pools all its test sessions."""
     rng = ensure_rng(seed)
-    dataset = generate_cace_dataset(
-        n_homes=n_homes,
-        sessions_per_home=sessions_per_home,
-        duration_s=duration_s,
-        seed=rng.integers(0, 2**31),
-    )
-    train, test = train_test_split(dataset, 0.7, seed=rng.integers(0, 2**31))
+    train, test = _split(rng, n_homes, sessions_per_home, duration_s)
 
     configs = {
         "overall": (train, test),
@@ -458,27 +471,10 @@ def fig8a_context_ablation(
     for config, (cfg_train, cfg_test) in configs.items():
         engine = CaceEngine(strategy="c2", seed=rng.integers(0, 2**31))
         engine.fit(cfg_train)
-        all_truth: List[str] = []
-        all_pred: List[str] = []
-        for seq in cfg_test.sequences:
-            pred = engine.predict(seq)
-            truth_home: List[str] = []
-            pred_home: List[str] = []
-            for rid in seq.resident_ids:
-                truth_home.extend(seq.macro_labels(rid))
-                pred_home.extend(pred[rid])
-            home_acc = float(
-                np.mean(np.array(truth_home, dtype=object) == np.array(pred_home, dtype=object))
-            )
-            bucket = per_home.setdefault(seq.home_id, {})
-            bucket[config] = (
-                home_acc if config not in bucket else 0.5 * (bucket[config] + home_acc)
-            )
-            all_truth.extend(truth_home)
-            all_pred.extend(pred_home)
-        overall[config] = float(
-            np.mean(np.array(all_truth, dtype=object) == np.array(all_pred, dtype=object))
-        )
+        scored = pair_results(cfg_test, engine.predict_dataset(cfg_test))
+        for home, acc in _per_home_accuracy(scored).items():
+            per_home.setdefault(home, {})[config] = acc
+        overall[config] = _accuracy(scored)
     return ContextAblationResult(per_home=per_home, overall=overall)
 
 
@@ -510,13 +506,7 @@ def fig8b_cost_curves(
     """Sweep the posterior decision threshold (the paper adjusts the
     classifier's cost function); abstentions count against recall."""
     rng = ensure_rng(seed)
-    dataset = generate_cace_dataset(
-        n_homes=n_homes,
-        sessions_per_home=sessions_per_home,
-        duration_s=duration_s,
-        seed=rng.integers(0, 2**31),
-    )
-    train, test = train_test_split(dataset, 0.7, seed=rng.integers(0, 2**31))
+    train, test = _split(rng, n_homes, sessions_per_home, duration_s)
     engine = CaceEngine(strategy="c2", seed=rng.integers(0, 2**31))
     engine.fit(train)
 
@@ -604,7 +594,7 @@ def fig9_casas_per_class(
     engine = CaceEngine(strategy="c2", seed=rng.integers(0, 2**31))
     engine.fit(train)
 
-    truth, predicted = _flatten_predictions(test, engine.predict)
+    truth, predicted = pool_labels(pair_results(test, engine.predict_dataset(test)))
     report = evaluate_predictions(truth, predicted, list(test.macro_vocab))
 
     truth_arr = np.array(truth, dtype=object)
@@ -666,13 +656,7 @@ def fig10_model_comparison(
 ) -> ModelComparisonResult:
     """HMM [9] vs FCRF [5] vs CHMM [4] vs CHDBN (CACE)."""
     rng = ensure_rng(seed)
-    dataset = generate_cace_dataset(
-        n_homes=n_homes,
-        sessions_per_home=sessions_per_home,
-        duration_s=duration_s,
-        seed=rng.integers(0, 2**31),
-    )
-    train, test = train_test_split(dataset, 0.7, seed=rng.integers(0, 2**31))
+    train, test = _split(rng, n_homes, sessions_per_home, duration_s)
 
     engines = {
         "hmm": MacroHmm(),
@@ -691,7 +675,7 @@ def fig10_model_comparison(
     overall: Dict[str, float] = {}
     chdbn_report: Optional[EvaluationReport] = None
     for name, fn in predict_fns.items():
-        truth, predicted = _flatten_predictions(test, fn)
+        truth, predicted = pool_labels((seq, fn(seq)) for seq in test.sequences)
         report = evaluate_predictions(truth, predicted, list(test.macro_vocab))
         per_activity[name] = {
             label: m.recall for label, m in report.per_class.items()
@@ -738,13 +722,7 @@ def fig12_incremental(
 ) -> IncrementalResult:
     """Sweep the training fraction, with and without seeded initial rules."""
     rng = ensure_rng(seed)
-    dataset = generate_cace_dataset(
-        n_homes=n_homes,
-        sessions_per_home=sessions_per_home,
-        duration_s=duration_s,
-        seed=rng.integers(0, 2**31),
-    )
-    train, test = train_test_split(dataset, 0.7, seed=rng.integers(0, 2**31))
+    train, test = _split(rng, n_homes, sessions_per_home, duration_s)
 
     rows: List[Tuple[float, str, float, float, float]] = []
     for fraction in fractions:
@@ -760,28 +738,15 @@ def fig12_incremental(
                 seed=rng.integers(0, 2**31),
             )
             engine.fit(sub_train)
-            truth: List[str] = []
-            predicted: List[str] = []
-            joint = steps = 0.0
-            for seq in test.sequences:
-                pred = engine.predict(seq)
-                stats = getattr(engine.model_, "last_stats", None)
-                if stats is not None:
-                    joint += stats.joint_states
-                    steps += stats.steps
-                for rid in seq.resident_ids:
-                    truth.extend(seq.macro_labels(rid))
-                    predicted.extend(pred[rid])
-            acc = float(
-                np.mean(np.array(truth, dtype=object) == np.array(predicted, dtype=object))
-            )
+            acc = _accuracy(pair_results(test, engine.predict_dataset(test)))
+            stats = engine.batch_stats_
             rows.append(
                 (
                     fraction,
                     config,
                     acc,
                     engine.build_seconds + engine.decode_seconds,
-                    joint / steps if steps else float("nan"),
+                    stats.mean_joint_states if stats.steps else float("nan"),
                 )
             )
     return IncrementalResult(rows=rows)
@@ -1013,14 +978,7 @@ def _fitted_pair(
     from repro.core.reference import ReferenceNChainHdbn
     from repro.mining.constraint_miner import ConstraintMiner
 
-    dataset = generate_cace_dataset(
-        n_homes=n_homes,
-        sessions_per_home=sessions_per_home,
-        duration_s=duration_s,
-        residents_per_home=residents,
-        seed=rng.integers(0, 2**31),
-    )
-    train, test = train_test_split(dataset, 0.7, seed=rng.integers(0, 2**31))
+    train, test = _split(rng, n_homes, sessions_per_home, duration_s, residents)
     rules = CorrelationMiner().mine(train.sequences)
     constraints = ConstraintMiner().fit(
         train.sequences,

@@ -16,7 +16,7 @@ generalise across which resident happens to be "user 1".
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence
 
 from repro.datasets.trace import LabeledSequence, ResidentTruth
 

@@ -24,7 +24,7 @@ from repro.models.distributions import (
     shrink_coupled_transitions,
 )
 from repro.models.inputs import observed_postures, step_features, subloc_candidates
-from repro.models.viterbi import forward_backward, viterbi_decode
+from repro.models.viterbi import viterbi_decode
 
 #: Feature dimensions observable without the neck tag (phone IMU only).
 PHONE_FEATURE_DIMS: Tuple[int, ...] = (0, 1, 4)
@@ -172,13 +172,3 @@ class CoupledHmm:
         out1 = [self.macro_index.label(s // n_m) for s in path]
         out2 = [self.macro_index.label(s % n_m) for s in path]
         return {rids[0]: out1, rids[1]: out2}
-
-    def predict_proba(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
-        """Per-user posterior macro marginals from the joint chain."""
-        if self.macro_index is None:
-            raise RuntimeError("model is not fitted")
-        rids, log_prior, log_trans, log_e = self._joint_pieces(seq)
-        gamma, _ = forward_backward(log_prior, log_trans, log_e)
-        n_m = len(self.macro_index)
-        joint = gamma.reshape(len(seq), n_m, n_m)
-        return {rids[0]: joint.sum(axis=2), rids[1]: joint.sum(axis=1)}

@@ -24,9 +24,9 @@ class MacroHmm:
     """Flat HMM over macro activities, one independent chain per resident.
 
     Implements the :class:`~repro.core.api.Recognizer` surface (``decode``,
-    ``posterior_marginals``, ``trellis_sessions``, ``last_stats``,
-    ``describe``) so the engine and the serving layer treat the baseline
-    exactly like the HDBN families.  Imports from
+    ``posterior_marginals``, ``trellis_sessions``, ``describe``) so the
+    engine and the serving layer treat the baseline exactly like the HDBN
+    families.  Imports from
     :mod:`repro.core` stay lazy: this module is imported by the engine, so
     a top-level import would cycle through ``repro.core.__init__``.
     """
@@ -36,8 +36,6 @@ class MacroHmm:
     prior_: Optional[np.ndarray] = field(default=None, init=False)
     trans_: Optional[np.ndarray] = field(default=None, init=False)
     emission_: Optional[GaussianEmission] = field(default=None, init=False, repr=False)
-    #: DecodeStats of the most recent decode/posterior call (None before).
-    last_stats: Optional[object] = field(default=None, init=False)
 
     # -- training -------------------------------------------------------------
 
@@ -71,25 +69,23 @@ class MacroHmm:
 
     # -- inference ----------------------------------------------------------------
 
-    def decode(self, seq: LabeledSequence) -> Dict[str, List[str]]:
-        """Viterbi macro labels per resident (chains decoded independently)."""
+    def decode(self, seq: LabeledSequence, stats=None) -> Dict[str, List[str]]:
+        """Viterbi macro labels per resident (chains decoded independently;
+        work counted into *stats*)."""
         from repro.core import kernels  # lazy: avoid an import cycle
 
-        return kernels.decode(self, seq, "macro_hmm")
+        return kernels.decode(self, seq, "macro_hmm", stats)
 
     def predict(self, seq: LabeledSequence) -> Dict[str, List[str]]:
         """Alias of :meth:`decode` (the baseline's historical name)."""
         return self.decode(seq)
 
-    def posterior_marginals(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
-        """Posterior macro marginals ``(T, M)`` per resident."""
+    def posterior_marginals(self, seq: LabeledSequence, stats=None) -> Dict[str, np.ndarray]:
+        """Posterior macro marginals ``(T, M)`` per resident (work counted
+        into *stats*)."""
         from repro.core import kernels  # lazy: avoid an import cycle
 
-        return kernels.posterior_marginals(self, seq)
-
-    def predict_proba(self, seq: LabeledSequence) -> Dict[str, np.ndarray]:
-        """Alias of :meth:`posterior_marginals`."""
-        return self.posterior_marginals(seq)
+        return kernels.posterior_marginals(self, seq, stats)
 
     # -- Recognizer surface --------------------------------------------------------
 

@@ -18,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 #: Failure taxonomy shared by the engine, the router, and the reports.
 FAILURE_KINDS = ("timeout", "crash", "error", "bad_step")

@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.api import DecodeStats
 from repro.core.engine import CaceEngine
 from repro.core.loosely_coupled import NChainHdbn
 from repro.datasets import generate_cace_dataset, train_test_split
@@ -34,14 +35,10 @@ REMOVED_KEYS = {
 REMOVED_CASES = [(kind, key) for kind, keys in REMOVED_KEYS.items() for key in keys]
 
 
-def _stats_tuple(stats):
-    return (
-        stats.steps,
-        stats.joint_states,
-        stats.transition_entries,
-        stats.pruned_joint_states,
-        stats.capped_joint_states,
-    )
+def _decoded(engine, seq):
+    """Labels and DecodeStats of one offline decode by the engine's model."""
+    stats = DecodeStats()
+    return engine.model_.decode(seq, stats), stats
 
 
 @pytest.fixture(scope="module", params=STRATEGIES)
@@ -55,15 +52,14 @@ class TestRoundTrip:
         _, test = cace_split
         seq = test.sequences[0]
         path = tmp_path / "model.json"
-        before = fitted_engine.predict(seq)
-        before_stats = _stats_tuple(fitted_engine.model_.last_stats)
+        before, before_stats = _decoded(fitted_engine, seq)
 
         fitted_engine.save(path)
         reloaded = CaceEngine.load(path)
 
-        after = reloaded.predict(seq)
+        after, after_stats = _decoded(reloaded, seq)
         assert after == before
-        assert _stats_tuple(reloaded.model_.last_stats) == before_stats
+        assert after_stats == before_stats
 
     def test_posterior_marginals_bit_identical(
         self, fitted_engine, cace_split, tmp_path
@@ -142,8 +138,7 @@ class TestLegacyArtifacts:
         legacy = engine_from_dict(
             self._with_config(engine, kind, **{key: _REMOVED_OPTIONS[key]})
         )
-        assert legacy.predict(seq) == engine.predict(seq)
-        assert _stats_tuple(legacy.model_.last_stats) == _stats_tuple(engine.model_.last_stats)
+        assert _decoded(legacy, seq) == _decoded(engine, seq)
         before = engine.posterior_marginals(seq)
         after = legacy.posterior_marginals(seq)
         for rid in before:
@@ -208,8 +203,7 @@ class TestLegacyArtifacts:
         for name in removed:
             assert not hasattr(legacy.model_.constraint_model, name)
 
-        assert legacy.predict(seq) == fresh.predict(seq)
-        assert _stats_tuple(legacy.model_.last_stats) == _stats_tuple(fresh.model_.last_stats)
+        assert _decoded(legacy, seq) == _decoded(fresh, seq)
         before = fresh.posterior_marginals(seq)
         after = legacy.posterior_marginals(seq)
         assert set(after) == set(before)

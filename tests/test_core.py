@@ -17,6 +17,7 @@ from repro.core import (
     extract_segments,
     match_segments,
 )
+from repro.core.api import DecodeStats
 from repro.core.duration import Segment
 from repro.core.loosely_coupled import PAIR_CAPS
 from repro.mining.initial_rules import initial_rule_set
@@ -166,8 +167,8 @@ class TestCoupledHdbn:
 
     def test_stats_populated(self, cace_split, fitted):
         _, test = cace_split
-        fitted.decode(test.sequences[0])
-        stats = fitted.last_stats
+        stats = DecodeStats()
+        fitted.decode(test.sequences[0], stats)
         assert stats.steps == len(test.sequences[0])
         assert stats.joint_states > 0
         assert stats.mean_joint_states > 1
@@ -181,9 +182,10 @@ class TestCoupledHdbn:
             constraint_model=constraint_model, rule_set=None, seed=3, **PAIR
         ).fit(train)
         seq = test.sequences[0]
-        pruned.decode(seq)
-        unpruned.decode(seq)
-        assert pruned.last_stats.joint_states <= unpruned.last_stats.joint_states
+        pruned_stats, unpruned_stats = DecodeStats(), DecodeStats()
+        pruned.decode(seq, pruned_stats)
+        unpruned.decode(seq, unpruned_stats)
+        assert pruned_stats.joint_states <= unpruned_stats.joint_states
 
     def test_posterior_marginals_normalised(self, cace_split, fitted):
         _, test = cace_split

@@ -5,7 +5,6 @@ import pytest
 
 from repro.datasets import (
     CASAS_TASKS,
-    Dataset,
     MicroObservationModel,
     train_test_split,
 )

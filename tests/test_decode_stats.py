@@ -70,9 +70,10 @@ class TestPrunedCountAccounting:
                 (len(c1), len(c2)), dtype=bool
             ),
         )
-        fitted.decode(seq)
-        assert fitted.last_stats.pruned_joint_states == 0
-        assert fitted.last_stats.joint_states > 0
+        stats = DecodeStats()
+        fitted.decode(seq, stats)
+        assert stats.pruned_joint_states == 0
+        assert stats.joint_states > 0
 
     def test_partial_prune_counts_removed_pairs(self, cace_split, fitted, monkeypatch):
         """The counter equals the number of joint states the mask removed."""
@@ -87,14 +88,15 @@ class TestPrunedCountAccounting:
             return keep
 
         monkeypatch.setattr(CrossRulePruner, "keep", half_mask)
-        fitted.decode(seq)
-        assert fitted.last_stats.pruned_joint_states == dropped["n"]
+        stats = DecodeStats()
+        fitted.decode(seq, stats)
+        assert stats.pruned_joint_states == dropped["n"]
 
     def test_cap_accounted_separately(self, cace_split, fitted):
         _, test = cace_split
         seq = test.sequences[0].slice(0, 10)
-        fitted.decode(seq)
-        stats = fitted.last_stats
+        stats = DecodeStats()
+        fitted.decode(seq, stats)
         # Survivors + cap drops add up to the post-rule-pruning pool.
         assert stats.capped_joint_states >= 0
         assert stats.joint_states <= stats.steps * fitted.max_joint_states_pruned
@@ -110,15 +112,14 @@ class TestPrunedCountAccounting:
 class TestSmootherAccounting:
     def test_streaming_stats_match_offline(self, cace_split, fitted):
         """push() performs the same accounting offline decode does, into
-        the smoother's own stats (the model's last_stats is untouched)."""
+        the smoother's own stats."""
         _, test = cace_split
         seq = test.sequences[0].slice(0, 25)
-        fitted.decode(seq)
-        offline = fitted.last_stats
+        offline = DecodeStats()
+        fitted.decode(seq, offline)
         smoother = OnlineSmoother(fitted, lag=4)
         smoother.run(seq)
         online = smoother.stats
-        assert fitted.last_stats is offline
         assert online.steps == offline.steps == len(seq)
         assert online.joint_states == offline.joint_states
         assert online.transition_entries == offline.transition_entries
@@ -170,8 +171,9 @@ class TestHotPathEquivalence:
     def test_decode_labels_identical(self, cace_split, fitted, reference):
         _, test = cace_split
         for seq in test.sequences:
-            assert fitted.decode(seq) == reference.decode(seq)
-            assert fitted.last_stats == reference.last_stats
+            fast_stats, ref_stats = DecodeStats(), DecodeStats()
+            assert fitted.decode(seq, fast_stats) == reference.decode(seq, ref_stats)
+            assert fast_stats == ref_stats
 
     def test_posterior_marginals_close(self, cace_split, fitted, reference):
         _, test = cace_split

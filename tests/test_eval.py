@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval import ConfusionMatrix, accuracy, evaluate_predictions, prc_auc, roc_auc
-from repro.eval.experiments import strip_gestural, strip_location
+from repro.eval.experiments import _per_home_accuracy, strip_gestural, strip_location
 
 
 class TestConfusionMatrix:
@@ -106,3 +106,15 @@ class TestAblationHelpers:
             seq0, seq1 = cace_dataset.sequences[0], stripped.sequences[0]
             rid = seq0.resident_ids[0]
             assert seq0.macro_labels(rid) == seq1.macro_labels(rid)
+
+
+class TestPerHomeAccuracy:
+    def test_pools_every_session_of_a_home(self, cace_dataset):
+        """Three equal-length sessions of one home scoring 1, 1 and 0 read
+        2/3 (a running pairwise mean of session accuracies reads 0.5)."""
+        home, seqs = next(iter(cace_dataset.by_home().items()))
+        assert len(seqs) == 3 and len({len(seq) for seq in seqs}) == 1
+        right = [{rid: seq.macro_labels(rid) for rid in seq.resident_ids} for seq in seqs]
+        wrong = {rid: ["<none>"] * len(seqs[2]) for rid in seqs[2].resident_ids}
+        scored = [(seqs[0], right[0]), (seqs[1], right[1]), (seqs[2], wrong)]
+        assert _per_home_accuracy(scored) == {home: pytest.approx(2 / 3)}

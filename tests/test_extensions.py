@@ -10,7 +10,6 @@ from repro.core.smoother import OnlineSmoother
 from repro.datasets.cace import generate_cace_dataset
 from repro.datasets.trace import (
     ContextStep,
-    Dataset,
     LabeledSequence,
     ResidentObservation,
     train_test_split,

@@ -10,6 +10,8 @@ decoding equals the fixed-lag smoother at lag >= T for every family.
 
 import dataclasses
 import itertools
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -317,8 +319,8 @@ def _assert_candidates_match_reference(model, sequences):
 def _decode_all(model, sequences):
     out = []
     for seq in sequences:
-        labels = model.decode(seq)
-        out.append((labels, model.last_stats))
+        stats = DecodeStats()
+        out.append((model.decode(seq, stats), stats))
     return out
 
 
@@ -545,10 +547,9 @@ def test_offline_equals_full_lag_smoother(family, family_models):
     """At lag >= T the smoother commits exactly the argmax of the offline
     posterior marginals, and counts exactly the work offline decode does."""
     model, seq = family_models[family]
-    marginals = model.posterior_marginals(seq)
-    posterior_stats = model.last_stats
-    model.decode(seq)
-    offline_stats = model.last_stats
+    posterior_stats, offline_stats = DecodeStats(), DecodeStats()
+    marginals = model.posterior_marginals(seq, posterior_stats)
+    model.decode(seq, offline_stats)
     smoother = OnlineSmoother(model, lag=len(seq))
     online = smoother.run(seq)
     index = model.trellis_sessions(seq)[0].macro_index
@@ -557,6 +558,27 @@ def test_offline_equals_full_lag_smoother(family, family_models):
         assert online[rid] == [index.label(macro_argmax(row)) for row in gamma]
     assert smoother.stats == offline_stats
     assert posterior_stats == offline_stats
+
+
+@pytest.mark.parametrize("family", ["nh", "ncr", "c2_pair", "c2_trio"])
+def test_decode_is_reentrant(family, family_models):
+    """Two threads decoding different sessions on one fitted model each get
+    the labels and the DecodeStats of a serial decode: a model keeps no
+    per-call state."""
+    model, seq = family_models[family]
+    half = len(seq) // 2
+    sessions = [seq.slice(0, half), seq.slice(half, len(seq))]
+    start = threading.Barrier(len(sessions))
+
+    def decode(session, wait=False):
+        stats = DecodeStats()
+        if wait:
+            start.wait()
+        return model.decode(session, stats), stats
+
+    with ThreadPoolExecutor(max_workers=len(sessions)) as pool:
+        threaded = list(pool.map(lambda s: decode(s, wait=True), sessions))
+    assert threaded == [decode(session) for session in sessions]
 
 
 @pytest.mark.parametrize("family", ["nh", "ncr", "c2_pair", "c2_trio", "c2_quad"])
