@@ -1,8 +1,9 @@
 """Probabilistic models: shared distributions and the baseline recognisers.
 
 Contains the building blocks (label indexing, conditional probability
-tables, Gaussian emissions, Viterbi / forward-backward) and the three
-prior-work baselines the paper compares against:
+tables, Gaussian emissions) and the three prior-work baselines the paper
+compares against.  Every baseline decodes with the same Viterbi recursion
+as CACE, :func:`repro.core.kernels.viterbi_path`:
 
 * :class:`~repro.models.hmm.MacroHmm` — per-user flat HMM (Singla et al.
   [9]): no hierarchy, no coupling.
@@ -17,22 +18,17 @@ from repro.models.distributions import (
     Cpt,
     GaussianEmission,
     LabelIndex,
-    log_normalize,
     normalize,
 )
 from repro.models.fcrf import FactorialCrf
 from repro.models.hmm import MacroHmm
-from repro.models.viterbi import forward_backward, viterbi_decode
 
 __all__ = [
     "CoupledHmm",
     "Cpt",
     "GaussianEmission",
     "LabelIndex",
-    "log_normalize",
     "normalize",
     "FactorialCrf",
     "MacroHmm",
-    "forward_backward",
-    "viterbi_decode",
 ]

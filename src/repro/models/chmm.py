@@ -24,7 +24,6 @@ from repro.models.distributions import (
     shrink_coupled_transitions,
 )
 from repro.models.inputs import observed_postures, step_features, subloc_candidates
-from repro.models.viterbi import viterbi_decode
 
 #: Feature dimensions observable without the neck tag (phone IMU only).
 PHONE_FEATURE_DIMS: Tuple[int, ...] = (0, 1, 4)
@@ -132,7 +131,8 @@ class CoupledHmm:
         candidates = subloc_candidates(seq, rid)
         log_post = np.log(self.posture_cpt_)
         log_loc = np.log(self.subloc_cpt_)
-        out = np.zeros((len(seq), n_m))
+        # The Gaussian channel for every step at once; the loop adds the rest.
+        out = self.emission_.log_pdf_rows(range(n_m), feats)
         for t in range(len(seq)):
             p_idx = self.posture_index.index(postures[t])
             obs = seq.steps[t].observations[rid]
@@ -141,14 +141,10 @@ class CoupledHmm:
             )
             # Marginalise the true sub-location: sum_l P(l | m) w(l | fix).
             loc_mass = np.log(np.exp(log_loc + loc_weight[None, :]).sum(axis=1) + 1e-300)
-            gauss = self.emission_.log_pdf_many(range(n_m), feats[t])
-            out[t] = log_post[:, p_idx] + loc_mass + gauss
+            out[t] += log_post[:, p_idx] + loc_mass
         return out
 
-    def _joint_pieces(self, seq: LabeledSequence):
-        rids = list(seq.resident_ids[:2])
-        if len(rids) < 2:
-            raise ValueError("CoupledHmm expects two residents")
+    def _joint_pieces(self, seq: LabeledSequence, rids: Tuple[str, str]):
         n_m = len(self.macro_index)
         e1 = self._user_log_emissions(seq, rids[0])
         e2 = self._user_log_emissions(seq, rids[1])
@@ -160,14 +156,21 @@ class CoupledHmm:
         log_trans = a.reshape(n_m * n_m, n_m * n_m)
 
         log_prior = (np.log(self.prior_)[:, None] + np.log(self.prior_)[None, :]).reshape(-1)
-        return rids, log_prior, log_trans, log_e
+        return log_prior, log_trans, log_e
 
     def predict(self, seq: LabeledSequence) -> Dict[str, List[str]]:
         """Joint Viterbi decode over the coupled macro pair."""
+        from repro.core.kernels import viterbi_path  # lazy: avoid an import cycle
+
         if self.macro_index is None:
             raise RuntimeError("model is not fitted")
-        rids, log_prior, log_trans, log_e = self._joint_pieces(seq)
-        path, _ = viterbi_decode(log_prior, log_trans, log_e)
+        rids = seq.resident_ids[:2]
+        if len(rids) < 2:
+            raise ValueError("CoupledHmm expects two residents")
+        if len(seq) == 0:
+            return {rid: [] for rid in rids}
+        log_prior, log_trans, log_e = self._joint_pieces(seq, rids)
+        path = viterbi_path(log_prior + log_e[0], log_e, lambda t: log_trans)
         n_m = len(self.macro_index)
         out1 = [self.macro_index.label(s // n_m) for s in path]
         out2 = [self.macro_index.label(s % n_m) for s in path]

@@ -24,16 +24,6 @@ def normalize(arr: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def log_normalize(log_weights: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Normalise in log space: ``log_weights - logsumexp(log_weights)``."""
-    log_weights = np.asarray(log_weights, dtype=float)
-    m = np.max(log_weights, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    shifted = log_weights - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True)) + m
-    return log_weights - lse
-
-
 @dataclass
 class LabelIndex:
     """Bidirectional mapping between labels and dense integer indices."""
@@ -187,10 +177,6 @@ class GaussianEmission:
         # bit-identical.
         quad = float(np.einsum("i,ij,j->", diff, inv, diff))
         return -0.5 * (self.dim * np.log(2 * np.pi) + logdet + quad)
-
-    def log_pdf_many(self, states: Sequence[int], x: np.ndarray) -> np.ndarray:
-        """``log_pdf`` for several states against one observation."""
-        return np.array([self.log_pdf(int(s), x) for s in states])
 
     def log_pdf_rows(self, states: Sequence[int], x_rows: np.ndarray) -> np.ndarray:
         """(T, |states|) log densities for a stacked batch of observations.

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.datasets.trace import Dataset, LabeledSequence
 from repro.models.distributions import LabelIndex
-from repro.models.viterbi import viterbi_decode
 from repro.util.rng import RandomState, ensure_rng
 
 
@@ -71,7 +70,8 @@ class FactorialCrf:
 
     # -- decoding -----------------------------------------------------------------
 
-    def _decode(self, phi1: np.ndarray, phi2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _joint_pieces(self, phi1: np.ndarray, phi2: np.ndarray):
+        """``(T, M*M)`` joint node scores and ``(M*M, M*M)`` transition scores."""
         n_m = len(self.macro_index)
         t_len = phi1.shape[0]
         node1 = phi1 @ self.node_w.T  # (T, M)
@@ -82,9 +82,15 @@ class FactorialCrf:
         trans = (
             self.trans_w[:, None, :, None] + self.trans_w[None, :, None, :]
         ).reshape(n_m * n_m, n_m * n_m)
-        prior = np.zeros(n_m * n_m)
-        path, _ = viterbi_decode(prior, trans, emis)
-        return path // n_m, path % n_m
+        return emis, trans
+
+    def _decode(self, phi1: np.ndarray, phi2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        from repro.core.kernels import viterbi_path  # lazy: avoid an import cycle
+
+        emis, trans = self._joint_pieces(phi1, phi2)
+        # The joint prior is uniform (all zeros), so step 0 is its node scores.
+        path = viterbi_path(emis[0], emis, lambda t: trans)
+        return np.divmod(path, len(self.macro_index))
 
     # -- training ------------------------------------------------------------------
 
@@ -166,7 +172,12 @@ class FactorialCrf:
         """Exact joint decode of both chains."""
         if self.macro_index is None:
             raise RuntimeError("model is not fitted")
-        r1, r2 = seq.resident_ids[:2]
+        rids = seq.resident_ids[:2]
+        if len(rids) < 2:
+            raise ValueError("FactorialCrf expects two residents")
+        if len(seq) == 0:
+            return {rid: [] for rid in rids}
+        r1, r2 = rids
         p1, p2 = self._decode(self._phi(seq, r1), self._phi(seq, r2))
         return {
             r1: [self.macro_index.label(i) for i in p1],

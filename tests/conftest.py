@@ -6,6 +6,7 @@ import pytest
 
 from repro.datasets import generate_cace_dataset, generate_casas_dataset, train_test_split
 from repro.mining import ConstraintMiner, CorrelationMiner
+from repro.models import CoupledHmm, FactorialCrf, MacroHmm
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +49,17 @@ def rule_set(cace_split):
     """Correlation rules mined from the small training split."""
     train, _ = cace_split
     return CorrelationMiner(min_support=0.03).mine(train.sequences)
+
+
+@pytest.fixture(scope="session")
+def baselines(cace_split):
+    """The Fig 10 baselines, fitted once on the small training split."""
+    train, _ = cace_split
+    return {
+        "nh": MacroHmm().fit(train),
+        "chmm": CoupledHmm().fit(train),
+        "fcrf": FactorialCrf(epochs=3, seed=1).fit(train),
+        # All-zero weights: every score ties, as in the perceptron's
+        # first decodes, so only the argmax tie-break picks the path.
+        "fcrf_zero": FactorialCrf(epochs=0).fit(train),
+    }

@@ -1,11 +1,11 @@
-"""Viterbi decoding and forward-backward smoothing over a fixed state space.
+"""Dense Viterbi and forward-backward over a fixed state space: the test spec.
 
-:func:`viterbi_decode` / :func:`forward_backward` are the dense
-implementations the baseline HMM / CHMM / FCRF run on.  The HDBN family
-decodes over a *time-varying candidate trellis* instead, where the
-correlation rules shrink each step's candidate set (the paper's 16x
-overhead reduction); its recursions are :func:`repro.core.kernels.viterbi_path`
-and the sum-product steps beside it.
+Every recogniser in ``src/`` decodes with
+:func:`repro.core.kernels.viterbi_path` and the sum-product steps beside
+it.  :func:`viterbi_decode` / :func:`forward_backward` are independent
+textbook recursions over a ``(T, S)`` emission matrix and one ``(S, S)``
+transition matrix; the tests compare the kernels and the NH / CHMM / FCRF
+baselines against them.
 """
 
 from __future__ import annotations

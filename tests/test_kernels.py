@@ -38,11 +38,11 @@ from repro.core.state_space import CandidateSet, UserState
 from repro.datasets import generate_cace_dataset, train_test_split
 from repro.datasets.trace import ContextStep, ResidentObservation
 from repro.mining import ConstraintMiner, CorrelationMiner
-from repro.models.distributions import GaussianEmission
-from repro.models.hmm import MacroHmm
+from repro.models import CoupledHmm, FactorialCrf, GaussianEmission, MacroHmm
 from repro.models.inputs import step_features
-from repro.models.viterbi import forward_backward, viterbi_decode
 from repro.serve import SessionRouter
+
+from dense_spec import forward_backward, viterbi_decode
 
 #: The object channel sums its Bernoulli logs in another order than the
 #: seed (see repro.core.reference), so scores may differ in the last ulp.
@@ -127,7 +127,7 @@ def test_gaussian_log_pdf_rows_matches_scalar():
     em = GaussianEmission(dim=6).fit(features, states)
     rows = em.log_pdf_rows(range(4), features)
     for t in range(features.shape[0]):
-        assert np.array_equal(rows[t], em.log_pdf_many(range(4), features[t]))
+        assert np.array_equal(rows[t], [em.log_pdf(s, features[t]) for s in range(4)])
 
 
 def test_viterbi_path_matches_dense_decode():
@@ -504,23 +504,63 @@ def test_rule_pruners_match_item_set_spec(setup, pair_models, nchain_setup, data
     )
 
 
-def test_macro_hmm_matches_seed_viterbi(cace_split):
-    """NH: batched emission rows + shared viterbi kernel reproduce the
-    dense seed decode (per-step log_pdf_many + viterbi_decode) exactly."""
-    train, test = cace_split
-    model = MacroHmm().fit(train)
+def _dense_chains(model, seq):
+    """``(residents, log_prior, log_trans, log_e)`` per jointly decoded
+    chain: the dense pieces a baseline's labels must equal the spec on."""
     n_m = len(model.macro_index)
-    for seq in test.sequences:
-        pred = model.decode(seq)
+    if isinstance(model, MacroHmm):
         for rid in seq.resident_ids:
-            feats = step_features(seq, rid)
             log_e = np.array(
-                [model.emission_.log_pdf_many(range(n_m), x) for x in feats]
+                [[model.emission_.log_pdf(s, x) for s in range(n_m)]
+                 for x in step_features(seq, rid)]
             )
-            path, _ = viterbi_decode(
-                np.log(model.prior_), np.log(model.trans_), log_e
-            )
-            assert pred[rid] == [model.macro_index.label(i) for i in path]
+            yield (rid,), np.log(model.prior_), np.log(model.trans_), log_e
+    elif isinstance(model, CoupledHmm):
+        rids = seq.resident_ids[:2]
+        yield (rids, *model._joint_pieces(seq, rids))
+    else:
+        rids = seq.resident_ids[:2]
+        log_e, log_trans = model._joint_pieces(*(model._phi(seq, r) for r in rids))
+        yield rids, np.zeros(n_m * n_m), log_trans, log_e
+
+
+@pytest.mark.parametrize("name", ["nh", "chmm", "fcrf", "fcrf_zero"])
+def test_macro_hmm_matches_seed_viterbi(name, baselines, cace_split):
+    """Each Fig 10 baseline's labels equal the dense spec's Viterbi
+    (``dense_spec.viterbi_decode``) over the same dense pieces, with the
+    emissions scored one state and one step at a time for nh."""
+    model = baselines[name]
+    if name == "fcrf_zero":
+        assert not model.node_w.any() and not model.trans_w.any() and not model.pair_w.any()
+    n_m = len(model.macro_index)
+    for seq in cace_split[1].sequences:
+        pred = model.predict(seq)
+        for rids, log_prior, log_trans, log_e in _dense_chains(model, seq):
+            path, _ = viterbi_decode(log_prior, log_trans, log_e)
+            states = np.unravel_index(path, (n_m,) * len(rids))
+            for rid, chain in zip(rids, states):
+                assert pred[rid] == [model.macro_index.label(i) for i in chain]
+
+
+def test_fcrf_training_matches_dense_spec(cace_split, monkeypatch):
+    """The perceptron's training decodes run through ``viterbi_path``;
+    swapping in the dense spec reproduces every weight bit for bit."""
+    train, _ = cace_split
+    fitted = FactorialCrf(epochs=2, seed=3).fit(train)
+    calls = []
+
+    def dense_path(initial, per_scores, transition):
+        calls.append(len(per_scores))
+        # viterbi_decode adds a zero prior to row 0, so row 0 becomes initial.
+        log_e = np.vstack([initial, per_scores[1:]])
+        path, _ = viterbi_decode(np.zeros(len(initial)), transition(1), log_e)
+        return list(path)
+
+    monkeypatch.setattr(kernels, "viterbi_path", dense_path)
+    spec = FactorialCrf(epochs=2, seed=3).fit(train)
+    assert calls
+    for field in ("node_w", "trans_w", "pair_w"):
+        assert np.array_equal(getattr(fitted, field), getattr(spec, field))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +671,7 @@ def test_nh_posterior_matches_dense_forward_backward(family_models):
     marginals = model.posterior_marginals(seq)
     for rid in seq.resident_ids:
         log_e = np.array(
-            [model.emission_.log_pdf_many(range(n_m), x) for x in step_features(seq, rid)]
+            [[model.emission_.log_pdf(s, x) for s in range(n_m)] for x in step_features(seq, rid)]
         )
         gamma, _ = forward_backward(np.log(model.prior_), np.log(model.trans_), log_e)
         np.testing.assert_allclose(marginals[rid], gamma, rtol=0, atol=1e-10)

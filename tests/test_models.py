@@ -1,5 +1,7 @@
 """Unit + property tests for distributions, Viterbi, and baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,11 @@ from repro.models import (
     GaussianEmission,
     LabelIndex,
     MacroHmm,
-    forward_backward,
-    log_normalize,
     normalize,
-    viterbi_decode,
 )
 from repro.models.distributions import shrink_coupled_transitions
+
+from dense_spec import forward_backward, viterbi_decode
 
 
 class TestLabelIndex:
@@ -77,12 +78,6 @@ class TestNormalize:
     def test_normalize_empty_rows_uniform(self):
         out = normalize(np.zeros((2, 4)))
         assert np.allclose(out, 0.25)
-
-    @given(st.lists(st.floats(min_value=-20, max_value=20), min_size=2, max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_log_normalize(self, values):
-        out = log_normalize(np.array(values))
-        assert np.exp(out).sum() == pytest.approx(1.0, rel=1e-6)
 
 
 class TestGaussianEmission:
@@ -224,6 +219,18 @@ class TestBaselineModels:
         pred = model.predict(seq)
         for rid in seq.resident_ids[:2]:
             assert len(pred[rid]) == len(seq)
+
+    @pytest.mark.parametrize("name", ["nh", "chmm", "fcrf"])
+    def test_empty_sequence_decodes_to_empty_lists(self, baselines, cace_split, name):
+        seq = cace_split[1].sequences[0].slice(0, 0)
+        assert baselines[name].predict(seq) == {rid: [] for rid in seq.resident_ids}
+
+    @pytest.mark.parametrize("name", ["chmm", "fcrf"])
+    def test_pair_baselines_reject_one_resident(self, baselines, cace_split, name):
+        seq = cace_split[1].sequences[0]
+        seq = dataclasses.replace(seq, resident_ids=seq.resident_ids[:1])
+        with pytest.raises(ValueError, match="expects two residents"):
+            baselines[name].predict(seq)
 
     def test_unfitted_models_raise(self, cace_split):
         _, test = cace_split
