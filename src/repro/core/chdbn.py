@@ -191,6 +191,9 @@ def fit_object_cpt(
     (kettle), the two activities the paper reports as hardest.
 
     Returns ``(object_index, log_table)`` with ``log_table[m, o, fired]``.
+    Every (resident, step) adds one to ``counts[m, o, fired]`` for each
+    object in one ``np.add.at``; the counts are whole numbers, so their
+    order does not matter.
     """
     objects = sorted(
         {obj for seq in train.sequences for step in seq.steps for obj in step.objects_fired}
@@ -198,12 +201,25 @@ def fit_object_cpt(
     object_index = {obj: i for i, obj in enumerate(objects)}
     n_m = constraint_model.n_macro
     counts = np.full((n_m, max(len(objects), 1), 2), alpha, dtype=float)
+    macros: List[np.ndarray] = []
+    fired: List[np.ndarray] = []
     for seq in train.sequences:
+        pairs = list(zip(seq.steps, seq.truths))
+        on = np.array(
+            [[obj in step.objects_fired for obj in objects] for step, _ in pairs],
+            dtype=np.intp,
+        ).reshape(len(pairs), len(objects))
         for rid in seq.resident_ids:
-            for step, truth in zip(seq.steps, seq.truths):
-                m = constraint_model.macro_index.index(truth[rid].macro)
-                for obj, o in object_index.items():
-                    counts[m, o, 1 if obj in step.objects_fired else 0] += 1
+            macros.append(
+                constraint_model.macro_index.encode(truth[rid].macro for _, truth in pairs)
+            )
+            fired.append(on)
+    if objects and macros:
+        np.add.at(
+            counts,
+            (np.concatenate(macros)[:, None], np.arange(len(objects)), np.concatenate(fired)),
+            1.0,
+        )
     probs = counts / counts.sum(axis=2, keepdims=True)
     return object_index, np.log(probs)
 

@@ -7,6 +7,21 @@ decreasing temperature schedule, splitting effective clusters as the
 temperature crosses critical values.  DA is far less initialisation-
 sensitive than plain k-means, which matters when cluster sizes are skewed
 (e.g. long sleeping episodes vs brief yawns).
+
+Layout.  The soft-assignment step works on ``(k, n)`` arrays: the data is
+held once transposed, ``xt`` of shape ``(1, d, n)``, so the squared
+distances are a sum over the middle axis of ``(k, d, n)`` and the
+min-shift and normalisation reduce over ``k`` -- every inner loop runs
+over the n points instead of over d or k.  The weights are transposed
+back to ``(n, k)`` before each centre's ``weights[:, j] @ x``, so that
+product reads the same strided column, in the same order, as the
+``(n, k, d)`` broadcast this replaces.  Centres, and so labels, are bit
+for bit those of that broadcast while ``d < 8`` and ``k < 8``: a sum over
+fewer than 8 elements runs in index order whichever axis it is on, but
+from 8 on, numpy's reduce over a contiguous inner axis switches to
+pairwise summation and the last bits differ (the same caveat as
+:class:`repro.core.chdbn.GmmBank`'s).  CACE features have d = 6 and the
+mixtures 4 components.
 """
 
 from __future__ import annotations
@@ -18,6 +33,12 @@ import numpy as np
 
 from repro.util.rng import RandomState, ensure_rng
 from repro.util.validation import check_in_range, check_positive
+
+
+def _sq_dists(xt: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``(k, n)`` squared distances of the points ``xt`` (``(1, d, n)``)
+    to each of the ``(k, d)`` centres."""
+    return ((xt - centers[:, :, None]) ** 2).sum(axis=1)
 
 
 @dataclass
@@ -68,14 +89,16 @@ class DeterministicAnnealing:
         centers = np.tile(x.mean(axis=0), (k, 1))
         centers += self._rng.normal(0.0, 1e-4 * np.sqrt(data_var), centers.shape)
 
+        xt = np.ascontiguousarray(x.T)[None]
         while temperature > t_floor:
             for _ in range(self.max_inner_iters):
                 old = centers.copy()
                 # Soft assignments (Gibbs distribution at this temperature).
-                d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-                d2 -= d2.min(axis=1, keepdims=True)
-                weights = np.exp(-d2 / max(temperature, 1e-12))
-                weights /= weights.sum(axis=1, keepdims=True)
+                d2 = _sq_dists(xt, centers)
+                d2 -= d2.min(axis=0)
+                w = np.exp(-d2 / max(temperature, 1e-12))
+                w /= w.sum(axis=0)
+                weights = w.T.copy()
                 mass = weights.sum(axis=0)
                 for j in range(k):
                     if mass[j] > 1e-12:
@@ -102,8 +125,7 @@ class DeterministicAnnealing:
         if self.centers_ is None:
             raise RuntimeError("not fitted")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        d2 = ((x[:, None, :] - self.centers_[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
+        return np.argmin(_sq_dists(np.ascontiguousarray(x.T)[None], self.centers_), axis=0)
 
     def fit_gaussians(self, x: np.ndarray, min_points: int = 2) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fit one Gaussian per discovered cluster.

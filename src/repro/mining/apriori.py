@@ -10,6 +10,11 @@ numpy counting core.  Transactions become a boolean incidence matrix:
   Entry ``(b, j)`` counts the transactions holding ``{a, b, j}``; a triple
   is a candidate only when all three of its pairs are frequent.
 
+The incidence matrix is filled by one fancy-index assignment.  The
+products run in float32, which counts exactly up to 2**24 transactions
+(float64 past that), and the counts are cast to int64 before they are
+divided into supports.
+
 The depth is three because the paper's rules have two antecedent elements
 and one consequent, so no rule needs a larger itemset.  Itemsets are
 emitted level by level in lexicographic order of their sorted item
@@ -19,7 +24,7 @@ point — ``minSup = 4%``, ``minConf = 99%`` — is the default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
@@ -28,13 +33,24 @@ from repro.mining.context_rules import Item
 from repro.mining.rules import AssociationRule
 from repro.util.validation import check_probability
 
+#: Largest transaction count whose 0/1 products count exactly in float32:
+#: every partial sum is a whole number no larger than the count, and
+#: float32 holds every whole number up to 2**24.
+_EXACT_F32 = 2**24
+
 
 @dataclass
 class FrequentItemsets:
-    """Mining result: itemset -> support (fraction of transactions)."""
+    """Mining result: itemset -> support (fraction of transactions).
+
+    ``incidence`` is the boolean ``(transactions, items)`` matrix the
+    supports were counted from, its columns named by ``columns``.
+    """
 
     supports: Dict[FrozenSet[Item], float]
     n_transactions: int
+    incidence: np.ndarray = field(repr=False)
+    columns: Dict[Item, int] = field(repr=False)
 
     def support(self, itemset: FrozenSet[Item]) -> float:
         """Support of *itemset* (0.0 when not frequent)."""
@@ -72,10 +88,12 @@ class Apriori:
         # Build the item universe and boolean incidence matrix.
         universe: List[Item] = sorted({item for t in transactions for item in t})
         index = {item: i for i, item in enumerate(universe)}
+        sizes = [len(t) for t in transactions]
+        cols = np.fromiter(
+            (index[item] for t in transactions for item in t), dtype=np.intp, count=sum(sizes)
+        )
         incidence = np.zeros((n, len(universe)), dtype=bool)
-        for row, transaction in enumerate(transactions):
-            for item in transaction:
-                incidence[row, index[item]] = True
+        incidence[np.repeat(np.arange(n), sizes), cols] = True
 
         min_count = max(self.min_support * n, 1)
         supports: Dict[FrozenSet[Item], float] = {}
@@ -89,11 +107,12 @@ class Apriori:
 
         # L2 via one matrix product over the frequent-item columns.
         sub = incidence[:, frequent1]
-        sub_f = sub.astype(np.float64)
+        sub_f = sub.astype(np.float32 if n <= _EXACT_F32 else np.float64)
         pair_counts = (sub_f.T @ sub_f).astype(np.int64)
         frequent2 = np.triu(pair_counts >= min_count, k=1)
-        for a, b in zip(*np.nonzero(frequent2)):
-            supports[frozenset([items[a], items[b]])] = pair_counts[a, b] / n
+        a2, b2 = np.nonzero(frequent2)
+        for a, b, support in zip(a2.tolist(), b2.tolist(), pair_counts[a2, b2] / n):
+            supports[frozenset([items[a], items[b]])] = support
 
         # L3: one product per first item over the rows that contain it.
         for a in range(len(items)):
@@ -104,11 +123,15 @@ class Apriori:
             counts3 = (rows[:, partners].T @ rows).astype(np.int64)
             # (b, j) is a candidate when j > b and {a, j}, {b, j} are frequent.
             keep = frequent2[partners] & frequent2[a] & (counts3 >= min_count)
-            for k, j in zip(*np.nonzero(keep)):
-                b = partners[k]
-                supports[frozenset([items[a], items[b], items[j]])] = counts3[k, j] / n
+            k3, j3 = np.nonzero(keep)
+            for b, j, support in zip(
+                partners[k3].tolist(), j3.tolist(), counts3[k3, j3] / n
+            ):
+                supports[frozenset([items[a], items[b], items[j]])] = support
 
-        return FrequentItemsets(supports=supports, n_transactions=n)
+        return FrequentItemsets(
+            supports=supports, n_transactions=n, incidence=incidence, columns=index
+        )
 
     # -- rules ---------------------------------------------------------------------
 
@@ -122,15 +145,16 @@ class Apriori:
 
         Every frequent itemset of size >= 2 yields candidate rules with a
         single-item consequent; rules below :attr:`min_confidence` are
-        discarded.
+        discarded.  Rules come in itemset order and, within an itemset, in
+        sorted consequent order, so the list does not depend on how the
+        process hashes strings.
         """
         rules: List[AssociationRule] = []
         for itemset, support in itemsets.supports.items():
             if len(itemset) < 2:
                 continue
-            for consequent in itemset:
-                if consequent.attr not in consequent_attrs:
-                    continue
+            heads = sorted(item for item in itemset if item.attr in consequent_attrs)
+            for consequent in heads:
                 antecedent = frozenset(itemset - {consequent})
                 ant_support = itemsets.support(antecedent)
                 if ant_support <= 0:

@@ -11,12 +11,18 @@ canonical user slot (``"u1"``, ``"u2"``, ... by resident order, or
 ``"amb"`` for unattributed ambient context) and ``time`` is ``"t"`` or
 ``"t-1"``.  Transactions are symmetrised over user slots so mined rules
 generalise across which resident happens to be "user 1".
+
+:func:`encode_step` is the definition of one transaction.
+:func:`encode_sequence` produces the same transactions for a whole
+sequence from a memo: one item list per ``(slot, time, truth)`` seen in
+the sequence, and one ambient item list per step, shared by all of the
+step's slot assignments.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.datasets.trace import LabeledSequence, ResidentTruth
 
@@ -99,6 +105,12 @@ def encode_sequence(
     With ``symmetrize=True`` every step is emitted once per permutation of
     user-slot assignment, so rules do not overfit to which resident was
     mapped to ``u1``.
+
+    Each transaction equals :func:`encode_step` of its step and slot
+    assignment.  Residents hold the same truth for many steps in a row, so
+    their items are memoised per ``(slot, time, truth)`` within the
+    sequence, and a step's ambient items are built once for all of its
+    assignments.
     """
     rids = list(sequence.resident_ids)
     slot_names = [f"u{i + 1}" for i in range(len(rids))]
@@ -109,13 +121,27 @@ def encode_sequence(
     else:
         assignments.append({rid: slot_names[i] for i, rid in enumerate(rids)})
 
+    memo: Dict[Tuple[str, str, ResidentTruth], List[Item]] = {}
+
+    def resident(slot: str, truth: ResidentTruth, time: str) -> List[Item]:
+        key = (slot, time, truth)
+        items = memo.get(key)
+        if items is None:
+            items = memo[key] = truth_items(slot, truth, time)
+        return items
+
     transactions: List[FrozenSet[Item]] = []
     prev = None
     for step, truth in zip(sequence.steps, sequence.truths):
+        ambient = ambient_items(step.rooms_fired, step.objects_fired, "t")
         for slot_of in assignments:
-            transactions.append(
-                encode_step(truth, prev, step.rooms_fired, step.objects_fired, slot_of)
-            )
+            items = list(ambient)
+            for rid, now in truth.items():
+                items += resident(slot_of[rid], now, "t")
+            if prev is not None:
+                for rid, before in prev.items():
+                    items += resident(slot_of[rid], before, "t-1")
+            transactions.append(frozenset(items))
         prev = truth
     return transactions
 

@@ -178,7 +178,7 @@ class CorrelationMiner:
         itemsets = apriori.mine_itemsets(transactions)
         raw_rules = apriori.mine_rules(itemsets, consequent_attrs=self.hidden_attrs)
         forcing = merge_redundant(self._filter_forcing(raw_rules))
-        exclusions = self._mine_exclusions(transactions, itemsets)
+        exclusions = self._mine_exclusions(itemsets)
         return CorrelationRuleSet(forcing_rules=forcing, exclusions=exclusions)
 
     # -- filters --------------------------------------------------------------------
@@ -210,17 +210,17 @@ class CorrelationMiner:
             kept.append(rule)
         return kept
 
-    def _mine_exclusions(
-        self, transactions: Sequence[FrozenSet[Item]], itemsets: FrequentItemsets
-    ) -> List[ExclusionRule]:
-        """Frequent cross-user element pairs that never co-occur."""
-        n = len(transactions)
+    def _mine_exclusions(self, itemsets: FrequentItemsets) -> List[ExclusionRule]:
+        """Frequent cross-user element pairs that never co-occur.
+
+        Co-occurrences are counted on the Apriori incidence matrix: one
+        AND of the two columns of every candidate pair."""
+        n = itemsets.n_transactions
         singles = {next(iter(s)): sup for s, sup in itemsets.supports.items() if len(s) == 1}
         # Candidate pairs: same attribute + value, different user slots,
         # current slice (the "two people in one bathroom" shape), plus
         # cross-user macro pairs (the "sleeping vs vacuuming" shape).
         items = [i for i in singles if i.slot.startswith("u") and i.time == "t"]
-        pair_count: Dict[Tuple[Item, Item], int] = {}
         candidates: List[Tuple[Item, Item]] = []
         for i, a in enumerate(items):
             for b in items[i + 1 :]:
@@ -234,13 +234,11 @@ class CorrelationMiner:
                 if expected < self.min_expected_cooccurrence:
                     continue
                 candidates.append((a, b))
-                pair_count[(a, b)] = 0
         if not candidates:
             return []
-        for transaction in transactions:
-            for pair in candidates:
-                if pair[0] in transaction and pair[1] in transaction:
-                    pair_count[pair] += 1
+        inc, col = itemsets.incidence, itemsets.columns
+        both = inc[:, [col[a] for a, _ in candidates]] & inc[:, [col[b] for _, b in candidates]]
+        pair_count = both.sum(axis=0)
         # "A => not B" holds at the miner's confidence level when the
         # observed co-occurrence rate P(B | A) stays below 1 - minConf.
         # Requiring literally zero co-occurrences is brittle: a single
@@ -253,9 +251,9 @@ class CorrelationMiner:
         # physics, and the recognisers penalise rather than prune it.
         tolerance = 1.0 - self.min_confidence
         exclusions = []
-        for (a, b) in candidates:
+        for (a, b), count in zip(candidates, pair_count):
             occurrences = min(singles[a], singles[b]) * n
-            if pair_count[(a, b)] <= tolerance * occurrences:
+            if count <= tolerance * occurrences:
                 exclusions.append(
                     ExclusionRule(
                         a=a,

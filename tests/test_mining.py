@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.mining import (
     Apriori,
     AssociationRule,
+    CorrelationMiner,
     ExclusionRule,
     Item,
     encode_sequence,
@@ -206,6 +207,25 @@ class TestEncoding:
 
 
 class TestCorrelationMiner:
+    def test_exclusions_counted_on_incidence(self):
+        # u1 and u2 are never both in the bath, and macro a (u1) never
+        # meets d (u2) nor b meets c; every other cross pair co-occurs.
+        def step(r):
+            return frozenset([
+                _item("u1", "subloc", "bath" if r % 5 in (0, 1) else "bed"),
+                _item("u2", "subloc", "bath" if r % 5 in (2, 3) else "bed"),
+                _item("u1", "macro", "a" if r % 2 == 0 else "b"),
+                _item("u2", "macro", "c" if r % 2 == 0 else "d"),
+            ])
+
+        rules = CorrelationMiner().mine_transactions([step(r) for r in range(100)])
+        got = {(frozenset((e.a, e.b)), e.hard) for e in rules.exclusions}
+        assert got == {
+            (frozenset((_item("u1", "subloc", "bath"), _item("u2", "subloc", "bath"))), True),
+            (frozenset((_item("u1", "macro", "a"), _item("u2", "macro", "d"))), False),
+            (frozenset((_item("u1", "macro", "b"), _item("u2", "macro", "c"))), False),
+        }
+
     def test_mines_forcing_and_exclusions(self, rule_set):
         assert len(rule_set.forcing_rules) > 0
         # Rules must force hidden attributes at time t only.

@@ -272,6 +272,14 @@ class TestAprioriProperties:
         assert list(got.items()) == list(want.items())
         assert all(type(v) is np.float64 for v in got.values())
 
+    @given(transaction_lists(), st.sampled_from([0.0, 0.25]))
+    @settings(max_examples=40, deadline=None)
+    def test_incidence_is_membership(self, transactions, min_support):
+        mined = Apriori(min_support=min_support).mine_itemsets(transactions)
+        assert mined.incidence.shape == (len(transactions), len(mined.columns))
+        for item, col in mined.columns.items():
+            assert mined.incidence[:, col].tolist() == [item in t for t in transactions]
+
     @given(transaction_lists(), st.sampled_from([0.0, 0.05, 0.1, 0.25]))
     @settings(max_examples=40, deadline=None)
     def test_support_antimonotone(self, transactions, min_support):
