@@ -136,7 +136,6 @@ def bench_corpus(spec, fits, tmp):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fits", type=int, default=7, help="fits per corpus (>= 5)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_fit.json"))
     args = parser.parse_args(argv)
     if args.fits < 5:
         parser.error("--fits must be at least 5 for a median and IQR")
@@ -146,7 +145,8 @@ def main(argv=None) -> int:
         for name, spec in (("pair", PAIRS), ("trio", TRIOS)):
             results[name] = bench_corpus(spec, args.fits, tmp)
     payload = {"results": results, "provenance": provenance()}
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    out = ROOT / "BENCH_fit.json"
+    out.write_text(json.dumps(payload, indent=2) + "\n")
 
     failures = []
     for name, res in results.items():
@@ -155,7 +155,7 @@ def main(argv=None) -> int:
             print(f"  {stage:>20s}: median {s['median']:.3f}s  IQR {s['iqr']:.3f}s")
         if len(res["artifact_sha256"]) != 1:
             failures.append(f"{name}: fits wrote {len(res['artifact_sha256'])} different artifacts")
-    print(f"-> {args.out}")
+    print(f"-> {out}")
     for failure in failures:
         print(f"FIT BENCH FAILURE: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -17,7 +17,6 @@ from repro.mining.constraint_miner import ConstraintMiner, ConstraintModel
 from repro.mining.context_rules import (
     Item,
     encode_sequence,
-    encode_step,
     state_items,
 )
 from repro.mining.correlation_miner import CorrelationMiner, CorrelationRuleSet
@@ -31,7 +30,6 @@ __all__ = [
     "ConstraintModel",
     "Item",
     "encode_sequence",
-    "encode_step",
     "state_items",
     "CorrelationMiner",
     "CorrelationRuleSet",

@@ -10,10 +10,9 @@ numpy counting core.  Transactions become a boolean incidence matrix:
   Entry ``(b, j)`` counts the transactions holding ``{a, b, j}``; a triple
   is a candidate only when all three of its pairs are frequent.
 
-The incidence matrix is filled by one fancy-index assignment.  The
-products run in float32, which counts exactly up to 2**24 transactions
-(float64 past that), and the counts are cast to int64 before they are
-divided into supports.
+The incidence matrix is filled by one fancy-index assignment.  The L2
+product's counts are kept, so callers can look up how often any two
+frequent items co-occur without recounting.
 
 The depth is three because the paper's rules have two antecedent elements
 and one consequent, so no rule needs a larger itemset.  Itemsets are
@@ -33,28 +32,27 @@ from repro.mining.context_rules import Item
 from repro.mining.rules import AssociationRule
 from repro.util.validation import check_probability
 
-#: Largest transaction count whose 0/1 products count exactly in float32:
-#: every partial sum is a whole number no larger than the count, and
-#: float32 holds every whole number up to 2**24.
-_EXACT_F32 = 2**24
-
 
 @dataclass
 class FrequentItemsets:
     """Mining result: itemset -> support (fraction of transactions).
 
-    ``incidence`` is the boolean ``(transactions, items)`` matrix the
-    supports were counted from, its columns named by ``columns``.
+    ``pair_counts[i, j]`` is the number of transactions holding both
+    frequent single items ``i`` and ``j``, numbered by ``frequent_index``.
     """
 
     supports: Dict[FrozenSet[Item], float]
     n_transactions: int
-    incidence: np.ndarray = field(repr=False)
-    columns: Dict[Item, int] = field(repr=False)
+    pair_counts: np.ndarray = field(repr=False)
+    frequent_index: Dict[Item, int] = field(repr=False)
 
     def support(self, itemset: FrozenSet[Item]) -> float:
         """Support of *itemset* (0.0 when not frequent)."""
         return self.supports.get(itemset, 0.0)
+
+    def co_occurrences(self, a: Item, b: Item) -> int:
+        """Transactions holding both frequent single items *a* and *b*."""
+        return int(self.pair_counts[self.frequent_index[a], self.frequent_index[b]])
 
 
 @dataclass
@@ -107,7 +105,7 @@ class Apriori:
 
         # L2 via one matrix product over the frequent-item columns.
         sub = incidence[:, frequent1]
-        sub_f = sub.astype(np.float32 if n <= _EXACT_F32 else np.float64)
+        sub_f = sub.astype(np.float64)
         pair_counts = (sub_f.T @ sub_f).astype(np.int64)
         frequent2 = np.triu(pair_counts >= min_count, k=1)
         a2, b2 = np.nonzero(frequent2)
@@ -130,7 +128,10 @@ class Apriori:
                 supports[frozenset([items[a], items[b], items[j]])] = support
 
         return FrequentItemsets(
-            supports=supports, n_transactions=n, incidence=incidence, columns=index
+            supports=supports,
+            n_transactions=n,
+            pair_counts=pair_counts,
+            frequent_index={item: i for i, item in enumerate(items)},
         )
 
     # -- rules ---------------------------------------------------------------------

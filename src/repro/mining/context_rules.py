@@ -12,11 +12,11 @@ canonical user slot (``"u1"``, ``"u2"``, ... by resident order, or
 ``"t-1"``.  Transactions are symmetrised over user slots so mined rules
 generalise across which resident happens to be "user 1".
 
-:func:`encode_step` is the definition of one transaction.
-:func:`encode_sequence` produces the same transactions for a whole
-sequence from a memo: one item list per ``(slot, time, truth)`` seen in
-the sequence, and one ambient item list per step, shared by all of the
-step's slot assignments.
+:func:`encode_sequence` defines the transactions: one per step and slot
+assignment, holding every resident's items at t and t-1 plus the step's
+ambient items.  It builds them from a memo: one item list per ``(slot,
+time, truth)`` seen in the sequence, and one ambient item list per step,
+shared by all of the step's slot assignments.
 """
 
 from __future__ import annotations
@@ -79,24 +79,6 @@ def ambient_items(
     return items
 
 
-def encode_step(
-    truths_now: Dict[str, ResidentTruth],
-    truths_prev: Optional[Dict[str, ResidentTruth]],
-    rooms_fired: Sequence[str],
-    objects_fired: Sequence[str],
-    slot_of: Dict[str, str],
-) -> FrozenSet[Item]:
-    """One transaction: both time slices of every resident plus ambient."""
-    items: List[Item] = []
-    for rid, truth in truths_now.items():
-        items.extend(truth_items(slot_of[rid], truth, "t"))
-    if truths_prev is not None:
-        for rid, truth in truths_prev.items():
-            items.extend(truth_items(slot_of[rid], truth, "t-1"))
-    items.extend(ambient_items(rooms_fired, objects_fired, "t"))
-    return frozenset(items)
-
-
 def encode_sequence(
     sequence: LabeledSequence, symmetrize: bool = True
 ) -> List[FrozenSet[Item]]:
@@ -106,10 +88,10 @@ def encode_sequence(
     user-slot assignment, so rules do not overfit to which resident was
     mapped to ``u1``.
 
-    Each transaction equals :func:`encode_step` of its step and slot
-    assignment.  Residents hold the same truth for many steps in a row, so
-    their items are memoised per ``(slot, time, truth)`` within the
-    sequence, and a step's ambient items are built once for all of its
+    A transaction holds both time slices of every resident plus the
+    step's ambient items.  Residents hold the same truth for many steps in
+    a row, so their items are memoised per ``(slot, time, truth)`` within
+    the sequence, and a step's ambient items are built once for all of its
     assignments.
     """
     rids = list(sequence.resident_ids)

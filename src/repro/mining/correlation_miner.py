@@ -213,8 +213,7 @@ class CorrelationMiner:
     def _mine_exclusions(self, itemsets: FrequentItemsets) -> List[ExclusionRule]:
         """Frequent cross-user element pairs that never co-occur.
 
-        Co-occurrences are counted on the Apriori incidence matrix: one
-        AND of the two columns of every candidate pair."""
+        Co-occurrences are looked up in Apriori's pair counts."""
         n = itemsets.n_transactions
         singles = {next(iter(s)): sup for s, sup in itemsets.supports.items() if len(s) == 1}
         # Candidate pairs: same attribute + value, different user slots,
@@ -234,11 +233,6 @@ class CorrelationMiner:
                 if expected < self.min_expected_cooccurrence:
                     continue
                 candidates.append((a, b))
-        if not candidates:
-            return []
-        inc, col = itemsets.incidence, itemsets.columns
-        both = inc[:, [col[a] for a, _ in candidates]] & inc[:, [col[b] for _, b in candidates]]
-        pair_count = both.sum(axis=0)
         # "A => not B" holds at the miner's confidence level when the
         # observed co-occurrence rate P(B | A) stays below 1 - minConf.
         # Requiring literally zero co-occurrences is brittle: a single
@@ -251,9 +245,9 @@ class CorrelationMiner:
         # physics, and the recognisers penalise rather than prune it.
         tolerance = 1.0 - self.min_confidence
         exclusions = []
-        for (a, b), count in zip(candidates, pair_count):
+        for a, b in candidates:
             occurrences = min(singles[a], singles[b]) * n
-            if count <= tolerance * occurrences:
+            if itemsets.co_occurrences(a, b) <= tolerance * occurrences:
                 exclusions.append(
                     ExclusionRule(
                         a=a,

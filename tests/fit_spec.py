@@ -10,6 +10,9 @@ against it:
 * :func:`loop_object_cpt` counts the object-evidence CPT one resident,
   step and object at a time; :func:`repro.core.chdbn.fit_object_cpt`
   counts it with one ``np.add.at``.
+* :func:`encode_step` builds one context transaction from scratch;
+  :func:`repro.mining.context_rules.encode_sequence` builds a sequence's
+  transactions from memoised item lists.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.micro.annealing import DeterministicAnnealing
+from repro.mining.context_rules import ambient_items, truth_items
 
 
 class LoopDeterministicAnnealing(DeterministicAnnealing):
@@ -77,3 +81,15 @@ def loop_object_cpt(train, constraint_model, alpha=1.0):
                     counts[m, o, 1 if obj in step.objects_fired else 0] += 1
     probs = counts / counts.sum(axis=2, keepdims=True)
     return object_index, np.log(probs)
+
+
+def encode_step(truths_now, truths_prev, rooms_fired, objects_fired, slot_of):
+    """One transaction: both time slices of every resident plus ambient."""
+    items = []
+    for rid, truth in truths_now.items():
+        items.extend(truth_items(slot_of[rid], truth, "t"))
+    if truths_prev is not None:
+        for rid, truth in truths_prev.items():
+            items.extend(truth_items(slot_of[rid], truth, "t-1"))
+    items.extend(ambient_items(rooms_fired, objects_fired, "t"))
+    return frozenset(items)

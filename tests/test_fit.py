@@ -1,8 +1,7 @@
 """The array-shaped fit path equals its loop specifications, and a fitted
 model's artifact does not depend on the process that fitted it.
 
-The specs live in ``tests/fit_spec.py``; the encoding spec is
-:func:`repro.mining.context_rules.encode_step`.
+The specs live in ``tests/fit_spec.py``.
 """
 
 import os
@@ -21,9 +20,9 @@ from repro.core.chdbn import fit_object_cpt
 from repro.datasets import generate_cace_dataset
 from repro.micro.annealing import DeterministicAnnealing
 from repro.mining import ConstraintMiner
-from repro.mining.context_rules import encode_sequence, encode_step
+from repro.mining.context_rules import encode_sequence
 
-from fit_spec import LoopDeterministicAnnealing, loop_object_cpt
+from fit_spec import LoopDeterministicAnnealing, encode_step, loop_object_cpt
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -207,7 +207,7 @@ class TestEncoding:
 
 
 class TestCorrelationMiner:
-    def test_exclusions_counted_on_incidence(self):
+    def test_mines_planted_exclusions(self):
         # u1 and u2 are never both in the bath, and macro a (u1) never
         # meets d (u2) nor b meets c; every other cross pair co-occurs.
         def step(r):
@@ -236,7 +236,7 @@ class TestCorrelationMiner:
             assert rule.confidence >= 0.99
 
     def test_is_consistent_accepts_truth(self, cace_split, rule_set):
-        from repro.mining.context_rules import encode_step
+        from fit_spec import encode_step
 
         train, _ = cace_split
         seq = train.sequences[0]

@@ -274,11 +274,14 @@ class TestAprioriProperties:
 
     @given(transaction_lists(), st.sampled_from([0.0, 0.25]))
     @settings(max_examples=40, deadline=None)
-    def test_incidence_is_membership(self, transactions, min_support):
+    def test_pair_counts_are_co_occurrences(self, transactions, min_support):
         mined = Apriori(min_support=min_support).mine_itemsets(transactions)
-        assert mined.incidence.shape == (len(transactions), len(mined.columns))
-        for item, col in mined.columns.items():
-            assert mined.incidence[:, col].tolist() == [item in t for t in transactions]
+        singles = sorted(next(iter(s)) for s in mined.supports if len(s) == 1)
+        assert sorted(mined.frequent_index) == singles
+        for a in singles:
+            for b in singles:
+                want = sum(a in t and b in t for t in transactions)
+                assert mined.co_occurrences(a, b) == want
 
     @given(transaction_lists(), st.sampled_from([0.0, 0.05, 0.1, 0.25]))
     @settings(max_examples=40, deadline=None)
