@@ -3,13 +3,16 @@
 The coupled model makes three load-bearing choices beyond the paper's
 text: (a) the joint explaining-away (coverage) term, (b) the feature-GMM
 channel (Augmentation 4), and (c) the pruned joint-trellis cap.  This
-bench toggles each on a fixed corpus, plus a finite soft-exclusion
-penalty, so their individual contributions stay visible as the code
-evolves.
+bench turns each off on a fixed corpus, so their individual contributions
+stay visible as the code evolves.  (a) and (b) are fixed in code, so the
+bench removes them with ``monkeypatch``: the coverage penalties become 0
+and the GMM rows are never added.
 """
 
 from benchmarks.conftest import record, workload
+from repro.core import loosely_coupled
 from repro.core.engine import CaceEngine
+from repro.core.kernels import SequenceKernel
 from repro.datasets.cace import generate_cace_dataset
 from repro.datasets.trace import train_test_split
 from repro.util.rng import ensure_rng
@@ -26,7 +29,7 @@ def _accuracy(model, test) -> float:
     return correct / n
 
 
-def run_ablation(n_homes, sessions_per_home, duration_s, seed=7):
+def run_ablation(monkeypatch, n_homes, sessions_per_home, duration_s, seed=7):
     rng = ensure_rng(seed)
     dataset = generate_cace_dataset(
         n_homes=n_homes,
@@ -42,31 +45,27 @@ def run_ablation(n_homes, sessions_per_home, duration_s, seed=7):
     rows = {}
     rows["full model"] = _accuracy(model, test)
 
-    model.unexplained_subloc_penalty = 0.0
-    model.unexplained_room_penalty = 0.0
-    rows["no coverage term"] = _accuracy(model, test)
-    model.unexplained_subloc_penalty = -4.5
-    model.unexplained_room_penalty = -2.5
+    with monkeypatch.context() as patch:
+        patch.setattr(loosely_coupled, "UNEXPLAINED_SUBLOC_PENALTY", 0.0)
+        patch.setattr(loosely_coupled, "UNEXPLAINED_ROOM_PENALTY", 0.0)
+        rows["no coverage term"] = _accuracy(model, test)
 
-    model.use_feature_gmm = False
-    rows["no feature GMM"] = _accuracy(model, test)
-    model.use_feature_gmm = True
+    with monkeypatch.context() as patch:
+        patch.setattr(SequenceKernel, "_add_gmm_rows", lambda self, rows, obs_list: None)
+        rows["no feature GMM"] = _accuracy(model, test)
 
     model.max_joint_states_pruned = 30
     rows["joint cap 30"] = _accuracy(model, test)
     model.max_joint_states_pruned = 100
-
-    model.soft_exclusion_penalty = -5.0
-    rows["hard-ish soft exclusions (-5)"] = _accuracy(model, test)
-    model.soft_exclusion_penalty = 0.0
     return rows
 
 
-def test_design_ablations(benchmark):
+def test_design_ablations(benchmark, monkeypatch):
     params = workload()
     rows = benchmark.pedantic(
         run_ablation,
         kwargs={
+            "monkeypatch": monkeypatch,
             "n_homes": params["n_homes"],
             "sessions_per_home": params["sessions_per_home"],
             "duration_s": params["duration_s"],

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core.emissions import ObjectEvidenceTable
 from repro.core.kernels import SequenceKernel
-from repro.core.rule_kernel import CompiledRules, SingleRulePruner
+from repro.core.rule_kernel import SingleRulePruner
 from repro.core.state_space import CandidateSet, StateSpaceBuilder
 from repro.datasets.trace import Dataset, LabeledSequence
 from repro.micro.annealing import DeterministicAnnealing
@@ -254,7 +254,7 @@ def fit_macro_gmms(
             n_clusters=min(n_components, x.shape[0]),
             seed=rng.integers(0, 2**31),
         )
-        means, covs, labels = da.fit_gaussians(x)
+        means, labels = da.fit_gaussians(x)
         counts = np.bincount(labels, minlength=means.shape[0]).astype(float)
         weights = counts / counts.sum()
         dim = x.shape[1]
@@ -262,7 +262,7 @@ def fit_macro_gmms(
         pooled = pooled + 1e-4 * np.eye(dim)
         inv_pooled = np.linalg.inv(pooled)
         logdet = np.linalg.slogdet(pooled)[1]
-        inv_covs = np.broadcast_to(inv_pooled, covs.shape).copy()
+        inv_covs = np.broadcast_to(inv_pooled, (means.shape[0], dim, dim)).copy()
         logdets = np.full(means.shape[0], logdet)
         gmms[m] = _MacroGmm(weights, means, inv_covs, logdets)
     return gmms
@@ -311,7 +311,7 @@ def init_user_evidence(model) -> None:
     # grid with per-step scalar gates (repro.core.rule_kernel).
     model._single_rules = model.rule_set.single_user() if model.rule_set else None
     model._single_pruner = (
-        SingleRulePruner(CompiledRules(model._single_rules), cm, model.builder.room_of_l)
+        SingleRulePruner(model._single_rules, cm, model.builder.room_of_l)
         if model._single_rules is not None
         else None
     )

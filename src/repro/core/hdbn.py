@@ -38,7 +38,6 @@ class SingleUserHdbn:
     rule_set: Optional[CorrelationRuleSet] = None
     gmm_components: int = 4
     max_states_per_user: int = 36
-    use_feature_gmm: bool = True
     seed: RandomState = None
     builder: StateSpaceBuilder = field(default=None, init=False, repr=False)
     gmms_: Dict[int, object] = field(default_factory=dict, init=False, repr=False)

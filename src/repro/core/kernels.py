@@ -530,8 +530,7 @@ class SequenceKernel:
             rows += self._gesture_rows[
                 [self._gesture_row_of.get(o.gesture, -1) for o in obs_list]
             ]
-        if self.model.use_feature_gmm:
-            self._add_gmm_rows(rows, obs_list)
+        self._add_gmm_rows(rows, obs_list)
         obj_table = self.model._obj_evidence
         per_step = rows.reshape(-1, len(steps), self._n_macro)
         per_step += np.array([obj_table.macro_vector(s.objects_fired) for s in steps])

@@ -22,12 +22,12 @@ testbed's caps (:data:`PAIR_CAPS`):
   the other.
 
 Joint candidates are built on the per-user grid ``n_0 x ... x n_{N-1}``:
-the rule mask, emission sum, soft-exclusion penalties and coverage are
-broadcasts of per-chain vectors and pairwise matrices (``prod(n_u)``
-float64 scores, about 2.6 MB at 4 x 24 candidates).  Only the survivors
-of the rules and of the emission-score cap (best first, ties to the
-lowest flat index) are unravelled into ``(N, J)`` index rows into the
-per-user candidate lists, plus each user's macro and sub-location codes
+the rule mask, emission sum and coverage are broadcasts of per-chain
+vectors and pairwise matrices (``prod(n_u)`` float64 scores, about 2.6 MB
+at 4 x 24 candidates).  Only the survivors of the rules and of the
+emission-score cap (best first, ties to the lowest flat index) are
+unravelled into ``(N, J)`` index rows into the per-user candidate lists,
+plus each user's macro and sub-location codes
 (see :class:`_NChainTrellis`), so the trellis width stays bounded while
 the raw product space grows exponentially in N.
 
@@ -61,7 +61,7 @@ from repro.core.chdbn import (
     init_user_evidence,
 )
 from repro.core.kernels import SequenceKernel
-from repro.core.rule_kernel import CompiledRules, CrossRulePruner, soft_exclusion_matrix
+from repro.core.rule_kernel import CrossRulePruner
 from repro.core.state_space import CandidateSet, StateSpaceBuilder
 from repro.datasets.trace import Dataset, LabeledSequence
 from repro.mining.constraint_miner import ConstraintModel
@@ -75,6 +75,17 @@ _TINY = 1e-12
 #: builds every resident pair with them (``max_states_per_user`` comes from
 #: the engine); 3+ chains keep the class defaults.
 PAIR_CAPS = {"max_states_per_user": 36, "max_joint_states": 2000, "max_joint_states_pruned": 100}
+
+#: Joint explaining-away: log cost of a fired area-motion sensor that *no*
+#: resident's hypothesis covers (~log of the per-window false alarm
+#: probability).  This is where multiple occupancy becomes an asset:
+#: "partner is in the kitchen" explains the kitchen firing, so I don't have
+#: to be there — and an area nobody claims votes against the whole joint
+#: assignment, not against any resident alone.
+UNEXPLAINED_SUBLOC_PENALTY = -4.5
+#: Same idea at room granularity for PIR fleets (milder: rooms keep firing
+#: briefly after the occupant walks out of a 15 s window).
+UNEXPLAINED_ROOM_PENALTY = -2.5
 
 #: A joint piece's encoding ``(grids, m, l)`` (see :class:`_NChainTrellis`).
 JointEnc = Tuple[np.ndarray, Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]
@@ -122,22 +133,6 @@ class NChainHdbn:
     #: isolate the plausible joint states); the pair cap of 100 leaves
     #: safety margin.
     max_joint_states_pruned: int = 300
-    use_feature_gmm: bool = True
-    #: Joint explaining-away: log cost of a fired area-motion sensor that
-    #: *no* resident's hypothesis covers (~log of the per-window false
-    #: alarm probability).  This is where multiple occupancy becomes an
-    #: asset: "partner is in the kitchen" explains the kitchen firing, so I
-    #: don't have to be there — and an area nobody claims votes against the
-    #: whole joint assignment, not against any resident alone.
-    unexplained_subloc_penalty: float = -4.5
-    #: Same idea at room granularity for PIR fleets (milder: rooms keep
-    #: firing briefly after the occupant walks out of a 15 s window).
-    unexplained_room_penalty: float = -2.5
-    #: Log penalty per violated *soft* exclusion.  Defaults to 0: the
-    #: coupled transition CPTs already carry behavioural negative
-    #: correlation, and an extra per-step penalty double-counts it (it cost
-    #: 1-5 accuracy points in ablations).  Exposed for experimentation.
-    soft_exclusion_penalty: float = 0.0
     seed: RandomState = None
     builder: StateSpaceBuilder = field(default=None, init=False, repr=False)
     gmms_: Dict[int, object] = field(default_factory=dict, init=False, repr=False)
@@ -150,12 +145,9 @@ class NChainHdbn:
         init_user_evidence(self)
         self._cross_rules = self.rule_set.cross_user() if self.rule_set else None
         cm = self.constraint_model
-        self._compiled_cross = (
-            CompiledRules(self._cross_rules) if self._cross_rules is not None else None
-        )
         self._cross_pruner = (
-            CrossRulePruner(self._compiled_cross, cm, self.builder.room_of_l)
-            if self._compiled_cross is not None
+            CrossRulePruner(self._cross_rules, cm, self.builder.room_of_l)
+            if self._cross_rules is not None
             else None
         )
         # macro_end_prob is counted per step, so it already reflects the
@@ -223,8 +215,6 @@ class NChainHdbn:
         on_axis = [(k,) + ones[u + 1:] for u, k in enumerate(shape)]
         scores = sum(c.emissions.reshape(v) for c, v in zip(per_user, on_axis))
         mask = np.ones(shape, dtype=bool)
-        cm = self.constraint_model
-        room_of_l = self.builder.room_of_l
         if self._cross_pruner is not None:
             # The pruner's grid tables and gate memo serve every ordered
             # chain pair.
@@ -232,13 +222,7 @@ class NChainHdbn:
             for a in range(n):
                 for b in range(a + 1, n):
                     ab = (shape[a],) + ones[a + 1:b] + on_axis[b]
-                    ca, cb = per_user[a], per_user[b]
-                    mask &= self._cross_pruner.keep(amb, ca, cb).reshape(ab)
-                    pen = soft_exclusion_matrix(
-                        self._compiled_cross, cm, room_of_l, ca, cb, self.soft_exclusion_penalty
-                    )
-                    if pen is not None:
-                        scores += pen.reshape(ab)
+                    mask &= self._cross_pruner.keep(amb, per_user[a], per_user[b]).reshape(ab)
             # Count only joint states actually removed: when every one
             # fails the rules the pruner keeps them all, and reporting the
             # would-be removals would inflate the Fig 11 overhead metric.
@@ -251,13 +235,14 @@ class NChainHdbn:
         # where every chain's candidate misses it (a sub-location the model
         # does not know is missed by all).
         if step.sublocs_fired:
-            index = cm.subloc_index
+            index = self.constraint_model.subloc_index
             codes = [index.index(f) if f in index else -1 for f in step.sublocs_fired]
             misses = [[c.l != f for c in per_user] for f in codes]
-            penalty = self.unexplained_subloc_penalty
+            penalty = UNEXPLAINED_SUBLOC_PENALTY
         else:
+            room_of_l = self.builder.room_of_l
             misses = [[room_of_l[c.l] != r for c in per_user] for r in step.rooms_fired]
-            penalty = self.unexplained_room_penalty
+            penalty = UNEXPLAINED_ROOM_PENALTY
         for per_chain in misses:
             unexplained = True
             for miss, v in zip(per_chain, on_axis):

@@ -45,7 +45,13 @@ import numpy as np
 from repro.core.api import DecodeStats
 from repro.core.emissions import object_log_evidence
 from repro.core.kernels import PIR_MISS_PENALTY, _lse, macro_argmax, macro_marginals, posterior
-from repro.core.loosely_coupled import JointEnc, NChainHdbn, joint_codes
+from repro.core.loosely_coupled import (
+    UNEXPLAINED_ROOM_PENALTY,
+    UNEXPLAINED_SUBLOC_PENALTY,
+    JointEnc,
+    NChainHdbn,
+    joint_codes,
+)
 from repro.core.smoother import OnlineSmoother
 from repro.core.state_space import CandidateSet, UserState, _ROOM_OF
 from repro.datasets.trace import LabeledSequence
@@ -62,7 +68,7 @@ def reference_user_state_emissions(
     step = seq.steps[t]
     obs = step.observations[rid]
     x = np.asarray(obs.features, dtype=float)
-    features_ok = model.use_feature_gmm and x.size > 0 and not np.isnan(x).any()
+    features_ok = x.size > 0 and not np.isnan(x).any()
     p_idx = (
         cm.posture_index.index(obs.posture)
         if (obs.posture is not None and obs.posture in cm.posture_index)
@@ -188,7 +194,7 @@ def reference_cross_prune_mask(
     items2 = [model.builder.state_item_set("u2", s, obs2) for s in s2]
     keep = np.ones((len(s1), len(s2)), dtype=bool)
 
-    for excl in model._cross_rules.hard_exclusions:
+    for excl in model._cross_rules.exclusions:
         a, b = excl.a, excl.b
         has_a = np.array([a in it for it in items1]) if a.slot == "u1" else None
         has_b = np.array([b in it for it in items2]) if b.slot == "u2" else None
@@ -227,26 +233,6 @@ def reference_cross_prune_mask(
     return keep
 
 
-def reference_soft_exclusion_penalty(
-    model, s1: List[UserState], obs1, s2: List[UserState], obs2
-) -> np.ndarray:
-    """(n1, n2) seed soft-exclusion penalty matrix for one chain pair."""
-    soft = model._cross_rules.soft_exclusions
-    if not soft:
-        return np.zeros((len(s1), len(s2)))
-    items1 = [model.builder.state_item_set("u1", s, obs1) for s in s1]
-    items2 = [model.builder.state_item_set("u2", s, obs2) for s in s2]
-    penalty = np.zeros((len(s1), len(s2)))
-    for excl in soft:
-        a, b = excl.a, excl.b
-        if a.slot != "u1" or b.slot != "u2":
-            continue
-        has_a = np.array([a in it for it in items1])
-        has_b = np.array([b in it for it in items2])
-        penalty += np.outer(has_a, has_b) * model.soft_exclusion_penalty
-    return penalty
-
-
 class _NoKernel:
     """Stands in for the per-sequence evidence tables: the reference
     scores every step itself, so there is nothing to precompute."""
@@ -262,10 +248,10 @@ class ReferenceNChainHdbn(NChainHdbn):
     """`NChainHdbn` with the seed-style per-step hot path.
 
     Mirrors the fast model's operation order exactly (pairwise prune,
-    emissions, soft exclusions, joint coverage, cap) while computing every
-    term the seed way: frozenset item-set algebra, per-state emission
-    loops, label-string comparisons, and per-step transcendental chain
-    blocks on the full (P, C) joint grid.  The trellis session and the
+    emissions, joint coverage, cap) while computing every term the seed
+    way: frozenset item-set algebra, per-state emission loops,
+    label-string comparisons, and per-step transcendental chain blocks on
+    the full (P, C) joint grid.  The trellis session and the
     recursions are inherited.
     """
 
@@ -305,8 +291,7 @@ class ReferenceNChainHdbn(NChainHdbn):
         n = len(per_user)
         grids = np.indices([len(c) for c in per_user]).reshape(n, -1)  # (N, prod)
 
-        prune_active = self._cross_rules is not None
-        if prune_active:
+        if self._cross_rules is not None:
             mask = np.ones(grids.shape[1], dtype=bool)
             for a in range(n):
                 for b in range(a + 1, n):
@@ -327,25 +312,13 @@ class ReferenceNChainHdbn(NChainHdbn):
         for u, c in enumerate(per_user):
             scores += c.emissions[grids[u]]
 
-        if prune_active:
-            for a in range(n):
-                for b in range(a + 1, n):
-                    pen = reference_soft_exclusion_penalty(
-                        self,
-                        per_user[a].states,
-                        step.observations[rids[a]],
-                        per_user[b].states,
-                        step.observations[rids[b]],
-                    )
-                    scores += pen[grids[a], grids[b]]
-
         # Joint explaining-away over all chains (seed-style label compares).
         locs = [np.array([s.subloc for s in c.states], dtype=object) for c in per_user]
         for fired in step.sublocs_fired:
             covered = np.zeros(grids.shape[1], dtype=bool)
             for u in range(n):
                 covered |= locs[u][grids[u]] == fired
-            scores += np.where(covered, 0.0, self.unexplained_subloc_penalty)
+            scores += np.where(covered, 0.0, UNEXPLAINED_SUBLOC_PENALTY)
         if not step.sublocs_fired and step.rooms_fired:
             rooms = [
                 np.array([_ROOM_OF.get(s.subloc) for s in c.states], dtype=object)
@@ -355,7 +328,7 @@ class ReferenceNChainHdbn(NChainHdbn):
                 covered = np.zeros(grids.shape[1], dtype=bool)
                 for u in range(n):
                     covered |= rooms[u][grids[u]] == fired
-                scores += np.where(covered, 0.0, self.unexplained_room_penalty)
+                scores += np.where(covered, 0.0, UNEXPLAINED_ROOM_PENALTY)
 
         cap = self.max_joint_states
         if self.rule_set is not None:

@@ -2,9 +2,9 @@
 
 The seed implementation materialised one ``frozenset`` of
 :class:`~repro.mining.context_rules.Item` per hypothesised state — and
-rebuilt those sets up to three times per step (per-user pruning, the
-cross-user prune mask, and the soft-exclusion penalty).  This module
-replaces per-pair Python set algebra with tables built once per pruner:
+rebuilt those sets for both per-user pruning and the cross-user prune
+mask every step.  This module replaces per-pair Python set algebra with
+tables built once per pruner:
 
 * every rule factorises into a *state part* (macro / sub-location / room
   items — a function of a candidate's ``(macro, subloc)`` codes alone)
@@ -29,7 +29,7 @@ when the observed gesture is truthy; ambient items are the step's fired
 rooms and objects; items at ``t-1`` or on foreign slots are never
 present.  A forcing rule prunes a candidate when its antecedent is fully
 present and the candidate assigns the consequent's attribute a different
-value (open world: an absent attribute never violates); a hard exclusion
+value (open world: an absent attribute never violates); an exclusion
 prunes a pair when it is phrased as ``(u1, u2)`` and both items are
 present.
 """
@@ -167,17 +167,6 @@ class CompiledForcing:
         )
 
 
-class CompiledRules:
-    """A rule set pre-processed for vectorised per-step evaluation."""
-
-    def __init__(self, rule_set: CorrelationRuleSet) -> None:
-        self.forcing: List[CompiledForcing] = [
-            CompiledForcing(rule) for rule in rule_set.forcing_rules
-        ]
-        self.hard_exclusions = list(rule_set.hard_exclusions)
-        self.soft_exclusions = list(rule_set.soft_exclusions)
-
-
 class _Gate:
     """The step-dependent activation of one rule row.
 
@@ -259,12 +248,12 @@ class SingleRulePruner:
     per gate key.
     """
 
-    def __init__(self, compiled: CompiledRules, cm, room_of_l: np.ndarray) -> None:
+    def __init__(self, rule_set: CorrelationRuleSet, cm, room_of_l: np.ndarray) -> None:
         self._n_loc = len(cm.subloc_index)
         self._keep_cache: Dict[tuple, np.ndarray] = {}
         parts: List[Tuple[Tuple[Item, ...], Optional[Item]]] = []
         self._rule_gates: List[_Gate] = []
-        for rule in compiled.forcing:
+        for rule in map(CompiledForcing, rule_set.forcing_rules):
             if rule.dead or rule.ant_u2:
                 # Canonicalised single-user rules live on u1 + amb only.
                 continue
@@ -310,7 +299,7 @@ class SingleRulePruner:
 class CrossRulePruner:
     """Cross-user rule pruning as one gated matmul per step.
 
-    Each prunable relation — a ``(u1, u2)`` hard exclusion, or a forcing
+    Each prunable relation — a ``(u1, u2)`` exclusion, or a forcing
     rule whose consequent sits on one of the two slots — contributes a
     column to each of two grid tables, one per side: the joint state
     ``(i, j)`` is pruned when the rule's gate is open and both sides'
@@ -319,18 +308,18 @@ class CrossRulePruner:
 
     Matches the seed's cross-user pruning
     (:func:`repro.core.reference.reference_cross_prune_mask`) exactly, including
-    its asymmetries: hard exclusions apply only when phrased as
+    its asymmetries: exclusions apply only when phrased as
     ``(u1, u2)``, and a forcing consequent on any other slot never prunes.
     """
 
-    def __init__(self, compiled: CompiledRules, cm, room_of_l: np.ndarray) -> None:
+    def __init__(self, rule_set: CorrelationRuleSet, cm, room_of_l: np.ndarray) -> None:
         self._n_loc = len(cm.subloc_index)
         self._gate_cache: Dict[tuple, np.ndarray] = {}
         parts1: List[Tuple[Tuple[Item, ...], Optional[Item]]] = []
         parts2: List[Tuple[Tuple[Item, ...], Optional[Item]]] = []
         self._rule_gates: List[_Gate] = []
 
-        for excl in compiled.hard_exclusions:
+        for excl in rule_set.exclusions:
             a, b = excl.a, excl.b
             if a.slot != "u1" or b.slot != "u2":
                 continue
@@ -345,7 +334,7 @@ class CrossRulePruner:
             parts2.append((items2, None))
             self._rule_gates.append(gate)
 
-        for rule in compiled.forcing:
+        for rule in map(CompiledForcing, rule_set.forcing_rules):
             cons = rule.cons
             if cons.slot not in ("u1", "u2"):
                 continue
@@ -390,34 +379,3 @@ class CrossRulePruner:
         rows2 = self._table2[c2.m * self._n_loc + c2.l]
         hits = (rows1 * self._gates(amb, c1.obs, c2.obs)) @ rows2.T
         return hits == 0.0
-
-
-def soft_exclusion_matrix(
-    compiled: CompiledRules, cm, room_of_l: np.ndarray, c1, c2, log_penalty: float
-) -> Optional[np.ndarray]:
-    """(|c1|, |c2|) log penalty from violated soft exclusions, or None when
-    there are none (or the penalty weight is zero — an all-zero matrix
-    cannot change any score ordering)."""
-    if not compiled.soft_exclusions or log_penalty == 0.0:
-        return None
-    rooms1 = room_of_l[c1.l]
-    rooms2 = room_of_l[c2.l]
-    penalty = np.zeros((len(c1), len(c2)))
-    for excl in compiled.soft_exclusions:
-        a, b = excl.a, excl.b
-        if a.slot != "u1" or b.slot != "u2":
-            continue
-        if a.attr in _SCALAR_ATTRS:
-            if not scalar_present(c1.obs, a):
-                continue
-            has_a = np.ones(len(c1), dtype=bool)
-        else:
-            has_a = state_present(a, c1.m, c1.l, cm, rooms1)
-        if b.attr in _SCALAR_ATTRS:
-            if not scalar_present(c2.obs, b):
-                continue
-            has_b = np.ones(len(c2), dtype=bool)
-        else:
-            has_b = state_present(b, c2.m, c2.l, cm, rooms2)
-        penalty += np.outer(has_a, has_b) * log_penalty
-    return penalty

@@ -127,26 +127,15 @@ class DeterministicAnnealing:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.argmin(_sq_dists(np.ascontiguousarray(x.T)[None], self.centers_), axis=0)
 
-    def fit_gaussians(self, x: np.ndarray, min_points: int = 2) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fit one Gaussian per discovered cluster.
-
-        Returns ``(means, covariances, assignments)``; clusters with fewer
-        than *min_points* members inherit the pooled covariance.
-        """
+    def fit_gaussians(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Fit the codebook and return ``(means, assignments)``: each
+        cluster's member mean (its centre when it has no members) and
+        every row's nearest cluster."""
         self.fit(x)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         labels = self.predict(x)
-        k = self.centers_.shape[0]
-        d = x.shape[1]
-        pooled = np.cov(x.T) if x.shape[0] > 1 else np.eye(d)
-        pooled = np.atleast_2d(pooled) + 1e-6 * np.eye(d)
-        means = np.zeros((k, d))
-        covs = np.zeros((k, d, d))
-        for j in range(k):
+        means = np.zeros_like(self.centers_)
+        for j in range(means.shape[0]):
             members = x[labels == j]
             means[j] = members.mean(axis=0) if len(members) else self.centers_[j]
-            if len(members) >= min_points:
-                covs[j] = np.atleast_2d(np.cov(members.T)) + 1e-6 * np.eye(d)
-            else:
-                covs[j] = pooled
-        return means, covs, labels
+        return means, labels

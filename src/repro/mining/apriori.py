@@ -118,12 +118,14 @@ class Apriori:
             if len(partners) < 2:
                 continue
             rows = sub_f[sub[:, a]]
-            counts3 = (rows[:, partners].T @ rows).astype(np.int64)
-            # (b, j) is a candidate when j > b and {a, j}, {b, j} are frequent.
-            keep = frequent2[partners] & frequent2[a] & (counts3 >= min_count)
+            # (b, j) is a candidate when j > b and {a, j}, {b, j} are
+            # frequent, so only the columns after the first partner count.
+            lo = partners[0] + 1
+            counts3 = (rows[:, partners].T @ rows[:, lo:]).astype(np.int64)
+            keep = frequent2[partners, lo:] & frequent2[a, lo:] & (counts3 >= min_count)
             k3, j3 = np.nonzero(keep)
             for b, j, support in zip(
-                partners[k3].tolist(), j3.tolist(), counts3[k3, j3] / n
+                partners[k3].tolist(), (j3 + lo).tolist(), counts3[k3, j3] / n
             ):
                 supports[frozenset([items[a], items[b], items[j]])] = support
 

@@ -7,9 +7,10 @@ structures used to prune the coupled model's joint state space:
   a hidden attribute at time t (e.g. ``U1:posture=cycling & U1:subloc=SR1
   => U1:macro=exercising``): a joint state hypothesis that fires a rule's
   antecedent but contradicts its consequent is infeasible;
-* **exclusion rules** — frequent element pairs across users that *never*
-  co-occur despite ample expected opportunity (e.g. both residents in the
-  single-occupancy bathroom): any joint state containing both is pruned.
+* **exclusion rules** — two users in the same sub-location, each frequent,
+  that *never* co-occur despite ample expected opportunity (both residents
+  in the single-occupancy bathroom): any joint state containing both is
+  pruned.
 
 Both kinds are indexed by trigger item so per-candidate consistency checks
 stay cheap at inference time.
@@ -24,6 +25,13 @@ from repro.datasets.trace import LabeledSequence
 from repro.mining.apriori import Apriori, FrequentItemsets
 from repro.mining.context_rules import Item, encode_dataset
 from repro.mining.rules import AssociationRule, ExclusionRule, merge_redundant
+
+#: Consequent attributes worth forcing (hidden state components).
+HIDDEN_ATTRS: Tuple[str, ...] = ("macro", "subloc")
+#: An exclusion is only claimed when the two elements were expected to
+#: co-occur at least this many times under independence — guards against
+#: declaring "must not" from sparse data.
+MIN_EXPECTED_COOCCURRENCE = 10.0
 
 
 @dataclass
@@ -48,20 +56,8 @@ class CorrelationRuleSet:
             self._forcing_by_trigger.setdefault(trigger, []).append(rule)
         self._exclusion_partners = {}
         for excl in self.exclusions:
-            if not excl.hard:
-                continue  # soft exclusions penalise, they never prune
             self._exclusion_partners.setdefault(excl.a, set()).add(excl.b)
             self._exclusion_partners.setdefault(excl.b, set()).add(excl.a)
-
-    @property
-    def hard_exclusions(self):
-        """Exclusions safe to prune on (physically grounded)."""
-        return [e for e in self.exclusions if e.hard]
-
-    @property
-    def soft_exclusions(self):
-        """Behavioural exclusions, applied as log penalties."""
-        return [e for e in self.exclusions if not e.hard]
 
     @property
     def n_rules(self) -> int:
@@ -153,18 +149,10 @@ class CorrelationMiner:
     ----------
     min_support / min_confidence:
         Apriori thresholds; the paper's operating point is 4% / 99%.
-    hidden_attrs:
-        Consequent attributes worth forcing (hidden state components).
-    min_expected_cooccurrence:
-        An exclusion is only claimed when the two elements were expected to
-        co-occur at least this many times under independence — guards
-        against declaring "must not" from sparse data.
     """
 
     min_support: float = 0.04
     min_confidence: float = 0.99
-    hidden_attrs: Tuple[str, ...] = ("macro", "subloc")
-    min_expected_cooccurrence: float = 10.0
 
     def mine(self, sequences: Sequence[LabeledSequence]) -> CorrelationRuleSet:
         """Run the full pipeline: encode, Apriori, filter, index."""
@@ -176,7 +164,7 @@ class CorrelationMiner:
         """Mine from pre-encoded transactions."""
         apriori = Apriori(min_support=self.min_support, min_confidence=self.min_confidence)
         itemsets = apriori.mine_itemsets(transactions)
-        raw_rules = apriori.mine_rules(itemsets, consequent_attrs=self.hidden_attrs)
+        raw_rules = apriori.mine_rules(itemsets, consequent_attrs=HIDDEN_ATTRS)
         forcing = merge_redundant(self._filter_forcing(raw_rules))
         exclusions = self._mine_exclusions(itemsets)
         return CorrelationRuleSet(forcing_rules=forcing, exclusions=exclusions)
@@ -211,26 +199,22 @@ class CorrelationMiner:
         return kept
 
     def _mine_exclusions(self, itemsets: FrequentItemsets) -> List[ExclusionRule]:
-        """Frequent cross-user element pairs that never co-occur.
+        """Frequent same-sub-location pairs on two user slots that never
+        co-occur (the "two people in one bathroom" shape).  Two macros
+        never seen together are behaviour, not physics, and are not mined.
 
         Co-occurrences are looked up in Apriori's pair counts."""
         n = itemsets.n_transactions
         singles = {next(iter(s)): sup for s, sup in itemsets.supports.items() if len(s) == 1}
-        # Candidate pairs: same attribute + value, different user slots,
-        # current slice (the "two people in one bathroom" shape), plus
-        # cross-user macro pairs (the "sleeping vs vacuuming" shape).
-        items = [i for i in singles if i.slot.startswith("u") and i.time == "t"]
+        items = [
+            i for i in singles if i.slot.startswith("u") and i.time == "t" and i.attr == "subloc"
+        ]
         candidates: List[Tuple[Item, Item]] = []
         for i, a in enumerate(items):
             for b in items[i + 1 :]:
-                if a.slot == b.slot:
+                if a.slot == b.slot or a.value != b.value:
                     continue
-                same_place = a.attr == b.attr == "subloc" and a.value == b.value
-                macro_pair = a.attr == b.attr == "macro"
-                if not (same_place or macro_pair):
-                    continue
-                expected = singles[a] * singles[b] * n
-                if expected < self.min_expected_cooccurrence:
+                if singles[a] * singles[b] * n < MIN_EXPECTED_COOCCURRENCE:
                     continue
                 candidates.append((a, b))
         # "A => not B" holds at the miner's confidence level when the
@@ -238,23 +222,12 @@ class CorrelationMiner:
         # Requiring literally zero co-occurrences is brittle: a single
         # mislabelled step (or a hand-off through a doorway) would erase a
         # true exclusion such as the single-occupancy bathroom.
-        #
-        # Same-place pairs are *hard* (two residents genuinely cannot both
-        # occupy the bathroom); macro-macro pairs are *soft* — "we never saw
-        # them watch TV while the other played games" is behaviour, not
-        # physics, and the recognisers penalise rather than prune it.
         tolerance = 1.0 - self.min_confidence
         exclusions = []
         for a, b in candidates:
             occurrences = min(singles[a], singles[b]) * n
             if itemsets.co_occurrences(a, b) <= tolerance * occurrences:
                 exclusions.append(
-                    ExclusionRule(
-                        a=a,
-                        b=b,
-                        support_a=singles[a],
-                        support_b=singles[b],
-                        hard=(a.attr == "subloc"),
-                    )
+                    ExclusionRule(a=a, b=b, support_a=singles[a], support_b=singles[b])
                 )
         return exclusions

@@ -53,32 +53,22 @@ class AssociationRule:
 
 @dataclass(frozen=True)
 class ExclusionRule:
-    """Two context elements that must not hold simultaneously.
-
-    ``hard`` distinguishes physically grounded exclusions (two residents in
-    one single-occupancy sub-location) from statistically mined behavioural
-    ones (two macro activities never observed together).  Hard exclusions
-    prune joint states outright; soft ones contribute a log penalty instead
-    — a never-co-occurring macro pair in a finite training sample is strong
-    negative correlation, not impossibility, and hard-pruning it mislabels
-    entire segments on the day the residents break the pattern.
-    """
+    """Two context elements that must not hold simultaneously; a joint
+    state containing both is pruned."""
 
     a: Item
     b: Item
     support_a: float
     support_b: float
-    hard: bool = True
 
     def violated_by(self, items: FrozenSet[Item]) -> bool:
         """True when *items* contains both excluded elements."""
         return self.a in items and self.b in items
 
     def __str__(self) -> str:
-        kind = "hard" if self.hard else "soft"
         return (
             f"{format_item(self.a)} => NOT {format_item(self.b)} "
-            f"({kind}, sup {self.support_a:.3f}/{self.support_b:.3f})"
+            f"(sup {self.support_a:.3f}/{self.support_b:.3f})"
         )
 
 

@@ -31,7 +31,11 @@ from repro.core.emissions import ObjectEvidenceTable
 from repro.core.engine import CaceEngine
 from repro.core.hdbn import SingleUserHdbn
 from repro.core.kernels import PIR_MISS_PENALTY
-from repro.core.loosely_coupled import NChainHdbn
+from repro.core.loosely_coupled import (
+    UNEXPLAINED_ROOM_PENALTY,
+    UNEXPLAINED_SUBLOC_PENALTY,
+    NChainHdbn,
+)
 from repro.models.distributions import GaussianEmission, LabelIndex
 from repro.models.hmm import MacroHmm
 from repro.util.serialization import (
@@ -53,15 +57,10 @@ _HDBN_CONFIG = {
         "max_states_per_user",
         "max_joint_states",
         "max_joint_states_pruned",
-        "use_feature_gmm",
-        "unexplained_subloc_penalty",
-        "unexplained_room_penalty",
-        "soft_exclusion_penalty",
     ),
     "single_user": (
         "gmm_components",
         "max_states_per_user",
-        "use_feature_gmm",
     ),
 }
 
@@ -83,6 +82,10 @@ _REMOVED_OPTIONS = {
     "min_change_prob": MIN_CHANGE_PROB,
     "pir_miss_penalty": PIR_MISS_PENALTY,
     "temporal": False,
+    "use_feature_gmm": True,
+    "unexplained_subloc_penalty": UNEXPLAINED_SUBLOC_PENALTY,
+    "unexplained_room_penalty": UNEXPLAINED_ROOM_PENALTY,
+    "soft_exclusion_penalty": 0.0,
 }
 
 

@@ -74,7 +74,6 @@ def rule_set_to_dict(rule_set: CorrelationRuleSet) -> Dict:
                 "b": _item_to_obj(excl.b),
                 "support_a": excl.support_a,
                 "support_b": excl.support_b,
-                "hard": excl.hard,
             }
             for excl in rule_set.exclusions
         ],
@@ -95,15 +94,17 @@ def rule_set_from_dict(data: Dict) -> CorrelationRuleSet:
         )
         for rule in data["forcing_rules"]
     ]
+    # Older files also stored behavioural exclusions as ``"hard": false``;
+    # nothing ever pruned on them, so they are dropped.
     exclusions = [
         ExclusionRule(
             a=_item_from_obj(excl["a"]),
             b=_item_from_obj(excl["b"]),
             support_a=float(excl["support_a"]),
             support_b=float(excl["support_b"]),
-            hard=bool(excl.get("hard", True)),
         )
         for excl in data["exclusions"]
+        if excl.get("hard", True)
     ]
     return CorrelationRuleSet(forcing_rules=forcing, exclusions=exclusions)
 

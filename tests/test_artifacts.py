@@ -29,8 +29,16 @@ STRATEGIES = ("nh", "ncr", "ncs", "c2")
 
 #: Options each artifact kind stored before they were fixed in code.
 REMOVED_KEYS = {
-    "nchain": ("prune_cross", "min_change_prob", "pir_miss_penalty"),
-    "single_user": ("min_change_prob", "pir_miss_penalty", "temporal"),
+    "nchain": (
+        "prune_cross",
+        "min_change_prob",
+        "pir_miss_penalty",
+        "soft_exclusion_penalty",
+        "use_feature_gmm",
+        "unexplained_subloc_penalty",
+        "unexplained_room_penalty",
+    ),
+    "single_user": ("min_change_prob", "pir_miss_penalty", "temporal", "use_feature_gmm"),
 }
 REMOVED_CASES = [(kind, key) for kind, keys in REMOVED_KEYS.items() for key in keys]
 
@@ -109,7 +117,8 @@ class TestLegacyArtifacts:
     ``"coupled"``, carrying the since-removed ``prune_per_user`` and
     ``use_sequence_kernels`` keys) still load, and so do files that store
     an option since fixed in code, as long as they store its fixed value,
-    and files whose constraint model carries tables since dropped."""
+    files whose constraint model carries tables since dropped, and files
+    whose rule sets carry soft exclusions."""
 
     @pytest.fixture(scope="class")
     def pair_engine(self, cace_split):
@@ -147,9 +156,43 @@ class TestLegacyArtifacts:
     @pytest.mark.parametrize("kind,key", REMOVED_CASES)
     def test_removed_option_at_other_value_rejected(self, kind, key, engines):
         fixed = _REMOVED_OPTIONS[key]
-        other = (not fixed) if isinstance(fixed, bool) else 2 * fixed
+        other = (not fixed) if isinstance(fixed, bool) else fixed - 1.0
         with pytest.raises(ValueError, match=key):
             engine_from_dict(self._with_config(engines[kind], kind, **{key: other}))
+
+    def test_soft_exclusions_of_older_artifacts_dropped(self, pair_engine, cace_split):
+        # Before soft exclusions were removed, both rule sets stored every
+        # exclusion with a "hard" flag, behavioural ones as "hard": false,
+        # and the config stored the since-fixed scoring options.
+        _, test = cace_split
+        seq = test.sequences[0]
+        payload = engine_to_dict(pair_engine)
+        soft = {
+            "a": ["u1", "t", "macro", "cooking"],
+            "b": ["u2", "t", "macro", "watching_tv"],
+            "support_a": 0.2,
+            "support_b": 0.3,
+            "hard": False,
+        }
+        for rules in (payload["rule_set"], payload["model"]["rule_set"]):
+            for excl in rules["exclusions"]:
+                excl["hard"] = True
+            rules["exclusions"].append(dict(soft))
+        payload["model"]["config"].update(
+            soft_exclusion_penalty=0.0,
+            use_feature_gmm=True,
+            unexplained_subloc_penalty=-4.5,
+            unexplained_room_penalty=-2.5,
+        )
+        payload["fingerprint"] = _fingerprint(payload)
+        legacy = engine_from_dict(payload)
+        for rules in (legacy.rule_set_, legacy.model_.rule_set):
+            assert rules.exclusions == pair_engine.rule_set_.exclusions
+        assert _decoded(legacy, seq) == _decoded(pair_engine, seq)
+        before = pair_engine.posterior_marginals(seq)
+        after = legacy.posterior_marginals(seq)
+        for rid in before:
+            assert np.array_equal(before[rid], after[rid])
 
     def _legacy(self, engine, **config):
         payload = engine_to_dict(engine)

@@ -55,12 +55,11 @@ class TestAnnealingLayout:
         x, k = case
         got = DeterministicAnnealing(n_clusters=k, seed=seed)
         want = LoopDeterministicAnnealing(n_clusters=k, seed=seed)
-        g_means, g_covs, g_labels = got.fit_gaussians(x)
-        w_means, w_covs, w_labels = want.fit_gaussians(x)
+        g_means, g_labels = got.fit_gaussians(x)
+        w_means, w_labels = want.fit_gaussians(x)
         assert np.array_equal(got.centers_, want.centers_)
         assert np.array_equal(g_labels, w_labels)
         assert np.array_equal(g_means, w_means)
-        assert np.array_equal(g_covs, w_covs)
 
     def test_close_at_eight_dimensions(self):
         # From d = 8 numpy sums the (n, k, d) broadcast's inner axis

@@ -208,8 +208,9 @@ class TestEncoding:
 
 class TestCorrelationMiner:
     def test_mines_planted_exclusions(self):
-        # u1 and u2 are never both in the bath, and macro a (u1) never
-        # meets d (u2) nor b meets c; every other cross pair co-occurs.
+        # u1 and u2 are never both in the bath.  Macro a (u1) never meets
+        # d (u2) nor b meets c either, but a macro pair is behaviour, not
+        # physics: no macro-macro exclusion is mined.
         def step(r):
             return frozenset([
                 _item("u1", "subloc", "bath" if r % 5 in (0, 1) else "bed"),
@@ -219,12 +220,11 @@ class TestCorrelationMiner:
             ])
 
         rules = CorrelationMiner().mine_transactions([step(r) for r in range(100)])
-        got = {(frozenset((e.a, e.b)), e.hard) for e in rules.exclusions}
+        got = {frozenset((e.a, e.b)) for e in rules.exclusions}
         assert got == {
-            (frozenset((_item("u1", "subloc", "bath"), _item("u2", "subloc", "bath"))), True),
-            (frozenset((_item("u1", "macro", "a"), _item("u2", "macro", "d"))), False),
-            (frozenset((_item("u1", "macro", "b"), _item("u2", "macro", "c"))), False),
+            frozenset((_item("u1", "subloc", "bath"), _item("u2", "subloc", "bath"))),
         }
+        assert not any(e.a.attr == e.b.attr == "macro" for e in rules.exclusions)
 
     def test_mines_forcing_and_exclusions(self, rule_set):
         assert len(rule_set.forcing_rules) > 0

@@ -53,11 +53,29 @@ class TestRuleSetRoundTrip:
             frozenset((e.a, e.b)) for e in rule_set.exclusions
         }
 
-    def test_hardness_preserved(self, rule_set):
-        restored = rule_set_from_dict(rule_set_to_dict(rule_set))
-        assert [e.hard for e in restored.exclusions] == [
-            e.hard for e in rule_set.exclusions
-        ]
+    def test_soft_exclusions_dropped_on_load(self, rule_set):
+        # Older files stored behavioural exclusions as "hard": false and
+        # physical ones as "hard": true; only the latter ever pruned.
+        data = rule_set_to_dict(rule_set)
+        for excl in data["exclusions"]:
+            excl["hard"] = True
+        bath = ["u1", "t", "subloc", "SR9"], ["u2", "t", "subloc", "SR9"]
+        data["exclusions"].append(
+            {"a": bath[0], "b": bath[1], "support_a": 0.1, "support_b": 0.1, "hard": True}
+        )
+        data["exclusions"].append(
+            {
+                "a": ["u1", "t", "macro", "cooking"],
+                "b": ["u2", "t", "macro", "watching_tv"],
+                "support_a": 0.2,
+                "support_b": 0.3,
+                "hard": False,
+            }
+        )
+        restored = rule_set_from_dict(data)
+        assert len(restored.exclusions) == len(rule_set.exclusions) + 1
+        assert not any(e.a.attr == "macro" for e in restored.exclusions)
+        assert "hard" not in rule_set_to_dict(restored)["exclusions"][-1]
 
     def test_file_round_trip(self, rule_set, tmp_path):
         path = tmp_path / "rules.json"
