@@ -1,9 +1,12 @@
 """Context mining: association rules, correlations, constraints (§V).
 
-The pipeline's "pruning engine": training traces are encoded as
-transactions over 94 context elements (47 per time slice, two slices),
-Apriori extracts high-confidence association rules, and two miners distil
-them into the structures the loosely-coupled HDBN consumes —
+The pipeline's "pruning engine".  The paper encodes training traces as
+transactions over 94 context elements (47 per time slice, two slices).
+The correlation miner keeps only same-time rules, so it encodes the 47
+time-t elements, which provably mines the same rules; the temporal
+structure is the constraint miner's.  Apriori extracts high-confidence
+association rules, and two miners distil them into the structures the
+loosely-coupled HDBN consumes —
 
 * :class:`~repro.mining.correlation_miner.CorrelationRuleSet` —
   deterministic *must / must-not* relationships used to prune joint states;

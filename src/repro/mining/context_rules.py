@@ -12,11 +12,13 @@ canonical user slot (``"u1"``, ``"u2"``, ... by resident order, or
 ``"t-1"``.  Transactions are symmetrised over user slots so mined rules
 generalise across which resident happens to be "user 1".
 
-:func:`encode_sequence` defines the transactions: one per step and slot
-assignment, holding every resident's items at t and t-1 plus the step's
-ambient items.  It builds them from a memo: one item list per ``(slot,
-time, truth)`` seen in the sequence, and one ambient item list per step,
-shared by all of the step's slot assignments.
+:func:`encode_sequence` encodes only the 47 time-t elements, one
+transaction per step and slot assignment.  The correlation miner keeps
+only same-time rules (temporal structure is the constraint miner's), and
+its rules are provably those of the two-slice schema: a time-t itemset's
+support and Apriori candidates do not depend on the t-1 items, dropping
+items keeps the sorted order of the itemsets that remain, and every rule
+lost holds a t-1 item, which the miner drops.
 """
 
 from __future__ import annotations
@@ -36,19 +38,6 @@ class Item(NamedTuple):
     value: str
 
 
-def truth_items(slot: str, truth: ResidentTruth, time: str = "t") -> List[Item]:
-    """Items describing one resident's ground-truth context."""
-    items = [
-        Item(slot, time, "macro", truth.macro),
-        Item(slot, time, "posture", truth.posture),
-        Item(slot, time, "subloc", truth.subloc),
-        Item(slot, time, "room", truth.room),
-    ]
-    if truth.gesture:
-        items.append(Item(slot, time, "gesture", truth.gesture))
-    return items
-
-
 def state_items(
     slot: str,
     macro: str,
@@ -56,26 +45,28 @@ def state_items(
     gesture: Optional[str],
     subloc: str,
     room: str,
-    time: str = "t",
 ) -> List[Item]:
-    """Items for a *hypothesised* hidden state (used during pruning)."""
+    """Items for a hidden state at time t (a hypothesis during pruning)."""
     items = [
-        Item(slot, time, "macro", macro),
-        Item(slot, time, "posture", posture),
-        Item(slot, time, "subloc", subloc),
-        Item(slot, time, "room", room),
+        Item(slot, "t", "macro", macro),
+        Item(slot, "t", "posture", posture),
+        Item(slot, "t", "subloc", subloc),
+        Item(slot, "t", "room", room),
     ]
     if gesture:
-        items.append(Item(slot, time, "gesture", gesture))
+        items.append(Item(slot, "t", "gesture", gesture))
     return items
 
 
-def ambient_items(
-    rooms_fired: Sequence[str], objects_fired: Sequence[str], time: str = "t"
-) -> List[Item]:
-    """Items for unattributed ambient evidence."""
-    items = [Item("amb", time, "room", room) for room in sorted(rooms_fired)]
-    items.extend(Item("amb", time, "object", obj) for obj in sorted(objects_fired))
+def truth_items(slot: str, truth: ResidentTruth) -> List[Item]:
+    """Items describing one resident's ground-truth context at time t."""
+    return state_items(slot, truth.macro, truth.posture, truth.gesture, truth.subloc, truth.room)
+
+
+def ambient_items(rooms_fired: Sequence[str], objects_fired: Sequence[str]) -> List[Item]:
+    """Items for unattributed ambient evidence at time t."""
+    items = [Item("amb", "t", "room", room) for room in sorted(rooms_fired)]
+    items.extend(Item("amb", "t", "object", obj) for obj in sorted(objects_fired))
     return items
 
 
@@ -88,11 +79,10 @@ def encode_sequence(
     user-slot assignment, so rules do not overfit to which resident was
     mapped to ``u1``.
 
-    A transaction holds both time slices of every resident plus the
-    step's ambient items.  Residents hold the same truth for many steps in
-    a row, so their items are memoised per ``(slot, time, truth)`` within
-    the sequence, and a step's ambient items are built once for all of its
-    assignments.
+    A transaction holds every resident's time-t items plus the step's
+    ambient items.  Residents hold the same truth for many steps in a row,
+    so their items are memoised per ``(slot, truth)`` within the sequence,
+    and a step's ambient items are built once for all of its assignments.
     """
     rids = list(sequence.resident_ids)
     slot_names = [f"u{i + 1}" for i in range(len(rids))]
@@ -103,28 +93,22 @@ def encode_sequence(
     else:
         assignments.append({rid: slot_names[i] for i, rid in enumerate(rids)})
 
-    memo: Dict[Tuple[str, str, ResidentTruth], List[Item]] = {}
+    memo: Dict[Tuple[str, ResidentTruth], List[Item]] = {}
 
-    def resident(slot: str, truth: ResidentTruth, time: str) -> List[Item]:
-        key = (slot, time, truth)
-        items = memo.get(key)
+    def resident(slot: str, truth: ResidentTruth) -> List[Item]:
+        items = memo.get((slot, truth))
         if items is None:
-            items = memo[key] = truth_items(slot, truth, time)
+            items = memo[slot, truth] = truth_items(slot, truth)
         return items
 
     transactions: List[FrozenSet[Item]] = []
-    prev = None
     for step, truth in zip(sequence.steps, sequence.truths):
-        ambient = ambient_items(step.rooms_fired, step.objects_fired, "t")
+        ambient = ambient_items(step.rooms_fired, step.objects_fired)
         for slot_of in assignments:
             items = list(ambient)
             for rid, now in truth.items():
-                items += resident(slot_of[rid], now, "t")
-            if prev is not None:
-                for rid, before in prev.items():
-                    items += resident(slot_of[rid], before, "t-1")
+                items += resident(slot_of[rid], now)
             transactions.append(frozenset(items))
-        prev = truth
     return transactions
 
 

@@ -10,12 +10,16 @@ against it:
 * :func:`loop_object_cpt` counts the object-evidence CPT one resident,
   step and object at a time; :func:`repro.core.chdbn.fit_object_cpt`
   counts it with one ``np.add.at``.
-* :func:`encode_step` builds one context transaction from scratch;
-  :func:`repro.mining.context_rules.encode_sequence` builds a sequence's
-  transactions from memoised item lists.
+* :func:`encode_step` builds one transaction of the paper's two-slice
+  schema (47 elements at t, 47 at t-1) from scratch, and
+  :func:`paper_transactions` builds a sequence's;
+  :func:`repro.mining.context_rules.encode_sequence` builds their time-t
+  slices from memoised item lists, and mining those gives the same rules.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 import numpy as np
 
@@ -87,9 +91,29 @@ def encode_step(truths_now, truths_prev, rooms_fired, objects_fired, slot_of):
     """One transaction: both time slices of every resident plus ambient."""
     items = []
     for rid, truth in truths_now.items():
-        items.extend(truth_items(slot_of[rid], truth, "t"))
+        items.extend(truth_items(slot_of[rid], truth))
     if truths_prev is not None:
         for rid, truth in truths_prev.items():
-            items.extend(truth_items(slot_of[rid], truth, "t-1"))
-    items.extend(ambient_items(rooms_fired, objects_fired, "t"))
+            items.extend(i._replace(time="t-1") for i in truth_items(slot_of[rid], truth))
+    items.extend(ambient_items(rooms_fired, objects_fired))
     return frozenset(items)
+
+
+def paper_transactions(seq, symmetrize=True):
+    """A sequence's two-slice transactions, one per step and slot order."""
+    rids = list(seq.resident_ids)
+    orders = list(permutations(rids)) if symmetrize and len(rids) > 1 else [rids]
+    out, prev = [], None
+    for step, truth in zip(seq.steps, seq.truths):
+        for order in orders:
+            slot_of = {rid: f"u{i + 1}" for i, rid in enumerate(order)}
+            out.append(
+                encode_step(truth, prev, step.rooms_fired, step.objects_fired, slot_of)
+            )
+        prev = truth
+    return out
+
+
+def time_t_slice(transactions):
+    """Each transaction without its t-1 items."""
+    return [frozenset(i for i in tx if i.time == "t") for tx in transactions]

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +18,15 @@ from hypothesis import strategies as st
 from repro.core.chdbn import fit_object_cpt
 from repro.datasets import generate_cace_dataset
 from repro.micro.annealing import DeterministicAnnealing
-from repro.mining import ConstraintMiner
+from repro.mining import ConstraintMiner, CorrelationMiner
 from repro.mining.context_rules import encode_sequence
 
-from fit_spec import LoopDeterministicAnnealing, encode_step, loop_object_cpt
+from fit_spec import (
+    LoopDeterministicAnnealing,
+    loop_object_cpt,
+    paper_transactions,
+    time_t_slice,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -78,33 +82,41 @@ def trio_dataset():
     )
 
 
-def _composed(seq, symmetrize):
-    """encode_sequence spelled out as encode_step calls."""
-    rids = list(seq.resident_ids)
-    orders = list(permutations(rids)) if symmetrize and len(rids) > 1 else [rids]
-    out, prev = [], None
-    for step, truth in zip(seq.steps, seq.truths):
-        for order in orders:
-            slot_of = {rid: f"u{i + 1}" for i, rid in enumerate(order)}
-            out.append(
-                encode_step(truth, prev, step.rooms_fired, step.objects_fired, slot_of)
-            )
-        prev = truth
-    return out
-
-
 class TestEncodingMemo:
+    """``encode_sequence`` is the time-t slice of the paper's two-slice
+    transactions, spelled out as ``encode_step`` calls."""
+
     @pytest.mark.parametrize("symmetrize", [False, True])
     def test_pair_equals_encode_step(self, cace_dataset, symmetrize):
         seq = cace_dataset.sequences[0]
-        assert encode_sequence(seq, symmetrize) == _composed(seq, symmetrize)
+        want = time_t_slice(paper_transactions(seq, symmetrize))
+        assert encode_sequence(seq, symmetrize) == want
 
     @pytest.mark.parametrize("symmetrize", [False, True])
     def test_trio_equals_encode_step(self, trio_dataset, symmetrize):
         seq = trio_dataset.sequences[0]
         got = encode_sequence(seq, symmetrize)
         assert len(got) == len(seq) * (6 if symmetrize else 1)
-        assert got == _composed(seq, symmetrize)
+        assert got == time_t_slice(paper_transactions(seq, symmetrize))
+
+
+class TestPaperSchemaRules:
+    """Mining the time-t slice gives the rules of the paper's two-slice
+    transactions, supports and confidences included, in order."""
+
+    @pytest.mark.parametrize("residents", [2, 3, 4])
+    def test_rules_equal_two_slice_spec(self, residents):
+        dataset = generate_cace_dataset(
+            n_homes=1, sessions_per_home=2, duration_s=900.0,
+            residents_per_home=residents, seed=3,
+        )
+        got = CorrelationMiner().mine(dataset.sequences)
+        want = CorrelationMiner().mine_transactions(
+            [tx for seq in dataset.sequences for tx in paper_transactions(seq)]
+        )
+        assert got.forcing_rules
+        assert got.forcing_rules == want.forcing_rules
+        assert got.exclusions == want.exclusions
 
 
 class TestObjectCpt:

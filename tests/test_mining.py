@@ -193,12 +193,13 @@ class TestEncoding:
         assert len(plain) == len(seq)
         assert len(symmetric) == 2 * len(seq)
 
-    def test_two_time_slices_present(self, cace_dataset):
+    def test_current_time_slice_only(self, cace_dataset):
+        # The miner keeps only same-time rules, so no t-1 item is encoded.
         seq = cace_dataset.sequences[0]
         transactions = encode_sequence(seq, symmetrize=False)
-        later = transactions[5]
-        times = {item.time for item in later}
-        assert times == {"t", "t-1"}
+        assert {item.time for tx in transactions for item in tx} == {"t"}
+        slots = {(item.slot, item.attr) for item in transactions[5]}
+        assert {("u1", "macro"), ("u2", "macro")} <= slots
 
     def test_slots_are_canonical(self, cace_dataset):
         transactions = encode_dataset(cace_dataset.sequences[:1])

@@ -14,6 +14,7 @@ from repro.core.reference import reference_backward_step, reference_forward_step
 from repro.eval.metrics import evaluate_predictions
 from repro.mining.apriori import Apriori
 from repro.mining.context_rules import Item
+from repro.mining.correlation_miner import CorrelationMiner
 from repro.models.distributions import normalize, shrink_coupled_transitions
 
 from dense_spec import forward_backward, viterbi_decode
@@ -302,3 +303,51 @@ class TestAprioriProperties:
             count = sum(1 for t in transactions if itemset <= t)
             assert count >= max(min_support * n, 1)
             assert support == count / n
+
+
+class TestTimeSliceMiningProperties:
+    """Mining two-slice transactions gives the rules of their time-t
+    slices, because the miner keeps only same-time rules."""
+
+    @st.composite
+    @staticmethod
+    def two_slice_transactions(draw):
+        """Sub-locations, macros that follow them with probability
+        ``follow``, t-1 values that repeat t's with probability ``stick``,
+        and ``u2`` kept out of ``u1``'s sub-location with probability
+        ``apart`` (the shape of a mined exclusion)."""
+        rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+        n = draw(st.integers(20, 200))
+        follow, stick = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        apart = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        out = []
+        for _ in range(n):
+            now = rng.integers(0, 3, size=2)
+            if now[1] == now[0] and rng.random() < apart:
+                now[1] = (now[0] + 1) % 3
+            before = np.where(rng.random(2) < stick, now, rng.integers(0, 3, size=2))
+            items = set()
+            for u, slot in enumerate(("u1", "u2")):
+                for time, v in (("t", now[u]), ("t-1", before[u])):
+                    macro = v if rng.random() < follow else rng.integers(0, 3)
+                    items.add(Item(slot, time, "subloc", "xyz"[v]))
+                    items.add(Item(slot, time, "macro", "abc"[macro]))
+            if rng.random() < 0.5:
+                items.add(Item("amb", "t", "room", "pq"[now[0] % 2]))
+            out.append(frozenset(items))
+        return out
+
+    @given(two_slice_transactions(), st.sampled_from([0.04, 0.1, 0.25]))
+    @settings(max_examples=60, deadline=None)
+    def test_time_t_slice_mines_the_same_rules(self, transactions, min_support):
+        miner = CorrelationMiner(min_support=min_support)
+        got = miner.mine_transactions(
+            [frozenset(i for i in tx if i.time == "t") for tx in transactions]
+        )
+        want = miner.mine_transactions(transactions)
+        assert [
+            (r.antecedent, r.consequent, r.support, r.confidence) for r in got.forcing_rules
+        ] == [
+            (r.antecedent, r.consequent, r.support, r.confidence) for r in want.forcing_rules
+        ]
+        assert got.exclusions == want.exclusions
