@@ -278,11 +278,14 @@ def engine_to_dict(engine: CaceEngine) -> Dict:
             "gmm_components": engine.gmm_components,
             "max_states_per_user": engine.max_states_per_user,
         },
-        "rule_set": rule_set_to_dict(engine.rule_set_)
-        if engine.rule_set_ is not None
-        else None,
         "model": _model_to_obj(engine.model_),
     }
+    # The model carries the rule set it prunes with (pool workers load only
+    # the model); the engine's is stored only where it differs, as under
+    # ncs with initial rules.
+    rules = engine.rule_set_
+    if rules != getattr(engine.model_, "rule_set", None):
+        payload["rule_set"] = rule_set_to_dict(rules) if rules is not None else None
     payload["fingerprint"] = _fingerprint(payload)
     return payload
 
@@ -311,9 +314,12 @@ def engine_from_dict(data: Dict) -> CaceEngine:
         max_states_per_user=cfg["max_states_per_user"],
         seed=0,  # the RNG only drives fitting, which already happened
     )
-    rules = data["rule_set"]
-    engine.rule_set_ = rule_set_from_dict(rules) if rules is not None else None
     engine.model_ = _model_from_obj(data["model"])
+    if "rule_set" in data:  # differs from the model's, or an older artifact
+        rules = data["rule_set"]
+        engine.rule_set_ = rule_set_from_dict(rules) if rules is not None else None
+    else:
+        engine.rule_set_ = getattr(engine.model_, "rule_set", None)
     return engine
 
 

@@ -7,6 +7,7 @@ coupled N-chain on pairs and on 3 residents).  Artifacts carry a schema
 version and a sha256 fingerprint; both are verified on load.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.core.api import DecodeStats
 from repro.core.engine import CaceEngine
 from repro.core.loosely_coupled import NChainHdbn
 from repro.datasets import generate_cace_dataset, train_test_split
+from repro.mining import initial_rule_set
 from repro.util.artifacts import (
     _REMOVED_OPTIONS,
     MODEL_SCHEMA,
@@ -92,6 +94,28 @@ class TestRoundTrip:
         assert reloaded.describe() == fitted_engine.describe()
         assert type(reloaded.model_) is type(fitted_engine.model_)
 
+    def test_rule_set_stored_once(self, fitted_engine):
+        # The model's copy is the one pool workers read; the engine's rule
+        # set is restored from it.
+        payload = engine_to_dict(fitted_engine)
+        assert "rule_set" not in payload
+        reloaded = engine_from_dict(payload)
+        assert reloaded.rule_set_ == fitted_engine.rule_set_
+        if reloaded.rule_set_ is not None:
+            assert reloaded.rule_set_ is reloaded.model_.rule_set
+
+    def test_rules_the_model_does_not_hold_are_stored(self, cace_split):
+        # ncs prunes with no rules, but the engine keeps its initial rules.
+        train, _ = cace_split
+        engine = CaceEngine(strategy="ncs", initial_rules=initial_rule_set(), seed=11)
+        engine.fit(train)
+        payload = engine_to_dict(engine)
+        assert payload["model"]["rule_set"] is None
+        assert payload["rule_set"] is not None
+        reloaded = engine_from_dict(payload)
+        assert reloaded.rule_set_ == engine.rule_set_
+        assert reloaded.model_.rule_set is None
+
     def test_nchain_trio_round_trips(self, tmp_path):
         dataset = generate_cace_dataset(
             n_homes=1,
@@ -117,8 +141,9 @@ class TestLegacyArtifacts:
     ``"coupled"``, carrying the since-removed ``prune_per_user`` and
     ``use_sequence_kernels`` keys) still load, and so do files that store
     an option since fixed in code, as long as they store its fixed value,
-    files whose constraint model carries tables since dropped, and files
-    whose rule sets carry soft exclusions."""
+    files whose constraint model carries tables since dropped, files
+    whose rule sets carry soft exclusions, and files that store the rule
+    set twice."""
 
     @pytest.fixture(scope="class")
     def pair_engine(self, cace_split):
@@ -130,6 +155,36 @@ class TestLegacyArtifacts:
         train, _ = cace_split
         ncr = CaceEngine(strategy="ncr", seed=11).fit(train)
         return {"nchain": pair_engine, "single_user": ncr}
+
+    @staticmethod
+    def _parent_shaped(engine):
+        """The artifact as written before the rule set was stored once: an
+        equal copy of the model's rule set also sits at the top level."""
+        payload = engine_to_dict(engine)
+        payload = {
+            "schema": payload["schema"],
+            "engine": payload["engine"],
+            "rule_set": copy.deepcopy(payload["model"]["rule_set"]),
+            "model": payload["model"],
+        }
+        payload["fingerprint"] = _fingerprint(payload)
+        return payload
+
+    @pytest.mark.parametrize("kind", ["nchain", "single_user"])
+    def test_rule_set_stored_twice_loads(self, kind, engines, cace_split):
+        _, test = cace_split
+        seq = test.sequences[0]
+        engine = engines[kind]
+        payload = self._parent_shaped(engine)
+        assert payload["rule_set"]["forcing_rules"]
+        legacy = engine_from_dict(payload)
+        assert legacy.rule_set_ == engine.rule_set_
+        assert legacy.model_.rule_set == engine.model_.rule_set
+        assert _decoded(legacy, seq) == _decoded(engine, seq)
+        before = engine.posterior_marginals(seq)
+        after = legacy.posterior_marginals(seq)
+        for rid in before:
+            assert np.array_equal(before[rid], after[rid])
 
     @staticmethod
     def _with_config(engine, kind, **config):
@@ -166,7 +221,7 @@ class TestLegacyArtifacts:
         # and the config stored the since-fixed scoring options.
         _, test = cace_split
         seq = test.sequences[0]
-        payload = engine_to_dict(pair_engine)
+        payload = self._parent_shaped(pair_engine)
         soft = {
             "a": ["u1", "t", "macro", "cooking"],
             "b": ["u2", "t", "macro", "watching_tv"],
