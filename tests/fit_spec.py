@@ -11,7 +11,7 @@ against it:
   step and object at a time; :func:`repro.core.chdbn.fit_object_cpt`
   counts it with one ``np.add.at``.
 * :func:`encode_step` builds one transaction of the paper's two-slice
-  schema (47 elements at t, 47 at t-1) from scratch, and
+  schema (47 elements at t, 47 at t-1) directly from the truths, and
   :func:`paper_transactions` builds a sequence's;
   :func:`repro.mining.context_rules.encode_sequence` builds their time-t
   slices from memoised item lists, and mining those gives the same rules.

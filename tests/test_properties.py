@@ -18,6 +18,7 @@ from repro.mining.correlation_miner import CorrelationMiner
 from repro.models.distributions import normalize, shrink_coupled_transitions
 
 from dense_spec import forward_backward, viterbi_decode
+from fit_spec import time_t_slice
 
 _LABELS = ["a", "b", "c"]
 
@@ -341,13 +342,9 @@ class TestTimeSliceMiningProperties:
     @settings(max_examples=60, deadline=None)
     def test_time_t_slice_mines_the_same_rules(self, transactions, min_support):
         miner = CorrelationMiner(min_support=min_support)
-        got = miner.mine_transactions(
-            [frozenset(i for i in tx if i.time == "t") for tx in transactions]
-        )
+        got = miner.mine_transactions(time_t_slice(transactions))
         want = miner.mine_transactions(transactions)
-        assert [
-            (r.antecedent, r.consequent, r.support, r.confidence) for r in got.forcing_rules
-        ] == [
-            (r.antecedent, r.consequent, r.support, r.confidence) for r in want.forcing_rules
-        ]
+        # Rules compare field by field: antecedent, consequent, support and
+        # confidence, in order.
+        assert got.forcing_rules == want.forcing_rules
         assert got.exclusions == want.exclusions
