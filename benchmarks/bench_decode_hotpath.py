@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 
 from benchmarks.conftest import record
-from repro.eval.experiments import decode_hotpath_benchmark
+from benchmarks.hotpath import decode_hotpath_benchmark
 from repro.obs import provenance
 
 

@@ -25,8 +25,11 @@ import json
 import sys
 from pathlib import Path
 
-from repro.eval.experiments import decode_hotpath_benchmark
-from repro.obs import provenance
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+
+from benchmarks.hotpath import decode_hotpath_benchmark  # noqa: E402
+from repro.obs import provenance  # noqa: E402
 
 
 def main() -> int:

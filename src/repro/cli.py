@@ -5,8 +5,7 @@ Commands
 ``experiment``
     Regenerate one of the paper's tables/figures and print its rows
     (``table4``, ``table5``, ``fig8a``, ``fig8b``, ``fig9``, ``fig10``,
-    ``fig11``, ``fig12``, ``micro``), or run the decode-throughput
-    comparison (``hotpath``: optimised vs seed hot path, steps/sec).
+    ``fig11``, ``fig12``, ``micro``).
 ``generate``
     Produce a synthetic corpus (``cace`` or ``casas``) and write it as
     JSON for later runs.
@@ -44,7 +43,6 @@ _EXPERIMENTS = {
     "fig10": ("fig10_model_comparison", {}),
     "fig11": ("fig11_pruning_strategies", {}),
     "fig12": ("fig12_incremental", {}),
-    "hotpath": ("decode_hotpath_benchmark", {}),
 }
 
 

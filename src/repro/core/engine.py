@@ -2,9 +2,10 @@
 
 ``CaceEngine.fit`` runs the context miners appropriate to the selected
 pruning strategy and assembles the recogniser; ``predict`` decodes macro
-activities for a session.  Build and decode wall-clock times are recorded
-in a :class:`~repro.util.timer.Stopwatch` — the paper's computational-
-overhead metric (Fig 11b, "total time required to build entire model").
+activities for a session.  ``build_seconds`` holds the last ``fit``'s
+wall-clock — the paper's computational-overhead metric (Fig 11b, "total
+time required to build entire model") — and ``decode_seconds`` the
+decode wall-clock accumulated since then.
 
 Batched decoding: ``predict_dataset(dataset, workers=N)`` fans whole
 sessions across worker processes (sessions are independent given a fitted
@@ -60,7 +61,6 @@ from repro.resilience.policy import (
     SessionTimeout,
 )
 from repro.util.rng import RandomState, ensure_rng
-from repro.util.timer import Stopwatch
 from repro.util.validation import check_positive
 
 
@@ -169,7 +169,11 @@ class CaceEngine:
     gmm_components: int = 4
     max_states_per_user: int = 36
     seed: RandomState = None
-    stopwatch: Stopwatch = field(default_factory=Stopwatch, init=False)
+    #: Wall-clock of the last ``fit`` (0.0 for a loaded artifact).
+    build_seconds: float = field(default=0.0, init=False)
+    #: Wall-clock of every ``predict`` / ``predict_dataset`` call since the
+    #: last ``fit``, including calls that raised.
+    decode_seconds: float = field(default=0.0, init=False)
     rule_set_: Optional[CorrelationRuleSet] = field(default=None, init=False)
     model_: Optional[Recognizer] = field(default=None, init=False)
     #: Aggregate DecodeStats of the last predict_dataset call.
@@ -201,66 +205,65 @@ class CaceEngine:
 
     def fit(self, train: Dataset) -> "CaceEngine":
         """Mine rules/constraints per the strategy and build the model."""
-        self.stopwatch = Stopwatch()
+        t0 = time.perf_counter()
+        self.decode_seconds = 0.0
         strategy = self._strategy
 
         if strategy.name == "nh":
-            with self.stopwatch.phase("train"):
-                self.model_ = MacroHmm().fit(train)
+            self.model_ = MacroHmm().fit(train)
+            self.build_seconds = time.perf_counter() - t0
             return self
 
         rule_set: Optional[CorrelationRuleSet] = None
         if strategy.uses_correlations:
-            with self.stopwatch.phase("correlation_mining"):
-                miner = CorrelationMiner(
-                    min_support=self.min_support, min_confidence=self.min_confidence
-                )
-                rule_set = miner.mine(train.sequences)
-                if self.initial_rules is not None:
-                    rule_set = rule_set.merge(self.initial_rules)
+            miner = CorrelationMiner(
+                min_support=self.min_support, min_confidence=self.min_confidence
+            )
+            rule_set = miner.mine(train.sequences)
+            if self.initial_rules is not None:
+                rule_set = rule_set.merge(self.initial_rules)
         elif self.initial_rules is not None:
             rule_set = self.initial_rules
         self.rule_set_ = rule_set
 
-        with self.stopwatch.phase("constraint_mining"):
-            constraint_model = ConstraintMiner().fit(
-                train.sequences,
-                train.macro_vocab,
-                train.postural_vocab,
-                train.gestural_vocab if train.has_gestural else (),
-                train.subloc_vocab,
-            )
+        constraint_model = ConstraintMiner().fit(
+            train.sequences,
+            train.macro_vocab,
+            train.postural_vocab,
+            train.gestural_vocab if train.has_gestural else (),
+            train.subloc_vocab,
+        )
 
         n_residents = max(
             (len(seq.resident_ids) for seq in train.sequences), default=2
         )
-        with self.stopwatch.phase("train"):
-            if strategy.name == "ncr":
-                model = SingleUserHdbn(
-                    constraint_model=constraint_model,
-                    rule_set=rule_set,
-                    gmm_components=self.gmm_components,
-                    max_states_per_user=self.max_states_per_user,
-                    seed=self._rng.integers(0, 2**31),
-                )
-            else:
-                # ncs / c2: the coupled HDBN over every resident chain.  A
-                # pair runs with the paper testbed's caps; 3-4 occupants
-                # (the paper's conjecture) with the N-chain defaults.
-                caps = (
-                    {**PAIR_CAPS, "max_states_per_user": self.max_states_per_user}
-                    if n_residents <= 2
-                    else {}
-                )
-                model = NChainHdbn(
-                    constraint_model=constraint_model,
-                    rule_set=rule_set if strategy.name == "c2" else None,
-                    gmm_components=self.gmm_components,
-                    seed=self._rng.integers(0, 2**31),
-                    **caps,
-                )
-            model.fit(train)
-            self.model_ = model
+        if strategy.name == "ncr":
+            model = SingleUserHdbn(
+                constraint_model=constraint_model,
+                rule_set=rule_set,
+                gmm_components=self.gmm_components,
+                max_states_per_user=self.max_states_per_user,
+                seed=self._rng.integers(0, 2**31),
+            )
+        else:
+            # ncs / c2: the coupled HDBN over every resident chain.  A
+            # pair runs with the paper testbed's caps; 3-4 occupants
+            # (the paper's conjecture) with the N-chain defaults.
+            caps = (
+                {**PAIR_CAPS, "max_states_per_user": self.max_states_per_user}
+                if n_residents <= 2
+                else {}
+            )
+            model = NChainHdbn(
+                constraint_model=constraint_model,
+                rule_set=rule_set if strategy.name == "c2" else None,
+                gmm_components=self.gmm_components,
+                seed=self._rng.integers(0, 2**31),
+                **caps,
+            )
+        model.fit(train)
+        self.model_ = model
+        self.build_seconds = time.perf_counter() - t0
         return self
 
     # -- inference ------------------------------------------------------------------
@@ -269,8 +272,11 @@ class CaceEngine:
         """Per-resident macro labels for one session."""
         if self.model_ is None:
             raise RuntimeError("engine is not fitted")
-        with self.stopwatch.phase("decode"):
+        t0 = time.perf_counter()
+        try:
             return self.model_.decode(seq)
+        finally:
+            self.decode_seconds += time.perf_counter() - t0
 
     def predict_dataset(
         self,
@@ -288,8 +294,8 @@ class CaceEngine:
         JSON payload; a model the artifact codec cannot write raises
         ``TypeError``).  With one worker no pool is built and sessions
         decode in this process.  Per-session :class:`DecodeStats` are
-        merged into ``batch_stats_`` and the batch's wall-clock lands in
-        the stopwatch's ``decode`` phase in both modes.
+        merged into ``batch_stats_`` and the batch's wall-clock is added
+        to ``decode_seconds`` in both modes.
 
         Fault tolerance
         ---------------
@@ -328,10 +334,12 @@ class CaceEngine:
         reg = obs.registry_if_enabled()
         ins = _BatchInstruments(reg) if reg is not None else None
         workers = max(1, min(workers, len(items)))
-        with obs.span(
-            "engine.predict_dataset", sessions=len(items), workers=workers
-        ), self.stopwatch.phase("decode"):
-            self._decode_waves(items, workers, out, policy, timeout_s, report, ins)
+        t0 = time.perf_counter()
+        try:
+            with obs.span("engine.predict_dataset", sessions=len(items), workers=workers):
+                self._decode_waves(items, workers, out, policy, timeout_s, report, ins)
+        finally:
+            self.decode_seconds += time.perf_counter() - t0
         report.sessions_ok = len(out)
         if report.failures and not partial:
             raise DecodeFailure(report)
@@ -581,15 +589,3 @@ class CaceEngine:
         from repro.util.artifacts import load_engine  # lazy: avoid a cycle
 
         return load_engine(path)
-
-    @property
-    def build_seconds(self) -> float:
-        """Mining + training wall-clock (the paper's overhead metric)."""
-        return sum(
-            secs for name, secs in self.stopwatch.phases.items() if name != "decode"
-        )
-
-    @property
-    def decode_seconds(self) -> float:
-        """Accumulated decoding wall-clock."""
-        return self.stopwatch.phases.get("decode", 0.0)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -49,13 +49,3 @@ class ConfusionMatrix:
             tn = total - tp - fn - fp
             out[label] = {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
         return out
-
-    def most_confused(self, k: int = 5) -> List[Tuple[str, str, float]]:
-        """Top-k off-diagonal (truth, predicted, count) cells."""
-        cells = []
-        for i in range(len(self.labels)):
-            for j in range(len(self.labels)):
-                if i != j and self.counts[i, j] > 0:
-                    cells.append((self.labels[i], self.labels[j], float(self.counts[i, j])))
-        cells.sort(key=lambda c: -c[2])
-        return cells[:k]

@@ -180,8 +180,3 @@ def activity_profile(name: str) -> ActivityProfile:
         raise KeyError(
             f"unknown macro activity {name!r}; known: {sorted(_PROFILES)}"
         ) from None
-
-
-def all_profiles() -> Dict[str, ActivityProfile]:
-    """A copy of the full profile table."""
-    return dict(_PROFILES)

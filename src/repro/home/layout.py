@@ -147,25 +147,12 @@ class ApartmentLayout:
                 seen.append(sr.room)
         return tuple(seen)
 
-    def nearest_sub_region(self, position: Tuple[float, float]) -> SubRegion:
-        """The sub-region whose centre is closest to *position*."""
-        pos = np.asarray(position, dtype=float)
-        dists = [np.linalg.norm(pos - np.asarray(sr.center)) for sr in self.sub_regions]
-        return self.sub_regions[int(np.argmin(dists))]
-
     def sample_position(self, sr_id: str, rng: np.random.Generator) -> Tuple[float, float]:
         """Random position inside a sub-region's disc."""
         sr = self.sub_region(sr_id)
         r = sr.radius * np.sqrt(rng.random())
         theta = rng.uniform(0, 2 * np.pi)
         return (sr.center[0] + r * np.cos(theta), sr.center[1] + r * np.sin(theta))
-
-    def neighbors(self, sr_id: str, k: int = 3) -> List[str]:
-        """The *k* spatially closest other sub-regions (beacon confusions)."""
-        sr = self.sub_region(sr_id)
-        others = [o for o in self.sub_regions if o.sr_id != sr_id]
-        others.sort(key=lambda o: np.hypot(o.center[0] - sr.center[0], o.center[1] - sr.center[1]))
-        return [o.sr_id for o in others[:k]]
 
 
 def default_layout(seed: RandomState = None) -> ApartmentLayout:

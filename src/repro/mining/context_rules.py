@@ -70,28 +70,21 @@ def ambient_items(rooms_fired: Sequence[str], objects_fired: Sequence[str]) -> L
     return items
 
 
-def encode_sequence(
-    sequence: LabeledSequence, symmetrize: bool = True
-) -> List[FrozenSet[Item]]:
+def encode_sequence(sequence: LabeledSequence) -> List[FrozenSet[Item]]:
     """All transactions of a labelled sequence.
 
-    With ``symmetrize=True`` every step is emitted once per permutation of
-    user-slot assignment, so rules do not overfit to which resident was
-    mapped to ``u1``.
+    Every step is emitted once per permutation of user-slot assignment, so
+    rules do not overfit to which resident was mapped to ``u1``.
 
     A transaction holds every resident's time-t items plus the step's
     ambient items.  Residents hold the same truth for many steps in a row,
     so their items are memoised per ``(slot, truth)`` within the sequence,
     and a step's ambient items are built once for all of its assignments.
     """
-    rids = list(sequence.resident_ids)
-    slot_names = [f"u{i + 1}" for i in range(len(rids))]
-    assignments: List[Dict[str, str]] = []
-    if symmetrize and len(rids) > 1:
-        for perm in permutations(rids):
-            assignments.append({rid: slot_names[i] for i, rid in enumerate(perm)})
-    else:
-        assignments.append({rid: slot_names[i] for i, rid in enumerate(rids)})
+    assignments = [
+        {rid: f"u{i + 1}" for i, rid in enumerate(perm)}
+        for perm in permutations(sequence.resident_ids)
+    ]
 
     memo: Dict[Tuple[str, ResidentTruth], List[Item]] = {}
 

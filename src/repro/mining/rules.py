@@ -11,7 +11,7 @@ never co-occur (e.g. both residents in the single bathroom).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Set
+from typing import FrozenSet, Iterable, List
 
 from repro.mining.context_rules import Item, format_item
 
@@ -61,10 +61,6 @@ class ExclusionRule:
     support_a: float
     support_b: float
 
-    def violated_by(self, items: FrozenSet[Item]) -> bool:
-        """True when *items* contains both excluded elements."""
-        return self.a in items and self.b in items
-
     def __str__(self) -> str:
         return (
             f"{format_item(self.a)} => NOT {format_item(self.b)} "
@@ -98,12 +94,3 @@ def merge_redundant(rules: Iterable[AssociationRule]) -> List[AssociationRule]:
                 chosen.append(rule)
         kept.extend(chosen)
     return kept
-
-
-def vocabulary(rules: Iterable[AssociationRule]) -> Set[Item]:
-    """All items mentioned anywhere in *rules*."""
-    vocab: Set[Item] = set()
-    for rule in rules:
-        vocab.update(rule.antecedent)
-        vocab.add(rule.consequent)
-    return vocab

@@ -134,10 +134,6 @@ class FaultPlan:
     def fault_for(self, key: str) -> Optional[Fault]:
         return self.faults.get(key)
 
-    def keys_with(self, kind: str) -> List[str]:
-        """Session keys carrying a *kind* fault, sorted."""
-        return sorted(k for k, f in self.faults.items() if f.kind == kind)
-
     def expected_failures(self, max_attempts: int) -> List[str]:
         """Keys whose fault outlives *max_attempts* (sorted): exactly the
         sessions a ``partial=True`` run must report as failed."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Iterable, Iterator, List, Optional, Set
 
 import numpy as np
 
@@ -65,17 +65,9 @@ class EventStream:
         hi = bisect.bisect_left(self._times, end)
         return self._events[lo:hi]
 
-    def of_kind(self, kind: str) -> "EventStream":
-        """Sub-stream of a single sensor kind."""
-        return EventStream(e for e in self._events if e.kind == kind)
-
     def values_in_window(self, kind: str, start: float, end: float) -> Set[str]:
         """Distinct ``value`` strings of *kind* events inside the window."""
         return {e.value for e in self.window(start, end) if e.kind == kind}
-
-    def filter(self, predicate: Callable[[SensorEvent], bool]) -> "EventStream":
-        """Sub-stream of events satisfying *predicate*."""
-        return EventStream(e for e in self._events if predicate(e))
 
     @property
     def span(self) -> tuple:
@@ -83,13 +75,6 @@ class EventStream:
         if not self._events:
             return (0.0, 0.0)
         return (self._times[0], self._times[-1])
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """Event tally per kind — handy in tests and reports."""
-        out: Dict[str, int] = {}
-        for event in self._events:
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return out
 
 
 @dataclass

@@ -2,9 +2,8 @@
 
 The testbed scatters 9 iBeacons whose RSSI gives each smartphone a noisy
 distance estimate; trilateration over three or more beacons recovers the
-phone's position, which (a) maps to one of the 14 sub-regions and (b) serves
-as the multiple-occupancy detector (is this phone inside the home at all?).
-We model the standard log-distance path-loss channel.
+phone's position, which maps to one of the 14 sub-regions.  We model the
+standard log-distance path-loss channel.
 """
 
 from __future__ import annotations
@@ -103,19 +102,6 @@ class BeaconReceiver:
         anchors = np.array([b.position for b, _ in ranges], dtype=float)
         dists = np.array([d for _, d in ranges], dtype=float)
         return trilaterate(anchors, dists)
-
-    def inside(self, position: Tuple[float, float], bounds: Tuple[float, float, float, float]) -> bool:
-        """Multiple-occupancy detection: is the phone inside *bounds*?
-
-        *bounds* is ``(xmin, ymin, xmax, ymax)``; a phone with no beacon
-        fixes, or a fix outside the rectangle, is considered away from home.
-        """
-        est = self.localize(position)
-        if est is None:
-            return False
-        xmin, ymin, xmax, ymax = bounds
-        # Half-metre slack absorbs ranging noise at the walls.
-        return bool(xmin - 0.5 <= est[0] <= xmax + 0.5 and ymin - 0.5 <= est[1] <= ymax + 0.5)
 
 
 def trilaterate(

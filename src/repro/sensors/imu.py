@@ -300,11 +300,3 @@ class ImuSimulator:
             spans.append((label, t, t + duration))
             t += duration
         return samples, spans
-
-
-def samples_to_array(samples: List[ImuSample]) -> np.ndarray:
-    """Stack samples into an ``(n, 10)`` array ``[t, ax, ay, az, gx, gy, gz, mx, my, mz]``."""
-    return np.array(
-        [[s.t, *s.accel, *s.gyro, *s.mag] for s in samples],
-        dtype=float,
-    )

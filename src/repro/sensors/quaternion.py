@@ -4,14 +4,14 @@ The paper represents device orientation as quaternions and computes the
 smartphone position relative to the neck-mounted SensorTag frame as
 ``w = q_t . w0 . q_t^{-1}`` (Eqn 16).  This module provides exactly the
 operations that computation needs: Hamilton products, conjugation,
-normalisation, vector rotation, axis-angle construction, rotation matrices,
-and spherical interpolation for smooth simulated orientation trajectories.
+normalisation, vector rotation, axis-angle and Euler construction, and
+rotation matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable
 
 import numpy as np
 
@@ -43,12 +43,6 @@ class Quaternion:
         half = angle / 2.0
         s = np.sin(half)
         return Quaternion(float(np.cos(half)), float(ax[0] * s), float(ax[1] * s), float(ax[2] * s))
-
-    @staticmethod
-    def from_array(arr: Iterable[float]) -> "Quaternion":
-        """Build from a length-4 ``[w, x, y, z]`` sequence."""
-        w, x, y, z = (float(v) for v in arr)
-        return Quaternion(w, x, y, z)
 
     @staticmethod
     def from_euler(roll: float, pitch: float, yaw: float) -> "Quaternion":
@@ -121,43 +115,3 @@ class Quaternion:
                 [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
             ]
         )
-
-    def to_array(self) -> np.ndarray:
-        """``[w, x, y, z]`` as a numpy array."""
-        return np.array([self.w, self.x, self.y, self.z])
-
-    def axis_angle(self) -> Tuple[np.ndarray, float]:
-        """Recover (axis, angle) from a unit quaternion."""
-        q = self.normalized()
-        # Keep the scalar part non-negative so the angle is in [0, pi].
-        if q.w < 0:
-            q = Quaternion(-q.w, -q.x, -q.y, -q.z)
-        angle = 2.0 * float(np.arccos(np.clip(q.w, -1.0, 1.0)))
-        s = np.sqrt(max(1.0 - q.w * q.w, 0.0))
-        if s < 1e-12:
-            return np.array([1.0, 0.0, 0.0]), 0.0
-        return np.array([q.x, q.y, q.z]) / s, angle
-
-    def slerp(self, other: "Quaternion", t: float) -> "Quaternion":
-        """Spherical linear interpolation between two unit quaternions."""
-        q0 = self.normalized().to_array()
-        q1 = other.normalized().to_array()
-        dot = float(np.dot(q0, q1))
-        # Take the short arc.
-        if dot < 0:
-            q1, dot = -q1, -dot
-        if dot > 1.0 - 1e-10:
-            out = q0 + t * (q1 - q0)
-            out /= np.linalg.norm(out)
-            return Quaternion.from_array(out)
-        theta = np.arccos(np.clip(dot, -1.0, 1.0))
-        s = np.sin(theta)
-        a = np.sin((1 - t) * theta) / s
-        b = np.sin(t * theta) / s
-        return Quaternion.from_array(a * q0 + b * q1)
-
-    def angular_distance(self, other: "Quaternion") -> float:
-        """Rotation angle (radians) taking *self* onto *other*."""
-        rel = other.normalized() * self.normalized().inverse()
-        _, angle = rel.axis_angle()
-        return angle

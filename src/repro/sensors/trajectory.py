@@ -13,7 +13,7 @@ computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,11 +62,6 @@ class OrientationFilter:
     def __post_init__(self) -> None:
         check_positive("sample_rate_hz", self.sample_rate_hz)
         check_in_range("correction_gain", self.correction_gain, 0.0, 1.0)
-
-    @property
-    def orientation(self) -> Quaternion:
-        """Current orientation estimate (body -> world)."""
-        return self._q
 
     def update(self, sample: ImuSample) -> Quaternion:
         """Advance the filter by one sample; returns the new orientation."""
@@ -151,11 +146,3 @@ def relative_trajectory(
     for i, q in enumerate(orientations):
         out[i] = q.rotate(w0)
     return out
-
-
-def trajectory_orientations(
-    samples: Sequence[ImuSample], sample_rate_hz: float = 50.0
-) -> List[Quaternion]:
-    """Run the orientation filter over *samples*, returning all estimates."""
-    filt = OrientationFilter(sample_rate_hz=sample_rate_hz)
-    return [filt.update(s) for s in samples]

@@ -1,7 +1,6 @@
-"""Shared utilities: seeded randomness, validation, and timing."""
+"""Shared utilities: seeded randomness and validation."""
 
 from repro.util.rng import RandomState, derive_rng, ensure_rng
-from repro.util.timer import Stopwatch
 from repro.util.validation import (
     check_in_range,
     check_non_negative,
@@ -15,7 +14,6 @@ __all__ = [
     "RandomState",
     "derive_rng",
     "ensure_rng",
-    "Stopwatch",
     "check_in_range",
     "check_non_negative",
     "check_positive",

@@ -99,10 +99,9 @@ def encode_step(truths_now, truths_prev, rooms_fired, objects_fired, slot_of):
     return frozenset(items)
 
 
-def paper_transactions(seq, symmetrize=True):
+def paper_transactions(seq):
     """A sequence's two-slice transactions, one per step and slot order."""
-    rids = list(seq.resident_ids)
-    orders = list(permutations(rids)) if symmetrize and len(rids) > 1 else [rids]
+    orders = list(permutations(seq.resident_ids))
     out, prev = [], None
     for step, truth in zip(seq.steps, seq.truths):
         for order in orders:

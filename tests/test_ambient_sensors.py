@@ -69,13 +69,6 @@ class TestEventStream:
         assert stream.values_in_window("pir", 0.0, 2.0) == {"kitchen", "bedroom"}
         assert stream.values_in_window("object", 0.0, 2.0) == {"stove"}
 
-    def test_counts_by_kind(self):
-        stream = EventStream()
-        for t in range(3):
-            stream.append(SensorEvent(float(t), "pir", "p", "kitchen"))
-        stream.append(SensorEvent(0.5, "object", "o", "stove"))
-        assert stream.counts_by_kind() == {"pir": 3, "object": 1}
-
     @given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), max_size=40))
     @settings(max_examples=30, deadline=None)
     def test_insertion_keeps_time_order(self, times):
@@ -90,7 +83,7 @@ class TestEventStream:
             [SensorEvent(1.0, "pir", "a", "x"), SensorEvent(3.0, "object", "b", "y")]
         )
         assert stream.span == (1.0, 3.0)
-        assert len(stream.filter(lambda e: e.kind == "pir")) == 1
+        assert len([e for e in stream if e.kind == "pir"]) == 1
 
 
 class TestTagManager:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _EXPERIMENTS, main
+from repro.eval import experiments
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,10 @@ class TestExperimentDispatch:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
+
+    def test_every_experiment_names_a_driver(self):
+        for name, (func_name, _) in _EXPERIMENTS.items():
+            assert callable(getattr(experiments, func_name, None)), name
 
     def test_micro_experiment_runs(self, capsys):
         code = main(["experiment", "micro", "--seed", "3"])

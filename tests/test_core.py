@@ -250,6 +250,29 @@ class TestEngine:
         assert engine.build_seconds > 0
         assert engine.decode_seconds > 0
 
+    def test_build_and_decode_wall_clock(self, cace_split, tmp_path):
+        train, test = cace_split
+        engine = CaceEngine(strategy="c2", max_states_per_user=16, seed=9)
+        engine.fit(train)
+        assert engine.build_seconds > 0
+        assert engine.decode_seconds == 0.0
+        engine.predict(test.sequences[0])
+        after_predict = engine.decode_seconds
+        assert after_predict > 0
+        engine.predict_dataset(test, workers=1)
+        after_batch = engine.decode_seconds
+        assert after_batch > after_predict
+        with pytest.raises(TypeError):
+            engine.predict(None)  # a call that raises is timed too
+        assert engine.decode_seconds > after_batch
+        engine.save(tmp_path / "model.json")
+        loaded = CaceEngine.load(tmp_path / "model.json")
+        assert loaded.build_seconds == 0.0
+        assert loaded.decode_seconds == 0.0
+        engine.fit(train)
+        assert engine.build_seconds > 0
+        assert engine.decode_seconds == 0.0
+
     def test_c2_beats_nh(self, cace_split):
         train, test = cace_split
 

@@ -19,12 +19,6 @@ class TestConfusionMatrix:
         assert per["a"]["tp"] == 1 and per["a"]["fn"] == 1
         assert per["b"]["tp"] == 2 and per["b"]["fp"] == 1
 
-    def test_most_confused(self):
-        cm = ConfusionMatrix(("a", "b", "c"))
-        cm.update(["a"] * 5 + ["b"], ["b"] * 5 + ["c"])
-        top = cm.most_confused(1)
-        assert top[0][:2] == ("a", "b") and top[0][2] == 5
-
     def test_misaligned_rejected(self):
         cm = ConfusionMatrix(("a",))
         with pytest.raises(ValueError):

@@ -86,18 +86,15 @@ class TestEncodingMemo:
     """``encode_sequence`` is the time-t slice of the paper's two-slice
     transactions, spelled out as ``encode_step`` calls."""
 
-    @pytest.mark.parametrize("symmetrize", [False, True])
-    def test_pair_equals_encode_step(self, cace_dataset, symmetrize):
+    def test_pair_equals_encode_step(self, cace_dataset):
         seq = cace_dataset.sequences[0]
-        want = time_t_slice(paper_transactions(seq, symmetrize))
-        assert encode_sequence(seq, symmetrize) == want
+        assert encode_sequence(seq) == time_t_slice(paper_transactions(seq))
 
-    @pytest.mark.parametrize("symmetrize", [False, True])
-    def test_trio_equals_encode_step(self, trio_dataset, symmetrize):
+    def test_trio_equals_encode_step(self, trio_dataset):
         seq = trio_dataset.sequences[0]
-        got = encode_sequence(seq, symmetrize)
-        assert len(got) == len(seq) * (6 if symmetrize else 1)
-        assert got == time_t_slice(paper_transactions(seq, symmetrize))
+        got = encode_sequence(seq)
+        assert len(got) == len(seq) * 6
+        assert got == time_t_slice(paper_transactions(seq))
 
 
 class TestPaperSchemaRules:

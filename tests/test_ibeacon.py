@@ -78,11 +78,6 @@ class TestLocalization:
             errors.append(np.linalg.norm(est - np.array([4.0, 3.0])))
         assert np.median(errors) < 1.0
 
-    def test_inside_detection(self):
-        receiver = self._receiver(noise=0.2)
-        bounds = (0.0, 0.0, 12.0, 9.0)
-        assert receiver.inside((6.0, 4.0), bounds) is True
-
     def test_empty_beacon_list_rejected(self):
         with pytest.raises(ValueError):
             BeaconReceiver([], seed=1)

@@ -8,7 +8,6 @@ from repro.sensors.imu import (
     GRAVITY,
     POSTURAL_SIGNATURES,
     ImuSimulator,
-    samples_to_array,
     signature_for,
 )
 
@@ -65,7 +64,8 @@ class TestRendering:
         a = ImuSimulator(seed=7).render(POSTURAL_SIGNATURES["cycling"], 1.0)
         b = ImuSimulator(seed=7).render(POSTURAL_SIGNATURES["cycling"], 1.0)
         assert np.allclose(
-            samples_to_array(a), samples_to_array(b)
+            [[s.t, *s.accel, *s.gyro, *s.mag] for s in a],
+            [[s.t, *s.accel, *s.gyro, *s.mag] for s in b],
         )
 
     def test_render_labelled_spans(self):
@@ -81,8 +81,3 @@ class TestRendering:
     def test_invalid_duration(self):
         with pytest.raises(ValueError):
             ImuSimulator(seed=1).render(POSTURAL_SIGNATURES["lying"], 0.0)
-
-    def test_samples_to_array_shape(self):
-        imu = ImuSimulator(seed=1)
-        arr = samples_to_array(imu.render(POSTURAL_SIGNATURES["lying"], 1.0))
-        assert arr.shape == (50, 10)

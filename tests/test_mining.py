@@ -9,7 +9,6 @@ from repro.mining import (
     Apriori,
     AssociationRule,
     CorrelationMiner,
-    ExclusionRule,
     Item,
     encode_sequence,
     initial_rule_set,
@@ -140,15 +139,6 @@ class TestRules:
         # Fires, macro attribute absent entirely: not a violation.
         assert rule.satisfied_by(frozenset([_item("u1", "posture", "cycling")]))
 
-    def test_exclusion_violated_by(self):
-        excl = ExclusionRule(
-            a=_item("u1", "subloc", "SR9"), b=_item("u2", "subloc", "SR9"),
-            support_a=0.1, support_b=0.1,
-        )
-        both = frozenset([excl.a, excl.b])
-        assert excl.violated_by(both)
-        assert not excl.violated_by(frozenset([excl.a]))
-
     def test_merge_redundant_drops_dominated(self):
         general = AssociationRule(
             antecedent=frozenset([_item("u1", "subloc", "SR1")]),
@@ -187,16 +177,18 @@ class TestRules:
 
 class TestEncoding:
     def test_transaction_counts(self, cace_dataset):
+        # A pair step is two transactions, one per slot assignment.
         seq = cace_dataset.sequences[0]
-        plain = encode_sequence(seq, symmetrize=False)
-        symmetric = encode_sequence(seq, symmetrize=True)
-        assert len(plain) == len(seq)
-        assert len(symmetric) == 2 * len(seq)
+        transactions = encode_sequence(seq)
+        assert len(transactions) == 2 * len(seq)
+        swap = {"u1": "u2", "u2": "u1"}
+        first, second = transactions[:2]
+        assert second == frozenset(i._replace(slot=swap.get(i.slot, i.slot)) for i in first)
 
     def test_current_time_slice_only(self, cace_dataset):
         # The miner keeps only same-time rules, so no t-1 item is encoded.
         seq = cace_dataset.sequences[0]
-        transactions = encode_sequence(seq, symmetrize=False)
+        transactions = encode_sequence(seq)
         assert {item.time for tx in transactions for item in tx} == {"t"}
         slots = {(item.slot, item.attr) for item in transactions[5]}
         assert {("u1", "macro"), ("u2", "macro")} <= slots

@@ -11,11 +11,15 @@ delete it, or give it a caller.
 
 Functions: every function or method defined under ``src/repro/`` (dunders
 aside) is named somewhere outside its own body, in ``src/``, ``tests/`` or a
-script directory.  A name that appears nowhere else cannot be called.
+script directory.  Only code counts: a name token, or a string literal that
+is exactly the identifier (the CLI dispatches its drivers by string).  A
+word in a docstring or a comment is not a use, and a name that appears
+nowhere else in code cannot be called.
 """
 
 import ast
-import re
+import io
+import tokenize
 from collections import Counter
 from pathlib import Path
 from typing import Iterator, Optional, Set, Tuple
@@ -25,7 +29,6 @@ SRC = ROOT / "src"
 ENTRY_MODULES = ("repro.__main__", "repro.cli")
 ENTRY_DIRS = ("perfbench", "benchmarks", "examples")
 NAME_DIRS = ("src", "tests") + ENTRY_DIRS
-_WORD = re.compile(r"\b[A-Za-z_]\w*\b")
 
 
 def _source(module: str) -> Optional[Tuple[Path, bool]]:
@@ -122,26 +125,42 @@ def test_reexported_names_resolve_to_their_defining_module():
     assert "repro.models.fcrf" not in walker.reached
 
 
-def _words(text: str) -> Counter:
-    return Counter(_WORD.findall(text))
+def _code_names(text: str) -> Iterator[Tuple[str, int]]:
+    """``(identifier, line)`` for every name token of *text*, and for every
+    string literal that is exactly an identifier; prose does not count."""
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME:
+            yield tok.string, tok.start[0]
+        elif tok.type == tokenize.STRING:
+            try:
+                value = ast.literal_eval(tok.string)
+            except ValueError:  # f-strings and other non-literals
+                continue
+            if isinstance(value, str) and value.isidentifier():
+                yield value, tok.start[0]
 
 
 def test_every_src_function_is_named_outside_its_own_body():
-    texts = {p: p.read_text() for d in NAME_DIRS for p in sorted((ROOT / d).rglob("*.py"))}
-    total = sum((_words(text) for text in texts.values()), Counter())
+    names = {
+        p: list(_code_names(p.read_text()))
+        for d in NAME_DIRS
+        for p in sorted((ROOT / d).rglob("*.py"))
+    }
+    total = Counter(name for found in names.values() for name, _ in found)
     unused = []
-    for path, text in texts.items():
+    for path, found in names.items():
         if not path.is_relative_to(SRC / "repro"):
             continue
-        lines = text.splitlines()
-        for node in ast.walk(ast.parse(text, filename=str(path))):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
             start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            own = _words("\n".join(lines[start - 1 : node.end_lineno]))
-            if total[name] == own[name]:
+            own = sum(
+                1 for word, line in found if word == name and start <= line <= node.end_lineno
+            )
+            if total[name] == own:
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, f"functions nothing else names: {unused}"

@@ -9,7 +9,6 @@ from repro.sensors.trajectory import (
     absolute_acceleration,
     high_pass,
     relative_trajectory,
-    trajectory_orientations,
 )
 
 
@@ -76,7 +75,8 @@ class TestRelativeTrajectory:
     def test_orientation_count_preserved(self):
         imu = ImuSimulator(seed=7)
         samples = imu.render(POSTURAL_SIGNATURES["sitting"], 1.0)
-        qs = trajectory_orientations(samples)
+        filt = OrientationFilter()
+        qs = [filt.update(s) for s in samples]
         traj = relative_trajectory(qs)
         assert len(qs) == len(samples)
         assert traj.shape == (len(samples), 3)

@@ -1,12 +1,9 @@
 """Unit tests for repro.util."""
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.util import (
-    Stopwatch,
     check_in_range,
     check_non_negative,
     check_positive,
@@ -89,16 +86,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_shape("a", np.zeros((3, 3)), (3, 2))
 
-
-class TestTimer:
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        with watch.phase("a"):
-            time.sleep(0.01)
-        with watch.phase("a"):
-            time.sleep(0.01)
-        with watch.phase("b"):
-            pass
-        assert watch.phases["a"] >= 0.02
-        assert watch.total >= watch.phases["a"]
-        assert "a:" in watch.report() and "total:" in watch.report()
