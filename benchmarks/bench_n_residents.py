@@ -6,6 +6,11 @@ throughput and the joint trellis width as occupancy grows, exercising the
 N-chain loosely-coupled HDBN and documenting how the pruned joint trellis
 scales.
 
+For 3 and 4 residents a cap arm decodes the same fitted model once more
+with ``max_joint_states_pruned = 300`` (the 3+ resident cap before one cap
+served every N): the shipped cap of 100 must keep its accuracy within
+:data:`CAP_ARM_TOLERANCE` of the wider one.
+
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_n_residents.py -q -s``.
 """
 
@@ -19,6 +24,19 @@ from repro.util.rng import ensure_rng
 
 #: Accuracy floor for 4 residents: 0.699 measured at seed 7, less 0.05 margin.
 QUAD_ACCURACY_FLOOR = 0.65
+#: Wider rule-pruned joint cap the cap arm decodes at.
+WIDE_CAP = 300
+#: Accuracy the shipped cap may lose against :data:`WIDE_CAP`.
+CAP_ARM_TOLERANCE = 0.01
+
+
+def _decode(engine, test):
+    """Pooled ``(truth, predicted)`` labels of one batch decode of *test*."""
+    return pool_labels(pair_results(test, engine.predict_dataset(test)))
+
+
+def _accuracy(truth, predicted):
+    return sum(a == b for a, b in zip(truth, predicted)) / len(truth)
 
 
 def run_scaling(seed=7):
@@ -35,15 +53,26 @@ def run_scaling(seed=7):
         train, test = train_test_split(dataset, 0.7, seed=rng.integers(0, 2**31))
         engine = CaceEngine(strategy="c2", seed=rng.integers(0, 2**31))
         engine.fit(train)
-        truth, predicted = pool_labels(pair_results(test, engine.predict_dataset(test)))
+        truth, predicted = _decode(engine, test)
         stats = engine.batch_stats_
-        rows[residents] = {
-            "accuracy": sum(a == b for a, b in zip(truth, predicted)) / len(truth),
+        model = engine.model_
+        row = rows[residents] = {
+            "accuracy": _accuracy(truth, predicted),
             "decode_seconds": engine.decode_seconds,
             "steps_per_s": stats.steps / max(engine.decode_seconds, 1e-12),
             "mean_joint_states": stats.mean_joint_states,
-            "max_joint_states_pruned": engine.model_.max_joint_states_pruned,
+            "max_joint_states_pruned": model.max_joint_states_pruned,
         }
+        if residents >= 3:
+            shipped, model.max_joint_states_pruned = model.max_joint_states_pruned, WIDE_CAP
+            try:
+                _, wide = _decode(engine, test)
+            finally:
+                model.max_joint_states_pruned = shipped
+            row["wide_accuracy"] = _accuracy(truth, wide)
+            row["wide_mean_joint_states"] = engine.batch_stats_.mean_joint_states
+            row["labels_shared"] = sum(a == b for a, b in zip(predicted, wide))
+            row["labels"] = len(wide)
     return rows
 
 
@@ -59,6 +88,18 @@ def test_occupancy_scaling(benchmark):
             f"{row['decode_seconds']:7.2f}s {row['steps_per_s']:8.0f} "
             f"{row['mean_joint_states']:10.0f}"
         )
+    lines.append(f"Cap arm: the same fit decoded at max_joint_states_pruned = {WIDE_CAP}")
+    lines.append(
+        f"{'residents':>10s} {'acc@100':>8s} {f'acc@{WIDE_CAP}':>8s} "
+        f"{f'joint@{WIDE_CAP}':>10s} {'labels shared':>16s}"
+    )
+    for residents, row in rows.items():
+        if "wide_accuracy" in row:
+            lines.append(
+                f"{residents:10d} {row['accuracy'] * 100:7.1f}% "
+                f"{row['wide_accuracy'] * 100:7.1f}% {row['wide_mean_joint_states']:10.0f} "
+                f"{row['labels_shared']:7d} / {row['labels']:6d}"
+            )
     text = "\n".join(lines)
     print("\n" + text)
     record("n_residents", text)
@@ -66,6 +107,9 @@ def test_occupancy_scaling(benchmark):
     # Both occupancies must stay usable; the trellis must stay bounded.
     assert rows[2]["accuracy"] > 0.75
     assert rows[3]["accuracy"] > 0.6
-    assert rows[3]["mean_joint_states"] < 500
+    assert rows[3]["mean_joint_states"] <= rows[3]["max_joint_states_pruned"]
     assert rows[4]["mean_joint_states"] <= rows[4]["max_joint_states_pruned"]
     assert rows[4]["accuracy"] > QUAD_ACCURACY_FLOOR
+    for residents in (3, 4):
+        row = rows[residents]
+        assert row["accuracy"] >= row["wide_accuracy"] - CAP_ARM_TOLERANCE

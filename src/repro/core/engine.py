@@ -160,6 +160,8 @@ class CaceEngine:
     initial_rules:
         Optional user-seeded rules (Base application, Fig 12); merged with
         mined rules for correlation-using strategies.
+    max_states_per_user:
+        Per-resident candidate cap of NCR and of resident pairs (3+ chains: 24).
     """
 
     strategy: str = "c2"
@@ -246,14 +248,11 @@ class CaceEngine:
                 seed=self._rng.integers(0, 2**31),
             )
         else:
-            # ncs / c2: the coupled HDBN over every resident chain.  A
-            # pair runs with the paper testbed's caps; 3-4 occupants
-            # (the paper's conjecture) with the N-chain defaults.
-            caps = (
-                {**PAIR_CAPS, "max_states_per_user": self.max_states_per_user}
-                if n_residents <= 2
-                else {}
-            )
+            # ncs / c2: the coupled HDBN over every resident chain.  Pairs
+            # keep the testbed's per-user and ncs caps: trios given them kept
+            # their labels but ran slower in 3 of 3 stream-trio runs.
+            pair = {**PAIR_CAPS, "max_states_per_user": self.max_states_per_user}
+            caps = pair if n_residents <= 2 else {}
             model = NChainHdbn(
                 constraint_model=constraint_model,
                 rule_set=rule_set if strategy.name == "c2" else None,

@@ -10,8 +10,8 @@ the original straight-line implementation as the *executable
 specification*: :func:`reference_user_candidates` specifies every HDBN
 family's per-resident candidates, and :class:`ReferenceNChainHdbn`
 overrides exactly the per-step machinery of the coupled model that was
-rewritten (built with :data:`~repro.core.loosely_coupled.PAIR_CAPS` it is
-the spec of the c2 pair decode).  :func:`reference_forward_step`,
+rewritten, at the model's caps (:data:`~repro.core.loosely_coupled.PAIR_CAPS`
+on pairs, the class defaults on 3+ chains).  :func:`reference_forward_step`,
 :func:`reference_backward_step` and :class:`ReferenceOnlineSmoother` keep
 the log-domain sum-product steps and fixed-lag smoother that
 :mod:`repro.core.kernels` replaced with scaled linear blocks.  So

@@ -4,6 +4,7 @@ fixed-lag smoothing, and missing-modality robustness."""
 import numpy as np
 import pytest
 
+from repro.core.api import DecodeStats
 from repro.core.engine import CaceEngine
 from repro.core.loosely_coupled import NChainHdbn
 from repro.core.smoother import OnlineSmoother
@@ -14,6 +15,7 @@ from repro.datasets.trace import (
     ResidentObservation,
     train_test_split,
 )
+from repro.util.artifacts import engine_from_dict, engine_to_dict, load_engine, save_engine
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,21 @@ def fitted_pair_engine(pair_split):
     return engine
 
 
+@pytest.fixture(scope="module")
+def trio_split(trio_dataset):
+    return train_test_split(trio_dataset, 0.7, seed=2)
+
+
+@pytest.fixture(scope="module")
+def fitted_trio_engine(trio_split):
+    train, _ = trio_split
+    return CaceEngine(strategy="c2", seed=3).fit(train)
+
+
+def _caps(model):
+    return (model.max_states_per_user, model.max_joint_states, model.max_joint_states_pruned)
+
+
 class TestThreeResidents:
     def test_generator_emits_three_residents(self, trio_dataset):
         for seq in trio_dataset.sequences:
@@ -50,54 +67,105 @@ class TestThreeResidents:
             for step in seq.steps:
                 assert set(step.observations) == set(seq.resident_ids)
 
-    def test_engine_selects_nchain(self, trio_dataset):
-        train, _ = train_test_split(trio_dataset, 0.7, seed=2)
-        engine = CaceEngine(strategy="c2", seed=3)
-        engine.fit(train)
-        assert isinstance(engine.model_, NChainHdbn)
+    def test_engine_selects_nchain(self, fitted_trio_engine):
+        assert isinstance(fitted_trio_engine.model_, NChainHdbn)
 
-    def test_decode_labels_every_resident_and_step(self, trio_dataset):
-        train, test = train_test_split(trio_dataset, 0.7, seed=2)
-        engine = CaceEngine(strategy="c2", seed=3)
-        engine.fit(train)
+    def test_decode_labels_every_resident_and_step(
+        self, trio_dataset, trio_split, fitted_trio_engine
+    ):
+        _, test = trio_split
         seq = test.sequences[0]
-        pred = engine.predict(seq)
+        pred = fitted_trio_engine.predict(seq)
         assert set(pred) == set(seq.resident_ids)
         for rid in seq.resident_ids:
             assert len(pred[rid]) == len(seq)
             assert all(m in trio_dataset.macro_vocab for m in pred[rid])
 
-    def test_three_resident_accuracy_beats_chance(self, trio_dataset):
-        train, test = train_test_split(trio_dataset, 0.7, seed=2)
-        engine = CaceEngine(strategy="c2", seed=3)
-        engine.fit(train)
+    def test_three_resident_accuracy_beats_chance(self, trio_split, fitted_trio_engine):
+        _, test = trio_split
         correct = n = 0
         for seq in test.sequences:
-            pred = engine.predict(seq)
+            pred = fitted_trio_engine.predict(seq)
             for rid in seq.resident_ids:
                 truth = seq.macro_labels(rid)
                 correct += sum(a == b for a, b in zip(truth, pred[rid]))
                 n += len(truth)
         assert correct / n > 0.4  # chance is ~1/11
 
-    def test_marginals_normalised_per_step(self, trio_dataset):
-        train, test = train_test_split(trio_dataset, 0.7, seed=2)
-        engine = CaceEngine(strategy="c2", seed=3)
-        engine.fit(train)
+    def test_marginals_normalised_per_step(self, trio_dataset, trio_split, fitted_trio_engine):
+        _, test = trio_split
         seq = test.sequences[0]
-        marginals = engine.posterior_marginals(seq)
+        marginals = fitted_trio_engine.posterior_marginals(seq)
         for rid in seq.resident_ids:
             assert marginals[rid].shape == (len(seq), len(trio_dataset.macro_vocab))
             assert np.allclose(marginals[rid].sum(axis=1), 1.0, atol=1e-6)
 
-    def test_ncs_strategy_also_supports_trios(self, trio_dataset):
-        train, test = train_test_split(trio_dataset, 0.7, seed=2)
+    def test_ncs_strategy_also_supports_trios(self, trio_split):
+        train, test = trio_split
         engine = CaceEngine(strategy="ncs", seed=3)
         engine.fit(train)
         assert isinstance(engine.model_, NChainHdbn)
         assert engine.model_.rule_set is None
         pred = engine.predict(test.sequences[0])
         assert set(pred) == set(test.sequences[0].resident_ids)
+
+
+class TestJointCaps:
+    """A rule-pruned model keeps at most 100 joint states per step at every
+    N; the per-user and ``ncs`` caps still differ between pairs and 3+
+    chains, and a loaded artifact keeps the caps it stores."""
+
+    def test_trio_caps(self, fitted_trio_engine):
+        assert _caps(fitted_trio_engine.model_) == (24, 1200, 100)
+
+    def test_pair_caps(self, fitted_pair_engine):
+        assert _caps(fitted_pair_engine.model_) == (
+            fitted_pair_engine.max_states_per_user, 2000, 100
+        )
+
+    def test_trio_batch_decode_keeps_at_most_100_joint_states(
+        self, trio_split, fitted_trio_engine
+    ):
+        _, test = trio_split
+        fitted_trio_engine.predict_dataset(test)
+        stats = fitted_trio_engine.batch_stats_
+        assert stats.steps == sum(len(seq) for seq in test.sequences)
+        assert stats.joint_states <= stats.steps * 100
+
+    def test_trio_lag_window_blocks_are_at_most_100_square(
+        self, trio_split, fitted_trio_engine
+    ):
+        _, test = trio_split
+        seq = test.sequences[0]
+        smoother = OnlineSmoother(fitted_trio_engine.model_, lag=4)
+        smoother.start(seq)
+        shapes = set()
+        for t in range(len(seq)):
+            smoother.push(t)
+            shapes.update(b.E.shape for blocks in smoother._trans for b in blocks if b)
+        assert shapes and max(max(shape) for shape in shapes) <= 100
+
+    def test_stored_cap_of_300_loads_and_decodes_at_300(
+        self, trio_split, fitted_trio_engine, tmp_path
+    ):
+        _, test = trio_split
+        seq = test.sequences[0]
+        wide = engine_from_dict(engine_to_dict(fitted_trio_engine))
+        wide.model_.max_joint_states_pruned = 300
+        path = tmp_path / "trio-300.json"
+        save_engine(wide, path)
+        assert engine_to_dict(wide)["model"]["config"]["max_joint_states_pruned"] == 300
+        loaded = load_engine(path)
+        assert _caps(loaded.model_) == (24, 1200, 300)
+
+        def decode(model):
+            stats = DecodeStats()
+            return model.decode(seq, stats), stats
+
+        labels_300, stats_300 = decode(wide.model_)
+        assert decode(loaded.model_) == (labels_300, stats_300)
+        _, stats_100 = decode(fitted_trio_engine.model_)
+        assert stats_100.joint_states < stats_300.joint_states
 
 
 class TestOnlineSmoother:
