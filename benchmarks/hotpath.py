@@ -1,8 +1,9 @@
 """Decode hot-path throughput: the optimised recognisers vs the seed reference.
 
 :func:`decode_hotpath_benchmark` times six decode paths on one fitted model
-per path, each against its seed reference in ``repro.core.reference``, and
-checks that both decode the same labels:
+per path, each against its seed reference in ``tests/decode_spec.py``
+(this module puts ``tests/`` on ``sys.path``), and checks that both decode
+the same labels:
 
 * ``c2`` -- 2-resident offline decode (the reference with ``PAIR_CAPS``);
 * ``nchain`` -- 3-resident offline decode;
@@ -20,8 +21,10 @@ writes ``BENCH_decode.json``) and ``smoke_decode.py`` (the CI smoke,
 >= 1x) import it.
 """
 
+import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -30,6 +33,8 @@ from repro.core.engine import CaceEngine
 from repro.eval.experiments import _split
 from repro.mining.correlation_miner import CorrelationMiner
 from repro.util.rng import RandomState, ensure_rng
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 @dataclass
@@ -157,9 +162,9 @@ def decode_hotpath_benchmark(
     """Time every decode hot path, seed reference vs optimised, each pair
     of recognisers on one fitted model.
 
-    Both recognisers are constructed with identical parameters and seeds
-    (deterministic-annealing GMMs included); only the per-step machinery
-    differs.  Emission *scores* can differ from the seed in the last ulp
+    Both recognisers are constructed with identical parameters and share
+    one fit (deterministic-annealing GMMs included); only the per-step
+    machinery differs.  Emission *scores* can differ from the seed in the last ulp
     (the object channel's baseline+delta summation rounds differently
     from the seed's sequential per-object sum), so label identity is an
     empirical property at fixed seeds — exactly what
@@ -175,7 +180,7 @@ def decode_hotpath_benchmark(
     and fill within the first session).
     """
     from repro.core.loosely_coupled import PAIR_CAPS
-    from repro.core.reference import ReferenceOnlineSmoother
+    from decode_spec import ReferenceOnlineSmoother
     from repro.core.smoother import OnlineSmoother
 
     lag = 4
@@ -246,11 +251,12 @@ def _fitted_pair(
     duration_s: float,
     **caps: int,
 ):
-    """``(NChainHdbn, ReferenceNChainHdbn, test)``: both models built with
-    identical parameters and seed and fitted on the training split of a
-    fresh CACE corpus (class-default caps unless *caps* are given)."""
+    """``(NChainHdbn, ReferenceNChainHdbn, test)``: the model fitted on the
+    training split of a fresh CACE corpus (class-default caps unless *caps*
+    are given) and the seed reference built from it with the same
+    parameters and fitted state (a fit draws nothing from *rng*)."""
+    from decode_spec import reference_model
     from repro.core.loosely_coupled import NChainHdbn
-    from repro.core.reference import ReferenceNChainHdbn
     from repro.mining.constraint_miner import ConstraintMiner
 
     train, test = _split(rng, n_homes, sessions_per_home, duration_s, residents)
@@ -263,11 +269,8 @@ def _fitted_pair(
         train.subloc_vocab,
     )
     seed = int(rng.integers(0, 2**31))
-    fast, reference = (
-        cls(constraint_model=constraints, rule_set=rules, seed=seed, **caps).fit(train)
-        for cls in (NChainHdbn, ReferenceNChainHdbn)
-    )
-    return fast, reference, test
+    fast = NChainHdbn(constraint_model=constraints, rule_set=rules, seed=seed, **caps).fit(train)
+    return fast, reference_model(fast), test
 
 
 def _timed_runs(run, sequences, warm_all: bool = False):

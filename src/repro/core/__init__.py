@@ -25,7 +25,7 @@ from repro.core.hdbn import SingleUserHdbn
 from repro.core.loosely_coupled import NChainHdbn
 from repro.core.pruning import PruningStrategy, STRATEGIES
 from repro.core.smoother import OnlineSmoother
-from repro.core.state_space import StateSpaceBuilder, UserState
+from repro.core.state_space import StateSpaceBuilder
 
 __all__ = [
     "DecodeStats",
@@ -41,5 +41,4 @@ __all__ = [
     "PruningStrategy",
     "STRATEGIES",
     "StateSpaceBuilder",
-    "UserState",
 ]

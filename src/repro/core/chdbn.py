@@ -34,7 +34,7 @@ evidence it shares with the NCR strategy's frame-wise classifier
   :class:`~repro.core.kernels.SequenceKernel`.
 
 The seed's straight-line implementation is preserved in
-:mod:`repro.core.reference` as the executable specification; equivalence
+``tests/decode_spec.py`` as the executable specification; equivalence
 is asserted by ``tests/test_kernels.py``, ``tests/test_decode_stats.py``
 and ``benchmarks/bench_decode_hotpath.py``.
 """
@@ -108,17 +108,6 @@ class _MacroGmm:
     inv_covs: np.ndarray
     logdets: np.ndarray
 
-    def log_pdf(self, x: np.ndarray) -> float:
-        d = x.shape[0]
-        diffs = x[None, :] - self.means  # (K, d)
-        quads = np.einsum("ki,kij,kj->k", diffs, self.inv_covs, diffs)
-        comps = (
-            np.log(self.weights + _TINY)
-            - 0.5 * (d * np.log(2 * np.pi) + self.logdets + quads)
-        )
-        m = comps.max()
-        return float(m + np.log(np.exp(comps - m).sum()))
-
 
 class GmmBank:
     """Every macro's mixture components stacked for one-shot evaluation.
@@ -128,9 +117,10 @@ class GmmBank:
     macro's sum).  One einsum scores every observation against every
     component and one log-sum-exp over the K axis reduces all macros at
     once, with the same elementwise ops and per-macro reduction order as
-    :meth:`_MacroGmm.log_pdf` (exactly so while mixtures have fewer than 8
-    components: past that, numpy's unrolled pairwise sum groups a padded
-    macro's terms differently, a last-ulp difference).
+    one mixture's scalar density (``decode_spec.macro_gmm_log_pdf`` in the
+    tests; exactly so while mixtures have fewer than 8 components: past
+    that, numpy's unrolled pairwise sum groups a padded macro's terms
+    differently, a last-ulp difference).
     """
 
     def __init__(self, gmms: Dict[int, "_MacroGmm"]) -> None:
@@ -162,9 +152,9 @@ class GmmBank:
         batch of observations.
 
         Every row is independent of the batch it comes in, and every
-        fitted entry equals that macro's :meth:`_MacroGmm.log_pdf` bit for
-        bit.  Columns of macros without a fitted mixture stay 0.0 (they
-        add no evidence).
+        fitted entry equals that macro's scalar density bit for bit.
+        Columns of macros without a fitted mixture stay 0.0 (they add no
+        evidence).
         """
         n_rows, d = x_rows.shape
         out = np.zeros((n_rows, n_macro))
@@ -346,7 +336,7 @@ def build_candidate_set(
     """One resident's evidence-truncated candidates for one step.
 
     Shared by the per-user and the coupled model: fetch the memoised
-    encoded list, apply single-user rule pruning (the rules are
+    candidate codes, apply single-user rule pruning (the rules are
     canonicalised to slot u1 by ``CorrelationRuleSet.single_user()``, so
     the same grid table is correct for every resident — slot-invariance is
     regression-tested in ``tests/test_decode_stats.py``), score emissions,
@@ -354,17 +344,13 @@ def build_candidate_set(
     *kern*'s precomputed per-sequence tables.
     """
     obs = seq.steps[t].observations[rid]
-    states, m, l = model.builder.candidate_states_encoded(obs)
+    m, l = model.builder.candidate_codes(obs)
     if model._single_pruner is not None:
         keep = model._single_pruner.keep(m, l, obs, kern.step_items(t))
         if keep.any() and not keep.all():
-            idx = np.flatnonzero(keep)
-            states = [states[i] for i in idx]
-            m = m[idx]
-            l = l[idx]
+            m, l = m[keep], l[keep]
     emissions = kern.emissions(rid, t, m, l)
-    candidates = CandidateSet(states=states, m=m, l=l, emissions=emissions, obs=obs)
-    if len(candidates) > model.max_states_per_user:
+    if len(m) > model.max_states_per_user:
         top = np.argsort(emissions)[::-1][: model.max_states_per_user]
-        candidates = candidates.take(top)
-    return candidates
+        m, l, emissions = m[top], l[top], emissions[top]
+    return CandidateSet(m=m, l=l, emissions=emissions, obs=obs)

@@ -19,11 +19,11 @@ vector) — the corresponding term is simply dropped, which is exact
 marginalisation under the model's factorised emission.
 
 The per-sequence tables of :class:`repro.core.kernels.SequenceKernel`
-compute these scores; the seed's per-state loop is
-:func:`repro.core.reference.reference_user_state_emissions`.  This module
-holds the object channel: a precomputed per-macro "all sensors off"
-baseline corrected for the objects that actually fired
-(:class:`ObjectEvidenceTable`), and the seed's per-object loop it replaces.
+compute these scores; the seed's per-state loop and per-object loop are
+``reference_user_state_emissions`` and ``object_log_evidence`` in
+``tests/decode_spec.py``.  This module holds the object channel: a
+precomputed per-macro "all sensors off" baseline corrected for the
+objects that actually fired (:class:`ObjectEvidenceTable`).
 """
 
 from __future__ import annotations
@@ -31,25 +31,6 @@ from __future__ import annotations
 from typing import Dict
 
 import numpy as np
-
-
-def object_log_evidence(
-    object_index: Dict[str, int],
-    log_table: np.ndarray,
-    macro_idx: int,
-    objects_fired,
-) -> float:
-    """Sum of per-object Bernoulli log likelihoods for one macro.
-
-    Reference implementation (O(#objects) Python loop per call); the hot
-    path uses :class:`ObjectEvidenceTable` instead.
-    """
-    if not object_index:
-        return 0.0
-    total = 0.0
-    for obj, o in object_index.items():
-        total += log_table[macro_idx, o, 1 if obj in objects_fired else 0]
-    return float(total)
 
 
 class ObjectEvidenceTable:

@@ -16,9 +16,8 @@ Three layers live here:
   fewer than about 700 nats, or ``E`` underflows to 0 (``-inf`` entries
   map to an exact 0 and are fine).  Every fitted table is floored at
   ``log(x + 1e-12)`` per term, so a block's span is bounded by the model.
-  The log-domain spec of these steps is
-  :func:`repro.core.reference.reference_forward_step` /
-  :func:`~repro.core.reference.reference_backward_step`.
+  The log-domain spec of these steps is ``reference_forward_step`` /
+  ``reference_backward_step`` in ``tests/decode_spec.py``.
 * **The offline driver** — :func:`decode` and :func:`posterior_marginals`
   run those recursions over a recogniser's ``trellis_sessions`` pieces and
   are the ``decode`` / ``posterior_marginals`` body of every family.
@@ -38,11 +37,11 @@ Three layers live here:
 
 Equivalence contract: every evidence row is assembled from the same
 elementary float operations as the seed's per-state loop
-(:func:`repro.core.reference.reference_user_state_emissions`) — batching
-an elementwise op over rows does not change any individual result — except
-the object channel, which sums a precomputed baseline and fired-object
-corrections and can differ from the seed in the last ulp.  Equivalence
-against :mod:`repro.core.reference` is asserted per strategy in
+(``reference_user_state_emissions`` in ``tests/decode_spec.py``) —
+batching an elementwise op over rows does not change any individual
+result — except the object channel, which sums a precomputed baseline and
+fired-object corrections and can differ from the seed in the last ulp.
+Equivalence against that spec is asserted per strategy in
 ``tests/test_kernels.py`` and ``benchmarks/bench_decode_hotpath.py``.
 """
 

@@ -47,7 +47,7 @@ C-contiguous linear block for the sum-product steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -177,21 +177,11 @@ class NChainHdbn:
 
     # -- per-step machinery ----------------------------------------------------------
 
-    def _make_kernel(self, seq: LabeledSequence, rids: Tuple[str, ...]) -> SequenceKernel:
-        """Per-sequence batched evidence tables for one trellis session."""
-        return SequenceKernel(self, seq, rids)
-
-    def _user_candidates(
-        self, seq: LabeledSequence, rid: str, t: int, kern: SequenceKernel
-    ) -> CandidateSet:
-        return build_candidate_set(self, seq, rid, t, kern)
-
     def _joint_candidates(
         self,
         seq: LabeledSequence,
         t: int,
         per_user: List[CandidateSet],
-        rids: Sequence[str],
         kern: SequenceKernel,
         stats: DecodeStats,
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -358,7 +348,7 @@ class _NChainTrellis:
         self.rids = rids
         self.stats = stats
         self.macro_index = model.constraint_model.macro_index
-        self._kern = model._make_kernel(seq, rids)
+        self._kern = SequenceKernel(model, seq, rids)
 
     def prepare(self, t0: int, t1: int) -> None:
         """Batch-build the per-sequence evidence tables for ``[t0, t1)``
@@ -371,8 +361,8 @@ class _NChainTrellis:
     def piece(self, t: int) -> TrellisPiece:
         model, seq, rids, kern = self.model, self.seq, self.rids, self._kern
         kern.ensure(0, t + 1)
-        per_user = [model._user_candidates(seq, rid, t, kern) for rid in rids]
-        grids, scores = model._joint_candidates(seq, t, per_user, rids, kern, self.stats)
+        per_user = [build_candidate_set(model, seq, rid, t, kern) for rid in rids]
+        grids, scores = model._joint_candidates(seq, t, per_user, kern, self.stats)
         enc = (grids, tuple(c.m for c in per_user), tuple(c.l for c in per_user))
         return TrellisPiece(scores=scores, enc=enc)
 

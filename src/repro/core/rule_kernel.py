@@ -22,7 +22,7 @@ tables built once per pruner:
   pruner gathers both sides' rows and takes one gated matmul per step.
 
 The semantics exactly mirror the seed's item-set formulation (kept as the
-executable spec in :mod:`repro.core.reference`): a state contributes
+executable spec in ``tests/decode_spec.py``): a state contributes
 macro / posture / sub-location / room items at time ``t`` (posture may be
 ``None`` when the wearable channel is missing) and a gestural item only
 when the observed gesture is truthy; ambient items are the step's fired
@@ -243,8 +243,8 @@ class SingleRulePruner:
 
     Column *r* of the grid table is rule *r*'s state-part violation mask;
     a candidate is kept iff no active rule's column covers it — exactly
-    ``rule_set.is_consistent(state_items | amb)`` for single-user rule
-    sets (which carry no exclusions).  The grid's keep-mask is memoised
+    the seed's item-set check ``is_consistent(rule_set, state_items |
+    amb)`` for single-user rule sets (which carry no exclusions).  The grid's keep-mask is memoised
     per gate key.
     """
 
@@ -307,7 +307,7 @@ class CrossRulePruner:
     so the mask costs one ``(n1, R) @ (R, n2)`` product.
 
     Matches the seed's cross-user pruning
-    (:func:`repro.core.reference.reference_cross_prune_mask`) exactly, including
+    (``decode_spec.reference_cross_prune_mask``) exactly, including
     its asymmetries: exclusions apply only when phrased as
     ``(u1, u2)``, and a forcing consequent on any other slot never prunes.
     """

@@ -12,14 +12,14 @@ structures used to prune the coupled model's joint state space:
   in the single-occupancy bathroom): any joint state containing both is
   pruned.
 
-Both kinds are indexed by trigger item so per-candidate consistency checks
-stay cheap at inference time.
+Inference does not read the rules one by one: each recogniser compiles
+its rule set into the grid tables of :mod:`repro.core.rule_kernel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.datasets.trace import LabeledSequence
 from repro.mining.apriori import Apriori, FrequentItemsets
@@ -36,45 +36,20 @@ MIN_EXPECTED_COOCCURRENCE = 10.0
 
 @dataclass
 class CorrelationRuleSet:
-    """Mined deterministic correlations with fast consistency checking."""
+    """Mined deterministic correlations: forcing rules and exclusions.
+
+    Recognisers prune with them through the compiled pruners of
+    :mod:`repro.core.rule_kernel`; the seed's item-set check is
+    ``decode_spec.is_consistent`` in the tests.
+    """
 
     forcing_rules: List[AssociationRule] = field(default_factory=list)
     exclusions: List[ExclusionRule] = field(default_factory=list)
-    _forcing_by_trigger: Dict[Item, List[AssociationRule]] = field(
-        default_factory=dict, repr=False
-    )
-    _exclusion_partners: Dict[Item, Set[Item]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self.reindex()
-
-    def reindex(self) -> None:
-        """Rebuild trigger indexes after mutating the rule lists."""
-        self._forcing_by_trigger = {}
-        for rule in self.forcing_rules:
-            trigger = min(rule.antecedent)
-            self._forcing_by_trigger.setdefault(trigger, []).append(rule)
-        self._exclusion_partners = {}
-        for excl in self.exclusions:
-            self._exclusion_partners.setdefault(excl.a, set()).add(excl.b)
-            self._exclusion_partners.setdefault(excl.b, set()).add(excl.a)
 
     @property
     def n_rules(self) -> int:
         """Total rule count (forcing + exclusion)."""
         return len(self.forcing_rules) + len(self.exclusions)
-
-    def is_consistent(self, items: FrozenSet[Item]) -> bool:
-        """Can this joint assignment coexist with every mined rule?"""
-        for item in items:
-            partners = self._exclusion_partners.get(item)
-            if partners and not partners.isdisjoint(items):
-                return False
-        for item in items:
-            for rule in self._forcing_by_trigger.get(item, ()):
-                if not rule.satisfied_by(items):
-                    return False
-        return True
 
     def single_user(self) -> "CorrelationRuleSet":
         """Rules involving a single user slot (plus ambient context).

@@ -25,27 +25,6 @@ class AssociationRule:
     support: float
     confidence: float
 
-    def fires(self, items: FrozenSet[Item]) -> bool:
-        """True when every antecedent element is present in *items*."""
-        return self.antecedent.issubset(items)
-
-    def satisfied_by(self, items: FrozenSet[Item]) -> bool:
-        """True when the rule does not contradict *items*.
-
-        A rule is violated only if it fires and *items* assigns the
-        consequent's (slot, time, attr) a *different* value; an absent
-        attribute is not a violation (open-world reading).
-        """
-        if not self.fires(items):
-            return True
-        if self.consequent in items:
-            return True
-        key = (self.consequent.slot, self.consequent.time, self.consequent.attr)
-        for item in items:
-            if (item.slot, item.time, item.attr) == key and item.value != self.consequent.value:
-                return False
-        return True
-
     def __str__(self) -> str:
         lhs = " & ".join(sorted(format_item(i) for i in self.antecedent))
         return f"{lhs} => {format_item(self.consequent)} (sup={self.support:.3f}, conf={self.confidence:.2f})"

@@ -164,25 +164,12 @@ class GaussianEmission:
         self._cached_inv[state] = (inv, logdet)
         return inv, logdet
 
-    def log_pdf(self, state: int, x: np.ndarray) -> float:
-        """Log density of observation *x* under *state*'s Gaussian."""
-        x = np.asarray(x, dtype=float)
-        mean = self.means.get(state, self._pooled_mean)
-        if mean is None:
-            mean = np.zeros(self.dim)
-        inv, logdet = self._inv_logdet(state)
-        diff = x - mean
-        # The scalar einsum matches the contraction order of the batched
-        # path in log_pdf_rows, keeping per-row and per-batch results
-        # bit-identical.
-        quad = float(np.einsum("i,ij,j->", diff, inv, diff))
-        return -0.5 * (self.dim * np.log(2 * np.pi) + logdet + quad)
-
     def log_pdf_rows(self, states: Sequence[int], x_rows: np.ndarray) -> np.ndarray:
         """(T, |states|) log densities for a stacked batch of observations.
 
-        One quadratic-form einsum per state over all rows; each entry is
-        bit-identical to the corresponding :meth:`log_pdf` call.
+        One quadratic-form einsum per state over all rows; each row is
+        independent of the batch it comes in (the one-observation scalar
+        form is ``decode_spec.gaussian_log_pdf`` in the tests).
         """
         x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
         states = list(states)

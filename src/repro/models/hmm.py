@@ -118,10 +118,10 @@ class _HmmTrellis:
 
     def prepare(self, t0: int, t1: int) -> None:
         """Batch-score the emission rows for steps ``[t0, t1)`` with one
-        stacked quadratic-form evaluation per state (each entry
-        bit-identical to ``GaussianEmission.log_pdf``)."""
+        stacked quadratic-form evaluation per state.  A step whose feature
+        vector is empty or holds a NaN gets a zero row (no evidence), the
+        rule the HDBN family's ``SequenceKernel`` applies."""
         model = self.model
-        n_m = len(model.macro_index)
         rid = self.rids[0]
         t1 = min(t1, len(self.seq.steps))
         todo = [t for t in range(t0, t1) if t not in self._rows]
@@ -131,9 +131,12 @@ class _HmmTrellis:
             np.asarray(self.seq.steps[t].observations[rid].features, dtype=float)
             for t in todo
         ]
-        if len({x.shape[0] for x in feats}) != 1:
-            return  # ragged feature dims: piece() scores them one by one
-        rows = model.emission_.log_pdf_rows(range(n_m), np.stack(feats))
+        ok = [k for k, x in enumerate(feats) if x.size and not np.isnan(x).any()]
+        rows = np.zeros((len(todo), len(model.macro_index)))
+        if ok:
+            rows[ok] = model.emission_.log_pdf_rows(
+                range(rows.shape[1]), np.stack([feats[k] for k in ok])
+            )
         for k, t in enumerate(todo):
             self._rows[t] = rows[k]
 

@@ -208,9 +208,10 @@ def _hmm_from_obj(obj: Dict) -> MacroHmm:
 def _model_to_obj(model) -> Dict:
     """Artifact form of a bare fitted model.
 
-    Exact-type check on purpose: a subclass (e.g. a reference decoder) may
-    carry state or overrides the codec does not capture, so it is refused
-    rather than written out as its parent family.
+    Exact-type check on purpose: a subclass (e.g. the test spec's
+    ``ReferenceNChainHdbn``) may carry state or overrides the codec does
+    not capture, so it is refused rather than written out as its parent
+    family.
     """
     family = type(model)
     if family is NChainHdbn:

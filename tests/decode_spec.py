@@ -1,29 +1,24 @@
-"""Seed (pre-optimisation) implementation of the coupled decode hot path.
+"""Seed (pre-optimisation) implementation of the decode hot path: the test spec.
 
 The optimised hot path in :mod:`repro.core.chdbn`,
 :mod:`repro.core.loosely_coupled`, :mod:`repro.core.rule_kernel`,
 :mod:`repro.core.emissions` and :mod:`repro.core.kernels` replaces
 per-pair label lookups, per-state ``frozenset`` algebra, the per-object
 Python loop and per-step evidence dispatch with precomputed encodings,
-boolean/float vectors and per-sequence batched tables.  This module keeps
-the original straight-line implementation as the *executable
-specification*: :func:`reference_user_candidates` specifies every HDBN
-family's per-resident candidates, and :class:`ReferenceNChainHdbn`
-overrides exactly the per-step machinery of the coupled model that was
-rewritten, at the model's caps (:data:`~repro.core.loosely_coupled.PAIR_CAPS`
-on pairs, the class defaults on 3+ chains).  :func:`reference_forward_step`,
-:func:`reference_backward_step` and :class:`ReferenceOnlineSmoother` keep
-the log-domain sum-product steps and fixed-lag smoother that
-:mod:`repro.core.kernels` replaced with scaled linear blocks.  So
-
-* ``tests/test_kernels.py`` / ``tests/test_decode_stats.py`` assert the
-  optimised candidates match, ``decode`` labels and DecodeStats are
-  identical, and ``posterior_marginals`` agree to 1e-10,
-* ``tests/test_properties.py`` asserts the linear steps match the
-  log-domain ones, and
-* ``benchmarks/bench_decode_hotpath.py`` measures the steps/sec gain and
-  checks the smoother's labels against :class:`ReferenceOnlineSmoother`
-  on the reference models.
+boolean/float vectors and per-sequence batched tables.  Tests import this
+module as ``decode_spec``; it keeps the original straight-line
+implementation as the *executable specification*: labelled states and
+their item sets, the item-set rule checks, the scalar emission forms,
+every HDBN family's per-resident candidates
+(:func:`reference_user_candidates`), the coupled model's per-step
+machinery (:class:`ReferenceNChainHdbn`, built from a fitted model by
+:func:`reference_model`), and the log-domain sum-product steps and
+fixed-lag smoother (:class:`ReferenceOnlineSmoother`).  Candidate
+*generation* is not specified here: :func:`candidate_states` labels the
+production builder's codes.  ``tests/test_kernels.py``,
+``tests/test_decode_stats.py``, ``tests/test_properties.py`` and
+``benchmarks/bench_decode_hotpath.py`` check the optimised path against
+it: identical labels and DecodeStats, and marginals to 1e-10.
 
 Do not "optimise" this file — its value is being slow and obviously
 faithful to the seed.
@@ -38,26 +33,162 @@ guarantee under exact score ties.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import dataclasses
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.api import DecodeStats
-from repro.core.emissions import object_log_evidence
+from repro.core.api import DecodeStats, TrellisPiece
+from repro.core.chdbn import GmmBank
+from repro.core.emissions import ObjectEvidenceTable
 from repro.core.kernels import PIR_MISS_PENALTY, _lse, macro_argmax, macro_marginals, posterior
 from repro.core.loosely_coupled import (
     UNEXPLAINED_ROOM_PENALTY,
     UNEXPLAINED_SUBLOC_PENALTY,
     JointEnc,
     NChainHdbn,
+    _NChainTrellis,
     joint_codes,
 )
 from repro.core.smoother import OnlineSmoother
-from repro.core.state_space import CandidateSet, UserState, _ROOM_OF
-from repro.datasets.trace import LabeledSequence
+from repro.core.state_space import CandidateSet, StateSpaceBuilder, _ROOM_OF
+from repro.datasets.trace import ContextStep, LabeledSequence, ResidentObservation
+from repro.mining.context_rules import Item, ambient_items, state_items
+from repro.mining.correlation_miner import CorrelationRuleSet
+from repro.mining.rules import AssociationRule
 from repro.models.chmm import soft_location_log_evidence
+from repro.models.distributions import GaussianEmission
 
 _TINY = 1e-12
+
+
+# -- labelled states and item sets ----------------------------------------------
+
+
+class UserState(NamedTuple):
+    """One hidden-state hypothesis for one resident."""
+
+    macro: str
+    subloc: str
+
+
+def label_states(cm, m: np.ndarray, l: np.ndarray) -> List[UserState]:
+    """The labelled states of ``(macro, subloc)`` code arrays."""
+    return [UserState(cm.macro_index.label(a), cm.subloc_index.label(b)) for a, b in zip(m, l)]
+
+
+def candidate_states(builder: StateSpaceBuilder, obs: ResidentObservation) -> List[UserState]:
+    """The builder's candidates for one observation, as labelled states."""
+    return label_states(builder.constraint_model, *builder.candidate_codes(obs))
+
+
+def state_item_set(slot: str, state: UserState, obs: ResidentObservation) -> FrozenSet[Item]:
+    """Items describing a hypothesised state plus observed micro context."""
+    return frozenset(
+        state_items(
+            slot,
+            macro=state.macro,
+            posture=obs.posture,
+            gesture=obs.gesture,
+            subloc=state.subloc,
+            room=_ROOM_OF.get(state.subloc, "unknown"),
+        )
+    )
+
+
+def ambient_item_set(step: ContextStep) -> FrozenSet[Item]:
+    """Items for the step's unattributed ambient evidence."""
+    return frozenset(ambient_items(sorted(step.rooms_fired), sorted(step.objects_fired)))
+
+
+# -- item-set rule checks -------------------------------------------------------
+
+
+def satisfied_by(rule: AssociationRule, items: FrozenSet[Item]) -> bool:
+    """True when the rule does not contradict *items*.
+
+    A rule is violated only if it fires (every antecedent element is in
+    *items*) and *items* assigns the consequent's (slot, time, attr) a
+    *different* value; an absent attribute is not a violation (open-world
+    reading).
+    """
+    if not rule.antecedent.issubset(items):
+        return True
+    if rule.consequent in items:
+        return True
+    key = (rule.consequent.slot, rule.consequent.time, rule.consequent.attr)
+    for item in items:
+        if (item.slot, item.time, item.attr) == key and item.value != rule.consequent.value:
+            return False
+    return True
+
+
+def is_consistent(rules: CorrelationRuleSet, items: FrozenSet[Item]) -> bool:
+    """Can this joint assignment coexist with every rule of *rules*?  The
+    rules are indexed by trigger item on the first check of a rule set."""
+    index = getattr(rules, "_trigger_index", None)
+    if index is None:
+        forcing_by_trigger: Dict[Item, List[AssociationRule]] = {}
+        for rule in rules.forcing_rules:
+            forcing_by_trigger.setdefault(min(rule.antecedent), []).append(rule)
+        exclusion_partners: Dict[Item, Set[Item]] = {}
+        for excl in rules.exclusions:
+            exclusion_partners.setdefault(excl.a, set()).add(excl.b)
+            exclusion_partners.setdefault(excl.b, set()).add(excl.a)
+        index = rules._trigger_index = (forcing_by_trigger, exclusion_partners)
+    forcing_by_trigger, exclusion_partners = index
+    for item in items:
+        partners = exclusion_partners.get(item)
+        if partners and not partners.isdisjoint(items):
+            return False
+    for item in items:
+        for rule in forcing_by_trigger.get(item, ()):
+            if not satisfied_by(rule, items):
+                return False
+    return True
+
+
+# -- scalar emissions -----------------------------------------------------------
+
+
+def gaussian_log_pdf(emission: GaussianEmission, state: int, x: np.ndarray) -> float:
+    """Log density of observation *x* under *state*'s Gaussian."""
+    x = np.asarray(x, dtype=float)
+    mean = emission.means.get(state, emission._pooled_mean)
+    if mean is None:
+        mean = np.zeros(emission.dim)
+    inv, logdet = emission._inv_logdet(state)
+    diff = x - mean
+    # The scalar einsum matches the contraction order of the batched path
+    # in log_pdf_rows, keeping per-row and per-batch results bit-identical.
+    quad = float(np.einsum("i,ij,j->", diff, inv, diff))
+    return -0.5 * (emission.dim * np.log(2 * np.pi) + logdet + quad)
+
+
+def macro_gmm_log_pdf(gmm, x: np.ndarray) -> float:
+    """Log density of *x* under one macro's ``_MacroGmm``."""
+    d = x.shape[0]
+    diffs = x[None, :] - gmm.means  # (K, d)
+    quads = np.einsum("ki,kij,kj->k", diffs, gmm.inv_covs, diffs)
+    comps = np.log(gmm.weights + _TINY) - 0.5 * (d * np.log(2 * np.pi) + gmm.logdets + quads)
+    m = comps.max()
+    return float(m + np.log(np.exp(comps - m).sum()))
+
+
+def object_log_evidence(
+    object_index: Dict[str, int],
+    log_table: np.ndarray,
+    macro_idx: int,
+    objects_fired,
+) -> float:
+    """Sum of per-object Bernoulli log likelihoods for one macro, one
+    object at a time."""
+    if not object_index:
+        return 0.0
+    total = 0.0
+    for obj, o in object_index.items():
+        total += log_table[macro_idx, o, 1 if obj in objects_fired else 0]
+    return float(total)
 
 
 def reference_user_state_emissions(
@@ -101,7 +232,7 @@ def reference_user_state_emissions(
             if features_ok:
                 gmm = model.gmms_.get(m)
                 if gmm is not None:
-                    score += gmm.log_pdf(x)
+                    score += macro_gmm_log_pdf(gmm, x)
             score += object_log_evidence(
                 getattr(model, "_object_index", {}),
                 getattr(model, "_log_obj", np.zeros((0, 0, 2))),
@@ -115,6 +246,9 @@ def reference_user_state_emissions(
             score += PIR_MISS_PENALTY
         out[i] = score
     return out
+
+
+# -- candidates, pruning and transitions ----------------------------------------
 
 
 def reference_chain_block(
@@ -155,15 +289,13 @@ def reference_user_candidates(
     """Seed per-user candidate builder: frozenset item-set rule pruning,
     per-state emission loop, label-based encodings resolved at the end."""
     obs = seq.steps[t].observations[rid]
-    states = model.builder.candidate_states(obs)
+    states = candidate_states(model.builder, obs)
     if model._single_rules is not None:
-        amb = model.builder.ambient_item_set(seq.steps[t])
+        amb = ambient_item_set(seq.steps[t])
         kept = [
             s
             for s in states
-            if model._single_rules.is_consistent(
-                model.builder.state_item_set("u1", s, obs) | amb
-            )
+            if is_consistent(model._single_rules, state_item_set("u1", s, obs) | amb)
         ]
         if kept:
             states = kept
@@ -175,7 +307,7 @@ def reference_user_candidates(
     cm = model.constraint_model
     m = np.array([cm.macro_index.index(s.macro) for s in states], dtype=int)
     l = np.array([cm.subloc_index.index(s.subloc) for s in states], dtype=int)
-    return CandidateSet(states=states, m=m, l=l, emissions=emissions, obs=obs)
+    return CandidateSet(m=m, l=l, emissions=emissions, obs=obs)
 
 
 def reference_cross_prune_mask(
@@ -189,9 +321,9 @@ def reference_cross_prune_mask(
     """Seed cross-user pruning via frozenset item-set algebra (one ordered
     pair of chains; slot labels are always ``u1``/``u2`` because the rules
     are mined on symmetrised two-user slots)."""
-    amb = model.builder.ambient_item_set(step)
-    items1 = [model.builder.state_item_set("u1", s, obs1) for s in s1]
-    items2 = [model.builder.state_item_set("u2", s, obs2) for s in s2]
+    amb = ambient_item_set(step)
+    items1 = [state_item_set("u1", s, obs1) for s in s1]
+    items2 = [state_item_set("u2", s, obs2) for s in s2]
     keep = np.ones((len(s1), len(s2)), dtype=bool)
 
     for excl in model._cross_rules.exclusions:
@@ -233,15 +365,23 @@ def reference_cross_prune_mask(
     return keep
 
 
-class _NoKernel:
-    """Stands in for the per-sequence evidence tables: the reference
-    scores every step itself, so there is nothing to precompute."""
+class _SpecTrellis(_NChainTrellis):
+    """The N-chain trellis session with the seed's per-step pieces: the
+    spec scores every step itself, so there are no per-sequence tables to
+    prepare or release."""
 
-    def ensure(self, t0: int, t1: int) -> None:
+    def prepare(self, t0: int, t1: int) -> None:
         pass
 
     def release(self, t: int) -> None:
         pass
+
+    def piece(self, t: int) -> TrellisPiece:
+        model, seq = self.model, self.seq
+        per_user = [reference_user_candidates(model, seq, rid, t) for rid in self.rids]
+        grids, scores = model._joint_candidates(seq, t, per_user, None, self.stats)
+        enc = (grids, tuple(c.m for c in per_user), tuple(c.l for c in per_user))
+        return TrellisPiece(scores=scores, enc=enc)
 
 
 class ReferenceNChainHdbn(NChainHdbn):
@@ -251,12 +391,12 @@ class ReferenceNChainHdbn(NChainHdbn):
     emissions, joint coverage, cap) while computing every term the seed
     way: frozenset item-set algebra, per-state emission loops,
     label-string comparisons, and per-step transcendental chain blocks on
-    the full (P, C) joint grid.  The trellis session and the
-    recursions are inherited.
+    the full (P, C) joint grid.  The recursions are inherited.
     """
 
-    def _make_kernel(self, seq: LabeledSequence, rids: Tuple[str, ...]) -> _NoKernel:
-        return _NoKernel()
+    def trellis_sessions(self, seq: LabeledSequence, stats=None) -> List[_SpecTrellis]:
+        stats = stats if stats is not None else DecodeStats()
+        return [_SpecTrellis(self, seq, tuple(seq.resident_ids), stats)]
 
     def _transition_block(self, prev: JointEnc, cur: JointEnc) -> np.ndarray:
         """Seed (P, C) joint log transition: every chain's block on the
@@ -273,22 +413,17 @@ class ReferenceNChainHdbn(NChainHdbn):
             )
         return total
 
-    def _user_candidates(
-        self, seq: LabeledSequence, rid: str, t: int, kern=None
-    ) -> CandidateSet:
-        return reference_user_candidates(self, seq, rid, t)
-
     def _joint_candidates(
         self,
         seq: LabeledSequence,
         t: int,
         per_user: List[CandidateSet],
-        rids: Sequence[str],
         kern,
         stats: DecodeStats,
     ) -> Tuple[np.ndarray, np.ndarray]:
         step = seq.steps[t]
         n = len(per_user)
+        states = [label_states(self.constraint_model, c.m, c.l) for c in per_user]
         grids = np.indices([len(c) for c in per_user]).reshape(n, -1)  # (N, prod)
 
         if self._cross_rules is not None:
@@ -296,12 +431,7 @@ class ReferenceNChainHdbn(NChainHdbn):
             for a in range(n):
                 for b in range(a + 1, n):
                     pair_keep = reference_cross_prune_mask(
-                        self,
-                        step,
-                        per_user[a].states,
-                        step.observations[rids[a]],
-                        per_user[b].states,
-                        step.observations[rids[b]],
+                        self, step, states[a], per_user[a].obs, states[b], per_user[b].obs
                     )
                     mask &= pair_keep[grids[a], grids[b]]
             if mask.any():
@@ -313,7 +443,7 @@ class ReferenceNChainHdbn(NChainHdbn):
             scores += c.emissions[grids[u]]
 
         # Joint explaining-away over all chains (seed-style label compares).
-        locs = [np.array([s.subloc for s in c.states], dtype=object) for c in per_user]
+        locs = [np.array([s.subloc for s in su], dtype=object) for su in states]
         for fired in step.sublocs_fired:
             covered = np.zeros(grids.shape[1], dtype=bool)
             for u in range(n):
@@ -321,8 +451,7 @@ class ReferenceNChainHdbn(NChainHdbn):
             scores += np.where(covered, 0.0, UNEXPLAINED_SUBLOC_PENALTY)
         if not step.sublocs_fired and step.rooms_fired:
             rooms = [
-                np.array([_ROOM_OF.get(s.subloc) for s in c.states], dtype=object)
-                for c in per_user
+                np.array([_ROOM_OF.get(s.subloc) for s in su], dtype=object) for su in states
             ]
             for fired in step.rooms_fired:
                 covered = np.zeros(grids.shape[1], dtype=bool)
@@ -340,6 +469,24 @@ class ReferenceNChainHdbn(NChainHdbn):
             grids = grids[:, top]
             scores = scores[top]
         return grids, scores
+
+
+def reference_model(fast: NChainHdbn) -> ReferenceNChainHdbn:
+    """The spec decoder of a fitted *fast* model, without a second fit.
+
+    Built with *fast*'s constructor arguments, so it derives its own
+    builder, rule pruners and transition tables, then given *fast*'s
+    fitted emission state the way ``repro.util.artifacts`` loads a model.
+    """
+    spec = ReferenceNChainHdbn(
+        **{f.name: getattr(fast, f.name) for f in dataclasses.fields(fast) if f.init}
+    )
+    spec.gmms_ = fast.gmms_
+    spec._object_index = fast._object_index
+    spec._log_obj = fast._log_obj
+    spec._obj_evidence = ObjectEvidenceTable(spec._object_index, spec._log_obj)
+    spec._gmm_bank = GmmBank(spec.gmms_)
+    return spec
 
 
 # -- log-domain sum-product steps and fixed-lag smoother --------------------------

@@ -12,7 +12,6 @@ from repro.core import (
     STRATEGIES,
     SingleUserHdbn,
     StateSpaceBuilder,
-    UserState,
     duration_error,
     extract_segments,
     match_segments,
@@ -21,6 +20,8 @@ from repro.core.api import DecodeStats
 from repro.core.duration import Segment
 from repro.core.loosely_coupled import PAIR_CAPS
 from repro.mining.initial_rules import initial_rule_set
+
+from decode_spec import UserState, candidate_states, state_item_set
 
 #: The coupled pair HDBN: the 2-chain model with the pair caps.
 PAIR = dict(PAIR_CAPS, max_states_per_user=20)
@@ -34,7 +35,7 @@ class TestStateSpaceBuilder:
         rid = seq.resident_ids[0]
         hits = total = 0
         for step, truth in zip(seq.steps, seq.truths):
-            states = builder.candidate_states(step.observations[rid])
+            states = candidate_states(builder, step.observations[rid])
             total += 1
             hits += UserState(truth[rid].macro, truth[rid].subloc) in states
         assert hits / total > 0.9
@@ -45,7 +46,7 @@ class TestStateSpaceBuilder:
         seq = train.sequences[0]
         for step in seq.steps:
             for rid in seq.resident_ids:
-                assert builder.candidate_states(step.observations[rid])
+                assert candidate_states(builder, step.observations[rid])
 
     def test_cap_respected(self, cace_split, constraint_model):
         # The builder guarantees one state per macro, so the effective cap
@@ -54,7 +55,7 @@ class TestStateSpaceBuilder:
         builder = StateSpaceBuilder(constraint_model, max_states_per_user=10)
         seq = train.sequences[0]
         obs = seq.steps[0].observations[seq.resident_ids[0]]
-        states = builder.candidate_states(obs)
+        states = candidate_states(builder, obs)
         assert len(states) <= max(10, constraint_model.n_macro)
 
     def test_every_macro_represented(self, cace_split, constraint_model):
@@ -65,15 +66,14 @@ class TestStateSpaceBuilder:
         seq = train.sequences[0]
         for step in seq.steps[:20]:
             for rid in seq.resident_ids:
-                macros = {s.macro for s in builder.candidate_states(step.observations[rid])}
+                macros = {s.macro for s in candidate_states(builder, step.observations[rid])}
                 assert macros == set(constraint_model.macro_index.labels)
 
-    def test_item_sets_include_state_and_observation(self, cace_split, constraint_model):
+    def test_item_sets_include_state_and_observation(self, cace_split):
         train, _ = cace_split
-        builder = StateSpaceBuilder(constraint_model)
         seq = train.sequences[0]
         obs = seq.steps[0].observations[seq.resident_ids[0]]
-        items = builder.state_item_set("u1", UserState("dining", "SR4"), obs)
+        items = state_item_set("u1", UserState("dining", "SR4"), obs)
         attrs = {i.attr for i in items}
         assert {"macro", "posture", "subloc", "room"} <= attrs
         values = {i.value for i in items}

@@ -2,8 +2,8 @@
 
 The sequence-level kernels (``repro.core.kernels``) must be a pure
 speedup: every batched row, rule mask and candidate list reproduces the seed's
-straight-line per-step ("scalar") implementation in
-:mod:`repro.core.reference`, the optimised decoders reproduce the seed
+straight-line per-step ("scalar") implementation in ``decode_spec``
+(``tests/decode_spec.py``), the optimised decoders reproduce the seed
 reference decoders' labels and DecodeStats at fixed seeds, and offline
 decoding equals the fixed-lag smoother at lag >= T for every family.
 """
@@ -24,17 +24,9 @@ from repro.core.hdbn import SingleUserHdbn
 from repro.core import kernels
 from repro.core.kernels import SequenceKernel, linear_block, macro_argmax, viterbi_path
 from repro.core.loosely_coupled import PAIR_CAPS, NChainHdbn, joint_codes
-from repro.core.reference import (
-    ReferenceNChainHdbn,
-    ReferenceOnlineSmoother,
-    reference_chain_block,
-    reference_cross_prune_mask,
-    reference_user_candidates,
-    reference_user_state_emissions,
-)
 from repro.core.rule_kernel import CrossRulePruner, StepItems
 from repro.core.smoother import OnlineSmoother
-from repro.core.state_space import CandidateSet, UserState
+from repro.core.state_space import CandidateSet
 from repro.datasets import generate_cace_dataset, train_test_split
 from repro.datasets.trace import ContextStep, ResidentObservation
 from repro.mining import ConstraintMiner, CorrelationMiner
@@ -42,10 +34,11 @@ from repro.models import CoupledHmm, FactorialCrf, GaussianEmission, MacroHmm
 from repro.models.inputs import step_features
 from repro.serve import SessionRouter
 
+import decode_spec
 from dense_spec import forward_backward, viterbi_decode
 
 #: The object channel sums its Bernoulli logs in another order than the
-#: seed (see repro.core.reference), so scores may differ in the last ulp.
+#: seed (see decode_spec), so scores may differ in the last ulp.
 EMISSION_ATOL = 1e-9
 
 #: Length of the 4-resident test session (the seed reference decodes it).
@@ -79,10 +72,7 @@ def _fit_nchain(dataset, train_fraction, min_support):
         train.subloc_vocab,
     )
     fast = NChainHdbn(constraint_model=cm, rule_set=rules, seed=5).fit(train)
-    reference = ReferenceNChainHdbn(
-        constraint_model=cm, rule_set=rules, seed=5
-    ).fit(train)
-    return fast, reference, test
+    return fast, decode_spec.reference_model(fast), test
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +117,8 @@ def test_gaussian_log_pdf_rows_matches_scalar():
     em = GaussianEmission(dim=6).fit(features, states)
     rows = em.log_pdf_rows(range(4), features)
     for t in range(features.shape[0]):
-        assert np.array_equal(rows[t], [em.log_pdf(s, features[t]) for s in range(4)])
+        want = [decode_spec.gaussian_log_pdf(em, s, features[t]) for s in range(4)]
+        assert np.array_equal(rows[t], want)
 
 
 def test_viterbi_path_matches_dense_decode():
@@ -176,7 +167,7 @@ def test_viterbi_path_is_layout_independent():
 
 def test_gmm_bank_rows_match_per_step(pair_models, cace_split):
     """Every entry of the stacked bank's one-reduction rows equals that
-    macro's own ``_MacroGmm.log_pdf`` exactly -- on the fitted bank, on a
+    macro's own scalar density exactly -- on the fitted bank, on a
     ragged bank (one 2-component mixture padded among 4-component ones)
     and on a single-row batch.  Macros without a mixture read 0.0."""
     _, test = cace_split
@@ -209,7 +200,7 @@ def test_gmm_bank_rows_match_per_step(pair_models, cace_split):
         assert np.array_equal(single[0], rows[0])
         for t in range(x_rows.shape[0]):
             for m in range(n_macro):
-                want = gmms[m].log_pdf(x_rows[t]) if m in gmms else 0.0
+                want = decode_spec.macro_gmm_log_pdf(gmms[m], x_rows[t]) if m in gmms else 0.0
                 assert rows[t, m] == want
 
 
@@ -253,12 +244,10 @@ def test_sequence_kernel_emissions_match_scalar(pair_models, cace_split):
             for rid in seq.resident_ids:
                 m = rng.integers(0, cm.n_macro, size=12)
                 l_idx = rng.integers(0, len(cm.subloc_index), size=12)
-                states = [
-                    UserState(cm.macro_index.label(int(a)), cm.subloc_index.label(int(b)))
-                    for a, b in zip(m, l_idx)
-                ]
                 got = kern.emissions(rid, t, m, l_idx)
-                want = reference_user_state_emissions(fast, seq, rid, t, states)
+                want = decode_spec.reference_user_state_emissions(
+                    fast, seq, rid, t, decode_spec.label_states(cm, m, l_idx)
+                )
                 np.testing.assert_allclose(got, want, rtol=0, atol=EMISSION_ATOL)
 
 
@@ -300,15 +289,14 @@ def test_sequence_kernel_batch_size_invariant(pair_models, cace_split, nchain_se
 
 def _assert_candidates_match_reference(model, sequences):
     """Per-resident candidates from the kernel tables equal the seed's
-    scalar builder: same states and encodings, emissions to 1e-9."""
+    scalar builder: same encodings, emissions to 1e-9."""
     for seq in sequences:
         kern = SequenceKernel(model, seq, seq.resident_ids)
         kern.ensure(0, len(seq))
         for t in range(len(seq)):
             for rid in seq.resident_ids:
                 fast = build_candidate_set(model, seq, rid, t, kern)
-                ref = reference_user_candidates(model, seq, rid, t)
-                assert fast.states == ref.states
+                ref = decode_spec.reference_user_candidates(model, seq, rid, t)
                 np.testing.assert_array_equal(fast.m, ref.m)
                 np.testing.assert_array_equal(fast.l, ref.l)
                 np.testing.assert_allclose(
@@ -335,17 +323,13 @@ def test_nchain_kernels_match_scalar_path(nchain_setup):
     _assert_candidates_match_reference(fast, test.sequences)
 
 
-def test_coupled_matches_seed_reference(
-    pair_models, cace_split, constraint_model, rule_set
-):
+def test_coupled_matches_seed_reference(pair_models, cace_split):
     """c2 on pairs: the 2-chain model with the pair caps decodes exactly
     like the seed reference decoder."""
-    train, test = cace_split
-    reference = ReferenceNChainHdbn(
-        constraint_model=constraint_model, rule_set=rule_set, seed=5, **PAIR_CAPS
-    ).fit(train)
-    assert _decode_all(pair_models["c2"], test.sequences) == _decode_all(
-        reference, test.sequences
+    _, test = cace_split
+    fast = pair_models["c2"]
+    assert _decode_all(fast, test.sequences) == _decode_all(
+        decode_spec.reference_model(fast), test.sequences
     )
 
 
@@ -381,11 +365,11 @@ def _assert_joint_matches_reference(model, seq, seen, steps=None):
     kern = SequenceKernel(model, seq, rids)
     kern.ensure(0, len(seq))
     for t in range(len(seq) if steps is None else steps):
-        per_user = [model._user_candidates(seq, rid, t, kern) for rid in rids]
+        per_user = [build_candidate_set(model, seq, rid, t, kern) for rid in rids]
         stats, ref_stats = DecodeStats(), DecodeStats()
-        grids, scores = model._joint_candidates(seq, t, per_user, rids, kern, stats)
-        want_grids, want_scores = ReferenceNChainHdbn._joint_candidates(
-            model, seq, t, per_user, rids, None, ref_stats
+        grids, scores = model._joint_candidates(seq, t, per_user, kern, stats)
+        want_grids, want_scores = decode_spec.ReferenceNChainHdbn._joint_candidates(
+            model, seq, t, per_user, None, ref_stats
         )
         assert np.array_equal(grids, want_grids), (len(rids), t)
         assert np.array_equal(scores, want_scores), (len(rids), t)
@@ -433,7 +417,8 @@ def test_joint_candidates_match_reference(
         lambda self, amb, c1, c2: np.zeros((len(c1), len(c2)), dtype=bool),
     )
     monkeypatch.setattr(
-        "repro.core.reference.reference_cross_prune_mask",
+        decode_spec,
+        "reference_cross_prune_mask",
         lambda model, step, s1, obs1, s2, obs2: np.zeros((len(s1), len(s2)), dtype=bool),
     )
     seen.clear()
@@ -471,9 +456,6 @@ def test_rule_pruners_match_item_set_spec(setup, pair_models, nchain_setup, data
         codes = data.draw(st.lists(code, min_size=1, max_size=30))
         obs = ResidentObservation(data.draw(posture), data.draw(gesture), (), ())
         return CandidateSet(
-            states=[
-                UserState(cm.macro_index.label(a), cm.subloc_index.label(b)) for a, b in codes
-            ],
             m=np.array([a for a, _ in codes]),
             l=np.array([b for _, b in codes]),
             emissions=np.zeros(len(codes)),
@@ -492,15 +474,27 @@ def test_rule_pruners_match_item_set_spec(setup, pair_models, nchain_setup, data
         ),
     )
     amb = StepItems(step)
-    amb_items = builder.ambient_item_set(step)
+    amb_items = decode_spec.ambient_item_set(step)
+    s1, s2 = (decode_spec.label_states(cm, c.m, c.l) for c in (c1, c2))
     want = [
-        model._single_rules.is_consistent(builder.state_item_set("u1", s, c1.obs) | amb_items)
-        for s in c1.states
+        decode_spec.is_consistent(
+            model._single_rules, decode_spec.state_item_set("u1", s, c1.obs) | amb_items
+        )
+        for s in s1
     ]
     assert model._single_pruner.keep(c1.m, c1.l, c1.obs, amb).tolist() == want
     assert np.array_equal(
         model._cross_pruner.keep(amb, c1, c2),
-        reference_cross_prune_mask(model, step, c1.states, c1.obs, c2.states, c2.obs),
+        decode_spec.reference_cross_prune_mask(model, step, s1, c1.obs, s2, c2.obs),
+    )
+
+
+def _nh_log_e(model, seq, rid):
+    """nh's ``(T, M)`` emission rows, one state and one step at a time."""
+    n_m = len(model.macro_index)
+    return np.array(
+        [[decode_spec.gaussian_log_pdf(model.emission_, s, x) for s in range(n_m)]
+         for x in step_features(seq, rid)]
     )
 
 
@@ -510,11 +504,7 @@ def _dense_chains(model, seq):
     n_m = len(model.macro_index)
     if isinstance(model, MacroHmm):
         for rid in seq.resident_ids:
-            log_e = np.array(
-                [[model.emission_.log_pdf(s, x) for s in range(n_m)]
-                 for x in step_features(seq, rid)]
-            )
-            yield (rid,), np.log(model.prior_), np.log(model.trans_), log_e
+            yield (rid,), np.log(model.prior_), np.log(model.trans_), _nh_log_e(model, seq, rid)
     elif isinstance(model, CoupledHmm):
         rids = seq.resident_ids[:2]
         yield (rids, *model._joint_pieces(seq, rids))
@@ -540,6 +530,26 @@ def test_macro_hmm_matches_seed_viterbi(name, baselines, cace_split):
             states = np.unravel_index(path, (n_m,) * len(rids))
             for rid, chain in zip(rids, states):
                 assert pred[rid] == [model.macro_index.label(i) for i in chain]
+
+
+def test_nh_steps_without_features_add_no_evidence(baselines, cace_split):
+    """A step whose feature vector holds a NaN or is empty scores a zero
+    emission row under nh, as in the HDBN family's kernel: the decode
+    equals the dense spec's Viterbi over the clean rows with those rows
+    set to 0, for every resident."""
+    model = baselines["nh"]
+    seq = cace_split[1].sequences[0]
+    degraded = _degrade(seq)
+    pred = model.decode(degraded)
+    for rid in seq.resident_ids:
+        feats = [np.asarray(step.observations[rid].features) for step in degraded.steps]
+        empty = np.array([x.size == 0 for x in feats])
+        nan = np.array([np.isnan(x).any() for x in feats])
+        assert empty.any() and nan.any()
+        log_e = _nh_log_e(model, seq, rid)
+        log_e[empty | nan] = 0.0
+        path, _ = viterbi_decode(np.log(model.prior_), np.log(model.trans_), log_e)
+        assert pred[rid] == [model.macro_index.label(i) for i in path]
 
 
 def test_fcrf_training_matches_dense_spec(cace_split, monkeypatch):
@@ -627,7 +637,7 @@ def test_smoother_matches_log_domain_reference(family, family_models):
     counts the same work."""
     model, seq = family_models[family]
     fast = OnlineSmoother(model, lag=4)
-    spec = ReferenceOnlineSmoother(model, lag=4)
+    spec = decode_spec.ReferenceOnlineSmoother(model, lag=4)
     assert fast.run(seq) == spec.run(seq)
     assert fast.stats == spec.stats
 
@@ -667,12 +677,9 @@ def test_nh_posterior_matches_dense_forward_backward(family_models):
     """The linear-domain recursion over nh's trellis equals an independent
     dense log-domain forward-backward to 1e-10."""
     model, seq = family_models["nh"]
-    n_m = len(model.macro_index)
     marginals = model.posterior_marginals(seq)
     for rid in seq.resident_ids:
-        log_e = np.array(
-            [[model.emission_.log_pdf(s, x) for s in range(n_m)] for x in step_features(seq, rid)]
-        )
+        log_e = _nh_log_e(model, seq, rid)
         gamma, _ = forward_backward(np.log(model.prior_), np.log(model.trans_), log_e)
         np.testing.assert_allclose(marginals[rid], gamma, rtol=0, atol=1e-10)
 
@@ -825,11 +832,11 @@ def test_factored_transition_block_is_bit_exact(family, edge_cases, family_model
             m_prev, l_prev = joint_codes(prev.enc)
             m_cur, l_cur = joint_codes(piece.enc)
             n = m_prev.shape[0]
-            want = reference_chain_block(
+            want = decode_spec.reference_chain_block(
                 model, m_prev[0], l_prev[0], m_prev[1 % n], m_cur[0], l_cur[0]
             )
             for u in range(1, n):
-                want = want + reference_chain_block(
+                want = want + decode_spec.reference_chain_block(
                     model, m_prev[u], l_prev[u], m_prev[(u + 1) % n], m_cur[u], l_cur[u]
                 )
             log_t = sess.transition(prev, piece)

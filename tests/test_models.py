@@ -91,13 +91,13 @@ class TestGaussianEmission:
             expected = multivariate_normal(
                 emission.means[s], emission.covariances[s]
             ).logpdf(probe)
-            assert emission.log_pdf(s, probe) == pytest.approx(expected, rel=1e-6)
+            assert emission.log_pdf_rows([s], probe)[0, 0] == pytest.approx(expected, rel=1e-6)
 
     def test_unseen_state_uses_pooled(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(50, 2))
         emission = GaussianEmission(dim=2).fit(x, np.zeros(50, dtype=int))
-        assert np.isfinite(emission.log_pdf(99, np.zeros(2)))
+        assert np.isfinite(emission.log_pdf_rows([99], np.zeros(2))).all()
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from repro.core.duration import duration_error
 from repro.core.kernels import backward_step, forward_step, linear_block
 from repro.core.loosely_coupled import best_first
-from repro.core.reference import reference_backward_step, reference_forward_step
 from repro.eval.metrics import evaluate_predictions
 from repro.mining.apriori import Apriori
 from repro.mining.context_rules import Item
 from repro.mining.correlation_miner import CorrelationMiner
 from repro.models.distributions import normalize, shrink_coupled_transitions
 
+from decode_spec import reference_backward_step, reference_forward_step
 from dense_spec import forward_backward, viterbi_decode
 from fit_spec import time_t_slice
 

@@ -9,6 +9,10 @@ from, so a package's ``__init__`` does not by itself make all of its
 submodules reachable.  A module that only tests import is dead weight:
 delete it, or give it a caller.
 
+The seed specs (``tests/decode_spec.py``, ``dense_spec.py``,
+``fit_spec.py``) stay under ``tests/``: no file under ``src/`` imports one
+or names :data:`OLD_SPEC_MODULE`, the decode spec's old home.
+
 Functions: every function or method defined under ``src/repro/`` (dunders
 aside) is named somewhere outside its own body, in ``src/``, ``tests/`` or a
 script directory.  Only code counts: a name token, or a string literal that
@@ -29,6 +33,11 @@ SRC = ROOT / "src"
 ENTRY_MODULES = ("repro.__main__", "repro.cli")
 ENTRY_DIRS = ("perfbench", "benchmarks", "examples")
 NAME_DIRS = ("src", "tests") + ENTRY_DIRS
+#: The executable specs under ``tests/``, which ``src/`` must not import.
+SPEC_MODULES = ("decode_spec", "dense_spec", "fit_spec")
+#: Where the decode spec lived before it moved to ``tests/`` (joined, so
+#: that a search for the dotted name finds only ``src/`` files using it).
+OLD_SPEC_MODULE = ".".join(("repro", "core", "reference"))
 
 
 def _source(module: str) -> Optional[Tuple[Path, bool]]:
@@ -114,6 +123,15 @@ def test_every_src_module_is_reachable_from_an_entry_point():
         walker.walk_file(script)
     unreached = sorted(_all_modules() - walker.reached)
     assert not unreached, f"modules no entry point imports: {unreached}"
+
+
+def test_src_does_not_reach_the_test_specs():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        imported = {(m or "").split(".")[0] for m, _, _ in _imports(path, "repro")}
+        if OLD_SPEC_MODULE in path.read_text() or imported & set(SPEC_MODULES):
+            found.append(str(path.relative_to(ROOT)))
+    assert not found, f"files under src/ that reach the test specs: {found}"
 
 
 def test_reexported_names_resolve_to_their_defining_module():

@@ -17,8 +17,6 @@ import os
 import pytest
 
 from repro.core.engine import CaceEngine
-from repro.core.loosely_coupled import PAIR_CAPS
-from repro.core.reference import ReferenceNChainHdbn
 from repro.datasets import generate_cace_dataset, train_test_split
 from repro.models.hmm import MacroHmm
 from repro.obs import runtime as obs
@@ -43,6 +41,8 @@ from repro.resilience import (
 from repro.resilience import faultinject
 from repro.serve.router import SessionRouter
 from repro.util.artifacts import save_engine
+
+from decode_spec import reference_model
 
 
 @pytest.fixture(autouse=True)
@@ -461,16 +461,10 @@ class TestPooledResilience:
         """The artifact codec writes exact model families only: a reference
         subclass raises TypeError instead of being saved or shipped to a
         pool as its parent class."""
-        train, test = corpus
-        fitted = engine.model_
+        _, test = corpus
         ref_engine = CaceEngine(strategy="c2", seed=11)
         ref_engine.rule_set_ = engine.rule_set_
-        ref_engine.model_ = ReferenceNChainHdbn(
-            constraint_model=fitted.constraint_model,
-            rule_set=fitted.rule_set,
-            seed=fitted.seed,
-            **PAIR_CAPS,
-        ).fit(train)
+        ref_engine.model_ = reference_model(engine.model_)
         path = tmp_path / "model.json"
         with pytest.raises(TypeError, match="ReferenceNChainHdbn"):
             save_engine(ref_engine, path)

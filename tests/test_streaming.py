@@ -20,11 +20,12 @@ import pytest
 
 from repro.core.engine import CaceEngine
 from repro.core.kernels import macro_argmax
-from repro.core.reference import ReferenceOnlineSmoother
 from repro.core.smoother import OnlineSmoother
 from repro.datasets import LabeledSequence, generate_cace_dataset, train_test_split
 from repro.datasets.trace import StepWindow
 from repro.serve import SessionRouter
+
+from decode_spec import ReferenceOnlineSmoother
 
 #: Lag of the memory test (the serving default).
 LAG = 4
