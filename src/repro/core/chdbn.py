@@ -31,7 +31,8 @@ evidence it shares with the NCR strategy's frame-wise classifier
 * **Per-resident candidates** (:func:`build_candidate_set`): memoised
   encoded candidate lists, single-user rule pruning, and emission scores
   indexed from the per-sequence tables of
-  :class:`~repro.core.kernels.SequenceKernel`.
+  :class:`~repro.core.kernels.SequenceKernel` -- for one step, or for a
+  range of steps in stacked passes that give every step the same list.
 
 The seed's straight-line implementation is preserved in
 ``tests/decode_spec.py`` as the executable specification; equivalence
@@ -42,14 +43,14 @@ and ``benchmarks/bench_decode_hotpath.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.emissions import ObjectEvidenceTable
 from repro.core.kernels import SequenceKernel
 from repro.core.rule_kernel import SingleRulePruner
-from repro.core.state_space import CandidateSet, StateSpaceBuilder
+from repro.core.state_space import CandidateSet, StackedCandidates, StateSpaceBuilder
 from repro.datasets.trace import Dataset, LabeledSequence
 from repro.micro.annealing import DeterministicAnnealing
 from repro.mining.constraint_miner import ConstraintModel
@@ -332,8 +333,10 @@ def build_candidate_set(
     rid: str,
     t: int,
     kern: SequenceKernel,
-) -> CandidateSet:
-    """One resident's evidence-truncated candidates for one step.
+    t1: Optional[int] = None,
+) -> Union[CandidateSet, StackedCandidates]:
+    """One resident's evidence-truncated candidates for step *t*, or for
+    every step of ``[t, t1)`` when *t1* is given.
 
     Shared by the per-user and the coupled model: fetch the memoised
     candidate codes, apply single-user rule pruning (the rules are
@@ -342,7 +345,13 @@ def build_candidate_set(
     regression-tested in ``tests/test_decode_stats.py``), score emissions,
     and keep the best ``max_states_per_user``.  Emission scores come from
     *kern*'s precomputed per-sequence tables.
+
+    A step returns a :class:`CandidateSet`.  A range returns the
+    :class:`StackedCandidates` of :func:`_stacked_candidates`, whose row
+    for each step holds exactly that step's :class:`CandidateSet`.
     """
+    if t1 is not None:
+        return _stacked_candidates(model, seq, rid, t, t1, kern)
     obs = seq.steps[t].observations[rid]
     m, l = model.builder.candidate_codes(obs)
     if model._single_pruner is not None:
@@ -354,3 +363,47 @@ def build_candidate_set(
         top = np.argsort(emissions)[::-1][: model.max_states_per_user]
         m, l, emissions = m[top], l[top], emissions[top]
     return CandidateSet(m=m, l=l, emissions=emissions, obs=obs)
+
+
+def _stacked_candidates(
+    model, seq: LabeledSequence, rid: str, t0: int, t1: int, kern: SequenceKernel
+) -> StackedCandidates:
+    """:func:`build_candidate_set` for every step of ``[t0, t1)`` in
+    stacked passes over a leading step axis.
+
+    Codes are padded to the range's longest list; the single-user keep is
+    one gather from the stacked grid masks, and a step keeps its whole
+    list when none or all of it survives, as a single step does; survivors
+    are compacted to the front of their row in order; emissions are one
+    stacked gather (:meth:`SequenceKernel.emission_rows`).  Only a step
+    over the per-user cap runs the per-step ``argsort`` on its own 1-D
+    row, so every row equals the step's :class:`CandidateSet`.
+    """
+    steps = range(t0, t1)
+    obs = [seq.steps[t].observations[rid] for t in steps]
+    codes = [model.builder.candidate_codes(o) for o in obs]
+    n = np.array([len(m) for m, _ in codes])
+    valid = np.arange(n.max()) < n[:, None]
+    m = np.zeros(valid.shape, dtype=int)
+    l = np.zeros(valid.shape, dtype=int)
+    m[valid] = np.concatenate([c[0] for c in codes])
+    l[valid] = np.concatenate([c[1] for c in codes])
+    if model._single_pruner is not None:
+        keep = valid & model._single_pruner.keep_rows(
+            m, l, obs, [kern.step_items(t) for t in steps]
+        )
+        kept = np.count_nonzero(keep, axis=1)
+        prune = (kept > 0) & (kept < n)
+        if prune.any():
+            keep[~prune] = valid[~prune]
+            n = np.where(prune, kept, n)
+            valid = np.arange(valid.shape[1]) < n[:, None]
+            m[valid], l[valid] = m[keep], l[keep]
+    emissions = kern.emission_rows(rid, t0, m, l)
+    cap = model.max_states_per_user
+    for s in np.flatnonzero(n > cap):
+        top = np.argsort(emissions[s, : n[s]].copy())[::-1][:cap]
+        m[s, :cap], l[s, :cap], emissions[s, :cap] = m[s, top], l[s, top], emissions[s, top]
+        n[s] = cap
+    k = int(n.max())
+    return StackedCandidates(m=m[:, :k], l=l[:, :k], emissions=emissions[:, :k], n=n, obs=obs)

@@ -21,6 +21,13 @@ Three layers live here:
 * **The offline driver** — :func:`decode` and :func:`posterior_marginals`
   run those recursions over a recogniser's ``trellis_sessions`` pieces and
   are the ``decode`` / ``posterior_marginals`` body of every family.
+  They hand the whole session to the trellis session's ``prepare`` before
+  asking for its pieces, so a session that can build a range of pieces at
+  once does: the N-chain session builds a pair session's candidates and
+  joint candidates in stacked passes over a leading step axis
+  (:mod:`repro.core.loosely_coupled`), with
+  :meth:`SequenceKernel.emission_rows` scoring every step's candidates in
+  one gather.
   Offline decoding and the smoother therefore share one recursion and one
   read-out (:func:`posterior`, :func:`macro_marginals`,
   :func:`macro_argmax`): at ``lag >= len(seq)`` the smoother commits
@@ -257,7 +264,9 @@ def macro_marginals(sess, piece: TrellisPiece, gamma: np.ndarray) -> Dict[str, n
 
 
 def _session_pieces(sess, n_steps: int, stats: DecodeStats) -> List[TrellisPiece]:
-    """Every step's piece of one session, after one batched evidence build."""
+    """Every step's piece of one session, after one ``prepare`` of the
+    whole session (a batched evidence build, and for pair sessions a
+    stacked build of every piece)."""
     sess.prepare(0, n_steps)
     pieces = [sess.piece(t) for t in range(n_steps)]
     stats.joint_states += sum(len(p) for p in pieces)
@@ -558,6 +567,26 @@ class SequenceKernel:
         mask = self._pir_masks[t]
         if mask is not None:
             out[~mask[l]] += PIR_MISS_PENALTY
+        return out
+
+    def emission_rows(self, rid: str, t0: int, m: np.ndarray, l: np.ndarray) -> np.ndarray:
+        """(S, K) :meth:`emissions` of the steps ``t0 .. t0 + S - 1`` for
+        padded candidate rows ``m`` / ``l``, one stacked gather: each entry
+        is the sum the one-step lookup takes, in its order, and the PIR
+        penalty is added to the same entries."""
+        t1 = t0 + m.shape[0]
+        out = (
+            np.take_along_axis(np.stack(self._macro_rows[rid][t0:t1]), m, axis=1)
+            + np.take_along_axis(np.stack(self._loc_rows[rid][t0:t1]), l, axis=1)
+            + self.model._log_subloc_occ[m, l]
+        )
+        masks = self._pir_masks[t0:t1]
+        if any(mask is not None for mask in masks):
+            fired = np.stack([np.ones(self._n_loc, dtype=bool) if k is None else k for k in masks])
+            np.add(
+                out, PIR_MISS_PENALTY, out=out,
+                where=~np.take_along_axis(fired, l, axis=1),
+            )
         return out
 
     def step_items(self, t: int) -> StepItems:

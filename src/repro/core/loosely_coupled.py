@@ -32,6 +32,23 @@ plus each user's macro and sub-location codes
 (see :class:`_NChainTrellis`), so the trellis width stays bounded while
 the raw product space grows exponentially in N.
 
+A multi-step range can be built in stacked passes instead
+(:meth:`_NChainTrellis.build_range`): each resident's candidates for
+every step of the range in one
+:func:`~repro.core.chdbn.build_candidate_set` call, padded to the range's
+longest list on a leading step axis, and the joint layer on the padded
+grid ``S x n_0 x ... x n_{N-1}`` -- emission sum, cross-rule mask with its
+keep-all fallback, coverage penalty and cap -- in chunks of at most
+:data:`STACKED_CHUNK_CELLS` cells.  Every value is the one-step build's,
+bit for bit: padded cells never survive, C-order over the padded grid
+keeps each step's real cells in their one-step order, and the cap keeps
+:func:`best_first`'s order (:func:`best_first_rows`).  ``prepare`` picks
+it from sizes it can observe: a range of at least
+:data:`STACKED_MIN_STEPS` steps on a per-user grid of at most
+:data:`STACKED_MAX_CELLS` cells, which is the offline decode of a pair
+session; one-step pushes, short bursts and trio or quad ranges, whose
+padding outweighs the saved dispatch, are built one step at a time.
+
 The same loose coupling factors the transition block: chain ``i``'s
 term depends on the current joint state only through chain ``i``'s own
 candidate, so it is built once per (candidate of ``i``, previous joint
@@ -63,7 +80,7 @@ from repro.core.chdbn import (
 )
 from repro.core.kernels import SequenceKernel
 from repro.core.rule_kernel import CrossRulePruner
-from repro.core.state_space import CandidateSet, StateSpaceBuilder
+from repro.core.state_space import CandidateSet, StackedCandidates, StateSpaceBuilder
 from repro.datasets.trace import Dataset, LabeledSequence
 from repro.mining.constraint_miner import ConstraintModel
 from repro.mining.correlation_miner import CorrelationRuleSet
@@ -88,6 +105,21 @@ UNEXPLAINED_SUBLOC_PENALTY = -4.5
 #: briefly after the occupant walks out of a 15 s window).
 UNEXPLAINED_ROOM_PENALTY = -2.5
 
+#: A range of at least this many steps on a per-user grid of at most
+#: :data:`STACKED_MAX_CELLS` cells (``max_states_per_user ** N``) is built
+#: in stacked passes by :meth:`_NChainTrellis.prepare`; anything else one
+#: step at a time.  Measured on perfbench's pair and trio corpora (2-vCPU
+#: host, best of 5), against the one-step build: pairs at their cap of 36
+#: (1,296 cells) ran 0.35x in ranges of 2 steps, 0.9x at 8, 1.2x at 12,
+#: 1.4x at 16 and 2.1x over whole 120-step sessions; trios at 24 (13,824
+#: padded cells against about 5,900 real ones) ran 0.3x-0.4x at every
+#: range length.  So offline pair decode is stacked, while one-step pushes,
+#: short ``push_many`` bursts and every trio or quad range are not.
+STACKED_MIN_STEPS = 16
+STACKED_MAX_CELLS = 4096
+#: Padded grid cells per chunk of a stacked build (2 MB of float64 scores).
+STACKED_CHUNK_CELLS = 1 << 18
+
 #: A joint piece's encoding ``(grids, m, l)`` (see :class:`_NChainTrellis`).
 JointEnc = Tuple[np.ndarray, Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]
 
@@ -101,6 +133,21 @@ def best_first(scores: np.ndarray, cap: int) -> np.ndarray:
     kept = (scores > v).nonzero()[0]
     kept = np.concatenate((kept, (scores == v).nonzero()[0][: cap - kept.size]))
     return kept[np.argsort(-scores[kept], kind="stable")]
+
+
+def best_first_rows(scores: np.ndarray, keep: np.ndarray, cap: int) -> np.ndarray:
+    """(R, cap) column indices: row r's :func:`best_first` over the cells
+    ``keep[r]`` selects, which must number more than *cap*: the *cap*
+    highest kept scores, descending, ties to the lowest column."""
+    scores = np.where(keep, scores, -np.inf)
+    k = scores.shape[1] - cap
+    v = np.partition(scores, k, axis=1)[:, k : k + 1]
+    top = scores > v
+    tie = keep & (scores == v)
+    top |= tie & (np.cumsum(tie, axis=1) <= cap - np.count_nonzero(top, axis=1)[:, None])
+    cells = top.nonzero()[1].reshape(-1, cap)
+    order = np.argsort(-np.take_along_axis(scores, cells, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cells, order, axis=1)
 
 
 @dataclass
@@ -153,19 +200,29 @@ class NChainHdbn:
         # macro_end_prob is counted per step, so it already reflects the
         # blocking constraint (macro segments end only at micro boundaries);
         # multiplying in micro_end_prob again would double-count.
-        self._p_change = np.clip(cm.macro_end_prob, MIN_CHANGE_PROB, 0.5)
+        p_change = np.clip(cm.macro_end_prob, MIN_CHANGE_PROB, 0.5)
         # Off-diagonal renormalised coupled transition: given a change
         # happens, where does the macro go (conditioned on the partner)?
         coupled = cm.macro_trans_coupled.copy()
         n_m = cm.n_macro
         coupled[np.arange(n_m), :, np.arange(n_m)] = 0.0
         row = coupled.sum(axis=2, keepdims=True)
-        self._change_trans = coupled / np.maximum(row, _TINY)
+        change_trans = coupled / np.maximum(row, _TINY)
         self._log_subloc_prior = np.log(cm.subloc_prior + _TINY)
-        self._subloc_trans = cm.subloc_trans
-        self._micro_end = cm.micro_end_prob
+        # Row i of the cover table is the (L,) mask of the sub-locations
+        # that explain fired area i: a known sub-location, then a known
+        # room; the last row, explaining nothing, stands for any other.
+        room_of_l = self.builder.room_of_l
+        rooms = sorted(set(room_of_l))
+        self._cover_table = np.vstack([
+            np.eye(len(room_of_l), dtype=bool),
+            [room_of_l == r for r in rooms],
+            np.zeros((1, len(room_of_l)), dtype=bool),
+        ])
+        self._area_ids = {("subloc", f): i for i, f in enumerate(cm.subloc_index.labels)}
+        self._area_ids.update({("room", r): len(room_of_l) + i for i, r in enumerate(rooms)})
         self._macro_block_table, self._loc_block_table = build_transition_tables(
-            self._p_change, self._change_trans, self._micro_end, self._subloc_trans
+            p_change, change_trans, cm.micro_end_prob, cm.subloc_trans
         )
 
     # -- training -----------------------------------------------------------------
@@ -222,21 +279,12 @@ class NChainHdbn:
                 mask[...] = True
 
         # Joint explaining-away over all chains: a fired area is unexplained
-        # where every chain's candidate misses it (a sub-location the model
-        # does not know is missed by all).
-        if step.sublocs_fired:
-            index = self.constraint_model.subloc_index
-            codes = [index.index(f) if f in index else -1 for f in step.sublocs_fired]
-            misses = [[c.l != f for c in per_user] for f in codes]
-            penalty = UNEXPLAINED_SUBLOC_PENALTY
-        else:
-            room_of_l = self.builder.room_of_l
-            misses = [[room_of_l[c.l] != r for c in per_user] for r in step.rooms_fired]
-            penalty = UNEXPLAINED_ROOM_PENALTY
-        for per_chain in misses:
+        # where every chain's candidate misses it.
+        ids, penalty = self._fired_areas(step)
+        for cover in self._cover_table[ids]:
             unexplained = True
-            for miss, v in zip(per_chain, on_axis):
-                unexplained = unexplained & miss.reshape(v)
+            for c, v in zip(per_user, on_axis):
+                unexplained = unexplained & ~cover[c.l].reshape(v)
             scores += np.where(unexplained, penalty, 0.0)
 
         flat = mask.ravel().nonzero()[0]
@@ -250,6 +298,109 @@ class NChainHdbn:
             flat = flat[top]
             scores = scores[top]
         return np.array(np.unravel_index(flat, shape)), scores
+
+    def _fired_areas(self, step) -> Tuple[List[int], float]:
+        """Cover-table rows of the areas that fired at *step* -- its fired
+        sub-locations, or its fired rooms when no sub-location fired -- and
+        the log cost of leaving one of them unexplained."""
+        none = len(self._cover_table) - 1
+        if step.sublocs_fired:
+            ids = [self._area_ids.get(("subloc", f), none) for f in step.sublocs_fired]
+            return ids, UNEXPLAINED_SUBLOC_PENALTY
+        ids = [self._area_ids.get(("room", r), none) for r in step.rooms_fired]
+        return ids, UNEXPLAINED_ROOM_PENALTY
+
+    def _joint_candidates_stacked(
+        self,
+        seq: LabeledSequence,
+        t0: int,
+        per_user: List[StackedCandidates],
+        kern: SequenceKernel,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_joint_candidates` for every step of a
+        :class:`StackedCandidates` range, in stacked passes on the padded
+        grid ``S x K_0 x ... x K_{N-1}``.
+
+        Returns ``(grids, scores, ends, pruned, capped)``: step ``t0 + s``
+        has the ``(N, J)`` index rows ``grids[:, ends[s]:ends[s + 1]]`` and
+        the scores ``scores[ends[s]:ends[s + 1]]``, and removed
+        ``pruned[s]`` / ``capped[s]`` joint states.  Every term is added to
+        the real cells in the one-step order; padded cells never survive.
+        C-order over the padded grid keeps each step's real cells in their
+        one-step order, so the survivors of an uncapped step come out in
+        that order, and a capped step's best cells in :func:`best_first`'s
+        (:func:`best_first_rows`), ties to the lowest flat index."""
+        n = len(per_user)
+        n_steps = per_user[0].m.shape[0]
+        shape = (n_steps,) + tuple(c.m.shape[1] for c in per_user)
+        ones = (1,) * n
+        on_axis = [(n_steps,) + ones[:u] + (k,) + ones[u + 1:] for u, k in enumerate(shape[1:])]
+        scores = sum(c.emissions.reshape(v) for c, v in zip(per_user, on_axis))
+        valid = np.ones(shape, dtype=bool)
+        for c, v in zip(per_user, on_axis):
+            valid &= c.valid().reshape(v)
+        mask = valid
+        pruned = np.zeros(n_steps, dtype=int)
+        if self._cross_pruner is not None:
+            ambs = [kern.step_items(t) for t in range(t0, t0 + n_steps)]
+            mask = valid.copy()
+            for a in range(n):
+                for b in range(a + 1, n):
+                    ab = on_axis[a][: a + 2] + ones[a + 1 : b] + on_axis[b][b + 1 :]
+                    mask &= self._cross_pruner.keep_rows(ambs, per_user[a], per_user[b]).reshape(ab)
+            # As one step: count only removed states, and keep them all
+            # when every one fails the rules.
+            kept = np.count_nonzero(mask.reshape(n_steps, -1), axis=1)
+            some = kept > 0
+            pruned[some] = np.prod([c.n for c in per_user], axis=0)[some] - kept[some]
+            mask[~some] = valid[~some]
+
+        # Joint explaining-away: each step's fired areas, padded to the
+        # range's most; a padded area adds nothing.
+        fired = [self._fired_areas(seq.steps[t]) for t in range(t0, t0 + n_steps)]
+        n_areas = max(len(ids) for ids, _ in fired)
+        if n_areas:
+            lead = (n_steps,) + ones
+            has = np.arange(n_areas) < np.array([len(ids) for ids, _ in fired])[:, None]
+            ids = np.full(has.shape, len(self._cover_table) - 1)
+            ids[has] = [i for area_ids, _ in fired for i in area_ids]
+            cover = self._cover_table[ids]
+            penalty = np.array([p for _, p in fired]).reshape(lead)
+            for f in range(n_areas):
+                unexplained = True
+                for c, v in zip(per_user, on_axis):
+                    miss = ~np.take_along_axis(cover[:, f], c.l, axis=1)
+                    unexplained = unexplained & miss.reshape(v)
+                np.add(
+                    scores, np.where(unexplained, penalty, 0.0), out=scores,
+                    where=has[:, f].reshape(lead),
+                )
+
+        flat_mask = mask.reshape(n_steps, -1)
+        flat_scores = scores.reshape(n_steps, -1)
+        survivors = np.count_nonzero(flat_mask, axis=1)
+        cap = self.max_joint_states
+        if self.rule_set is not None:
+            cap = min(cap, self.max_joint_states_pruned)
+        capped = np.maximum(survivors - cap, 0)
+        over = capped > 0
+        kept = survivors - capped
+        if over.any():
+            best = best_first_rows(flat_scores[over], flat_mask[over], cap)
+            flat_mask[over] = False
+        step_of, cell = flat_mask.nonzero()
+        if over.any():
+            # Splice each capped step's best cells in among the others.
+            fill = np.arange(kept.max()) < kept[:, None]
+            padded = np.zeros(fill.shape, dtype=cell.dtype)
+            padded[fill & ~over[:, None]] = cell
+            padded[over, :cap] = best
+            cell = padded[fill]
+            step_of = np.repeat(np.arange(n_steps), kept)
+        scores = flat_scores[step_of, cell]
+        ends = np.concatenate(([0], np.cumsum(kept)))
+        grids = np.array(np.unravel_index(cell, shape[1:]))
+        return grids, scores, ends, pruned, capped
 
     def _transition_block(self, prev: JointEnc, cur: JointEnc) -> np.ndarray:
         """(P, C) joint log transition; chain i conditions on chain
@@ -349,16 +500,66 @@ class _NChainTrellis:
         self.stats = stats
         self.macro_index = model.constraint_model.macro_index
         self._kern = SequenceKernel(model, seq, rids)
+        #: Pieces built by :meth:`build_range` and not yet handed out:
+        #: step -> (piece, pruned, capped joint states).
+        self._ready: Dict[int, Tuple[TrellisPiece, int, int]] = {}
 
     def prepare(self, t0: int, t1: int) -> None:
         """Batch-build the per-sequence evidence tables for ``[t0, t1)``
-        ahead of the per-step ``piece`` calls."""
+        ahead of the per-step ``piece`` calls, and, when the range has at
+        least :data:`STACKED_MIN_STEPS` steps and the per-user grid at most
+        :data:`STACKED_MAX_CELLS` cells, every step's piece in stacked
+        passes (:meth:`build_range`)."""
         self._kern.ensure(t0, t1)
+        t1 = min(t1, len(self.seq.steps))
+        cells = self.model.max_states_per_user ** len(self.rids)
+        if t1 - t0 >= STACKED_MIN_STEPS and cells <= STACKED_MAX_CELLS:
+            self.build_range(t0, t1)
+
+    def build_range(self, t0: int, t1: int, chunk_cells: int = STACKED_CHUNK_CELLS) -> None:
+        """Build the pieces of steps ``[t0, t1)`` in stacked passes over a
+        leading step axis: each resident's candidates in one
+        :func:`~repro.core.chdbn.build_candidate_set` call, then the joint
+        candidates in chunks of at most *chunk_cells* padded grid cells
+        (at least one step each).  :meth:`piece` hands each one out once;
+        every value equals the one-step build's."""
+        model, seq, kern = self.model, self.seq, self._kern
+        kern.ensure(t0, t1)
+        per_user = [build_candidate_set(model, seq, rid, t0, kern, t1) for rid in self.rids]
+        cells = int(np.prod([c.m.shape[1] for c in per_user]))
+        size = max(1, chunk_cells // cells)
+        for a in range(0, t1 - t0, size):
+            chunk = [c.rows(a, a + size) for c in per_user]
+            grids, scores, ends, pruned, capped = model._joint_candidates_stacked(
+                seq, t0 + a, chunk, kern
+            )
+            for s in range(len(ends) - 1):
+                lo, hi = ends[s], ends[s + 1]
+                enc = (
+                    grids[:, lo:hi],
+                    tuple(c.m[s, : c.n[s]] for c in chunk),
+                    tuple(c.l[s, : c.n[s]] for c in chunk),
+                )
+                self._ready[t0 + a + s] = (
+                    TrellisPiece(scores=scores[lo:hi], enc=enc), int(pruned[s]), int(capped[s])
+                )
 
     def release(self, t: int) -> None:
+        """Drop the evidence tables below step *t*, and the prebuilt
+        pieces no one asked for."""
         self._kern.release(t)
+        for k in [k for k in self._ready if k < t]:
+            del self._ready[k]
 
     def piece(self, t: int) -> TrellisPiece:
+        """Step *t*'s piece: the prebuilt one, whose pruned and capped
+        joint states are counted now, or a one-step build."""
+        ready = self._ready.pop(t, None)
+        if ready is not None:
+            piece, pruned, capped = ready
+            self.stats.pruned_joint_states += pruned
+            self.stats.capped_joint_states += capped
+            return piece
         model, seq, rids, kern = self.model, self.seq, self.rids, self._kern
         kern.ensure(0, t + 1)
         per_user = [build_candidate_set(model, seq, rid, t, kern) for rid in rids]

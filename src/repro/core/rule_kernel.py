@@ -295,6 +295,14 @@ class SingleRulePruner:
         single-user rules."""
         return self._grid_keep(amb, obs)[m * self._n_loc + l]
 
+    def keep_rows(
+        self, m: np.ndarray, l: np.ndarray, obs: List[ResidentObservation], ambs: List[StepItems]
+    ) -> np.ndarray:
+        """(S, K) :meth:`keep` of padded candidate rows, one per step, as a
+        single gather from the steps' stacked grid masks."""
+        grids = np.stack([self._grid_keep(amb, o) for amb, o in zip(ambs, obs)])
+        return np.take_along_axis(grids, m * self._n_loc + l, axis=1)
+
 
 class CrossRulePruner:
     """Cross-user rule pruning as one gated matmul per step.
@@ -379,3 +387,15 @@ class CrossRulePruner:
         rows2 = self._table2[c2.m * self._n_loc + c2.l]
         hits = (rows1 * self._gates(amb, c1.obs, c2.obs)) @ rows2.T
         return hits == 0.0
+
+    def keep_rows(self, ambs: List[StepItems], c1, c2) -> np.ndarray:
+        """(S, K1, K2) :meth:`keep` of every step of two
+        :class:`~repro.core.state_space.StackedCandidates`, as one batched
+        gated matmul.  Every product counts whole rules, so its sums are
+        exact in any order and each step's mask equals the one-step one."""
+        gates = np.stack(
+            [self._gates(amb, o1, o2) for amb, o1, o2 in zip(ambs, c1.obs, c2.obs)]
+        )
+        rows1 = self._table1[c1.m * self._n_loc + c1.l] * gates[:, None, :]
+        rows2 = self._table2[c2.m * self._n_loc + c2.l]
+        return rows1 @ rows2.transpose(0, 2, 1) == 0.0

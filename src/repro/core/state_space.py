@@ -13,7 +13,9 @@ pruners of :mod:`repro.core.rule_kernel`, which read the same codes.
 Hot-path support: candidate lists depend only on the fused sub-location
 candidate set, so the builder memoises them per candidate tuple as dense
 ``(macro, subloc)`` index arrays.  Downstream code (emissions, pruning,
-trellis assembly) indexes those arrays; no label string is built.  The
+trellis assembly) indexes those arrays; no label string is built.  A
+range of steps is built as one :class:`StackedCandidates`, every step's
+lists padded onto a leading step axis.  The
 labelled states and item sets of the seed live in ``tests/decode_spec.py``.
 """
 
@@ -59,6 +61,40 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.m)
+
+
+@dataclass
+class StackedCandidates:
+    """One resident's candidates over a range of steps, stacked on a
+    leading step axis.
+
+    Row ``s`` holds step ``t0 + s``: its first ``n[s]`` entries of ``m``,
+    ``l`` and ``emissions`` are that step's :class:`CandidateSet`, in the
+    same order; the rest is padding (code 0, a score nobody reads) up to
+    the range's longest list.  ``len`` counts the real candidates of every
+    step.
+    """
+
+    m: np.ndarray
+    l: np.ndarray
+    emissions: np.ndarray
+    n: np.ndarray
+    obs: List[ResidentObservation]
+
+    def __len__(self) -> int:
+        return int(self.n.sum())
+
+    def valid(self) -> np.ndarray:
+        """(S, K) mask of the real entries."""
+        return np.arange(self.m.shape[1]) < self.n[:, None]
+
+    def rows(self, a: int, b: int) -> "StackedCandidates":
+        """Steps ``a..b-1`` of the stack, padded to their own longest list."""
+        n = self.n[a:b]
+        k = int(n.max())
+        return StackedCandidates(
+            self.m[a:b, :k], self.l[a:b, :k], self.emissions[a:b, :k], n, self.obs[a:b]
+        )
 
 
 @dataclass

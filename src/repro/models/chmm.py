@@ -124,15 +124,22 @@ class CoupledHmm:
     # -- inference ----------------------------------------------------------------
 
     def _user_log_emissions(self, seq: LabeledSequence, rid: str) -> np.ndarray:
-        """(T, M) per-user emission scores."""
+        """(T, M) per-user emission scores.  A step whose feature vector
+        is empty or holds a NaN gets a zero Gaussian row (no evidence), as
+        under NH and the HDBN family's kernel."""
         n_m = len(self.macro_index)
-        feats = step_features(seq, rid)[:, PHONE_FEATURE_DIMS]
+        feats = [np.asarray(step.observations[rid].features, dtype=float) for step in seq.steps]
+        ok = [t for t, x in enumerate(feats) if x.size and not np.isnan(x).any()]
         postures = observed_postures(seq, rid)
         candidates = subloc_candidates(seq, rid)
         log_post = np.log(self.posture_cpt_)
         log_loc = np.log(self.subloc_cpt_)
-        # The Gaussian channel for every step at once; the loop adds the rest.
-        out = self.emission_.log_pdf_rows(range(n_m), feats)
+        # The Gaussian channel for every usable step at once; the loop adds
+        # the rest.
+        out = np.zeros((len(seq), n_m))
+        if ok:
+            rows = np.stack([feats[t] for t in ok])[:, PHONE_FEATURE_DIMS]
+            out[ok] = self.emission_.log_pdf_rows(range(n_m), rows)
         for t in range(len(seq)):
             p_idx = self.posture_index.index(postures[t])
             obs = seq.steps[t].observations[rid]

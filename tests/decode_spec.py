@@ -39,7 +39,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.api import DecodeStats, TrellisPiece
-from repro.core.chdbn import GmmBank
+from repro.core.chdbn import MIN_CHANGE_PROB, GmmBank
 from repro.core.emissions import ObjectEvidenceTable
 from repro.core.kernels import PIR_MISS_PENALTY, _lse, macro_argmax, macro_marginals, posterior
 from repro.core.loosely_coupled import (
@@ -251,6 +251,28 @@ def reference_user_state_emissions(
 # -- candidates, pruning and transitions ----------------------------------------
 
 
+#: Each constraint model's seed transition parameters, by id (the model
+#: is held, so its id is not reused while cached).
+_CHAIN_PARAMS: Dict[int, tuple] = {}
+
+
+def chain_params(cm) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(p_change, change_trans, micro_end, subloc_trans)`` of the seed's
+    coupled chain, derived from the constraint model *cm* as the seed did:
+    the clipped per-step macro change probability and the off-diagonal
+    renormalised coupled macro transition."""
+    hit = _CHAIN_PARAMS.get(id(cm))
+    if hit is None or hit[0] is not cm:
+        p_change = np.clip(cm.macro_end_prob, MIN_CHANGE_PROB, 0.5)
+        coupled = cm.macro_trans_coupled.copy()
+        n_m = cm.n_macro
+        coupled[np.arange(n_m), :, np.arange(n_m)] = 0.0
+        change_trans = coupled / np.maximum(coupled.sum(axis=2, keepdims=True), _TINY)
+        hit = (cm, (p_change, change_trans, cm.micro_end_prob, cm.subloc_trans))
+        _CHAIN_PARAMS[id(cm)] = hit
+    return hit[1]
+
+
 def reference_chain_block(
     model,
     m_prev: np.ndarray,
@@ -260,22 +282,20 @@ def reference_chain_block(
     l_cur: np.ndarray,
 ) -> np.ndarray:
     """Seed per-step coupled chain block (transcendentals on every call)."""
+    p_change, change_trans, micro_end, subloc_trans = chain_params(model.constraint_model)
     same = m_prev[:, None] == m_cur[None, :]
-    log_stay = np.log1p(-model._p_change[m_prev])[:, None]
+    log_stay = np.log1p(-p_change[m_prev])[:, None]
     log_change = (
-        np.log(model._p_change[m_prev])[:, None]
-        + np.log(
-            model._change_trans[m_prev[:, None], partner_prev[:, None], m_cur[None, :]]
-            + _TINY
-        )
+        np.log(p_change[m_prev])[:, None]
+        + np.log(change_trans[m_prev[:, None], partner_prev[:, None], m_cur[None, :]] + _TINY)
     )
     macro_term = np.where(same, log_stay, log_change)
 
-    micro_end = model._micro_end[m_cur][None, :]
+    micro_end = micro_end[m_cur][None, :]
     same_loc = l_prev[:, None] == l_cur[None, :]
     cont = np.log(
         (1.0 - micro_end) * same_loc
-        + micro_end * model._subloc_trans[m_cur[None, :], l_prev[:, None], l_cur[None, :]]
+        + micro_end * subloc_trans[m_cur[None, :], l_prev[:, None], l_cur[None, :]]
         + _TINY
     )
     reset = model._log_subloc_prior[m_cur, l_cur][None, :]

@@ -63,6 +63,14 @@ class TestPrunedCountAccounting:
                 (len(c1), len(c2)), dtype=bool
             ),
         )
+        # A multi-step decode builds its steps' masks in one stacked call.
+        monkeypatch.setattr(
+            CrossRulePruner,
+            "keep_rows",
+            lambda self, ambs, c1, c2: np.zeros(
+                c1.m.shape + c2.m.shape[1:], dtype=bool
+            ),
+        )
         stats = DecodeStats()
         fitted.decode(seq, stats)
         assert stats.pruned_joint_states == 0

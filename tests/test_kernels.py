@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.api import DecodeStats
 from repro.core.chdbn import GmmBank, _MacroGmm, build_candidate_set
 from repro.core.hdbn import SingleUserHdbn
-from repro.core import kernels
+from repro.core import kernels, loosely_coupled
 from repro.core.kernels import SequenceKernel, linear_block, macro_argmax, viterbi_path
 from repro.core.loosely_coupled import PAIR_CAPS, NChainHdbn, joint_codes
 from repro.core.rule_kernel import CrossRulePruner, StepItems
@@ -31,6 +31,7 @@ from repro.datasets import generate_cace_dataset, train_test_split
 from repro.datasets.trace import ContextStep, ResidentObservation
 from repro.mining import ConstraintMiner, CorrelationMiner
 from repro.models import CoupledHmm, FactorialCrf, GaussianEmission, MacroHmm
+from repro.models.chmm import PHONE_FEATURE_DIMS
 from repro.models.inputs import step_features
 from repro.serve import SessionRouter
 
@@ -427,6 +428,179 @@ def test_joint_candidates_match_reference(
     assert "pruned" not in seen and "capped" in seen
 
 
+# ---------------------------------------------------------------------------
+# a range's pieces built in stacked passes == one step at a time
+# ---------------------------------------------------------------------------
+
+
+def _tie_emissions(mp):
+    """Floor every candidate emission to whole nats, one step or a range
+    at a time, so scores tie at the per-user and at the joint cap."""
+    one, rows = SequenceKernel.emissions, SequenceKernel.emission_rows
+    mp.setattr(SequenceKernel, "emissions", lambda self, *a: np.floor(one(self, *a)))
+    mp.setattr(SequenceKernel, "emission_rows", lambda self, *a: np.floor(rows(self, *a)))
+
+
+def _rules_reject_even_rooms(mp, seen=None):
+    """Every joint state fails the cross rules on steps with an even number
+    of fired rooms (steps are told apart by content, one step or a range
+    at a time); *seen* counts the one-step masks emptied."""
+    one, rows = CrossRulePruner.keep, CrossRulePruner.keep_rows
+
+    def keep(self, amb, c1, c2):
+        out = one(self, amb, c1, c2)
+        if len(amb.rooms) % 2 == 0:
+            out[...] = False
+            if seen is not None:
+                seen["all_fail"] = seen.get("all_fail", 0) + 1
+        return out
+
+    def keep_rows(self, ambs, c1, c2):
+        out = rows(self, ambs, c1, c2)
+        out[[len(amb.rooms) % 2 == 0 for amb in ambs]] = False
+        return out
+
+    mp.setattr(CrossRulePruner, "keep", keep)
+    mp.setattr(CrossRulePruner, "keep_rows", keep_rows)
+
+
+def _pieces(model, seq, t0, t1, chunk_cells=None):
+    """Pieces of steps ``[t0, t1)`` and the stats they counted: one step at
+    a time, or (given *chunk_cells*) from one stacked ``build_range``."""
+    stats = DecodeStats()
+    sess = model.trellis_sessions(seq, stats)[0]
+    if chunk_cells is not None:
+        sess.build_range(t0, t1, chunk_cells)
+        assert sorted(sess._ready) == list(range(t0, t1))
+    pieces = [sess.piece(t) for t in range(t0, t1)]
+    assert not sess._ready
+    return pieces, stats
+
+
+def _assert_same_pieces(got, want):
+    for p, q in zip(got, want, strict=True):
+        assert p.scores.dtype == q.scores.dtype and np.array_equal(p.scores, q.scores)
+        assert np.array_equal(p.enc[0], q.enc[0])
+        for mine, theirs in zip(p.enc[1:], q.enc[1:]):
+            assert all(np.array_equal(a, b) for a, b in zip(mine, theirs, strict=True))
+
+
+def _assert_same_candidates(model, seq, t0, t1):
+    """Each resident's stacked candidates hold every step's one-step
+    candidate set, in order."""
+    kern = SequenceKernel(model, seq, seq.resident_ids)
+    kern.ensure(0, t1)
+    for rid in seq.resident_ids:
+        stacked = build_candidate_set(model, seq, rid, t0, kern, t1)
+        singles = [build_candidate_set(model, seq, rid, t, kern) for t in range(t0, t1)]
+        assert len(stacked) == sum(map(len, singles))
+        for s, c in enumerate(singles):
+            n = stacked.n[s]
+            assert n == len(c) and stacked.obs[s] is c.obs
+            assert np.array_equal(stacked.m[s, :n], c.m)
+            assert np.array_equal(stacked.l[s, :n], c.l)
+            assert np.array_equal(stacked.emissions[s, :n], c.emissions)
+
+
+@pytest.fixture(scope="module")
+def stacked_cases(pair_models, cace_split, nchain_setup, quad_setup):
+    """A rule-pruned model and a session with area-motion evidence per
+    resident count; trios and quads reach the stacked build only when it
+    is called directly."""
+    class Cases(dict):
+        def __repr__(self) -> str:
+            return "stacked_cases"
+
+    return Cases({
+        "pair": (pair_models["c2"], _area_motion(cace_split[1].sequences[0])),
+        "trio": (nchain_setup[0], _area_motion(nchain_setup[2].sequences[0])),
+        "quad": (quad_setup[0], _area_motion(quad_setup[2].sequences[0])),
+    })
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_stacked_build_equals_per_step(stacked_cases, data):
+    """Random ranges and chunk splits on pair, trio and quad sessions: the
+    stacked build gives every step the one-step build's joint index rows,
+    per-user codes and scores, and counts the same DecodeStats; also with
+    tied emissions and with steps whose joint states all fail the rules."""
+    model, seq = stacked_cases[data.draw(st.sampled_from(sorted(stacked_cases)))]
+    t0 = data.draw(st.integers(0, len(seq) - 1))
+    t1 = data.draw(st.integers(t0 + 1, min(len(seq), t0 + 24)))
+    cells = model.max_states_per_user ** len(seq.resident_ids)
+    chunk_cells = data.draw(st.integers(1, 4 * cells))
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):
+            _tie_emissions(mp)
+        if data.draw(st.booleans()):
+            _rules_reject_even_rooms(mp)
+        _assert_same_candidates(model, seq, t0, t1)
+        got, got_stats = _pieces(model, seq, t0, t1, chunk_cells)
+        want, want_stats = _pieces(model, seq, t0, t1)
+    _assert_same_pieces(got, want)
+    assert got_stats == want_stats
+
+
+@pytest.mark.parametrize("case", ["pair", "trio", "quad"])
+def test_stacked_build_meets_its_edge_cases(case, stacked_cases, monkeypatch):
+    """A whole session in stacked chunks of a few steps equals the one-step
+    build with tied emissions and some steps rejected by every rule; the
+    session has ties across the joint cap and steps whose joint states all
+    fail the rules."""
+    model, seq = stacked_cases[case]
+    seen = {}
+    _tie_emissions(monkeypatch)
+    _rules_reject_even_rooms(monkeypatch, seen)
+    one = loosely_coupled.best_first
+
+    def recording(scores, cap):
+        kept = one(scores, cap)
+        if np.count_nonzero(scores >= scores[kept[-1]]) > cap:
+            seen["tie_at_cap"] = seen.get("tie_at_cap", 0) + 1
+        return kept
+
+    monkeypatch.setattr(loosely_coupled, "best_first", recording)
+    cells = model.max_states_per_user ** len(seq.resident_ids)
+    got, got_stats = _pieces(model, seq, 0, len(seq), 3 * cells)
+    want, want_stats = _pieces(model, seq, 0, len(seq))
+    _assert_same_pieces(got, want)
+    assert got_stats == want_stats
+    assert seen.get("tie_at_cap") and seen.get("all_fail")
+
+
+def test_release_drops_prebuilt_pieces_below_it(stacked_cases):
+    """Prebuilt pieces are handed out once, and ``release(t)`` drops the
+    ones below step t that were never asked for."""
+    model, seq = stacked_cases["pair"]
+    sess = model.trellis_sessions(seq)[0]
+    sess.build_range(0, 20)
+    for t in range(5):
+        sess.piece(t)
+    assert sorted(sess._ready) == list(range(5, 20))
+    sess.release(10)
+    assert sorted(sess._ready) == list(range(10, 20))
+
+
+def test_only_long_pair_ranges_are_stacked(stacked_cases, monkeypatch):
+    """``prepare`` stacks a pair range of ``STACKED_MIN_STEPS`` steps or
+    more; shorter ranges and every trio or quad range are built one step
+    at a time."""
+    built = []
+    monkeypatch.setattr(
+        loosely_coupled._NChainTrellis, "build_range",
+        lambda self, t0, t1, *a: built.append((len(self.rids), t0, t1)),
+    )
+    short = loosely_coupled.STACKED_MIN_STEPS - 1
+    for case in ("pair", "trio", "quad"):
+        model, seq = stacked_cases[case]
+        sess = model.trellis_sessions(seq)[0]
+        sess.prepare(0, 1)
+        sess.prepare(1, 1 + short)
+        sess.prepare(1 + short, len(seq) + 10)
+    assert built == [(2, 1 + short, len(stacked_cases["pair"][1]))]
+
+
 def _rule_vocab(model, attr, *extra):
     """Every value of *attr* the model's rules mention, plus *extra*."""
     rules = model.rule_set
@@ -550,6 +724,47 @@ def test_nh_steps_without_features_add_no_evidence(baselines, cace_split):
         log_e[empty | nan] = 0.0
         path, _ = viterbi_decode(np.log(model.prior_), np.log(model.trans_), log_e)
         assert pred[rid] == [model.macro_index.label(i) for i in path]
+
+
+def test_chmm_steps_without_features_add_no_evidence():
+    """CHMM gives a step whose features hold a NaN or are empty a zero
+    Gaussian row, as nh does: every other row is unchanged, the step keeps
+    its posture and location terms, and the labels are the dense spec's
+    Viterbi over those rows (a NaN once rewrote most of a session's labels,
+    and empty features raised)."""
+    dataset = generate_cace_dataset(n_homes=1, sessions_per_home=3, duration_s=900, seed=5)
+    train, test = train_test_split(dataset, 0.67, seed=1)
+    model = CoupledHmm().fit(train)
+    seq = test.sequences[0]
+    rids = seq.resident_ids[:2]
+    n_m = len(model.macro_index)
+
+    def at_step_10(features):
+        step = seq.steps[10]
+        obs = {rid: dataclasses.replace(o, features=features(o))
+               for rid, o in step.observations.items()}
+        steps = list(seq.steps)
+        steps[10] = dataclasses.replace(step, observations=obs)
+        return dataclasses.replace(seq, steps=steps)
+
+    others = np.arange(len(seq)) != 10
+    for bad in (
+        at_step_10(lambda o: tuple(float("nan") for _ in o.features)),
+        at_step_10(lambda o: ()),
+    ):
+        for rid in rids:
+            clean = model._user_log_emissions(seq, rid)
+            rows = model._user_log_emissions(bad, rid)
+            assert np.array_equal(rows[others], clean[others])
+            gauss = model.emission_.log_pdf_rows(
+                range(n_m), step_features(seq, rid)[10:11, PHONE_FEATURE_DIMS]
+            )[0]
+            assert np.allclose(rows[10], clean[10] - gauss, rtol=0, atol=1e-9)
+        path, _ = viterbi_decode(*model._joint_pieces(bad, rids))
+        states = np.unravel_index(path, (n_m, n_m))
+        assert model.predict(bad) == {
+            rid: [model.macro_index.label(i) for i in chain] for rid, chain in zip(rids, states)
+        }
 
 
 def test_fcrf_training_matches_dense_spec(cace_split, monkeypatch):
@@ -747,9 +962,10 @@ def _fail_once(fn, on_call: int):
     return wrapped
 
 
-def _stream(model, seq, inject=None):
+def _stream(model, seq, inject=None, burst=None):
     """Committed labels and stats of streaming *seq* at lag 4, retrying
-    once any push the injected fault made raise."""
+    once any push the injected fault made raise; given *burst*, each run
+    of that many steps is bulk-prepared before its pushes."""
     smoother = OnlineSmoother(model, lag=4)
     smoother.start(seq)
     faults = 0
@@ -757,6 +973,8 @@ def _stream(model, seq, inject=None):
         inject(smoother._sessions)
     committed = []
     for t in range(len(seq)):
+        if burst is not None and t % burst == 0:
+            smoother.prepare_range(t, t + burst)
         try:
             out = smoother.push(t)
         except _Fault:
@@ -794,6 +1012,59 @@ def test_failed_push_can_be_retried(family, inject, family_models):
     assert faults == 1
     assert labels == clean_labels
     assert stats == clean_stats
+
+
+@pytest.mark.parametrize("burst", [16, 30])
+def test_failed_push_after_a_stacked_burst_is_retried(burst, family_models, monkeypatch):
+    """A push whose transition raises after its prebuilt piece counted its
+    pruned and capped joint states is retried to the labels and stats of
+    a clean one-push-per-step stream: the piece is counted once."""
+    model, seq = family_models["c2_pair"]
+    seq = seq.slice(0, 30)
+    clean_labels, clean_stats, _ = _stream(model, seq)
+    built = []
+    build_range = loosely_coupled._NChainTrellis.build_range
+    monkeypatch.setattr(
+        loosely_coupled._NChainTrellis, "build_range",
+        lambda self, *a: built.append(a) or build_range(self, *a),
+    )
+    labels, stats, faults = _stream(
+        model, seq,
+        lambda ss: setattr(ss[0], "transition", _fail_once(ss[0].transition, 9)),
+        burst=burst,
+    )
+    assert built and faults == 1
+    assert labels == clean_labels
+    assert stats == clean_stats
+
+
+def test_push_many_pair_bursts_commit_what_push_does(family_models, monkeypatch):
+    """A pair session served through ``push_many`` bursts, whose pieces are
+    built in stacked passes, commits and counts what one ``push`` per step
+    does; its lag window stays at ``lag + 1`` steps or fewer, and no
+    prebuilt piece outlives its burst."""
+    model, seq = family_models["c2_pair"]
+    lag = 4
+    expected = {}
+    built = []
+    build_range = loosely_coupled._NChainTrellis.build_range
+    monkeypatch.setattr(
+        loosely_coupled._NChainTrellis, "build_range",
+        lambda self, *a: built.append(a) or build_range(self, *a),
+    )
+    for burst in (1, 20):
+        router = SessionRouter(model, lag=lag)
+        router.open_session("s", resident_ids=seq.resident_ids)
+        state = router.session("s")
+        for t in range(0, len(seq), burst):
+            router.push_many("s", list(seq.steps[t : t + burst]))
+            assert state.smoother.window <= lag + 1
+            assert not state.smoother._sessions[0]._ready
+        expected.setdefault("stats", state.stats)
+        assert state.stats == expected["stats"]
+        labels = router.close_session("s")
+        assert labels == expected.setdefault("labels", labels)
+    assert built
 
 
 # ---------------------------------------------------------------------------
