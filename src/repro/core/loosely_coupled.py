@@ -533,15 +533,19 @@ class _NChainTrellis:
             grids, scores, ends, pruned, capped = model._joint_candidates_stacked(
                 seq, t0 + a, chunk, kern
             )
+            # Each piece owns copies of its rows: a view would keep the
+            # whole chunk alive while a stream's lag window holds the piece.
             for s in range(len(ends) - 1):
                 lo, hi = ends[s], ends[s + 1]
                 enc = (
-                    grids[:, lo:hi],
-                    tuple(c.m[s, : c.n[s]] for c in chunk),
-                    tuple(c.l[s, : c.n[s]] for c in chunk),
+                    grids[:, lo:hi].copy(),
+                    tuple(c.m[s, : c.n[s]].copy() for c in chunk),
+                    tuple(c.l[s, : c.n[s]].copy() for c in chunk),
                 )
                 self._ready[t0 + a + s] = (
-                    TrellisPiece(scores=scores[lo:hi], enc=enc), int(pruned[s]), int(capped[s])
+                    TrellisPiece(scores=scores[lo:hi].copy(), enc=enc),
+                    int(pruned[s]),
+                    int(capped[s]),
                 )
 
     def release(self, t: int) -> None:
