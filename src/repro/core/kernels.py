@@ -8,14 +8,18 @@ Three layers live here:
   :func:`backward_step` are their one-step updates, which the fixed-lag
   :class:`~repro.core.smoother.OnlineSmoother` runs as well.  Viterbi
   works on the ``(P, C)`` log transition blocks.  The sum-product steps
-  work in the *scaled linear domain*: each log block is converted once
-  (:func:`linear_block`) into ``(E, shift)`` with ``shift = log_t.max()``
-  and ``E = exp(log_t - shift)``; every use of it is then one BLAS
-  mat-vec of ``E`` with ``exp(v - max(v))`` and a ``log`` of the result,
-  vector work only.  Precondition: the finite entries of a block span
-  fewer than about 700 nats, or ``E`` underflows to 0 (``-inf`` entries
-  map to an exact 0 and are fine).  Every fitted table is floored at
-  ``log(x + 1e-12)`` per term, so a block's span is bounded by the model.
+  run on *normalised linear messages*: each step's log block and that
+  step's own candidate scores are folded once (:func:`fold_block`) into
+  ``F = exp(log_t + scores - (max(log_t) + max(scores)))``, and every use
+  of it is then one BLAS mat-vec, ``alpha_prev @ F`` forward and
+  ``F @ beta_next`` backward, rescaled to max 1.  Step 0 and frame-wise
+  chains start from ``exp(v - max v)`` (:func:`normalised`).  No log,
+  exp or scale is kept per step: a posterior only normalises, so the
+  scales cancel.  Precondition: the finite entries of ``log_t + scores``
+  span fewer than about 700 nats, or ``F`` underflows to 0 (``-inf``
+  entries map to an exact 0 and are fine).  Every fitted table is floored
+  at ``log(x + 1e-12)`` per term, so a block's span is bounded by the
+  model.
   The log-domain spec of these steps is ``reference_forward_step`` /
   ``reference_backward_step`` in ``tests/decode_spec.py``.
 * **The offline driver** — :func:`decode` and :func:`posterior_marginals`
@@ -56,8 +60,7 @@ from __future__ import annotations
 
 import math
 import time
-import weakref
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,13 +76,6 @@ _MEMO_LIMIT = 8192
 #: Log penalty for hypothesising a sub-location whose room shows no PIR
 #: activity while other rooms do (PIRs miss stationary residents).
 PIR_MISS_PENALTY = -1.5
-
-
-def _lse(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Numerically stable log-sum-exp along *axis*."""
-    m = arr.max(axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    return np.squeeze(m, axis=axis) + np.log(np.exp(arr - m).sum(axis=axis))
 
 
 def viterbi_path(
@@ -121,118 +117,98 @@ def viterbi_path(
 
 
 def _finite_max(v: np.ndarray) -> float:
-    """``max(v)``, or 0 when it is not finite (as :func:`_lse` does)."""
+    """``max(v)``, or 0 when it is not finite."""
     m = float(v.max())
     return m if math.isfinite(m) else 0.0
 
 
-class LinearBlock(NamedTuple):
-    """A ``(P, C)`` log transition block in the scaled linear domain:
-    ``log_t == shift + log(E)``."""
-
-    E: np.ndarray
-    shift: float
+def normalised(v: np.ndarray) -> np.ndarray:
+    """``exp(v - max v)``: a log message as a normalised linear one (an
+    all ``-inf`` message gives zeros)."""
+    return np.exp(v - _finite_max(v))
 
 
-def linear_block(log_t: np.ndarray) -> LinearBlock:
-    """Convert a log transition block once for the sum-product steps.
+def _rescaled(v: np.ndarray) -> np.ndarray:
+    """*v* divided in place by its max; an all-zero *v* is left as is."""
+    m = v.max()
+    if m > 0:
+        v /= m
+    return v
 
-    ``E`` is C-contiguous whatever the layout of *log_t* (an N-chain block
-    is an F-ordered view): the BLAS mat-vecs of :func:`forward_step` and
-    :func:`backward_step` pick their kernel, and so their accumulation
-    order, from the layout of ``E``, and a C-contiguous ``E`` keeps every
-    alpha and beta bit-identical whichever layout the block came in.
+
+def fold_block(log_t: Optional[np.ndarray], scores: np.ndarray) -> Optional[np.ndarray]:
+    """The linear block of one step: the ``(P, C)`` log transition block
+    into it with the step's own ``(C,)`` candidate scores folded in,
+    ``exp(log_t + scores - (max(log_t) + max(scores)))`` (None: no
+    temporal coupling).
+
+    The block is C-contiguous whatever the layout of *log_t* (an N-chain
+    block is an F-ordered view): the BLAS mat-vecs of :func:`forward_step`
+    and :func:`backward_step` pick their kernel, and so their accumulation
+    order, from the layout of the block, and a C-contiguous block keeps
+    every alpha and beta bit-identical whichever layout *log_t* came in.
     """
-    shift = _finite_max(log_t)
-    E = np.subtract(log_t, shift, order="C")
-    np.exp(E, out=E)
-    return LinearBlock(E, shift)
-
-
-class LinearBlocks:
-    """One trellis session's :func:`linear_block` converter.
-
-    A session that returns the same block object at every step (a flat
-    HMM's transition matrix) has it converted once, and every step then
-    shares one linear block.  The source is held by weak reference, so a
-    freshly computed log block is still freed after its conversion.
-    """
-
-    def __init__(self) -> None:
-        self._source: Optional[weakref.ref] = None
-        self._block: Optional[LinearBlock] = None
-
-    def __call__(self, log_t: Optional[np.ndarray]) -> Optional[LinearBlock]:
-        if log_t is None:
-            return None
-        if self._source is None or self._source() is not log_t:
-            self._source = weakref.ref(log_t)
-            self._block = linear_block(log_t)
-        return self._block
+    if log_t is None:
+        return None
+    block = np.add(log_t, scores - (_finite_max(log_t) + _finite_max(scores)), order="C")
+    return np.exp(block, out=block)
 
 
 def forward_step(
-    alpha_prev: np.ndarray, block: Optional[LinearBlock], scores: np.ndarray
+    alpha_prev: np.ndarray, block: Optional[np.ndarray], scores: np.ndarray
 ) -> np.ndarray:
-    """One sum-product forward update through a :class:`LinearBlock`
-    (``block`` None: no temporal coupling, the step stands alone on its
-    own scores).  A candidate no predecessor reaches reads ``-inf``."""
+    """One sum-product forward update through a :func:`fold_block` block,
+    rescaled to max 1 (``block`` None: no temporal coupling, the step
+    stands alone on its own *scores*, which a block already holds).  A
+    candidate no predecessor reaches reads 0."""
     if block is None:
-        return scores
-    a = _finite_max(alpha_prev)
-    with np.errstate(divide="ignore"):
-        return scores + (a + block.shift) + np.log(np.exp(alpha_prev - a) @ block.E)
+        return normalised(scores)
+    return _rescaled(alpha_prev @ block)
 
 
-def backward_step(
-    beta_next: np.ndarray,
-    block: Optional[LinearBlock],
-    scores_next: np.ndarray,
-    n_cur: int,
-) -> np.ndarray:
+def backward_step(beta_next: np.ndarray, block: Optional[np.ndarray], n_cur: int) -> np.ndarray:
     """One sum-product backward update onto a step with *n_cur*
-    candidates (``block`` is the :class:`LinearBlock` into the next step;
-    None: future evidence is independent of this step)."""
+    candidates, rescaled to max 1 (``block`` is the :func:`fold_block`
+    block into the next step; None: future evidence is independent of
+    this step)."""
     if block is None:
-        return np.zeros(n_cur)
-    v = scores_next + beta_next
-    b = _finite_max(v)
-    with np.errstate(divide="ignore"):
-        return (b + block.shift) + np.log(block.E @ np.exp(v - b))
+        return np.ones(n_cur)
+    return _rescaled(block @ beta_next)
 
 
 def forward_alphas(
     initial: np.ndarray,
     per_scores: Sequence[np.ndarray],
-    blocks: Sequence[Optional[LinearBlock]],
+    blocks: Sequence[Optional[np.ndarray]],
 ) -> List[np.ndarray]:
-    """Sum-product forward recursion over a ragged candidate trellis
-    (``blocks[t]`` links steps t-1 and t; ``blocks[0]`` is unused)."""
-    alphas: List[np.ndarray] = [initial]
+    """Sum-product forward recursion over a ragged candidate trellis from
+    the step-0 log message *initial* (``blocks[t]`` is the
+    :func:`fold_block` block into step t; ``blocks[0]`` is unused)."""
+    alphas: List[np.ndarray] = [normalised(initial)]
     for t in range(1, len(per_scores)):
         alphas.append(forward_step(alphas[-1], blocks[t], per_scores[t]))
     return alphas
 
 
 def backward_betas(
-    per_scores: Sequence[np.ndarray], blocks: Sequence[Optional[LinearBlock]]
+    per_scores: Sequence[np.ndarray], blocks: Sequence[Optional[np.ndarray]]
 ) -> List[np.ndarray]:
     """Sum-product backward recursion over the blocks
     :func:`forward_alphas` runs on."""
     n = len(per_scores)
     betas: List[Optional[np.ndarray]] = [None] * n
-    betas[-1] = np.zeros(per_scores[-1].shape[0])
+    betas[-1] = np.ones(per_scores[-1].shape[0])
     for t in range(n - 2, -1, -1):
-        betas[t] = backward_step(
-            betas[t + 1], blocks[t + 1], per_scores[t + 1], per_scores[t].shape[0]
-        )
+        betas[t] = backward_step(betas[t + 1], blocks[t + 1], per_scores[t].shape[0])
     return betas
 
 
 def posterior(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Normalised posterior over one piece's candidates."""
-    log_gamma = alpha + beta
-    return np.exp(log_gamma - _lse(log_gamma, axis=0))
+    """Normalised posterior over one piece's candidates from its linear
+    forward and backward messages."""
+    gamma = alpha * beta
+    gamma /= gamma.sum()
+    return gamma
 
 
 #: Macro marginals within this of the largest are tied.  Float rounding
@@ -252,12 +228,10 @@ def macro_marginals(sess, piece: TrellisPiece, gamma: np.ndarray) -> Dict[str, n
     """Per-resident ``(M,)`` macro marginals of one piece under the
     candidate posterior *gamma*."""
     n_macro = len(sess.macro_index)
-    out: Dict[str, np.ndarray] = {}
-    for rid, codes in zip(sess.rids, sess.macros(piece)):
-        marg = np.zeros(n_macro)
-        np.add.at(marg, codes, gamma)
-        out[rid] = marg
-    return out
+    return {
+        rid: np.bincount(codes, weights=gamma, minlength=n_macro)
+        for rid, codes in zip(sess.rids, sess.macros(piece))
+    }
 
 
 # -- offline driver ------------------------------------------------------------------
@@ -327,7 +301,7 @@ def posterior_marginals(
 
     The ``posterior_marginals`` body of every recogniser family:
     forward-backward over the same pieces :func:`decode` runs on.  Each
-    transition block is built and converted once and feeds both
+    transition block is built and folded once and feeds both
     recursions, so what the call counts into *stats* is exactly the work
     :func:`decode` counts.
     """
@@ -342,13 +316,12 @@ def posterior_marginals(
         if not pieces:
             continue
         scores = [p.scores for p in pieces]
-        convert = LinearBlocks()
-        blocks: List[Optional[LinearBlock]] = [None]
+        blocks: List[Optional[np.ndarray]] = [None]
         for t in range(1, n_steps):
             log_t = sess.transition(pieces[t - 1], pieces[t])
             if log_t is not None:
                 stats.transition_entries += log_t.size
-            blocks.append(convert(log_t))
+            blocks.append(fold_block(log_t, scores[t]))
         alphas = forward_alphas(sess.initial_alpha(pieces[0]), scores, blocks)
         betas = backward_betas(scores, blocks)
         for t, piece in enumerate(pieces):

@@ -57,8 +57,8 @@ and a continue/reset table on chain ``i``'s own candidate grid, each read
 by a single-axis gather -- and row-gathered onto the joint axis.  The
 chains' terms are summed on the transposed ``(C, P)`` grid and returned
 as its F-ordered ``(P, C)`` view, whose reduced axis Viterbi reads
-contiguously; :func:`~repro.core.kernels.linear_block` converts it into a
-C-contiguous linear block for the sum-product steps.
+contiguously; :func:`~repro.core.kernels.fold_block` folds it with the
+step's scores into a C-contiguous linear block for the sum-product steps.
 """
 
 from __future__ import annotations

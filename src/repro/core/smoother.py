@@ -18,10 +18,12 @@ session; the per-user models one session per resident (frame-wise NCR
 chains have no transition and reduce to filtering).
 
 A live session holds O(lag) steps, not O(T).  Each trellis session keeps
-its newest ``lag + 1`` pieces and forward alphas and the linear blocks
-into the newest ``lag`` of them: the commit of step ``t - lag`` reads the
-blocks into steps ``t - lag + 1 … t`` only, so the block into the oldest
-kept step is dropped.  Once a push has pieced step t, the trellis sessions
+its newest ``lag + 1`` pieces and normalised forward alphas and the
+folded linear blocks (:func:`~repro.core.kernels.fold_block`) into the
+newest ``lag`` of them: the commit of step ``t - lag`` reads the blocks
+into steps ``t - lag + 1 … t`` only, so the block into the oldest kept
+step is dropped.  :meth:`OnlineSmoother.flush` commits the whole window
+on one backward pass.  Once a push has pieced step t, the trellis sessions
 release their per-step evidence tables below ``t + 1``
 (:meth:`~repro.core.api.TrellisSession.release`).  The window is trimmed
 only after every session's step staged, so a failed push can still be
@@ -45,12 +47,12 @@ import numpy as np
 
 from repro.core.api import DecodeStats, Recognizer, TrellisPiece, TrellisSession
 from repro.core.kernels import (
-    LinearBlock,
-    LinearBlocks,
     backward_step,
+    fold_block,
     forward_step,
     macro_argmax,
     macro_marginals,
+    normalised,
     posterior,
 )
 from repro.obs import runtime as obs
@@ -113,18 +115,18 @@ class OnlineSmoother:
     _alphas: List[List[np.ndarray]] = field(default_factory=list, init=False, repr=False)
     #: The lag window: ``_pieces[k][i]``, ``_alphas[k][i]`` and
     #: ``_trans[k][i]`` belong to step ``_pushed - len(_pieces[k]) + i``,
-    #: and each list holds at most ``lag + 1`` steps.  ``_trans`` holds
-    #: the transition blocks, converted to the scaled linear domain
-    #: (:class:`~repro.core.kernels.LinearBlock`) once at push time:
-    #: ``_trans[k][i]`` is the block into that step from the one before it
-    #: (None at step 0, for frame-wise chains, and for the oldest kept
-    #: step, whose block no sweep reads), so at most ``lag`` are held.
-    #: The lag-window backward sweeps reuse them instead of recomputing
-    #: them on every commit.  The log block itself is not kept.
-    _trans: List[List[Optional[LinearBlock]]] = field(
+    #: and each list holds at most ``lag + 1`` steps.  ``_alphas`` are
+    #: normalised linear messages.  ``_trans`` holds the linear blocks,
+    #: folded once at push time (:func:`~repro.core.kernels.fold_block`):
+    #: ``_trans[k][i]`` is the transition block into that step from the one
+    #: before it with that step's scores folded in (None at step 0, for
+    #: frame-wise chains, and for the oldest kept step, whose block no
+    #: sweep reads), so at most ``lag`` are held.  The lag-window backward
+    #: sweeps reuse them instead of recomputing them on every commit.  The
+    #: log block itself is not kept.
+    _trans: List[List[Optional[np.ndarray]]] = field(
         default_factory=list, init=False, repr=False
     )
-    _convert: List[LinearBlocks] = field(default_factory=list, init=False, repr=False)
     _pushed: int = field(default=0, init=False)
     _committed: int = field(default=0, init=False)
 
@@ -152,7 +154,6 @@ class OnlineSmoother:
         self._pieces = [[] for _ in sessions]
         self._alphas = [[] for _ in sessions]
         self._trans = [[] for _ in sessions]
-        self._convert = [LinearBlocks() for _ in sessions]
         self._pushed = 0
         self._committed = 0
         reg = self.metrics if self.metrics is not None else obs.registry_if_enabled()
@@ -206,7 +207,7 @@ class OnlineSmoother:
                 ins.steps.inc()
                 ins.push_seconds.observe(time.perf_counter() - t_push)
             return None
-        labels = self._smooth_at(commit_t, t)
+        (labels,) = self._smooth(commit_t, commit_t + 1)
         self._committed = commit_t + 1
         if ins is not None:
             ins.steps.inc()
@@ -215,14 +216,14 @@ class OnlineSmoother:
 
     def _advance(
         self, k: int, sess: TrellisSession, t: int
-    ) -> Tuple[TrellisPiece, Optional[LinearBlock], np.ndarray, int]:
-        """Session *k*'s step-*t* piece, linear block into it, forward
+    ) -> Tuple[TrellisPiece, Optional[np.ndarray], np.ndarray, int]:
+        """Session *k*'s step-*t* piece, folded block into it, forward
         alpha and evaluated transition entries (nothing is stored)."""
         piece = sess.piece(t)
         if t == 0:
-            return piece, None, sess.initial_alpha(piece), 0
+            return piece, None, normalised(sess.initial_alpha(piece)), 0
         log_t = sess.transition(self._pieces[k][-1], piece)
-        block = self._convert[k](log_t)
+        block = fold_block(log_t, piece.scores)
         alpha = forward_step(self._alphas[k][-1], block, piece.scores)
         return piece, block, alpha, 0 if log_t is None else log_t.size
 
@@ -238,13 +239,11 @@ class OnlineSmoother:
             sess.prepare(t0, t1)
 
     def flush(self) -> List[Dict[str, str]]:
-        """Commit every step still inside the lag window (session end)."""
-        if self._sessions is None:
+        """Commit every step still inside the lag window (session end), on
+        one backward pass: every commit has the newest step as horizon."""
+        if self._sessions is None or self._committed == self._pushed:
             return []
-        last = self._pushed - 1
-        out = []
-        for t in range(self._committed, self._pushed):
-            out.append(self._smooth_at(t, last))
+        out = self._smooth(self._committed, self._pushed)
         self._committed = self._pushed
         return out
 
@@ -263,34 +262,36 @@ class OnlineSmoother:
 
     # -- lag-window smoothing ------------------------------------------------------
 
-    def _smooth_at(self, commit_t: int, horizon: int) -> Dict[str, str]:
-        """Argmax smoothed macro per resident for *commit_t* given steps
-        up to *horizon*.
+    def _smooth(self, t0: int, t1: int) -> List[Dict[str, str]]:
+        """Argmax smoothed macro per resident for each step ``t0 .. t1 - 1``
+        given every pushed step, on one backward pass down the lag window.
 
-        The backward sweep reuses the transition blocks stored at push
-        time (``_trans``); every reuse counts as a cache hit against the
-        push-time computations (``smoother.trans_blocks_computed``)."""
+        The pass reuses the blocks folded at push time (``_trans``); every
+        reuse counts as a cache hit against the push-time computations
+        (``smoother.trans_blocks_computed``)."""
         ins = self._ins
         t_sweep = time.perf_counter() if ins is not None else 0.0
         reused = 0
-        out: Dict[str, str] = {}
-        with obs.span("smoother.backward", commit_t=commit_t, horizon=horizon):
+        out: List[Dict[str, str]] = [{} for _ in range(t0, t1)]
+        with obs.span("smoother.backward", commit_t=t0, horizon=self._pushed - 1):
             for k, sess in enumerate(self._sessions):
                 pieces, trans, alphas = self._pieces[k], self._trans[k], self._alphas[k]
-                # Window positions of commit_t and horizon.
-                lo = commit_t - (self._pushed - len(pieces))
-                hi = lo + horizon - commit_t
-                beta = np.zeros_like(alphas[hi])
-                for i in range(hi - 1, lo - 1, -1):
-                    block = trans[i + 1]
-                    reused += block is not None
-                    beta = backward_step(beta, block, pieces[i + 1].scores, len(pieces[i]))
-                gamma = posterior(alphas[lo], beta)
+                # Window positions of t0 and t1.
+                lo = t0 - (self._pushed - len(pieces))
+                hi = lo + t1 - t0
                 index = sess.macro_index
-                for rid, marg in macro_marginals(sess, pieces[lo], gamma).items():
-                    out[rid] = index.label(macro_argmax(marg))
+                beta = np.ones(len(pieces[-1]))
+                for i in range(len(pieces) - 1, lo - 1, -1):
+                    if i < hi:
+                        gamma = posterior(alphas[i], beta)
+                        labels = out[i - lo]
+                        for rid, marg in macro_marginals(sess, pieces[i], gamma).items():
+                            labels[rid] = index.label(macro_argmax(marg))
+                    if i > lo:
+                        reused += trans[i] is not None
+                        beta = backward_step(beta, trans[i], len(pieces[i - 1]))
         if ins is not None:
-            ins.commits.inc()
+            ins.commits.inc(t1 - t0)
             if reused:
                 ins.trans_reused.inc(reused)
             ins.sweep_seconds.observe(time.perf_counter() - t_sweep)

@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.api import DecodeStats, TrellisPiece
 from repro.core.chdbn import MIN_CHANGE_PROB, GmmBank
 from repro.core.emissions import ObjectEvidenceTable
-from repro.core.kernels import PIR_MISS_PENALTY, _lse, macro_argmax, macro_marginals, posterior
+from repro.core.kernels import PIR_MISS_PENALTY, macro_argmax
 from repro.core.loosely_coupled import (
     UNEXPLAINED_ROOM_PENALTY,
     UNEXPLAINED_SUBLOC_PENALTY,
@@ -512,6 +512,13 @@ def reference_model(fast: NChainHdbn) -> ReferenceNChainHdbn:
 # -- log-domain sum-product steps and fixed-lag smoother --------------------------
 
 
+def _lse(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Numerically stable log-sum-exp along *axis*."""
+    m = arr.max(axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return np.squeeze(m, axis=axis) + np.log(np.exp(arr - m).sum(axis=axis))
+
+
 def reference_forward_step(
     alpha_prev: np.ndarray, log_t: Optional[np.ndarray], scores: np.ndarray
 ) -> np.ndarray:
@@ -533,11 +540,31 @@ def reference_backward_step(
     return _lse(log_t + (scores_next + beta_next)[None, :], axis=1)
 
 
+def reference_posterior(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Normalised posterior over one piece's candidates from its log-domain
+    forward and backward messages."""
+    log_gamma = alpha + beta
+    return np.exp(log_gamma - _lse(log_gamma, axis=0))
+
+
+def reference_macro_marginals(
+    sess, piece: TrellisPiece, gamma: np.ndarray
+) -> Dict[str, np.ndarray]:
+    """Per-resident ``(M,)`` macro marginals of one piece under the
+    candidate posterior *gamma*, accumulated with ``np.add.at``."""
+    out: Dict[str, np.ndarray] = {}
+    for rid, codes in zip(sess.rids, sess.macros(piece)):
+        marg = np.zeros(len(sess.macro_index))
+        np.add.at(marg, codes, gamma)
+        out[rid] = marg
+    return out
+
+
 class ReferenceOnlineSmoother(OnlineSmoother):
     """Fixed-lag smoother that stores each push's log transition block and
-    runs the log-domain steps over it: the spec the scaled linear
-    :class:`~repro.core.smoother.OnlineSmoother` must commit the same
-    labels as."""
+    runs the log-domain steps over it, one backward sweep per commit: the
+    spec the normalised linear :class:`~repro.core.smoother.OnlineSmoother`
+    must commit the same labels as."""
 
     def push(self, t: int) -> Optional[Dict[str, str]]:
         if self._sessions is None:
@@ -578,7 +605,14 @@ class ReferenceOnlineSmoother(OnlineSmoother):
                 beta = reference_backward_step(
                     beta, self._trans[k][t + 1], pieces[t + 1].scores, len(pieces[t])
                 )
-            gamma = posterior(self._alphas[k][commit_t], beta)
-            for rid, marg in macro_marginals(sess, pieces[commit_t], gamma).items():
+            gamma = reference_posterior(self._alphas[k][commit_t], beta)
+            for rid, marg in reference_macro_marginals(sess, pieces[commit_t], gamma).items():
                 out[rid] = sess.macro_index.label(macro_argmax(marg))
+        return out
+
+    def flush(self) -> List[Dict[str, str]]:
+        if self._sessions is None:
+            return []
+        out = [self._smooth_at(t, self._pushed - 1) for t in range(self._committed, self._pushed)]
+        self._committed = self._pushed
         return out

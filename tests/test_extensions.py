@@ -142,7 +142,7 @@ class TestJointCaps:
         shapes = set()
         for t in range(len(seq)):
             smoother.push(t)
-            shapes.update(b.E.shape for blocks in smoother._trans for b in blocks if b)
+            shapes.update(b.shape for blocks in smoother._trans for b in blocks if b is not None)
         assert shapes and max(max(shape) for shape in shapes) <= 100
 
     def test_stored_cap_of_300_loads_and_decodes_at_300(

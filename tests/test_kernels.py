@@ -22,7 +22,7 @@ from repro.core.api import DecodeStats
 from repro.core.chdbn import GmmBank, _MacroGmm, build_candidate_set
 from repro.core.hdbn import SingleUserHdbn
 from repro.core import kernels, loosely_coupled
-from repro.core.kernels import SequenceKernel, linear_block, macro_argmax, viterbi_path
+from repro.core.kernels import SequenceKernel, fold_block, macro_argmax, viterbi_path
 from repro.core.loosely_coupled import PAIR_CAPS, NChainHdbn, joint_codes
 from repro.core.rule_kernel import CrossRulePruner, StepItems
 from repro.core.smoother import OnlineSmoother
@@ -33,10 +33,15 @@ from repro.mining import ConstraintMiner, CorrelationMiner
 from repro.models import CoupledHmm, FactorialCrf, GaussianEmission, MacroHmm
 from repro.models.chmm import PHONE_FEATURE_DIMS
 from repro.models.inputs import step_features
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import SessionRouter
 
 import decode_spec
 from dense_spec import forward_backward, viterbi_decode
+
+#: A divide-by-zero or invalid value in the sum-product recursion fails the
+#: module instead of committing a NaN label.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 #: The object channel sums its Bernoulli logs in another order than the
 #: seed (see decode_spec), so scores may differ in the last ulp.
@@ -135,18 +140,17 @@ def test_viterbi_path_matches_dense_decode():
     assert list(path) == kernel_path
 
 
-def test_linear_block_is_c_contiguous_for_any_layout():
-    """An F-ordered log block converts to a C-contiguous ``E``, bit-equal
+def test_folded_block_is_c_contiguous_for_any_layout():
+    """An F-ordered log block folds into a C-contiguous block, bit-equal
     to the one from its C-ordered copy: the sum-product mat-vecs take
-    their accumulation order from the layout of ``E``."""
+    their accumulation order from the layout of the block."""
     rng = np.random.default_rng(2)
     log_t = np.asfortranarray(rng.normal(scale=5.0, size=(37, 23)))
     log_t[3, 4] = -np.inf
-    got = linear_block(log_t)
-    want = linear_block(np.ascontiguousarray(log_t))
-    assert got.E.flags.c_contiguous
-    assert got.shift == want.shift
-    assert np.array_equal(got.E, want.E)
+    scores = rng.normal(scale=5.0, size=23)
+    got = fold_block(log_t, scores)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, fold_block(np.ascontiguousarray(log_t), scores))
 
 
 def test_viterbi_path_is_layout_independent():
@@ -899,46 +903,78 @@ def test_nh_posterior_matches_dense_forward_backward(family_models):
         np.testing.assert_allclose(marginals[rid], gamma, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("family", ["nh", "c2_pair", "c2_trio"])
+@pytest.mark.parametrize("family", ["nh", "c2_pair", "c2_trio", "c2_quad"])
 def test_transition_blocks_meet_linear_span_precondition(family, family_models):
-    """Every block the sum-product steps convert spans fewer than 700
-    finite nats, so ``exp(log_t - max)`` cannot underflow to 0."""
+    """Every block the sum-product steps fold, ``log_t + scores``, spans
+    fewer than 700 finite nats, so its ``exp`` cannot underflow to 0."""
     model, seq = family_models[family]
     sess = model.trellis_sessions(seq, DecodeStats())[0]
     sess.prepare(0, len(seq))
     prev = sess.piece(0)
     for t in range(1, len(seq)):
         piece = sess.piece(t)
-        log_t = sess.transition(prev, piece)
-        finite = log_t[np.isfinite(log_t)]
+        folded = sess.transition(prev, piece) + piece.scores
+        finite = folded[np.isfinite(folded)]
         assert finite.size and finite.max() - finite.min() < 700.0, t
         prev = piece
 
 
-def test_shared_transition_block_is_converted_once(family_models, monkeypatch):
-    """nh returns one transition matrix object at every step: the smoother
-    converts it once per session, and its lag window holds ``lag + 1``
-    pieces and alphas and at most ``lag`` blocks, every one of them that
-    shared linear block."""
-    model, seq = family_models["nh"]
+@pytest.mark.parametrize("family", ["nh", "c2_pair"])
+def test_lag_window_holds_folded_blocks(family, family_models):
+    """The smoother's lag window holds ``lag + 1`` pieces and alphas and
+    at most ``lag`` blocks, each the fold of the transition block into its
+    step with that step's scores."""
+    model, seq = family_models[family]
     steps, lag = 50, 4
     assert len(seq) >= steps
-    converted = []
-    monkeypatch.setattr(
-        kernels, "linear_block", lambda log_t: converted.append(log_t) or linear_block(log_t)
-    )
     smoother = OnlineSmoother(model, lag=lag)
     smoother.start(seq)
     for t in range(steps):
         smoother.push(t)
-    sessions = smoother._sessions
-    assert sessions[0].transition(None, None) is sessions[0].transition(None, None)
-    assert len(converted) == len(sessions)
-    for pieces, alphas, blocks in zip(smoother._pieces, smoother._alphas, smoother._trans):
+    windows = zip(smoother._sessions, smoother._pieces, smoother._alphas, smoother._trans)
+    for sess, pieces, alphas, blocks in windows:
         assert len(pieces) == len(alphas) == lag + 1
-        held = [b for b in blocks if b is not None]
-        assert 0 < len(held) <= lag
-        assert all(b is held[0] for b in held)
+        assert blocks[0] is None
+        assert 0 < sum(b is not None for b in blocks) <= lag
+        for i in range(1, lag + 1):
+            want = fold_block(sess.transition(pieces[i - 1], pieces[i]), pieces[i].scores)
+            assert np.array_equal(blocks[i], want), i
+
+
+@pytest.mark.parametrize("family", ["nh", "c2_pair", "c2_trio"])
+def test_flush_reads_each_block_once(family, family_models):
+    """A lag >= T flush commits the whole session on one backward pass:
+    it reads each held block once and commits what one sweep per commit
+    commits."""
+    model, seq = family_models[family]
+    reg = MetricsRegistry()
+    smoother = OnlineSmoother(model, lag=len(seq), metrics=reg)
+    smoother.start(seq)
+    for t in range(len(seq)):
+        assert smoother.push(t) is None
+    per_commit = [smoother._smooth(t, t + 1)[0] for t in range(len(seq))]
+    reused = reg.counter("smoother.trans_blocks_reused")
+    before = reused.value
+    assert smoother.flush() == per_commit
+    assert reused.value - before == len(smoother._sessions) * (len(seq) - 1)
+
+
+@pytest.mark.parametrize("family", ["c2_pair", "c2_trio"])
+def test_macro_marginals_equal_add_at_readout(family, family_models):
+    """The ``bincount`` read-out equals the spec's ``np.add.at`` one bit
+    for bit on every piece of a session."""
+    model, seq = family_models[family]
+    sess = model.trellis_sessions(seq, DecodeStats())[0]
+    sess.prepare(0, len(seq))
+    for t in range(len(seq)):
+        piece = sess.piece(t)
+        gamma = np.exp(piece.scores - piece.scores.max())
+        gamma /= gamma.sum()
+        got = kernels.macro_marginals(sess, piece, gamma)
+        want = decode_spec.reference_macro_marginals(sess, piece, gamma)
+        assert got.keys() == want.keys()
+        for rid in want:
+            assert np.array_equal(got[rid], want[rid]), (t, rid)
 
 
 # ---------------------------------------------------------------------------
@@ -1084,7 +1120,7 @@ def test_factored_transition_block_is_bit_exact(family, edge_cases, family_model
     """Each chain's term built on its own candidate list and gathered onto
     the joint axis equals, on every step, the seed's full (P, C) chain
     blocks summed chain by chain -- including steps where the joint cap
-    binds and steps where a chain has a single candidate -- and its linear
+    binds and steps where a chain has a single candidate -- and its folded
     block is C-contiguous whatever the block's own layout."""
     model, seq = family_models[family]
     stats = DecodeStats()
@@ -1112,6 +1148,6 @@ def test_factored_transition_block_is_bit_exact(family, edge_cases, family_model
                 )
             log_t = sess.transition(prev, piece)
             assert np.array_equal(log_t, want), t
-            assert linear_block(log_t).E.flags.c_contiguous, t
+            assert fold_block(log_t, piece.scores).flags.c_contiguous, t
         prev = piece
     assert edge_cases <= seen

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.duration import duration_error
-from repro.core.kernels import backward_step, forward_step, linear_block
+from repro.core.kernels import backward_step, fold_block, forward_step, normalised
 from repro.core.loosely_coupled import best_first
 from repro.eval.metrics import evaluate_predictions
 from repro.mining.apriori import Apriori
@@ -19,6 +19,10 @@ from repro.models.distributions import normalize, shrink_coupled_transitions
 from decode_spec import reference_backward_step, reference_forward_step
 from dense_spec import forward_backward, viterbi_decode
 from fit_spec import time_t_slice
+
+#: A divide-by-zero or invalid value in the sum-product recursion fails the
+#: module instead of committing a NaN label.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 _LABELS = ["a", "b", "c"]
 
@@ -146,7 +150,7 @@ class TestViterbiProperties:
 
 
 class TestLinearSumProductProperties:
-    """The scaled linear sum-product steps equal the log-domain spec."""
+    """The normalised linear sum-product steps equal the log-domain spec."""
 
     @st.composite
     @staticmethod
@@ -173,32 +177,35 @@ class TestLinearSumProductProperties:
         return log_t, vector(p), vector(c), vector(c)
 
     @staticmethod
-    def assert_close(got, want):
-        """Same -inf entries; finite ones agree to 1e-10 relative (absolute
-        below magnitude 1)."""
+    def assert_close(got, want_log):
+        """*got* is the normalised ``exp`` of the log-domain *want_log*:
+        exact zeros where it is -inf, 1e-10 relative on every entry of at
+        least 1e-300, and no NaN."""
+        want = normalised(want_log)
         assert got.shape == want.shape
-        np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
-        finite = np.isfinite(want)
-        assert np.isfinite(got[finite]).all()
-        err = np.abs(got[finite] - want[finite])
-        assert (err <= 1e-10 * np.maximum(1.0, np.abs(want[finite]))).all(), err.max()
+        assert not np.isnan(got).any()
+        np.testing.assert_array_equal(got[np.isneginf(want_log)], 0.0)
+        big = want >= 1e-300
+        err = np.abs(got[big] - want[big])
+        assert (err <= 1e-10 * want[big]).all(), err.max()
 
     @given(ragged_steps())
     @settings(max_examples=200, deadline=None)
     def test_forward_step_matches_log_domain(self, case):
         log_t, alpha_prev, scores, _ = case
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             want = reference_forward_step(alpha_prev, log_t, scores)
-        self.assert_close(forward_step(alpha_prev, linear_block(log_t), scores), want)
+        got = forward_step(normalised(alpha_prev), fold_block(log_t, scores), scores)
+        self.assert_close(got, want)
 
     @given(ragged_steps())
     @settings(max_examples=200, deadline=None)
     def test_backward_step_matches_log_domain(self, case):
         log_t, _, scores_next, beta_next = case
         n_cur = log_t.shape[0]
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             want = reference_backward_step(beta_next, log_t, scores_next, n_cur)
-        got = backward_step(beta_next, linear_block(log_t), scores_next, n_cur)
+        got = backward_step(normalised(beta_next), fold_block(log_t, scores_next), n_cur)
         self.assert_close(got, want)
 
 

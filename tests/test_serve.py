@@ -15,6 +15,10 @@ from repro.core.smoother import OnlineSmoother
 from repro.resilience import corrupt_step
 from repro.serve import SessionRouter
 
+#: A divide-by-zero or invalid value in the sum-product recursion fails the
+#: module instead of committing a NaN label.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def engine(cace_split):

@@ -27,6 +27,10 @@ from repro.serve import SessionRouter
 
 from decode_spec import ReferenceOnlineSmoother
 
+#: A divide-by-zero or invalid value in the sum-product recursion fails the
+#: module instead of committing a NaN label.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 #: Lag of the memory test (the serving default).
 LAG = 4
 #: Per-session growth allowed once the lag window is full: the committed
