@@ -46,6 +46,8 @@ class PathResult:
     seconds_reference: float
     seconds_optimised: float
     labels_identical: bool
+    #: Steps of the path's shortest session (offline decode paths only).
+    shortest_session: int = 0
 
     @property
     def reference_steps_per_s(self) -> float:
@@ -291,4 +293,5 @@ def _decode_path(name: str, fast, reference, sequences) -> PathResult:
     fast_labels, fast_s = _timed_runs(fast.decode, sequences, warm_all=True)
     ref_labels, ref_s = _timed_runs(reference.decode, sequences, warm_all=True)
     steps = sum(len(seq) for seq in sequences)
-    return PathResult(name, steps, ref_s, fast_s, fast_labels == ref_labels)
+    shortest = min(len(seq) for seq in sequences)
+    return PathResult(name, steps, ref_s, fast_s, fast_labels == ref_labels, shortest)

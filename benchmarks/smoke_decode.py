@@ -4,7 +4,9 @@ Fails loudly on any label mismatch between the optimised kernels and the
 seed reference decoders (the bit-identity contract), and when the c2,
 N-chain or smoother kernels are slower than their references.  The
 N-chain decode is checked offline on 3-resident homes and on a tiny
-4-resident corpus.  The smoother is checked against the log-domain
+4-resident corpus, whose sessions must be long enough
+(``STACKED_MIN_STEPS``) for offline decode to build them in stacked
+passes.  The smoother is checked against the log-domain
 reference smoother three times: on pairs after one bulk
 ``prepare_range``, then a ``push`` per step, and one ``push`` per step
 alone, and on 3-resident homes one ``push`` per step.  The speedup assertions are
@@ -29,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
 from benchmarks.hotpath import decode_hotpath_benchmark  # noqa: E402
+from repro.core.loosely_coupled import STACKED_MIN_STEPS  # noqa: E402
 from repro.obs import provenance  # noqa: E402
 
 
@@ -55,6 +58,12 @@ def main() -> int:
             failures.append(f"{run.name} labels diverge from the seed reference")
         if run.speedup < 1.0:
             failures.append(f"{run.name} kernels slower than the reference ({run.speedup:.2f}x)")
+    for run in (result.nchain, result.nchain_quad):
+        if run.shortest_session < STACKED_MIN_STEPS:
+            failures.append(
+                f"{run.name} has a {run.shortest_session}-step session, shorter than "
+                f"STACKED_MIN_STEPS = {STACKED_MIN_STEPS}: its decode skips the stacked build"
+            )
     for failure in failures:
         print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core.emissions import ObjectEvidenceTable
 from repro.core.kernels import SequenceKernel
-from repro.core.rule_kernel import SingleRulePruner
+from repro.core.rule_kernel import SingleRulePruner, StepItems
 from repro.core.state_space import CandidateSet, StackedCandidates, StateSpaceBuilder
 from repro.datasets.trace import Dataset, LabeledSequence
 from repro.micro.annealing import DeterministicAnnealing
@@ -334,9 +334,12 @@ def build_candidate_set(
     t: int,
     kern: SequenceKernel,
     t1: Optional[int] = None,
+    ambs: Optional[List[StepItems]] = None,
 ) -> Union[CandidateSet, StackedCandidates]:
     """One resident's evidence-truncated candidates for step *t*, or for
-    every step of ``[t, t1)`` when *t1* is given.
+    every step of ``[t, t1)`` when *t1* is given (*ambs*, when given, is
+    the range's :class:`~repro.core.rule_kernel.StepItems`, one per step,
+    so a caller that builds several residents fetches them once).
 
     Shared by the per-user and the coupled model: fetch the memoised
     candidate codes, apply single-user rule pruning (the rules are
@@ -351,7 +354,9 @@ def build_candidate_set(
     for each step holds exactly that step's :class:`CandidateSet`.
     """
     if t1 is not None:
-        return _stacked_candidates(model, seq, rid, t, t1, kern)
+        if ambs is None:
+            ambs = [kern.step_items(s) for s in range(t, t1)]
+        return _stacked_candidates(model, seq, rid, t, ambs, kern)
     obs = seq.steps[t].observations[rid]
     m, l = model.builder.candidate_codes(obs)
     if model._single_pruner is not None:
@@ -366,10 +371,10 @@ def build_candidate_set(
 
 
 def _stacked_candidates(
-    model, seq: LabeledSequence, rid: str, t0: int, t1: int, kern: SequenceKernel
+    model, seq: LabeledSequence, rid: str, t0: int, ambs: List[StepItems], kern: SequenceKernel
 ) -> StackedCandidates:
-    """:func:`build_candidate_set` for every step of ``[t0, t1)`` in
-    stacked passes over a leading step axis.
+    """:func:`build_candidate_set` for every step of ``[t0, t0 + len(ambs))``
+    in stacked passes over a leading step axis.
 
     Codes are padded to the range's longest list; the single-user keep is
     one gather from the stacked grid masks, and a step keeps its whole
@@ -379,8 +384,7 @@ def _stacked_candidates(
     over the per-user cap runs the per-step ``argsort`` on its own 1-D
     row, so every row equals the step's :class:`CandidateSet`.
     """
-    steps = range(t0, t1)
-    obs = [seq.steps[t].observations[rid] for t in steps]
+    obs = [seq.steps[t].observations[rid] for t in range(t0, t0 + len(ambs))]
     codes = [model.builder.candidate_codes(o) for o in obs]
     n = np.array([len(m) for m, _ in codes])
     valid = np.arange(n.max()) < n[:, None]
@@ -389,9 +393,7 @@ def _stacked_candidates(
     m[valid] = np.concatenate([c[0] for c in codes])
     l[valid] = np.concatenate([c[1] for c in codes])
     if model._single_pruner is not None:
-        keep = valid & model._single_pruner.keep_rows(
-            m, l, obs, [kern.step_items(t) for t in steps]
-        )
+        keep = valid & model._single_pruner.keep_rows(m, l, obs, ambs)
         kept = np.count_nonzero(keep, axis=1)
         prune = (kept > 0) & (kept < n)
         if prune.any():

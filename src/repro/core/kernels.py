@@ -27,11 +27,12 @@ Three layers live here:
   are the ``decode`` / ``posterior_marginals`` body of every family.
   They hand the whole session to the trellis session's ``prepare`` before
   asking for its pieces, so a session that can build a range of pieces at
-  once does: the N-chain session builds a pair session's candidates and
-  joint candidates in stacked passes over a leading step axis
-  (:mod:`repro.core.loosely_coupled`), with
-  :meth:`SequenceKernel.emission_rows` scoring every step's candidates in
-  one gather.
+  once does: the N-chain session builds every resident's candidates and
+  every chain pair's rule masks in stacked passes over a leading step
+  axis, with :meth:`SequenceKernel.emission_rows` scoring every step's
+  candidates in one gather, and a pair session's joint candidates too;
+  trios and quads build each step's joint grid on its own rows
+  (:mod:`repro.core.loosely_coupled`).
   Offline decoding and the smoother therefore share one recursion and one
   read-out (:func:`posterior`, :func:`macro_marginals`,
   :func:`macro_argmax`): at ``lag >= len(seq)`` the smoother commits
@@ -239,8 +240,9 @@ def macro_marginals(sess, piece: TrellisPiece, gamma: np.ndarray) -> Dict[str, n
 
 def _session_pieces(sess, n_steps: int, stats: DecodeStats) -> List[TrellisPiece]:
     """Every step's piece of one session, after one ``prepare`` of the
-    whole session (a batched evidence build, and for pair sessions a
-    stacked build of every piece)."""
+    whole session (a batched evidence build, and for an N-chain session of
+    at least ``STACKED_MIN_STEPS`` steps a stacked build of its candidates
+    and rule masks, and of a pair session's joint candidates)."""
     sess.prepare(0, n_steps)
     pieces = [sess.piece(t) for t in range(n_steps)]
     stats.joint_states += sum(len(p) for p in pieces)

@@ -32,22 +32,24 @@ plus each user's macro and sub-location codes
 (see :class:`_NChainTrellis`), so the trellis width stays bounded while
 the raw product space grows exponentially in N.
 
-A multi-step range can be built in stacked passes instead
-(:meth:`_NChainTrellis.build_range`): each resident's candidates for
-every step of the range in one
+A range of :data:`STACKED_MIN_STEPS` or more steps is built in stacked
+passes instead (:meth:`_NChainTrellis.build_range`), whatever N is: each
+resident's candidates for every step of the range in one
 :func:`~repro.core.chdbn.build_candidate_set` call, padded to the range's
-longest list on a leading step axis, and the joint layer on the padded
-grid ``S x n_0 x ... x n_{N-1}`` -- emission sum, cross-rule mask with its
-keep-all fallback, coverage penalty and cap -- in chunks of at most
-:data:`STACKED_CHUNK_CELLS` cells.  Every value is the one-step build's,
-bit for bit: padded cells never survive, C-order over the padded grid
-keeps each step's real cells in their one-step order, and the cap keeps
-:func:`best_first`'s order (:func:`best_first_rows`).  ``prepare`` picks
-it from sizes it can observe: a range of at least
-:data:`STACKED_MIN_STEPS` steps on a per-user grid of at most
-:data:`STACKED_MAX_CELLS` cells, which is the offline decode of a pair
-session; one-step pushes, short bursts and trio or quad ranges, whose
-padding outweighs the saved dispatch, are built one step at a time.
+longest list on a leading step axis, and each chain pair's cross-rule
+mask for every step in one batched call, both reading one shared list of
+the steps' ambient items.  The joint layer is stacked too where its
+padded grid ``S x n_0 x ... x n_{N-1}`` is small, a per-user grid of at
+most :data:`STACKED_MAX_CELLS` cells (pairs): emission sum, mask with its
+keep-all fallback, coverage penalty and cap, in chunks of at most
+:data:`STACKED_CHUNK_CELLS` cells.  Above that (trios and quads at 24
+candidates per user, whose padding outweighs the saved dispatch) it runs
+one step at a time on the step's own unpadded rows and its slice of the
+masks.  Every value is the one-step build's, bit for bit: padded cells
+never survive, C-order over the padded grid keeps each step's real cells
+in their one-step order, and the cap keeps :func:`best_first`'s order
+(:func:`best_first_rows`).  One-step pushes and short bursts are built
+one step at a time.
 
 The same loose coupling factors the transition block: chain ``i``'s
 term depends on the current joint state only through chain ``i``'s own
@@ -64,6 +66,7 @@ step's scores into a C-contiguous linear block for the sum-product steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -105,23 +108,35 @@ UNEXPLAINED_SUBLOC_PENALTY = -4.5
 #: briefly after the occupant walks out of a 15 s window).
 UNEXPLAINED_ROOM_PENALTY = -2.5
 
-#: A range of at least this many steps on a per-user grid of at most
-#: :data:`STACKED_MAX_CELLS` cells (``max_states_per_user ** N``) is built
-#: in stacked passes by :meth:`_NChainTrellis.prepare`; anything else one
-#: step at a time.  Measured on perfbench's pair and trio corpora (2-vCPU
-#: host, best of 5), against the one-step build: pairs at their cap of 36
-#: (1,296 cells) ran 0.35x in ranges of 2 steps, 0.9x at 8, 1.2x at 12,
-#: 1.4x at 16 and 2.1x over whole 120-step sessions; trios at 24 (13,824
-#: padded cells against about 5,900 real ones) ran 0.3x-0.4x at every
-#: range length.  So offline pair decode is stacked, while one-step pushes,
-#: short ``push_many`` bursts and every trio or quad range are not.
+#: A range of at least this many steps is built in stacked passes by
+#: :meth:`_NChainTrellis.prepare`, anything shorter one step at a time; the
+#: joint grid is stacked only on a per-user grid of at most
+#: :data:`STACKED_MAX_CELLS` cells (``max_states_per_user ** N``), and
+#: otherwise built per step from the stacked candidates and rule masks.
+#: Measured on perfbench's pair and trio corpora (2-vCPU host, best of 9
+#: interleaved CPU times of building every piece of the test split in
+#: ranges of k steps, evidence tables prebuilt), against the one-step
+#: build: pairs at their cap of 36 (1,296 cells, stacked grid) ran 0.38x
+#: at k = 2, 0.62x at 4, 0.99x at 8, 1.25x at 12, 1.35x at 16, 1.61x at 24
+#: and 2.12x over whole 120-step sessions; trios at 24 (13,824 padded
+#: cells against about 5,900 real ones, per-step grid) ran 0.60x at 2,
+#: 0.72x at 4, 0.91x at 8, 1.00x at 12, 1.04x at 16, 1.09x at 24 and 1.11x
+#: over whole 80-step sessions.  A stacked trio grid ran 0.3x-0.4x at every
+#: range length.  Both break even at 8-12 steps, so 16 keeps a margin:
+#: offline decode is stacked for every N, while one-step pushes and short
+#: ``push_many`` bursts are not.
 STACKED_MIN_STEPS = 16
 STACKED_MAX_CELLS = 4096
-#: Padded grid cells per chunk of a stacked build (2 MB of float64 scores).
+#: Padded cells per chunk of a stacked build, counted on the joint grid
+#: where it is stacked and on the widest pair mask otherwise (2 MB of
+#: float64 scores or rule-hit counts).
 STACKED_CHUNK_CELLS = 1 << 18
 
 #: A joint piece's encoding ``(grids, m, l)`` (see :class:`_NChainTrellis`).
 JointEnc = Tuple[np.ndarray, Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]
+#: Cross-rule keep masks by chain pair ``(a, b)``, ``a < b``
+#: (:meth:`NChainHdbn._pair_masks`).
+PairMasks = Dict[Tuple[int, int], np.ndarray]
 
 
 def best_first(scores: np.ndarray, cap: int) -> np.ndarray:
@@ -234,17 +249,32 @@ class NChainHdbn:
 
     # -- per-step machinery ----------------------------------------------------------
 
+    def _pair_masks(self, per_user, ambs) -> Optional[PairMasks]:
+        """Each chain pair's cross-rule keep mask, keyed ``(a, b)`` with
+        ``a < b``, or ``None`` without cross rules: one step's ``(n_a,
+        n_b)`` masks from its :class:`CandidateSet` list and
+        :class:`StepItems`, or a range's ``(S, K_a, K_b)`` masks from
+        :class:`StackedCandidates` and a list of one :class:`StepItems`
+        per step.  The pruner's grid tables and gate memo serve every
+        ordered chain pair."""
+        pruner = self._cross_pruner
+        if pruner is None:
+            return None
+        keep = pruner.keep_rows if isinstance(ambs, list) else pruner.keep
+        pairs = combinations(range(len(per_user)), 2)
+        return {(a, b): keep(ambs, per_user[a], per_user[b]) for a, b in pairs}
+
     def _joint_candidates(
         self,
         seq: LabeledSequence,
         t: int,
         per_user: List[CandidateSet],
-        kern: SequenceKernel,
+        masks: Optional[PairMasks],
         stats: DecodeStats,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Joint candidates as (N, J) index rows into the per-user lists,
         and their scores; rule-pruned and capped joint states are counted
-        into *stats*.
+        into *stats*.  *masks* are the step's :meth:`_pair_masks`.
 
         The rule mask and every score term are broadcasts on the per-user
         grid ``n_0 x ... x n_{N-1}`` (``prod(n_u)`` float64 scores: about
@@ -262,14 +292,9 @@ class NChainHdbn:
         on_axis = [(k,) + ones[u + 1:] for u, k in enumerate(shape)]
         scores = sum(c.emissions.reshape(v) for c, v in zip(per_user, on_axis))
         mask = np.ones(shape, dtype=bool)
-        if self._cross_pruner is not None:
-            # The pruner's grid tables and gate memo serve every ordered
-            # chain pair.
-            amb = kern.step_items(t)
-            for a in range(n):
-                for b in range(a + 1, n):
-                    ab = (shape[a],) + ones[a + 1:b] + on_axis[b]
-                    mask &= self._cross_pruner.keep(amb, per_user[a], per_user[b]).reshape(ab)
+        if masks is not None:
+            for (a, b), keep in masks.items():
+                mask &= keep.reshape((shape[a],) + ones[a + 1:b] + on_axis[b])
             # Count only joint states actually removed: when every one
             # fails the rules the pruner keeps them all, and reporting the
             # would-be removals would inflate the Fig 11 overhead metric.
@@ -315,11 +340,12 @@ class NChainHdbn:
         seq: LabeledSequence,
         t0: int,
         per_user: List[StackedCandidates],
-        kern: SequenceKernel,
+        masks: Optional[PairMasks],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`_joint_candidates` for every step of a
         :class:`StackedCandidates` range, in stacked passes on the padded
-        grid ``S x K_0 x ... x K_{N-1}``.
+        grid ``S x K_0 x ... x K_{N-1}``; *masks* are the range's
+        :meth:`_pair_masks`.
 
         Returns ``(grids, scores, ends, pruned, capped)``: step ``t0 + s``
         has the ``(N, J)`` index rows ``grids[:, ends[s]:ends[s + 1]]`` and
@@ -341,13 +367,10 @@ class NChainHdbn:
             valid &= c.valid().reshape(v)
         mask = valid
         pruned = np.zeros(n_steps, dtype=int)
-        if self._cross_pruner is not None:
-            ambs = [kern.step_items(t) for t in range(t0, t0 + n_steps)]
+        if masks is not None:
             mask = valid.copy()
-            for a in range(n):
-                for b in range(a + 1, n):
-                    ab = on_axis[a][: a + 2] + ones[a + 1 : b] + on_axis[b][b + 1 :]
-                    mask &= self._cross_pruner.keep_rows(ambs, per_user[a], per_user[b]).reshape(ab)
+            for (a, b), keep in masks.items():
+                mask &= keep.reshape(on_axis[a][: a + 2] + ones[a + 1 : b] + on_axis[b][b + 1 :])
             # As one step: count only removed states, and keep them all
             # when every one fails the rules.
             kept = np.count_nonzero(mask.reshape(n_steps, -1), axis=1)
@@ -477,6 +500,14 @@ def joint_codes(enc: JointEnc) -> Tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _piece(joint: Tuple[np.ndarray, np.ndarray], per_user: List[CandidateSet]) -> TrellisPiece:
+    """The piece of a step's joint ``(grids, scores)`` over its per-user
+    candidates."""
+    grids, scores = joint
+    enc = (grids, tuple(c.m for c in per_user), tuple(c.l for c in per_user))
+    return TrellisPiece(scores=scores, enc=enc)
+
+
 class _NChainTrellis:
     """Trellis adapter over the joint N-chain trellis.
 
@@ -507,53 +538,67 @@ class _NChainTrellis:
     def prepare(self, t0: int, t1: int) -> None:
         """Batch-build the per-sequence evidence tables for ``[t0, t1)``
         ahead of the per-step ``piece`` calls, and, when the range has at
-        least :data:`STACKED_MIN_STEPS` steps and the per-user grid at most
-        :data:`STACKED_MAX_CELLS` cells, every step's piece in stacked
-        passes (:meth:`build_range`)."""
+        least :data:`STACKED_MIN_STEPS` steps, every step's piece
+        (:meth:`build_range`)."""
         self._kern.ensure(t0, t1)
         t1 = min(t1, len(self.seq.steps))
-        cells = self.model.max_states_per_user ** len(self.rids)
-        if t1 - t0 >= STACKED_MIN_STEPS and cells <= STACKED_MAX_CELLS:
+        if t1 - t0 >= STACKED_MIN_STEPS:
             self.build_range(t0, t1)
 
     def build_range(self, t0: int, t1: int, chunk_cells: int = STACKED_CHUNK_CELLS) -> None:
         """Build the pieces of steps ``[t0, t1)`` in stacked passes over a
         leading step axis: each resident's candidates in one
-        :func:`~repro.core.chdbn.build_candidate_set` call, then the joint
-        candidates in chunks of at most *chunk_cells* padded grid cells
-        (at least one step each).  :meth:`piece` hands each one out once;
-        every value equals the one-step build's."""
+        :func:`~repro.core.chdbn.build_candidate_set` call, then, chunk by
+        chunk, each chain pair's rule mask in one
+        :meth:`~repro.core.rule_kernel.CrossRulePruner.keep_rows` call and
+        the joint candidates.  Those are stacked too when the per-user grid
+        has at most :data:`STACKED_MAX_CELLS` cells
+        (``max_states_per_user ** N``), and otherwise built one step at a
+        time on the step's own rows and its slice of the masks.  A chunk
+        holds at most *chunk_cells* padded cells of the stacked grid, or of
+        the widest stacked pair mask, and at least one step.  :meth:`piece`
+        hands each piece out once; every value equals the one-step
+        build's."""
         model, seq, kern = self.model, self.seq, self._kern
         kern.ensure(t0, t1)
-        per_user = [build_candidate_set(model, seq, rid, t0, kern, t1) for rid in self.rids]
-        cells = int(np.prod([c.m.shape[1] for c in per_user]))
+        ambs = [kern.step_items(t) for t in range(t0, t1)]
+        per_user = [build_candidate_set(model, seq, rid, t0, kern, t1, ambs) for rid in self.rids]
+        widths = sorted(c.m.shape[1] for c in per_user)
+        stack_grid = model.max_states_per_user ** len(self.rids) <= STACKED_MAX_CELLS
+        cells = int(np.prod(widths)) if stack_grid else widths[-2] * widths[-1]
         size = max(1, chunk_cells // cells)
         for a in range(0, t1 - t0, size):
             chunk = [c.rows(a, a + size) for c in per_user]
-            grids, scores, ends, pruned, capped = model._joint_candidates_stacked(
-                seq, t0 + a, chunk, kern
-            )
-            # Each piece owns copies of its rows: a view would keep the
-            # whole chunk alive while a stream's lag window holds the piece.
-            for s in range(len(ends) - 1):
-                lo, hi = ends[s], ends[s + 1]
-                enc = (
-                    grids[:, lo:hi].copy(),
-                    tuple(c.m[s, : c.n[s]].copy() for c in chunk),
-                    tuple(c.l[s, : c.n[s]].copy() for c in chunk),
+            masks = model._pair_masks(chunk, ambs[a : a + size])
+            if stack_grid:
+                grids, scores, ends, pruned, capped = model._joint_candidates_stacked(
+                    seq, t0 + a, chunk, masks
                 )
-                self._ready[t0 + a + s] = (
-                    TrellisPiece(scores=scores[lo:hi].copy(), enc=enc),
-                    int(pruned[s]),
-                    int(capped[s]),
-                )
+                ends, pruned, capped = ends.tolist(), pruned.tolist(), capped.tolist()
+            for s in range(len(chunk[0].n)):
+                # Each piece owns copies of its rows: a view would keep the
+                # whole chunk alive while a stream's lag window holds it.
+                users = [c.step(s) for c in chunk]
+                if stack_grid:
+                    lo, hi = ends[s], ends[s + 1]
+                    joint = grids[:, lo:hi].copy(), scores[lo:hi].copy()
+                    counts = pruned[s], capped[s]
+                else:
+                    step_masks = None if masks is None else {
+                        (u, w): keep[s, : len(users[u]), : len(users[w])]
+                        for (u, w), keep in masks.items()
+                    }
+                    stats = DecodeStats()
+                    joint = model._joint_candidates(seq, t0 + a + s, users, step_masks, stats)
+                    counts = stats.pruned_joint_states, stats.capped_joint_states
+                self._ready[t0 + a + s] = (_piece(joint, users), *counts)
 
     def release(self, t: int) -> None:
         """Drop the evidence tables below step *t*, and the prebuilt
         pieces no one asked for."""
         self._kern.release(t)
-        for k in [k for k in self._ready if k < t]:
-            del self._ready[k]
+        # A fresh dict: one that held a burst keeps its table when emptied.
+        self._ready = {k: v for k, v in self._ready.items() if k >= t}
 
     def piece(self, t: int) -> TrellisPiece:
         """Step *t*'s piece: the prebuilt one, whose pruned and capped
@@ -564,12 +609,11 @@ class _NChainTrellis:
             self.stats.pruned_joint_states += pruned
             self.stats.capped_joint_states += capped
             return piece
-        model, seq, rids, kern = self.model, self.seq, self.rids, self._kern
+        model, seq, kern = self.model, self.seq, self._kern
         kern.ensure(0, t + 1)
-        per_user = [build_candidate_set(model, seq, rid, t, kern) for rid in rids]
-        grids, scores = model._joint_candidates(seq, t, per_user, kern, self.stats)
-        enc = (grids, tuple(c.m for c in per_user), tuple(c.l for c in per_user))
-        return TrellisPiece(scores=scores, enc=enc)
+        per_user = [build_candidate_set(model, seq, rid, t, kern) for rid in self.rids]
+        masks = model._pair_masks(per_user, kern.step_items(t))
+        return _piece(model._joint_candidates(seq, t, per_user, masks, self.stats), per_user)
 
     def initial_alpha(self, piece: TrellisPiece) -> np.ndarray:
         model = self.model

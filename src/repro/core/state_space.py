@@ -88,6 +88,15 @@ class StackedCandidates:
         """(S, K) mask of the real entries."""
         return np.arange(self.m.shape[1]) < self.n[:, None]
 
+    def step(self, s: int) -> CandidateSet:
+        """Row ``s`` as its step's :class:`CandidateSet`, owning copies of
+        its codes (a piece that keeps them must not pin the stack);
+        its emissions are a view."""
+        n = self.n[s]
+        return CandidateSet(
+            self.m[s, :n].copy(), self.l[s, :n].copy(), self.emissions[s, :n], self.obs[s]
+        )
+
     def rows(self, a: int, b: int) -> "StackedCandidates":
         """Steps ``a..b-1`` of the stack, padded to their own longest list."""
         n = self.n[a:b]

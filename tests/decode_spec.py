@@ -438,9 +438,11 @@ class ReferenceNChainHdbn(NChainHdbn):
         seq: LabeledSequence,
         t: int,
         per_user: List[CandidateSet],
-        kern,
+        masks,
         stats: DecodeStats,
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """The seed's joint layer; it checks the rules itself, so *masks*
+        (the production pair masks) is ignored."""
         step = seq.steps[t]
         n = len(per_user)
         states = [label_states(self.constraint_model, c.m, c.l) for c in per_user]

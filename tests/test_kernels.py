@@ -372,7 +372,8 @@ def _assert_joint_matches_reference(model, seq, seen, steps=None):
     for t in range(len(seq) if steps is None else steps):
         per_user = [build_candidate_set(model, seq, rid, t, kern) for rid in rids]
         stats, ref_stats = DecodeStats(), DecodeStats()
-        grids, scores = model._joint_candidates(seq, t, per_user, kern, stats)
+        masks = model._pair_masks(per_user, kern.step_items(t))
+        grids, scores = model._joint_candidates(seq, t, per_user, masks, stats)
         want_grids, want_scores = decode_spec.ReferenceNChainHdbn._joint_candidates(
             model, seq, t, per_user, None, ref_stats
         )
@@ -468,13 +469,34 @@ def _rules_reject_even_rooms(mp, seen=None):
     mp.setattr(CrossRulePruner, "keep_rows", keep_rows)
 
 
+#: The joint-grid branch a stacked build takes, by resident count: pairs
+#: stack the grid, trios and quads (more than ``STACKED_MAX_CELLS`` cells at
+#: 24 candidates per user) build it one step at a time.
+GRID_BRANCH = {2: "stacked", 3: "per_step", 4: "per_step"}
+
+
+def _spy_grid_branches(mp, model):
+    """The set of joint-grid branches *model* runs while *mp* is active:
+    ``"stacked"`` or ``"per_step"``."""
+    seen = set()
+    branches = [("_joint_candidates_stacked", "stacked"), ("_joint_candidates", "per_step")]
+    for name, branch in branches:
+        method = getattr(model, name)
+        mp.setattr(model, name, lambda *a, _m=method, _b=branch: seen.add(_b) or _m(*a))
+    return seen
+
+
 def _pieces(model, seq, t0, t1, chunk_cells=None):
     """Pieces of steps ``[t0, t1)`` and the stats they counted: one step at
-    a time, or (given *chunk_cells*) from one stacked ``build_range``."""
+    a time, or (given *chunk_cells*) from one stacked ``build_range``,
+    which must take its resident count's :data:`GRID_BRANCH`."""
     stats = DecodeStats()
     sess = model.trellis_sessions(seq, stats)[0]
     if chunk_cells is not None:
-        sess.build_range(t0, t1, chunk_cells)
+        with pytest.MonkeyPatch.context() as mp:
+            branches = _spy_grid_branches(mp, model)
+            sess.build_range(t0, t1, chunk_cells)
+        assert branches == {GRID_BRANCH[len(seq.resident_ids)]}
         assert sorted(sess._ready) == list(range(t0, t1))
     pieces = [sess.piece(t) for t in range(t0, t1)]
     assert not sess._ready
@@ -509,8 +531,7 @@ def _assert_same_candidates(model, seq, t0, t1):
 @pytest.fixture(scope="module")
 def stacked_cases(pair_models, cace_split, nchain_setup, quad_setup):
     """A rule-pruned model and a session with area-motion evidence per
-    resident count; trios and quads reach the stacked build only when it
-    is called directly."""
+    resident count."""
     class Cases(dict):
         def __repr__(self) -> str:
             return "stacked_cases"
@@ -526,9 +547,11 @@ def stacked_cases(pair_models, cace_split, nchain_setup, quad_setup):
 @settings(max_examples=30, deadline=None)
 def test_stacked_build_equals_per_step(stacked_cases, data):
     """Random ranges and chunk splits on pair, trio and quad sessions: the
-    stacked build gives every step the one-step build's joint index rows,
-    per-user codes and scores, and counts the same DecodeStats; also with
-    tied emissions and with steps whose joint states all fail the rules."""
+    stacked build -- pairs on the stacked joint grid, trios and quads on
+    the per-step one -- gives every step the one-step build's joint index
+    rows, per-user codes and scores, and counts the same DecodeStats; also
+    with tied emissions and with steps whose joint states all fail the
+    rules."""
     model, seq = stacked_cases[data.draw(st.sampled_from(sorted(stacked_cases)))]
     t0 = data.draw(st.integers(0, len(seq) - 1))
     t1 = data.draw(st.integers(t0 + 1, min(len(seq), t0 + 24)))
@@ -575,34 +598,49 @@ def test_stacked_build_meets_its_edge_cases(case, stacked_cases, monkeypatch):
 
 def test_release_drops_prebuilt_pieces_below_it(stacked_cases):
     """Prebuilt pieces are handed out once, and ``release(t)`` drops the
-    ones below step t that were never asked for."""
-    model, seq = stacked_cases["pair"]
-    sess = model.trellis_sessions(seq)[0]
-    sess.build_range(0, 20)
-    for t in range(5):
-        sess.piece(t)
-    assert sorted(sess._ready) == list(range(5, 20))
-    sess.release(10)
-    assert sorted(sess._ready) == list(range(10, 20))
+    ones below step t that were never asked for: on a pair (stacked joint
+    grid) and a trio (per-step joint grid)."""
+    for case in ("pair", "trio"):
+        model, seq = stacked_cases[case]
+        sess = model.trellis_sessions(seq)[0]
+        sess.build_range(0, 20)
+        for t in range(5):
+            sess.piece(t)
+        assert sorted(sess._ready) == list(range(5, 20))
+        sess.release(10)
+        assert sorted(sess._ready) == list(range(10, 20))
 
 
-def test_only_long_pair_ranges_are_stacked(stacked_cases, monkeypatch):
-    """``prepare`` stacks a pair range of ``STACKED_MIN_STEPS`` steps or
-    more; shorter ranges and every trio or quad range are built one step
-    at a time."""
+def test_only_long_ranges_are_stacked(stacked_cases, monkeypatch):
+    """``prepare`` builds every range of ``STACKED_MIN_STEPS`` steps or
+    more in stacked passes, whatever the resident count, and shorter ranges
+    one step at a time; the joint grid is stacked only on a per-user grid
+    of at most ``STACKED_MAX_CELLS`` cells (pairs at 36 candidates, 1,296
+    cells), not on trios or quads at 24 (13,824 and 331,776)."""
     built = []
+    build_range = loosely_coupled._NChainTrellis.build_range
     monkeypatch.setattr(
         loosely_coupled._NChainTrellis, "build_range",
-        lambda self, t0, t1, *a: built.append((len(self.rids), t0, t1)),
+        lambda self, t0, t1, *a: (
+            built.append((len(self.rids), t0, t1)) or build_range(self, t0, t1, *a)
+        ),
     )
     short = loosely_coupled.STACKED_MIN_STEPS - 1
     for case in ("pair", "trio", "quad"):
         model, seq = stacked_cases[case]
         sess = model.trellis_sessions(seq)[0]
-        sess.prepare(0, 1)
-        sess.prepare(1, 1 + short)
-        sess.prepare(1 + short, len(seq) + 10)
-    assert built == [(2, 1 + short, len(stacked_cases["pair"][1]))]
+        with pytest.MonkeyPatch.context() as mp:
+            branches = _spy_grid_branches(mp, model)
+            sess.prepare(0, 1)
+            sess.prepare(1, 1 + short)
+            assert not built and not branches
+            sess.prepare(0, len(seq) + 10)
+        n = len(seq.resident_ids)
+        assert built == [(n, 0, len(seq))]
+        assert branches == {GRID_BRANCH[n]}
+        cells = model.max_states_per_user ** n
+        assert (cells <= loosely_coupled.STACKED_MAX_CELLS) == (GRID_BRANCH[n] == "stacked")
+        built.clear()
 
 
 def _rule_vocab(model, attr, *extra):
@@ -1050,12 +1088,20 @@ def test_failed_push_can_be_retried(family, inject, family_models):
     assert stats == clean_stats
 
 
-@pytest.mark.parametrize("burst", [16, 30])
-def test_failed_push_after_a_stacked_burst_is_retried(burst, family_models, monkeypatch):
+@pytest.mark.parametrize(
+    "family, burst",
+    [
+        pytest.param("c2_pair", 16, id="16"),
+        pytest.param("c2_pair", 30, id="30"),
+        pytest.param("c2_trio", 16, id="trio-16"),
+    ],
+)
+def test_failed_push_after_a_stacked_burst_is_retried(family, burst, family_models, monkeypatch):
     """A push whose transition raises after its prebuilt piece counted its
     pruned and capped joint states is retried to the labels and stats of
-    a clean one-push-per-step stream: the piece is counted once."""
-    model, seq = family_models["c2_pair"]
+    a clean one-push-per-step stream: the piece is counted once, on a
+    pair and on a trio."""
+    model, seq = family_models[family]
     seq = seq.slice(0, 30)
     clean_labels, clean_stats, _ = _stream(model, seq)
     built = []
@@ -1075,32 +1121,33 @@ def test_failed_push_after_a_stacked_burst_is_retried(burst, family_models, monk
 
 
 def test_push_many_pair_bursts_commit_what_push_does(family_models, monkeypatch):
-    """A pair session served through ``push_many`` bursts, whose pieces are
-    built in stacked passes, commits and counts what one ``push`` per step
-    does; its lag window stays at ``lag + 1`` steps or fewer, and no
-    prebuilt piece outlives its burst."""
-    model, seq = family_models["c2_pair"]
+    """A pair or trio session served through ``push_many`` bursts, whose
+    pieces are built in stacked passes, commits and counts what one
+    ``push`` per step does; its lag window stays at ``lag + 1`` steps or
+    fewer, and no prebuilt piece outlives its burst."""
     lag = 4
-    expected = {}
     built = []
     build_range = loosely_coupled._NChainTrellis.build_range
     monkeypatch.setattr(
         loosely_coupled._NChainTrellis, "build_range",
-        lambda self, *a: built.append(a) or build_range(self, *a),
+        lambda self, *a: built.append(len(self.rids)) or build_range(self, *a),
     )
-    for burst in (1, 20):
-        router = SessionRouter(model, lag=lag)
-        router.open_session("s", resident_ids=seq.resident_ids)
-        state = router.session("s")
-        for t in range(0, len(seq), burst):
-            router.push_many("s", list(seq.steps[t : t + burst]))
-            assert state.smoother.window <= lag + 1
-            assert not state.smoother._sessions[0]._ready
-        expected.setdefault("stats", state.stats)
-        assert state.stats == expected["stats"]
-        labels = router.close_session("s")
-        assert labels == expected.setdefault("labels", labels)
-    assert built
+    for family in ("c2_pair", "c2_trio"):
+        model, seq = family_models[family]
+        expected = {}
+        for burst in (1, 20):
+            router = SessionRouter(model, lag=lag)
+            router.open_session("s", resident_ids=seq.resident_ids)
+            state = router.session("s")
+            for t in range(0, len(seq), burst):
+                router.push_many("s", list(seq.steps[t : t + burst]))
+                assert state.smoother.window <= lag + 1
+                assert not state.smoother._sessions[0]._ready
+            expected.setdefault("stats", state.stats)
+            assert state.stats == expected["stats"]
+            labels = router.close_session("s")
+            assert labels == expected.setdefault("labels", labels)
+    assert set(built) == {2, 3}
 
 
 # ---------------------------------------------------------------------------
