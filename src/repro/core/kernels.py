@@ -27,12 +27,11 @@ Three layers live here:
   are the ``decode`` / ``posterior_marginals`` body of every family.
   They hand the whole session to the trellis session's ``prepare`` before
   asking for its pieces, so a session that can build a range of pieces at
-  once does: the N-chain session builds every resident's candidates and
-  every chain pair's rule masks in stacked passes over a leading step
-  axis, with :meth:`SequenceKernel.emission_rows` scoring every step's
-  candidates in one gather, and a pair session's joint candidates too;
-  trios and quads build each step's joint grid on its own rows
-  (:mod:`repro.core.loosely_coupled`).
+  once does: the N-chain session builds every resident's candidates
+  (scored by :meth:`SequenceKernel.emission_rows` in one gather) and every
+  chain pair's rule masks in stacked passes over a leading step axis, and
+  a pair session's joint candidates too; trios and quads build each
+  step's joint grid on its own rows (:mod:`repro.core.loosely_coupled`).
   Offline decoding and the smoother therefore share one recursion and one
   read-out (:func:`posterior`, :func:`macro_marginals`,
   :func:`macro_argmax`): at ``lag >= len(seq)`` the smoother commits
